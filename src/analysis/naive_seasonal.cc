@@ -86,13 +86,4 @@ NaiveDecomposition naive_decompose(std::span<const double> y, int period) {
   return out;
 }
 
-NaiveSeries naive_decompose(const util::TimeSeries& series, int period) {
-  const auto d = naive_decompose(series.span(), period);
-  return NaiveSeries{
-      util::TimeSeries(series.start(), series.step(), d.trend),
-      util::TimeSeries(series.start(), series.step(), d.seasonal),
-      util::TimeSeries(series.start(), series.step(), d.residual),
-  };
-}
-
 }  // namespace diurnal::analysis

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/workspace.h"
-#include "util/timeseries.h"
 
 namespace diurnal::analysis {
 
@@ -31,13 +30,5 @@ NaiveDecomposition naive_decompose(std::span<const double> y, int period);
 void naive_decompose(std::span<const double> y, int period, Workspace& ws,
                      std::span<double> trend, std::span<double> seasonal,
                      std::span<double> residual);
-
-/// TimeSeries convenience overload.
-struct NaiveSeries {
-  util::TimeSeries trend;
-  util::TimeSeries seasonal;
-  util::TimeSeries residual;
-};
-NaiveSeries naive_decompose(const util::TimeSeries& series, int period);
 
 }  // namespace diurnal::analysis

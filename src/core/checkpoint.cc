@@ -263,7 +263,6 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
   w.boolean(config.one_loss_repair);
   w.boolean(config.additional_observations);
   w.boolean(config.run_detection);
-  w.boolean(config.fuse_observation_windows);
   w.f64(config.classifier.min_evidence_fraction);
   w.i64(config.detector.period_seconds);
   w.u8(config.detector.trend_model == TrendModel::kStl ? 0 : 1);

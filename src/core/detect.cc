@@ -257,8 +257,8 @@ void extract_changes(std::span<const double> counts, util::SimTime start,
   }
 }
 
-// The detector's per-series STL configuration (trend span responsive
-// to ~1.25 periods; see the comment in run_detection's scalar twin).
+}  // namespace
+
 analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
                                           int period) {
   analysis::StlOptions stl = opt.stl;
@@ -272,6 +272,8 @@ analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
   }
   return stl;
 }
+
+namespace {
 
 // The whole detection stage over span kernels.  `rich` non-null also
 // materializes the component series of the legacy DetectionResult.
@@ -358,6 +360,15 @@ void BatchDetector::enqueue(std::span<const double> counts,
 }
 
 void BatchDetector::flush() {
+  if (opt_.trend_model == TrendModel::kNaive) {
+    for (std::size_t i = 0; i < pending_; ++i) {
+      const Job& job = jobs_[i];
+      run_detection(job.counts, job.start, job.step, opt_, naive_az_,
+                    *job.out, nullptr);
+    }
+    pending_ = 0;
+    return;
+  }
   std::array<bool, analysis::BatchAnalyzer::kMaxLanes> done{};
   std::array<std::span<const double>, analysis::BatchAnalyzer::kMaxLanes>
       lanes;

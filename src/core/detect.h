@@ -104,6 +104,12 @@ struct DetectionResult {
   std::vector<DetectedChange> activity_changes() const;
 };
 
+/// The detector's STL configuration for a series with `period` samples
+/// per season: opt.stl with the period set and, unless given, a trend
+/// span of ~1.25 periods.
+analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
+                                          int period);
+
 /// Runs the full trend-extraction + change-detection stage on an
 /// active-address count series.  Series shorter than two periods yield
 /// an empty result.
@@ -125,11 +131,13 @@ void detect_changes(std::span<const double> counts, util::SimTime start,
 /// extraction and outage filters as detect_changes().  Each block's
 /// change list is bit-identical to the scalar path's.
 ///
-/// Contracts: one detector per thread; opt.trend_model must be kStl
-/// (the naive ablation path stays scalar); queued spans must stay
-/// valid until the enqueue that fills the batch or an explicit
-/// flush() — the fleet drives satisfy this by queueing SeriesStore
-/// rows, which are stable for the whole run.
+/// Naive-trend jobs (the section 2.5 ablation) run through the
+/// per-block chain at flush time; there is no batched naive kernel.
+///
+/// Contracts: one detector per thread; queued spans must stay valid
+/// until the enqueue that fills the batch or an explicit flush() — the
+/// fleet drives satisfy this by queueing SeriesStore rows, which are
+/// stable for the whole run.
 class BatchDetector {
  public:
   explicit BatchDetector(
@@ -165,6 +173,7 @@ class BatchDetector {
   std::array<Job, analysis::BatchAnalyzer::kMaxLanes> jobs_;
   std::size_t pending_ = 0;
   analysis::BatchAnalyzer az_;
+  analysis::BlockAnalyzer naive_az_;  ///< naive-trend jobs only
 };
 
 }  // namespace diurnal::core

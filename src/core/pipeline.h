@@ -47,23 +47,15 @@ struct FleetConfig {
   /// Run change detection on change-sensitive blocks.
   bool run_detection = true;
 
-  /// When the classification window is a prefix of the detection window
-  /// (same start, same observers, no skew faults), observe once over
-  /// the detection window and fork the classification reconstruction at
-  /// the boundary instead of re-observing the overlap.  Results are
-  /// bit-identical either way; disable only to cross-check that
-  /// equivalence or to time the two-pass path.
-  bool fuse_observation_windows = true;
-
   int threads = 0;  ///< 0 = hardware concurrency
 
-  /// Lanes of the batched SoA analysis path (analysis/batch.h) feeding
-  /// classification and detection: 0 = full width
-  /// (analysis::BatchAnalyzer::kMaxLanes), 1 = the legacy scalar
-  /// per-block path, otherwise clamped to [1, kMaxLanes].  Results are
-  /// bit-identical at every width (the batched kernels replicate the
-  /// scalar arithmetic per lane); the knob exists for the
-  /// scalar-vs-batched frontier benchmarks and equivalence tests.
+  /// Lanes of each worker's analysis batches (analysis/batch.h), for
+  /// classification and detection alike: 0 = full width
+  /// (analysis::BatchAnalyzer::kMaxLanes), otherwise clamped to [1,
+  /// kMaxLanes]; 1 runs one-lane batches through the same runtime-width
+  /// kernels.  Results are bit-identical at every width (the batched
+  /// kernels replicate the scalar arithmetic per lane).  No production
+  /// caller sets it; tests use it to force narrow and ragged batches.
   int analysis_batch_width = 0;
 };
 
@@ -81,11 +73,11 @@ struct FleetResult {
   /// Per-block coverage/trust accounting (blocks aligned with outcomes).
   fault::DegradationReport degradation{};
   /// Columnar per-block reconstructed series (rows aligned with
-  /// outcomes).  Which rows are populated depends on the window mode:
-  /// with a single fused window every nonzero block's detection-window
-  /// series is present; with separate classification/detection windows
-  /// only change-sensitive blocks reach the detection pass, so other
-  /// rows have length 0.  Not hashed by the fleet digest.
+  /// outcomes).  Which rows are populated depends on the windows: on a
+  /// single window every nonzero block's detection-window series is
+  /// present; with split classification/detection windows only
+  /// change-sensitive blocks reach the detection pass, so other rows
+  /// have length 0.  Not hashed by the fleet digest.
   SeriesStore series;
 };
 

@@ -51,11 +51,7 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
 
   const auto window = config.dataset.window();
   const std::int64_t sstep = config.recon.sample_step;
-  const std::int64_t dur = window.end - window.start;
-  const std::size_t stride =
-      (sstep <= 0 || dur <= 0)
-          ? 0
-          : static_cast<std::size_t>((dur + sstep - 1) / sstep);
+  const std::size_t stride = recon::sample_count(window, config.recon);
 
   ShardedFleetResult out{{}, ChangeAggregator(window.start, window.end), {}};
   out.fleet.outcomes.resize(total);

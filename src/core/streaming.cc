@@ -6,10 +6,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <mutex>
 #include <span>
 #include <thread>
 
-#include "analysis/stl.h"
 #include "core/checkpoint.h"
 
 namespace diurnal::core {
@@ -64,6 +64,20 @@ unsigned resolve_threads(int requested) {
   return std::min<unsigned>(n, 64);
 }
 
+/// Lanes of the worker's finish queue: FleetConfig::analysis_batch_width
+/// resolved (0 = full width, otherwise clamped to [1, kMaxLanes]).
+std::size_t batch_width(int requested) {
+  constexpr std::size_t kMax = analysis::BatchAnalyzer::kMaxLanes;
+  if (requested <= 0) return kMax;
+  return std::min(static_cast<std::size_t>(requested), kMax);
+}
+
+BatchClassifyJob classify_job(std::span<const double> counts,
+                              const recon::ReconStats& rs,
+                              BlockClassification* out) {
+  return {counts, rs.start, rs.step, rs.responsive, rs.evidence_fraction, out};
+}
+
 // Chunked self-scheduling: workers steal fixed runs of consecutive
 // blocks from a shared counter.  Chunks amortize the atomic to one
 // fetch_add per kChunk blocks while still load-balancing (block costs
@@ -75,17 +89,32 @@ unsigned resolve_threads(int requested) {
 // hash, never shared RNG state.
 constexpr std::size_t kChunk = 16;
 
-/// `make_worker()` builds one worker closure (owning its scratch); each
-/// runs until the shared counter is exhausted.
-template <typename MakeWorker>
-void run_pool(unsigned n_threads, MakeWorker&& make_worker) {
+/// Calls body(i) for every block of [0, n) the shared counter hands
+/// this worker.
+template <typename Body>
+void for_each_block(std::atomic<std::size_t>& next, std::size_t n,
+                    Body&& body) {
+  for (;;) {
+    const std::size_t begin = next.fetch_add(kChunk, std::memory_order_relaxed);
+    if (begin >= n) return;
+    const std::size_t end = std::min(begin + kChunk, n);
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  }
+}
+
+/// Runs work(next) on each of n_threads workers (each builds its own
+/// scratch) and joins them; `next` is their shared block counter.
+template <typename Work>
+void run_pool(unsigned n_threads, const Work& work) {
+  std::atomic<std::size_t> next{0};
+  auto run = [&] { work(next); };
   if (n_threads <= 1) {
-    make_worker()();
+    run();
     return;
   }
   std::vector<std::thread> pool;
   pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(make_worker());
+  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
   for (auto& t : pool) t.join();
 }
 
@@ -95,104 +124,143 @@ void run_pool(unsigned n_threads, MakeWorker&& make_worker) {
 /// stays flat as the stream grows.
 constexpr std::size_t kTrailPeriods = 5;
 
+// Cell flag bits in the engine snapshot.
+constexpr std::uint8_t kCellBegun = 1u << 0;
+constexpr std::uint8_t kCellActive = 1u << 1;
+constexpr std::uint8_t kCellClassified = 1u << 2;
+constexpr std::uint8_t kCellScreened = 1u << 3;
+constexpr std::uint8_t kCellWatched = 1u << 4;
+
 }  // namespace
 
-// One worker's batched-analysis state.  Slots queue finalized blocks
-// until a full-width SoA batch is ready (or the worker runs out of
-// blocks — the ragged tail flushes narrower).  finalize_stats() writes
-// into the slot in place, and slot vectors reuse their high-water
-// capacity, so the batched path keeps the drives' zero-allocs-per-block
-// steady state.
-struct StreamingFleet::BatchCtx {
+// One worker's finish path, shared by both drives.  A block joins the
+// queue as soon as its classification series and stats are final; a
+// full queue, or the worker's ragged tail, gets its verdicts from one
+// classify_blocks_batch call.  Then every queued block is handed to the
+// drive's `detect_series` step, the only part that differs by drive: it
+// makes a change-sensitive block's detection series final in its store
+// row and says whether to detect.  Those blocks run through the batched
+// detector, and the low-evidence annotation follows its flush.  Slots
+// reuse their high-water capacity, so the steady state allocates
+// nothing per block.
+struct StreamingFleet::Worker {
   struct Slot {
     std::size_t index = 0;
-    recon::DegradedReconStats sr;
+    bool classify = true;            ///< verdict pending, else detect only
+    std::span<const double> counts;  ///< the classification series
+    recon::DegradedReconStats sr;    ///< stats of the series made final last
   };
 
-  BatchCtx(const FleetConfig& cfg, std::size_t width)
-      : width(width), det(cfg.detector, width) {}
+  explicit Worker(StreamingFleet& f)
+      : fleet(f),
+        width(batch_width(f.config_.analysis_batch_width)),
+        det(f.config_.detector, width) {
+    if (f.mode_ == Mode::kSame) return;
+    const recon::BlockObservationConfig& oc = f.classify_oc_;
+    classify_rows.reset(width, recon::sample_count(oc.window, oc.recon),
+                        oc.window.start, oc.recon.sample_step);
+  }
 
-  std::size_t width;
+  Slot& push(std::size_t i, bool classify = true) {
+    Slot& s = slots[n++];
+    s.index = i;
+    s.classify = classify;
+    return s;
+  }
+  bool full() const noexcept { return n == width; }
+
+  /// Finalizes `stream`, bound to the slot block's store row.
+  void drain(Slot& s, recon::BlockStream& stream) {
+    stream.finalize_stats(s.sr);
+    fleet.store_.set_len(s.index, s.sr.recon.len);
+    s.counts = fleet.store_.series(s.index);
+  }
+
+  /// Dedicated detection-window pass into the block's store row.
+  void detect_pass(Slot& s) {
+    pass.begin(fleet.blocks_[s.index], fleet.detect_oc_, scratch);
+    pass.bind_series(fleet.store_.row(s.index));
+    drain(s, pass);
+  }
+
+  /// Dedicated classification-window pass into the slot's row of the
+  /// W-row classification store (split windows).
+  void classify_pass(Slot& s) {
+    const std::size_t k = static_cast<std::size_t>(&s - slots.data());
+    pass.begin(fleet.blocks_[s.index], fleet.classify_oc_, scratch);
+    pass.bind_series(classify_rows.row(k));
+    pass.finalize_stats(s.sr);
+    s.counts = classify_rows.row(k).first(s.sr.recon.len);
+  }
+
+  /// Incremental drive: makes cell i's classification series final —
+  /// its stream on a single window, the union fork, or a dedicated
+  /// pass — and queues the block.
+  void queue_cell(std::size_t i) {
+    Cell& c = fleet.cells_[i];
+    Slot& s = push(i);
+    switch (fleet.mode_) {
+      case Mode::kSame:
+        drain(s, c.stream);
+        break;
+      case Mode::kUnion:
+        c.stream.advance_to(fleet.classify_window_.end);
+        c.stream.finalize_classify_stats(s.sr);
+        s.counts = c.stream.classify_series();
+        break;
+      case Mode::kSeparate:
+        classify_pass(s);
+        break;
+    }
+  }
+
+  template <typename DetectSeries>
+  void flush(DetectSeries&& detect_series) {
+    FleetResult& result = fleet.result_;
+    std::array<BatchClassifyJob, analysis::BatchAnalyzer::kMaxLanes> jobs;
+    std::size_t n_jobs = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Slot& s = slots[k];
+      if (!s.classify) continue;
+      const recon::ReconStats& rs = s.sr.recon;
+      jobs[n_jobs++] =
+          classify_job(s.counts, rs, &result.outcomes[s.index].cls);
+      result.degradation.blocks[s.index] = fault::summarize_block(
+          s.sr.observers, static_cast<int>(s.sr.observers.size()),
+          fleet.classify_oc_.window, rs.evidence_fraction, rs.max_gap_seconds,
+          fleet.evidence_floor_);
+    }
+    classify_blocks_batch(std::span<BatchClassifyJob>(jobs.data(), n_jobs),
+                          fleet.config_.classifier, baz, az);
+    for (std::size_t k = 0; k < n; ++k) {
+      Slot& s = slots[k];
+      if (!detect_series(s)) continue;
+      det.enqueue(fleet.store_.series(s.index), s.sr.recon.start,
+                  s.sr.recon.step, &result.outcomes[s.index].changes);
+    }
+    det.flush();
+    // A block that skipped detection has no changes: a no-op here.
+    for (std::size_t k = 0; k < n; ++k) {
+      const Slot& s = slots[k];
+      annotate_low_evidence(result.outcomes[s.index].changes,
+                            s.sr.recon.evidence_fraction, s.sr.recon.gaps,
+                            fleet.evidence_floor_);
+    }
+    n = 0;
+  }
+
+  StreamingFleet& fleet;
+  const std::size_t width;
+  probe::ProbeScratch scratch;
+  recon::BlockStream pass;    ///< per-block passes (batch drive, kSeparate)
+  SeriesStore classify_rows;  ///< one row per slot (split windows)
   std::array<Slot, analysis::BatchAnalyzer::kMaxLanes> slots;
-  std::size_t n_slots = 0;
-  analysis::BatchAnalyzer az;
+  std::size_t n = 0;
+  analysis::BatchAnalyzer baz;
+  analysis::BlockAnalyzer az;
   BatchDetector det;
+  recon::ReconStats screen;  ///< the provisional screen's snapshot
 };
-
-std::size_t StreamingFleet::batch_width() const noexcept {
-  const int w = config_.analysis_batch_width;
-  if (w <= 0) return analysis::BatchAnalyzer::kMaxLanes;
-  return std::min<std::size_t>(static_cast<std::size_t>(w),
-                               analysis::BatchAnalyzer::kMaxLanes);
-}
-
-void StreamingFleet::classify_flush(BatchCtx& b,
-                                    analysis::BlockAnalyzer& az) {
-  if (b.n_slots == 0) return;
-  std::array<BatchClassifyJob, analysis::BatchAnalyzer::kMaxLanes> jobs;
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    const recon::ReconStats& rs = s.sr.recon;
-    jobs[k] = BatchClassifyJob{store_.series(s.index), rs.start,
-                               rs.step,           rs.responsive,
-                               rs.evidence_fraction,
-                               &result_.outcomes[s.index].cls};
-  }
-  classify_blocks_batch(std::span<BatchClassifyJob>(jobs.data(), b.n_slots),
-                        config_.classifier, b.az, az);
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    result_.degradation.blocks[s.index] = fault::summarize_block(
-        s.sr.observers, static_cast<int>(s.sr.observers.size()),
-        classify_oc_.window, s.sr.recon.evidence_fraction,
-        s.sr.recon.max_gap_seconds, evidence_floor_);
-  }
-  if (config_.run_detection) {
-    // The batched detector requires the STL trend model; the naive
-    // ablation keeps the scalar path.
-    const bool batched =
-        config_.detector.trend_model == TrendModel::kStl && b.width > 1;
-    for (std::size_t k = 0; k < b.n_slots; ++k) {
-      const BatchCtx::Slot& s = b.slots[k];
-      BlockOutcome& out = result_.outcomes[s.index];
-      if (!out.cls.change_sensitive) continue;
-      if (batched) {
-        b.det.enqueue(store_.series(s.index), s.sr.recon.start,
-                      s.sr.recon.step, &out.changes);
-      } else {
-        detect_outcome(s.index, store_.series(s.index), s.sr.recon, az);
-      }
-    }
-    if (batched) {
-      b.det.flush();
-      for (std::size_t k = 0; k < b.n_slots; ++k) {
-        const BatchCtx::Slot& s = b.slots[k];
-        BlockOutcome& out = result_.outcomes[s.index];
-        if (!out.cls.change_sensitive) continue;
-        annotate_low_evidence(out.changes, s.sr.recon.evidence_fraction,
-                              s.sr.recon.gaps, evidence_floor_);
-      }
-    }
-  }
-  b.n_slots = 0;
-}
-
-void StreamingFleet::detect_flush(BatchCtx& b) {
-  if (b.n_slots == 0) return;
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    b.det.enqueue(store_.series(s.index), s.sr.recon.start, s.sr.recon.step,
-                  &result_.outcomes[s.index].changes);
-  }
-  b.det.flush();
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    annotate_low_evidence(result_.outcomes[s.index].changes,
-                          s.sr.recon.evidence_fraction, s.sr.recon.gaps,
-                          evidence_floor_);
-  }
-  b.n_slots = 0;
-}
 
 StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
                                const FleetConfig& config)
@@ -201,25 +269,21 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
       config.classify_dataset ? *config.classify_dataset : config.dataset;
   window_ = config.dataset.window();
   classify_window_ = classify_ds.window();
-  const bool same_window =
-      !config.classify_dataset ||
-      (classify_window_.start == window_.start &&
-       classify_window_.end == window_.end &&
-       classify_ds.sites == config.dataset.sites &&
-       classify_ds.survey == config.dataset.survey);
-  // The fused single pass requires the classification stream to be a
-  // prefix slice of the detection stream: same start and observers so
-  // the rounds coincide, and no skew faults because retiming drops
-  // depend on the window span.
-  const bool nested = classify_window_.start == window_.start &&
+  // The union fork requires the classification stream to be a prefix
+  // slice of the detection stream: same start and observers so the
+  // rounds coincide, and no skew faults because retiming drops depend
+  // on the window span.
+  const bool prefix = classify_window_.start == window_.start &&
                       classify_window_.end <= window_.end &&
                       classify_ds.sites == config.dataset.sites &&
-                      classify_ds.survey == config.dataset.survey &&
-                      config.faults.skews.empty();
-  mode_ = same_window ? Mode::kSame
-                      : (config.fuse_observation_windows && nested
-                             ? Mode::kUnion
-                             : Mode::kSeparate);
+                      classify_ds.survey == config.dataset.survey;
+  if (!config.classify_dataset ||
+      (prefix && classify_window_.end == window_.end)) {
+    mode_ = Mode::kSame;
+  } else {
+    mode_ = prefix && config.faults.skews.empty() ? Mode::kUnion
+                                                  : Mode::kSeparate;
+  }
   classify_oc_ = observation_config(config, classify_ds);
   detect_oc_ = observation_config(config, config.dataset);
   evidence_floor_ = config.classifier.min_evidence_fraction;
@@ -228,40 +292,14 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
   result_.outcomes.resize(blocks_.size());
   result_.degradation.blocks.resize(blocks_.size());
   // One allocation for every block's detection-window series; rows are
-  // bound to each reconstruction as it begins (stride mirrors
-  // BlockReconState::begin()'s sample count).
-  const std::int64_t sstep = detect_oc_.recon.sample_step;
-  const std::int64_t dur = window_.end - window_.start;
-  const std::size_t stride =
-      (sstep <= 0 || dur <= 0)
-          ? 0
-          : static_cast<std::size_t>((dur + sstep - 1) / sstep);
-  store_.reset(blocks_.size(), stride, window_.start, sstep);
+  // bound to each reconstruction as it begins.
+  store_.reset(blocks_.size(), recon::sample_count(window_, config.recon),
+               window_.start, config.recon.sample_step);
   clock_ = window_.start;
 }
 
-void StreamingFleet::classify_outcome(std::size_t i,
-                                      std::span<const double> counts,
-                                      const recon::DegradedReconStats& ds,
-                                      analysis::BlockAnalyzer& az) {
-  BlockOutcome& out = result_.outcomes[i];
-  out.cls = classify_block(counts, ds.recon.start, ds.recon.step,
-                           ds.recon.responsive, ds.recon.evidence_fraction,
-                           config_.classifier, az);
-  result_.degradation.blocks[i] = fault::summarize_block(
-      ds.observers, static_cast<int>(ds.observers.size()), classify_oc_.window,
-      ds.recon.evidence_fraction, ds.recon.max_gap_seconds, evidence_floor_);
-}
-
-void StreamingFleet::detect_outcome(std::size_t i,
-                                    std::span<const double> counts,
-                                    const recon::ReconStats& stats,
-                                    analysis::BlockAnalyzer& az) {
-  BlockOutcome& out = result_.outcomes[i];
-  detect_changes(counts, stats.start, stats.step, config_.detector, az,
-                 out.changes);
-  annotate_low_evidence(out.changes, stats.evidence_fraction, stats.gaps,
-                        evidence_floor_);
+bool StreamingFleet::detects(std::size_t i) const noexcept {
+  return config_.run_detection && result_.outcomes[i].cls.change_sensitive;
 }
 
 void StreamingFleet::finish_result() {
@@ -274,116 +312,28 @@ void StreamingFleet::finish_result() {
 
 FleetResult StreamingFleet::run_to_completion() {
   assert(!finished_ && cells_.empty());
-  const auto& blocks = blocks_;
-  const std::size_t width = batch_width();
-  // Batched classification needs store-backed series that outlive the
-  // per-block stream: only kSame binds every classification series to
-  // a SeriesStore row (kUnion/kSeparate classify from stream-internal
-  // views that the next block invalidates).  Batched detection reads
-  // store rows in every mode.
-  const bool batch_classify = width > 1 && mode_ == Mode::kSame;
-  const bool batch_detect =
-      width > 1 && config_.run_detection &&
-      config_.detector.trend_model == TrendModel::kStl;
-  std::atomic<std::size_t> next{0};
-  auto make_worker = [&] {
-    return [&] {
-      probe::ProbeScratch scratch;
-      recon::BlockStream stream;
-      recon::DegradedReconStats classify_sr;
-      recon::DegradedReconStats detect_sr;
-      analysis::BlockAnalyzer analyzer;
-      BatchCtx batch(config_, width);
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= blocks.size()) break;
-        const std::size_t end = std::min(begin + kChunk, blocks.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& block = blocks[i];
-          BlockOutcome& out = result_.outcomes[i];
-          out.id = block.id;
-          if (block.eb_count == 0) continue;  // never responds
-          switch (mode_) {
-            case Mode::kSame:
-              stream.begin(block, detect_oc_, scratch);
-              stream.bind_series(store_.row(i));
-              if (batch_classify) {
-                // Queue the finalized block; classification, detection
-                // and annotation all happen at flush, reading the
-                // stable store row.
-                BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                s.index = i;
-                stream.finalize_stats(s.sr);
-                store_.set_len(i, s.sr.recon.len);
-                if (++batch.n_slots == width) {
-                  classify_flush(batch, analyzer);
-                }
-              } else {
-                stream.finalize_stats(classify_sr);
-                store_.set_len(i, classify_sr.recon.len);
-                classify_outcome(i, store_.series(i), classify_sr, analyzer);
-                if (out.cls.change_sensitive && config_.run_detection) {
-                  detect_outcome(i, store_.series(i), classify_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kUnion:
-              stream.begin(block, detect_oc_, scratch, classify_window_.end);
-              stream.bind_series(store_.row(i));
-              stream.advance_to(classify_window_.end);
-              stream.finalize_classify_stats(classify_sr);
-              classify_outcome(i, stream.classify_series(), classify_sr,
-                               analyzer);
-              if (out.cls.change_sensitive && config_.run_detection) {
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kSeparate:
-              stream.begin(block, classify_oc_, scratch);
-              stream.finalize_stats(classify_sr);
-              classify_outcome(i, stream.series(), classify_sr, analyzer);
-              if (out.cls.change_sensitive && config_.run_detection) {
-                stream.begin(block, detect_oc_, scratch);
-                stream.bind_series(store_.row(i));
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-          }
-        }
-      }
-      // Ragged tail: whatever is still queued runs as a narrower batch.
-      if (batch_classify) {
-        classify_flush(batch, analyzer);
-      } else if (batch_detect) {
-        detect_flush(batch);
-      }
+  run_pool(threads_, [&](std::atomic<std::size_t>& next) {
+    Worker w(*this);
+    // Split windows: a detection-window pass for change-sensitive
+    // blocks only, into the block's store row.
+    auto detect_series = [&](Worker::Slot& s) {
+      if (!detects(s.index)) return false;
+      if (mode_ != Mode::kSame) w.detect_pass(s);
+      return true;
     };
-  };
-  run_pool(threads_, make_worker);
+    for_each_block(next, blocks_.size(), [&](std::size_t i) {
+      result_.outcomes[i].id = blocks_[i].id;
+      if (blocks_[i].eb_count == 0) return;  // never responds
+      Worker::Slot& s = w.push(i);
+      if (mode_ == Mode::kSame) {
+        w.detect_pass(s);
+      } else {
+        w.classify_pass(s);
+      }
+      if (w.full()) w.flush(detect_series);
+    });
+    w.flush(detect_series);
+  });
   finish_result();
   return std::move(result_);
 }
@@ -398,39 +348,32 @@ void StreamingFleet::begin_cell(std::size_t i, probe::ProbeScratch& scratch) {
     c.screened = true;
     return;
   }
-  if (mode_ == Mode::kUnion) {
-    c.stream.begin(block, detect_oc_, scratch, classify_window_.end);
-  } else {
-    c.stream.begin(block, detect_oc_, scratch);
-  }
+  c.stream.begin(block, detect_oc_, scratch,
+                 mode_ == Mode::kUnion ? classify_window_.end : 0);
   c.stream.bind_series(store_.row(i));
   c.active = true;
 }
 
-void StreamingFleet::screen_cell(std::size_t i, analysis::BlockAnalyzer& az,
-                                 recon::ReconStats& stats) {
+void StreamingFleet::screen_cell(std::size_t i, Worker& w) {
   Cell& c = cells_[i];
   const std::int64_t step = detect_oc_.recon.sample_step;
-  if (step <= 0) {
-    c.screened = true;
-    return;
-  }
-  const std::size_t period =
-      static_cast<std::size_t>(config_.detector.period_seconds / step);
+  const std::int64_t period =
+      step > 0 ? config_.detector.period_seconds / step : 0;
   if (period < 2 || !config_.run_detection) {
     c.screened = true;  // nothing the watch could feed
     return;
   }
   const auto& rs = c.stream.recon_state();
-  if (rs.emitted() < 2 * period) return;  // not yet decidable
+  if (rs.emitted() < 2 * static_cast<std::size_t>(period)) return;
   // Provisional screen: classify a truncated snapshot of the stream so
   // far.  The verdict is only a watch decision — the authoritative
   // classification happens at finalize over the full window.
-  rs.snapshot_stats(stats);
-  const auto counts = c.stream.series().first(stats.len);
-  const auto cls =
-      classify_block(counts, stats.start, stats.step, stats.responsive,
-                     stats.evidence_fraction, config_.classifier, az);
+  rs.snapshot_stats(w.screen);
+  BlockClassification cls;
+  BatchClassifyJob job =
+      classify_job(c.stream.series().first(w.screen.len), w.screen, &cls);
+  classify_blocks_batch(std::span<BatchClassifyJob>(&job, 1),
+                        config_.classifier, w.baz, w.az);
   c.screened = true;
   c.watched = cls.change_sensitive;
 }
@@ -442,8 +385,7 @@ void StreamingFleet::update_provisional(std::size_t i,
   const std::int64_t step = detect_oc_.recon.sample_step;
   const std::size_t period =
       static_cast<std::size_t>(config_.detector.period_seconds / step);
-  const auto& rs = c.stream.recon_state();
-  const std::size_t emitted = rs.emitted();
+  const std::size_t emitted = c.stream.recon_state().emitted();
   if (period < 2 || emitted < 2 * period || emitted <= c.trend_fed) return;
   if (c.tn == 0) c.cusum.begin(config_.detector.cusum);
 
@@ -453,14 +395,9 @@ void StreamingFleet::update_provisional(std::size_t i,
   // the CUSUM's indices map 1:1 onto samples trend_base + k.
   std::size_t first = emitted - std::min(emitted, kTrailPeriods * period);
   if (c.tn > 0 && c.trend_fed < first) first = c.trend_fed;
-  analysis::StlOptions stl = config_.detector.stl;
-  stl.period = static_cast<int>(period);
-  if (stl.trend_span == 0) {
-    stl.trend_span = static_cast<int>(period + period / 4 + 1);
-  }
-  const auto samples = c.stream.series();
-  const auto dec = az.decompose_stl(samples.subspan(first, emitted - first),
-                                    stl);
+  const auto dec = az.decompose_stl(
+      c.stream.series().subspan(first, emitted - first),
+      detector_stl_options(config_.detector, static_cast<int>(period)));
 
   if (c.tn == 0) c.trend_base = first;
   for (std::size_t idx = std::max(c.trend_fed, first); idx < emitted; ++idx) {
@@ -479,17 +416,17 @@ void StreamingFleet::update_provisional(std::size_t i,
   }
   c.trend_fed = emitted;
 
+  auto time_of = [&](std::size_t k) {
+    return window_.start + static_cast<std::int64_t>(c.trend_base + k) * step;
+  };
   const auto& confirmed = c.cusum.confirmed();
   for (; c.reported < confirmed.size(); ++c.reported) {
     const auto& cp = confirmed[c.reported];
     ProvisionalChange pc;
     pc.id = result_.outcomes[i].id;
-    pc.start = window_.start +
-               static_cast<std::int64_t>(c.trend_base + cp.start) * step;
-    pc.alarm = window_.start +
-               static_cast<std::int64_t>(c.trend_base + cp.alarm) * step;
-    pc.end =
-        window_.start + static_cast<std::int64_t>(c.trend_base + cp.end) * step;
+    pc.start = time_of(cp.start);
+    pc.alarm = time_of(cp.alarm);
+    pc.end = time_of(cp.end);
     pc.direction = cp.direction;
     pc.amplitude = cp.amplitude;
     out.push_back(pc);
@@ -498,8 +435,7 @@ void StreamingFleet::update_provisional(std::size_t i,
 
 EpochReport StreamingFleet::advance_to(util::SimTime until) {
   assert(!finished_);
-  const auto& blocks = blocks_;
-  cells_.resize(blocks.size());
+  cells_.resize(blocks_.size());
   until = std::clamp(until, window_.start, window_.end);
   until = std::max(until, clock_);
 
@@ -507,87 +443,70 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
   rep.epoch_index = epoch_index_++;
   rep.epoch_start = clock_;
   rep.epoch_end = until;
+  // Split windows: this epoch completes the classification window, so
+  // every verdict still pending lands now.
+  const bool verdicts_due =
+      mode_ != Mode::kSame && until >= classify_window_.end;
 
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> delivered{0};
-  std::atomic<unsigned> worker_ids{0};
-  std::vector<std::vector<ProvisionalChange>> found(threads_);
-  auto make_worker = [&] {
-    return [&] {
-      const unsigned wid = worker_ids.fetch_add(1);
-      probe::ProbeScratch scratch;
-      recon::BlockStream cpass;
-      recon::DegradedReconStats dr;
-      recon::ReconStats screen_stats;
-      analysis::BlockAnalyzer analyzer;
-      std::size_t local_delivered = 0;
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= blocks.size()) break;
-        const std::size_t end = std::min(begin + kChunk, blocks.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          Cell& c = cells_[i];
-          if (!c.begun) begin_cell(i, scratch);
-          if (!c.active) continue;
-          c.stream.set_scratch(scratch);
-          if (mode_ == Mode::kUnion && !c.classified) {
-            c.stream.advance_to(std::min(until, classify_window_.end));
-            if (until >= classify_window_.end) {
-              c.stream.finalize_classify_stats(dr);
-              classify_outcome(i, c.stream.classify_series(), dr, analyzer);
-              c.classified = true;
-              c.screened = true;
-              c.watched = result_.outcomes[i].cls.change_sensitive &&
-                          config_.run_detection;
-              if (c.watched) {
-                c.stream.advance_to(until);
-              } else {
-                c.active = false;  // verdict final, no detection to feed
-              }
-            }
-          } else {
-            c.stream.advance_to(until);
-          }
-          if (mode_ == Mode::kSeparate && !c.classified &&
-              until >= classify_window_.end) {
-            // The classification window is fully in the past: run its
-            // dedicated pass now so the verdict lands on the epoch when
-            // the data became available.
-            cpass.begin(blocks[i], classify_oc_, scratch);
-            cpass.finalize_stats(dr);
-            classify_outcome(i, cpass.series(), dr, analyzer);
-            c.classified = true;
-            c.screened = true;
-            c.watched = result_.outcomes[i].cls.change_sensitive &&
-                        config_.run_detection;
-            if (!c.watched) c.active = false;
-          }
-          const std::size_t d = c.stream.delivered_observations();
-          local_delivered += d - c.delivered;
-          c.delivered = d;
-          if (mode_ == Mode::kSame && !c.screened) {
-            screen_cell(i, analyzer, screen_stats);
-          }
-          if (c.watched) update_provisional(i, analyzer, found[wid]);
-        }
-      }
-      delivered.fetch_add(local_delivered, std::memory_order_relaxed);
+  std::mutex mu;
+  run_pool(threads_, [&](std::atomic<std::size_t>& next) {
+    Worker w(*this);
+    std::size_t delivered = 0;
+    std::vector<ProvisionalChange> found;
+    // Everything after a cell's advance this epoch: delivery accounting,
+    // the single-window watch screen and the provisional detector.
+    auto settle = [&](std::size_t i) {
+      Cell& c = cells_[i];
+      const std::size_t d = c.stream.delivered_observations();
+      delivered += d - c.delivered;
+      c.delivered = d;
+      if (mode_ == Mode::kSame && !c.screened) screen_cell(i, w);
+      if (c.watched) update_provisional(i, w.az, found);
     };
-  };
-  run_pool(threads_, make_worker);
+    // A split-window verdict decides the watch; a union-fork cell ingests
+    // past the classification boundary only when watched.  Detection
+    // itself waits for finalize().
+    auto after_verdict = [&](Worker::Slot& s) {
+      Cell& c = cells_[s.index];
+      c.classified = true;
+      c.screened = true;
+      c.watched = detects(s.index);
+      if (!c.watched) {
+        c.active = false;  // verdict final, no detection to feed
+      } else if (mode_ == Mode::kUnion) {
+        c.stream.advance_to(until);
+      }
+      settle(s.index);
+      return false;
+    };
+    for_each_block(next, blocks_.size(), [&](std::size_t i) {
+      Cell& c = cells_[i];
+      if (!c.begun) begin_cell(i, w.scratch);
+      if (!c.active) return;
+      c.stream.set_scratch(w.scratch);
+      if (verdicts_due && !c.classified) {
+        // The union fork stops at the classification boundary itself.
+        if (mode_ == Mode::kSeparate) c.stream.advance_to(until);
+        w.queue_cell(i);
+        if (w.full()) w.flush(after_verdict);
+        return;
+      }
+      c.stream.advance_to(until);
+      settle(i);
+    });
+    w.flush(after_verdict);
+    const std::lock_guard<std::mutex> lock(mu);
+    rep.observations += delivered;
+    rep.provisional.insert(rep.provisional.end(), found.begin(), found.end());
+  });
 
   clock_ = until;
-  rep.observations = delivered.load();
-  for (auto& f : found) {
-    rep.provisional.insert(rep.provisional.end(), f.begin(), f.end());
-  }
   std::sort(rep.provisional.begin(), rep.provisional.end(),
             [](const ProvisionalChange& a, const ProvisionalChange& b) {
               if (a.alarm != b.alarm) return a.alarm < b.alarm;
               return a.id.id() < b.id.id();
             });
-  if (mode_ != Mode::kSame && clock_ >= classify_window_.end) {
+  if (verdicts_due) {
     rep.classification_complete = true;
     for (const auto& out : result_.outcomes) rep.funnel.add(out.cls);
   }
@@ -596,119 +515,30 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
 
 FleetResult StreamingFleet::finalize() {
   assert(!finished_);
-  const auto& blocks = blocks_;
-  cells_.resize(blocks.size());
-  const std::size_t width = batch_width();
-  // Same batching contract as run_to_completion(): kSame batches the
-  // whole classify+detect chain, the split-window modes batch detection
-  // only (their classification reads stream-internal views).
-  const bool batch_classify = width > 1 && mode_ == Mode::kSame;
-  const bool batch_detect =
-      width > 1 && config_.run_detection &&
-      config_.detector.trend_model == TrendModel::kStl;
-  std::atomic<std::size_t> next{0};
-  auto make_worker = [&] {
-    return [&] {
-      probe::ProbeScratch scratch;
-      recon::BlockStream cpass;
-      recon::DegradedReconStats classify_sr;
-      recon::DegradedReconStats detect_sr;
-      analysis::BlockAnalyzer analyzer;
-      BatchCtx batch(config_, width);
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= blocks.size()) break;
-        const std::size_t end = std::min(begin + kChunk, blocks.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& block = blocks[i];
-          Cell& c = cells_[i];
-          if (!c.begun) begin_cell(i, scratch);
-          if (block.eb_count == 0) continue;
-          c.stream.set_scratch(scratch);
-          BlockOutcome& out = result_.outcomes[i];
-          switch (mode_) {
-            case Mode::kSame:
-              if (batch_classify) {
-                BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                s.index = i;
-                c.stream.finalize_stats(s.sr);
-                store_.set_len(i, s.sr.recon.len);
-                c.classified = true;
-                if (++batch.n_slots == width) {
-                  classify_flush(batch, analyzer);
-                }
-              } else {
-                c.stream.finalize_stats(classify_sr);
-                store_.set_len(i, classify_sr.recon.len);
-                classify_outcome(i, store_.series(i), classify_sr, analyzer);
-                c.classified = true;
-                if (out.cls.change_sensitive && config_.run_detection) {
-                  detect_outcome(i, store_.series(i), classify_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kUnion:
-              if (!c.classified) {
-                c.stream.advance_to(classify_window_.end);
-                c.stream.finalize_classify_stats(classify_sr);
-                classify_outcome(i, c.stream.classify_series(), classify_sr,
-                                 analyzer);
-                c.classified = true;
-                c.active =
-                    out.cls.change_sensitive && config_.run_detection;
-              }
-              if (c.active) {
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  c.stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  c.stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kSeparate:
-              if (!c.classified) {
-                cpass.begin(block, classify_oc_, scratch);
-                cpass.finalize_stats(classify_sr);
-                classify_outcome(i, cpass.series(), classify_sr, analyzer);
-                c.classified = true;
-              }
-              if (out.cls.change_sensitive && config_.run_detection) {
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  c.stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  c.stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-          }
-          c.active = false;
-        }
-      }
-      // Ragged tail: drain what the last chunk left queued.
-      if (batch_classify) {
-        classify_flush(batch, analyzer);
-      } else if (batch_detect) {
-        detect_flush(batch);
-      }
+  cells_.resize(blocks_.size());
+  run_pool(threads_, [&](std::atomic<std::size_t>& next) {
+    Worker w(*this);
+    // Split windows: the cell's detection stream drains now.
+    auto detect_series = [&](Worker::Slot& s) {
+      if (!detects(s.index)) return false;
+      if (mode_ != Mode::kSame) w.drain(s, cells_[s.index].stream);
+      return true;
     };
-  };
-  run_pool(threads_, make_worker);
+    for_each_block(next, blocks_.size(), [&](std::size_t i) {
+      Cell& c = cells_[i];
+      if (!c.begun) begin_cell(i, w.scratch);
+      // Never responds, or an epoch's verdict left nothing to detect.
+      if (c.classified && !c.active) return;
+      c.stream.set_scratch(w.scratch);
+      if (c.classified) {
+        w.push(i, /*classify=*/false);
+      } else {
+        w.queue_cell(i);
+      }
+      if (w.full()) w.flush(detect_series);
+    });
+    w.flush(detect_series);
+  });
   finish_result();
   cells_.clear();
   return std::move(result_);
@@ -730,8 +560,7 @@ void StreamingFleet::extract_rows(std::vector<BlockSnapshotRow>& rows) const {
     row.watched = c.watched;
     row.delivered = c.delivered;
     if (c.begun && blocks_[i].eb_count > 0) {
-      const recon::StreamHealth h = c.stream.health();
-      row.emitted = h.emitted;
+      row.emitted = c.stream.health().emitted;
       if (row.emitted > 0) {
         c.stream.recon_state().snapshot_stats(stats);
         row.evidence_fraction = stats.evidence_fraction;
@@ -751,17 +580,6 @@ std::span<const double> StreamingFleet::emitted_series(std::size_t i) const {
   if (!c.begun || blocks_[i].eb_count == 0) return {};
   return c.stream.series().first(c.stream.recon_state().emitted());
 }
-
-namespace {
-
-// Cell flag bits in the engine snapshot.
-constexpr std::uint8_t kCellBegun = 1u << 0;
-constexpr std::uint8_t kCellActive = 1u << 1;
-constexpr std::uint8_t kCellClassified = 1u << 2;
-constexpr std::uint8_t kCellScreened = 1u << 3;
-constexpr std::uint8_t kCellWatched = 1u << 4;
-
-}  // namespace
 
 void StreamingFleet::save(util::StateWriter& w) const {
   assert(!finished_);

@@ -3,11 +3,9 @@
 //
 //   * run_to_completion() — the batch drive.  Each worker runs one
 //     block's BlockStream start-to-finish; run_fleet() is a thin
-//     wrapper over this.  When the classification window is a prefix of
-//     the detection window (same start, same observers), both results
-//     come from ONE observation pass: the stream forks a second
-//     reconstruction at the classification boundary instead of
-//     re-observing the overlap.
+//     wrapper over this.  When classification has its own window, every
+//     block is observed over it, and only change-sensitive blocks are
+//     observed again over the detection window.
 //
 //   * advance_to()/finalize() — the incremental drive.  Rounds are
 //     ingested epoch by epoch across every block; each advance returns
@@ -16,7 +14,14 @@
 //     over the stable emitted-sample prefix).  finalize() then produces
 //     the authoritative FleetResult, bit-identical to the batch drive —
 //     the per-block state machines guarantee that any advance schedule
-//     finalizes to the same bytes.
+//     finalizes to the same bytes.  When the classification window is a
+//     prefix of the detection window (same start and observers, no skew
+//     faults), each block's stream forks a second reconstruction at the
+//     classification boundary instead of re-observing the overlap.
+//
+// Both drives reach their verdicts through one per-worker finish queue:
+// batched classification, then batched detection of change-sensitive
+// blocks.
 //
 // Provisional vs authoritative: epoch alarms are early warnings, not
 // detections.  They z-normalize with running statistics and freeze the
@@ -148,7 +153,9 @@ class StreamingFleet {
   std::span<const double> emitted_series(std::size_t i) const;
 
  private:
-  /// How the classification pass relates to the detection pass.
+  /// How the classification pass relates to the detection pass.  The
+  /// batch drive runs both split modes as two passes; the fork is the
+  /// incremental drive's.
   enum class Mode {
     kSame,      ///< one window serves both (one pass, one recon)
     kUnion,     ///< classification is a prefix: one pass, forked recon
@@ -175,27 +182,13 @@ class StreamingFleet {
     std::size_t reported = 0;  ///< confirmed changes already surfaced
   };
 
-  /// Per-worker state of the batched analysis path: classification and
-  /// detection slots plus the SoA analyzers (defined in streaming.cc).
-  struct BatchCtx;
+  /// One worker's scratch and finish queue (defined in streaming.cc).
+  struct Worker;
 
-  void classify_outcome(std::size_t i, std::span<const double> counts,
-                        const recon::DegradedReconStats& ds,
-                        analysis::BlockAnalyzer& az);
-  void detect_outcome(std::size_t i, std::span<const double> counts,
-                      const recon::ReconStats& stats,
-                      analysis::BlockAnalyzer& az);
-  /// Resolved analysis_batch_width (see FleetConfig); 1 = scalar path.
-  std::size_t batch_width() const noexcept;
-  /// Classifies the queued kSame slots in one SoA batch, then feeds
-  /// change-sensitive blocks to the batched detector and annotates.
-  void classify_flush(BatchCtx& b, analysis::BlockAnalyzer& az);
-  /// Runs the queued detection-only slots (kUnion/kSeparate) through
-  /// the batched detector and annotates.
-  void detect_flush(BatchCtx& b);
+  /// Block i is change-sensitive and detection is on.
+  bool detects(std::size_t i) const noexcept;
   void begin_cell(std::size_t i, probe::ProbeScratch& scratch);
-  void screen_cell(std::size_t i, analysis::BlockAnalyzer& az,
-                   recon::ReconStats& stats);
+  void screen_cell(std::size_t i, Worker& w);
   void update_provisional(std::size_t i, analysis::BlockAnalyzer& az,
                           std::vector<ProvisionalChange>& out);
   void finish_result();

@@ -16,6 +16,13 @@ double ReconResult::fbs_quantile_seconds(double q) const {
   return analysis::quantile(fbs_spans_seconds, q);
 }
 
+std::size_t sample_count(probe::ProbeWindow window, const ReconOptions& opt) {
+  const std::int64_t step = opt.sample_step;
+  const std::int64_t duration = window.end - window.start;
+  if (step <= 0 || duration <= 0) return 0;
+  return static_cast<std::size_t>((duration + step - 1) / step);
+}
+
 void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
                             const ReconOptions& opt) {
   opt_ = opt;
@@ -23,11 +30,8 @@ void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
   eb_count_ = eb_count;
   duration_ = window.end - window.start;
   degenerate_ = duration_ <= 0 || eb_count <= 0;
-  n_samples_ =
-      degenerate_ ? 0
-                  : static_cast<std::size_t>(
-                        (duration_ + opt.sample_step - 1) / opt.sample_step);
-  samples_.assign(n_samples_, 0.0);
+  n_samples_ = degenerate_ ? 0 : sample_count(window, opt);
+  samples_.clear();  // sized by the first emission, if nothing is bound
   bound_ = {};
   // Per-address state: -1 unknown, 0 down, 1 up.
   state_.fill(-1);
@@ -55,6 +59,8 @@ void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
   fbs_spans_.clear();
   observations_ = 0;
 }
+
+void BlockReconState::size_samples() { samples_.assign(n_samples_, 0.0); }
 
 void BlockReconState::finalize(ReconResult& out) {
   out = ReconResult{};
@@ -250,8 +256,7 @@ void BlockReconState::restore(util::StateReader& r) {
   pass_start_ = r.i64();
   r.f64_span(fbs_spans_);
   observations_ = r.u64();
-  double* const dst = bound_.empty() ? samples_.data() : bound_.data();
-  r.f64_span_into(std::span<double>(dst, next_sample_));
+  r.f64_span_into(std::span<double>(sink(), next_sample_));
 }
 
 ReconResult reconstruct(const probe::ObservationVec& merged, int eb_count,

@@ -89,17 +89,24 @@ struct ReconStats {
   std::vector<CoverageGap> gaps;
 };
 
+/// Samples in a reconstruction of `window` at opt.sample_step (0 for an
+/// empty window or a non-positive step): the row stride a series store
+/// needs for it.
+std::size_t sample_count(probe::ProbeWindow window, const ReconOptions& opt);
+
 /// Resumable reconstruction state machine: the whole-window
 /// reconstruct() loop carved into begin / push / finalize so the
 /// streaming pipeline can feed merged observations as they clear the
 /// repair lookahead and still finalize to the byte-identical
 /// ReconResult.  Sample emission is an idempotent prefix — a sample is
 /// written the moment the stream passes it, never revised — so the
-/// emitted prefix of samples() is stable regardless of how the pushes
+/// emitted prefix of series_view() is stable regardless of how the pushes
 /// were chunked.  Copyable by design (value members only).
 class BlockReconState {
  public:
-  /// Re-initializes for one block, reusing the sample buffer.
+  /// Re-initializes for one block.  The owned sample buffer is sized
+  /// (reusing its capacity) only once samples are emitted with nothing
+  /// bound, so a bound state never holds a window-length copy.
   void begin(int eb_count, probe::ProbeWindow window,
              const ReconOptions& opt = {});
 
@@ -107,15 +114,16 @@ class BlockReconState {
   /// core::SeriesStore row).  Call immediately after begin(); `out`
   /// must outlive the state and hold at least emitted-capacity()
   /// samples (the store's stride is sized for the window).  The bound
-  /// prefix is zero-filled here, matching begin()'s own buffer.
+  /// prefix is zero-filled here, like the owned buffer.
   void bind_output(std::span<double> out) {
     bound_ = out;
     std::fill_n(bound_.begin(), n_samples_, 0.0);
   }
 
   /// The full sample buffer for this block (owned or bound).  Only the
-  /// emitted() prefix is meaningful mid-stream; after finalize_stats()
-  /// the whole view is.
+  /// emitted() prefix is meaningful mid-stream (an owned buffer is
+  /// empty until the first sample); after finalize_stats() the whole
+  /// view is.
   std::span<const double> series_view() const noexcept {
     return bound_.empty() ? std::span<const double>(samples_)
                           : std::span<const double>(bound_.data(), n_samples_);
@@ -192,9 +200,9 @@ class BlockReconState {
   /// begin() again) on a corrupt or mismatched image.
   void restore(util::StateReader& r);
 
-  /// Number of samples emitted so far (the stable prefix of samples()).
+  /// Number of samples emitted so far (the stable prefix of
+  /// series_view()).
   std::size_t emitted() const noexcept { return next_sample_; }
-  const std::vector<double>& samples() const noexcept { return samples_; }
   std::size_t observations() const noexcept { return observations_; }
 
   /// Heap bytes held beyond sizeof(*this) — the per-worker residency
@@ -206,8 +214,16 @@ class BlockReconState {
   }
 
  private:
+  /// Where samples go: the bound row, else the owned buffer, sized on
+  /// first use (out of line, off the per-observation path).
+  double* sink() {
+    if (!bound_.empty()) return bound_.data();
+    if (samples_.size() != n_samples_) [[unlikely]] size_samples();
+    return samples_.data();
+  }
+  void size_samples();
   void emit_until(std::int64_t rel_time) {
-    double* const dst = bound_.empty() ? samples_.data() : bound_.data();
+    double* const dst = sink();
     while (next_sample_ < n_samples_ &&
            static_cast<std::int64_t>(next_sample_) * opt_.sample_step <=
                rel_time) {

@@ -473,5 +473,36 @@ TEST(SeriesStore, BoundReconWritesRowIdenticalToOwnedBuffer) {
   EXPECT_EQ(full.counts.size(), stats.len);
 }
 
+TEST(SeriesStore, BoundReconHoldsNoOwnedSampleBuffer) {
+  // Bound to a store row, the recon state emits into the row only: its
+  // heap footprint excludes the window-length buffer an owned state
+  // holds (both states see the same gaps and cover spans).
+  constexpr std::size_t kSamples = 48;
+  core::SeriesStore store;
+  store.reset(1, kSamples, 0, kHour);
+  probe::ProbeWindow w{0, static_cast<util::SimTime>(kSamples) * kHour};
+  probe::Observation obs{};
+
+  recon::BlockReconState owned, bound;
+  for (int pass = 0; pass < 2; ++pass) {  // fresh, then reused
+    owned.begin(4, w);
+    bound.begin(4, w);
+    bound.bind_output(store.row(0));
+    for (int k = 0; k < 40; ++k) {
+      obs.rel_time = static_cast<std::uint32_t>(k * kHour + 300);
+      obs.addr = static_cast<std::uint8_t>(k % 4);
+      obs.up = (k % 3) != 0;
+      owned.push(obs);
+      bound.push(obs);
+    }
+    EXPECT_GE(owned.memory_bytes(),
+              bound.memory_bytes() + kSamples * sizeof(double))
+        << "pass " << pass;
+    recon::ReconStats owned_stats, bound_stats;
+    owned.finalize_stats(owned_stats);
+    bound.finalize_stats(bound_stats);
+  }
+}
+
 }  // namespace
 }  // namespace diurnal

@@ -678,10 +678,11 @@ TEST(FleetCheckpoint, GoldenDigestSurvivesEveryCutAndThreadHop) {
 }
 
 TEST(FleetCheckpoint, SnapshotBeforeFirstAdvanceIsAValidCheckpoint) {
-  core::StreamingFleet first(golden_world(), golden_config(4));
+  const auto fc = golden_config(4);  // engines borrow their config
+  core::StreamingFleet first(golden_world(), fc);
   StateWriter w;
   first.save(w);  // no cells yet
-  core::StreamingFleet second(golden_world(), golden_config(4));
+  core::StreamingFleet second(golden_world(), fc);
   StateReader r(w.bytes());
   second.restore(r);
   EXPECT_EQ(second.clock(), second.window_start());
@@ -700,33 +701,34 @@ TEST(FleetCheckpoint, FaultPlanRunRestoresBitIdentically) {
 }
 
 TEST(FleetCheckpoint, SplitWindowModesRestoreAroundTheClassifyBoundary) {
-  // kUnion (classification forked from the detection pass) and
-  // kSeparate (dedicated classification pass): cut once before the
-  // classification boundary (forked recon / verdict pending in the
-  // snapshot) and once after (mid-run verdicts in the snapshot).
+  // kUnion (classification forked from the detection pass) and, under
+  // skew faults, kSeparate (dedicated classification pass): cut once
+  // before the classification boundary (forked recon / verdict pending
+  // in the snapshot) and once after (mid-run verdicts in the snapshot).
   static const sim::World world([] {
     sim::WorldConfig c;
     c.num_blocks = 250;
     c.seed = 3;
     return c;
   }());
-  for (const bool fuse : {true, false}) {
+  for (const char* plan : {"none", "skew"}) {
     core::FleetConfig fc;
     fc.dataset = core::dataset("2020m1-ejnw");
     fc.classify_dataset = core::dataset("2020w1-ejnw");  // 1-week prefix
-    fc.fuse_observation_windows = fuse;
+    fc.faults = fault::scenario(plan, fc.dataset.window());
     fc.threads = 2;
     const auto want =
         core::digest_hex(core::fleet_digest(core::run_fleet(world, fc)));
     for (const double cut : {0.15, 0.6}) {  // boundary sits at 0.25
       EXPECT_EQ(cut_and_resume_digest(world, fc, fc, cut), want)
-          << (fuse ? "kUnion" : "kSeparate") << " cut " << cut;
+          << plan << " cut " << cut;
     }
   }
 }
 
 TEST(FleetCheckpoint, ForeignSnapshotIsRejected) {
-  core::StreamingFleet engine(golden_world(), golden_config(2));
+  const auto fc = golden_config(2);  // engines borrow their config
+  core::StreamingFleet engine(golden_world(), fc);
   engine.advance_to(engine.window_start() + 3 * util::kSecondsPerDay);
   StateWriter w;
   engine.save(w);
@@ -748,7 +750,7 @@ TEST(FleetCheckpoint, ForeignSnapshotIsRejected) {
     c.seed = 1;
     return c;
   }());
-  core::StreamingFleet wrong_world(small, golden_config(2));
+  core::StreamingFleet wrong_world(small, fc);
   EXPECT_EQ(kind_of([&] {
               StateReader r(w.bytes());
               wrong_world.restore(r);

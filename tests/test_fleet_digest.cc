@@ -74,9 +74,9 @@ TEST(FleetDigest, FaultPlanRunIsThreadCountInvariant) {
 }
 
 TEST(FleetDigest, BatchWidthInvariantOnBatchDrive) {
-  // The batched SoA kernels promise bit identity at every width: the
-  // scalar path (width 1), a ragged odd width, a narrow batch, and the
-  // default full width must all land on the golden digest.
+  // The batched SoA kernels promise bit identity at every width: a
+  // one-lane batch (width 1), a ragged odd width, a narrow batch, and
+  // the default full width must all land on the golden digest.
   for (const int width : {1, 2, 5}) {
     auto fc = golden_config(2);
     fc.analysis_batch_width = width;
@@ -107,12 +107,12 @@ TEST(FleetDigest, BatchWidthInvariantOnStreamingDrive) {
 
 TEST(FleetDigest, BatchWidthInvariantUnderFaults) {
   // Degraded runs route blocks through the low-evidence annotations and
-  // NaN-gap kernels; the scalar and batched paths must still agree.
-  auto scalar_fc = golden_config(1);
-  scalar_fc.faults = fault::scenario("dropout", scalar_fc.dataset.window());
-  scalar_fc.analysis_batch_width = 1;
-  const auto scalar_digest =
-      core::fleet_digest(core::run_fleet(golden_world(), scalar_fc));
+  // NaN-gap kernels; one-lane and full-width batches must still agree.
+  auto one_lane_fc = golden_config(1);
+  one_lane_fc.faults = fault::scenario("dropout", one_lane_fc.dataset.window());
+  one_lane_fc.analysis_batch_width = 1;
+  const auto one_lane_digest =
+      core::fleet_digest(core::run_fleet(golden_world(), one_lane_fc));
 
   auto batched_fc = golden_config(2);
   batched_fc.faults = fault::scenario("dropout", batched_fc.dataset.window());
@@ -120,7 +120,8 @@ TEST(FleetDigest, BatchWidthInvariantUnderFaults) {
   const auto batched_digest =
       core::fleet_digest(core::run_fleet(golden_world(), batched_fc));
 
-  EXPECT_EQ(core::digest_hex(scalar_digest), core::digest_hex(batched_digest));
+  EXPECT_EQ(core::digest_hex(one_lane_digest),
+            core::digest_hex(batched_digest));
 }
 
 TEST(FleetDigest, ValidationGoldenMixScenarioReproducesGoldenDigest) {

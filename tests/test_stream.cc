@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "analysis/block_analyzer.h"
 #include "analysis/cusum.h"
 #include "core/datasets.h"
 #include "core/digest.h"
@@ -460,19 +462,17 @@ TEST(StreamingFleetTest, EpochDriveMatchesBatch) {
 }
 
 TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
+  // Nested windows: the batch drive observes the classification window,
+  // then the detection window for change-sensitive blocks only (two
+  // passes); the incremental drive forks the classification
+  // reconstruction off its one detection pass.  Same digest.
   core::FleetConfig fc;
   fc.dataset = core::dataset("2020q1-ejnw");
   fc.classify_dataset = core::dataset("2020m1-ejnw");
   fc.threads = 2;
-
-  fc.fuse_observation_windows = false;
   const auto two_pass = core::run_fleet(fleet_world(), fc);
-  fc.fuse_observation_windows = true;
-  const auto fused = core::run_fleet(fleet_world(), fc);
-  EXPECT_EQ(core::fleet_digest(fused), core::fleet_digest(two_pass));
 
-  // The incremental drive crosses the classification boundary mid-run
-  // and must land on the same digest again.
+  // The incremental drive crosses the classification boundary mid-run.
   core::StreamingFleet fleet(fleet_world(), fc);
   bool complete_seen = false;
   for (util::SimTime t = fleet.window_start(); t <= fleet.window_end();
@@ -485,8 +485,145 @@ TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
     }
   }
   EXPECT_TRUE(complete_seen);
-  const auto streamed = fleet.finalize();
-  EXPECT_EQ(core::fleet_digest(streamed), core::fleet_digest(two_pass));
+  const auto fused = fleet.finalize();
+  EXPECT_EQ(core::fleet_digest(fused), core::fleet_digest(two_pass));
+}
+
+TEST(StreamingFleetTest, NaiveTrendModelMatchesPerBlockDetection) {
+  // The section 2.5 ablation: the batched detector runs naive-trend
+  // jobs through the per-block chain, at a one-lane and the full width.
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020m1-ejnw");
+  fc.detector.trend_model = core::TrendModel::kNaive;
+  fc.threads = 2;
+  analysis::BlockAnalyzer az;
+  std::vector<core::DetectedChange> want;
+  for (const int width : {1, 0}) {
+    fc.analysis_batch_width = width;
+    const auto result = core::run_fleet(fleet_world(), fc);
+    std::size_t changes = 0;
+    for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
+      const auto& got = result.outcomes[i].changes;
+      want.clear();
+      if (result.outcomes[i].cls.change_sensitive) {
+        core::detect_changes(result.series.series(i), result.series.start(),
+                             result.series.step(), fc.detector, az, want);
+      }
+      ASSERT_EQ(got.size(), want.size()) << "block " << i;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[k].start, want[k].start);
+        EXPECT_EQ(got[k].alarm, want[k].alarm);
+        EXPECT_EQ(got[k].end, want[k].end);
+        EXPECT_EQ(got[k].direction, want[k].direction);
+        EXPECT_EQ(got[k].amplitude, want[k].amplitude);
+        EXPECT_EQ(got[k].amplitude_addresses, want[k].amplitude_addresses);
+        EXPECT_EQ(got[k].counted(), want[k].counted());
+        EXPECT_EQ(got[k].low_evidence, want[k].low_evidence);
+      }
+      changes += want.size();
+    }
+    EXPECT_GT(changes, 0u) << "width " << width;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Drive pins: the digest on both drives at several batch widths, and
+// the incremental drive's epoch surface (delivered observations,
+// provisional alarms, the epoch whose report first carries the final
+// funnel).
+// ---------------------------------------------------------------------------
+
+struct DailyDrive {
+  std::string digest;
+  std::size_t observations = 0;
+  std::size_t alarms = 0;
+  std::size_t first_complete = static_cast<std::size_t>(-1);
+};
+
+// The incremental drive in daily epochs (the first ends one day into
+// the window, the last at the window end), then finalize.
+DailyDrive drive_daily(const sim::World& world, const core::FleetConfig& fc) {
+  core::StreamingFleet fleet(world, fc);
+  DailyDrive run;
+  for (util::SimTime t = fleet.window_start() + util::kSecondsPerDay;;
+       t += util::kSecondsPerDay) {
+    const util::SimTime until = std::min(t, fleet.window_end());
+    const auto rep = fleet.advance_to(until);
+    run.observations += rep.observations;
+    run.alarms += rep.provisional.size();
+    if (rep.classification_complete && run.first_complete > rep.epoch_index) {
+      run.first_complete = rep.epoch_index;
+    }
+    if (until == fleet.window_end()) break;
+  }
+  run.digest = core::digest_hex(core::fleet_digest(fleet.finalize()));
+  return run;
+}
+
+struct SplitWindowPin {
+  const char* plan;
+  const char* digest;
+  std::size_t observations;
+  std::size_t alarms;
+};
+
+// Detect over 2020q1, classify over its 4-week prefix 2020m1 (the
+// paper's section 3.4 split at fleet_world() scale).  The batch drive
+// runs at a one-lane, a ragged and the full width; the incremental
+// drive crosses the classification boundary at epoch 27 (28 days).
+void expect_split_window_pin(const SplitWindowPin& pin) {
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020q1-ejnw");
+  fc.classify_dataset = core::dataset("2020m1-ejnw");
+  fc.faults = fault::scenario(pin.plan, fc.dataset.window());
+  fc.threads = 2;
+  for (const int width : {1, 5, 0}) {
+    fc.analysis_batch_width = width;
+    const auto batch = core::run_fleet(fleet_world(), fc);
+    EXPECT_EQ(core::digest_hex(core::fleet_digest(batch)), pin.digest)
+        << pin.plan << " batch drive, width " << width;
+  }
+  for (const int width : {1, 0}) {
+    fc.analysis_batch_width = width;
+    const DailyDrive run = drive_daily(fleet_world(), fc);
+    EXPECT_EQ(run.digest, pin.digest) << pin.plan << " width " << width;
+    EXPECT_EQ(run.observations, pin.observations) << pin.plan;
+    EXPECT_EQ(run.alarms, pin.alarms) << pin.plan;
+    EXPECT_EQ(run.first_complete, 27u) << pin.plan;
+  }
+}
+
+TEST(DrivePin, NestedWindowsHealthy) {
+  expect_split_window_pin({"none", "fd26bf8d348b11ba", 6844517, 145});
+}
+
+TEST(DrivePin, NestedWindowsFlapping) {
+  expect_split_window_pin({"flapping", "3d5fe31a9d65ee32", 6051584, 132});
+}
+
+TEST(DrivePin, SkewForcesSeparatePasses) {
+  // Skew faults retime by the window span, so the classification
+  // stream is no prefix of the detection stream: dedicated passes.
+  expect_split_window_pin({"skew", "d2d8aaef2f4c5c00", 6844202, 147});
+}
+
+TEST(DrivePin, SameWindowGoldenEpochSurface) {
+  // The golden world on one window: the provisional screen classifies
+  // mid-stream snapshots, so its alarms are pinned alongside the digest
+  // (the figures BENCH_stream.json records).
+  static const sim::World golden([] {
+    sim::WorldConfig c;
+    c.num_blocks = 2000;
+    c.seed = 1;
+    return c;
+  }());
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020m1-ejnw");
+  fc.threads = 2;
+  const DailyDrive run = drive_daily(golden, fc);
+  EXPECT_EQ(run.digest, "f94c66488def6938");
+  EXPECT_EQ(run.observations, 24733478u);
+  EXPECT_EQ(run.alarms, 193u);
 }
 
 }  // namespace

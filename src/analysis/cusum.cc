@@ -1,6 +1,7 @@
 #include "analysis/cusum.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace diurnal::analysis {
 
@@ -112,65 +113,47 @@ CusumResult OnlineCusum::finish() {
   return res;
 }
 
-void OnlineCusum::save(util::StateWriter& w) const {
-  w.f64(opt_.threshold);
-  w.f64(opt_.drift);
-  w.f64_span(x_);
-  w.f64_span(g_pos_);
-  w.f64_span(g_neg_);
-  w.u64(changes_.size());
-  for (const ChangePoint& cp : changes_) {
-    w.u64(cp.start);
-    w.u64(cp.alarm);
-    w.u64(cp.end);
-    w.u8(cp.direction == ChangeDirection::kUp ? 1 : 0);
-    w.f64(cp.amplitude);
-  }
-  w.u64(i_);
-  w.f64(gp_);
-  w.f64(gn_);
-  w.u64(tap_);
-  w.u64(tan_);
-  w.boolean(excursion_);
-  w.boolean(up_);
-  w.f64(g_);
-  w.f64(peak_);
-  w.u64(start_);
-  w.u64(alarm_);
-  w.u64(end_);
-  w.u64(j_);
+template <class Self, class IO>
+void OnlineCusum::fields(Self& self, IO& io) {
+  io.f64(self.opt_.threshold);
+  io.f64(self.opt_.drift);
+  io.f64_span(self.x_);
+  io.f64_span(self.g_pos_);
+  io.f64_span(self.g_neg_);
+  // Every index drive() and confirm() will address lies inside the
+  // series: the scan reads x_[i_ - 1] and writes g_pos_[i_], and a
+  // zero-crossing becomes an excursion start.
+  const std::size_t n = self.x_.size();
+  io.seq(self.changes_, [&io, n](auto& cp) {
+    io.index(cp.start, 0, n);
+    io.index(cp.alarm, 0, n);
+    io.index(cp.end, 0, n);
+    direction_field(io, cp.direction);
+    io.f64(cp.amplitude);
+  });
+  io.index(self.i_, 1, std::max<std::size_t>(n, 1) + 1);
+  io.f64(self.gp_);
+  io.f64(self.gn_);
+  io.index(self.tap_, 0, self.i_ + 1);
+  io.index(self.tan_, 0, self.i_ + 1);
+  io.boolean(self.excursion_);
+  io.boolean(self.up_);
+  io.f64(self.g_);
+  io.f64(self.peak_);
+  const std::size_t open = self.excursion_ ? n : SIZE_MAX;  // else stale
+  io.index(self.start_, 0, open);
+  io.index(self.alarm_, 0, open);
+  io.index(self.end_, 0, open);
+  io.index(self.j_, 0, open);
 }
 
+void OnlineCusum::save(util::StateWriter& w) const { fields(*this, w); }
+
 void OnlineCusum::restore(util::StateReader& r) {
-  opt_.threshold = r.f64();
-  opt_.drift = r.f64();
-  r.f64_span(x_);
-  r.f64_span(g_pos_);
-  r.f64_span(g_neg_);
-  const std::uint64_t n = r.u64();
-  changes_.clear();
-  for (std::uint64_t k = 0; k < n; ++k) {
-    ChangePoint cp;
-    cp.start = r.u64();
-    cp.alarm = r.u64();
-    cp.end = r.u64();
-    cp.direction = r.u8() != 0 ? ChangeDirection::kUp : ChangeDirection::kDown;
-    cp.amplitude = r.f64();
-    changes_.push_back(cp);
+  fields(*this, r);
+  if (g_pos_.size() != x_.size() || g_neg_.size() != x_.size()) {
+    util::bad_value("cusum trajectories do not match the series");
   }
-  i_ = r.u64();
-  gp_ = r.f64();
-  gn_ = r.f64();
-  tap_ = r.u64();
-  tan_ = r.u64();
-  excursion_ = r.boolean();
-  up_ = r.boolean();
-  g_ = r.f64();
-  peak_ = r.f64();
-  start_ = r.u64();
-  alarm_ = r.u64();
-  end_ = r.u64();
-  j_ = r.u64();
 }
 
 CusumResult cusum_detect(std::span<const double> x, const CusumOptions& opt) {

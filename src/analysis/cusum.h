@@ -18,6 +18,17 @@ namespace diurnal::analysis {
 
 enum class ChangeDirection { kUp, kDown };
 
+/// A ChangeDirection inside a state field list: one boolean byte, set
+/// for kUp.
+template <class IO, class Direction>
+void direction_field(IO& io, Direction& d) {
+  bool up = d == ChangeDirection::kUp;
+  io.boolean(up);
+  if constexpr (IO::kReading) {
+    d = up ? ChangeDirection::kUp : ChangeDirection::kDown;
+  }
+}
+
 /// One detected change.
 struct ChangePoint {
   std::size_t start = 0;  ///< index where the accumulator left zero
@@ -96,11 +107,15 @@ class OnlineCusum {
   /// accumulator trajectories, confirmed changes and any open
   /// excursion.  restore() needs no begin(): it overwrites everything,
   /// after which push()/end_of_stream() continue bitwise-identically to
-  /// the saved scan.
+  /// the saved scan.  A restored index outside the restored series
+  /// throws StateError(kBadValue).
   void save(util::StateWriter& w) const;
   void restore(util::StateReader& r);
 
  private:
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io);  // the layout, in wire order
+
   void drive(bool at_end);
   void confirm();
 

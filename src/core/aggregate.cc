@@ -69,54 +69,36 @@ void ChangeAggregator::merge_from(const ChangeAggregator& other) {
 
 namespace {
 
-void save_series(util::StateWriter& w, const RegionDaySeries& s) {
-  w.i64(s.change_sensitive_blocks);
-  w.u64(s.down.size());
-  for (const std::int32_t v : s.down) w.i64(v);
-  for (const std::int32_t v : s.up) w.i64(v);
-}
-
-void restore_series(util::StateReader& r, RegionDaySeries& s,
-                    std::size_t days) {
-  s.change_sensitive_blocks = static_cast<std::int32_t>(r.i64());
-  const std::uint64_t n = r.u64();
-  if (n != days) {
-    throw util::StateError(util::StateErrorKind::kBadValue,
-                           "day series length does not match the window");
+/// One RegionDaySeries; both day vectors hold `days` counts.
+template <class IO, class Series>
+void region_fields(IO& io, Series& s, std::size_t days) {
+  io.i64(s.change_sensitive_blocks);
+  io.expect(days, "day series length does not match the window");
+  if constexpr (IO::kReading) {
+    s.down.assign(days, 0);
+    s.up.assign(days, 0);
   }
-  s.down.assign(days, 0);
-  s.up.assign(days, 0);
-  for (auto& v : s.down) v = static_cast<std::int32_t>(r.i64());
-  for (auto& v : s.up) v = static_cast<std::int32_t>(r.i64());
+  for (auto& v : s.down) io.i64(v);
+  for (auto& v : s.up) io.i64(v);
 }
 
 }  // namespace
 
-void ChangeAggregator::save(util::StateWriter& w) const {
-  w.i64(start_);
-  w.u64(days_);
-  for (const auto& c : by_continent_) save_series(w, c);
-  w.u64(by_cell_.size());
-  for (const auto& [cell, series] : by_cell_) {
-    w.i64(cell.lat_idx);
-    w.i64(cell.lon_idx);
-    save_series(w, series);
-  }
+template <class Self, class IO>
+void ChangeAggregator::fields(Self& self, IO& io) {
+  io.i64(self.start_);
+  io.count(self.days_);
+  for (auto& c : self.by_continent_) region_fields(io, c, self.days_);
+  io.entries(self.by_cell_, [&](auto& cell, auto& series) {
+    io.i64(cell.lat_idx);
+    io.i64(cell.lon_idx);
+    region_fields(io, series, self.days_);
+  });
 }
 
-void ChangeAggregator::restore(util::StateReader& r) {
-  start_ = r.i64();
-  days_ = static_cast<std::size_t>(r.u64());
-  for (auto& c : by_continent_) restore_series(r, c, days_);
-  const std::uint64_t n_cells = r.u64();
-  by_cell_.clear();
-  for (std::uint64_t i = 0; i < n_cells; ++i) {
-    geo::GridCell cell;
-    cell.lat_idx = static_cast<std::int16_t>(r.i64());
-    cell.lon_idx = static_cast<std::int16_t>(r.i64());
-    restore_series(r, by_cell_[cell], days_);
-  }
-}
+void ChangeAggregator::save(util::StateWriter& w) const { fields(*this, w); }
+
+void ChangeAggregator::restore(util::StateReader& r) { fields(*this, r); }
 
 std::vector<ChangeAggregator::CellSnapshot> ChangeAggregator::map_snapshot(
     util::SimTime day, std::int32_t min_blocks) const {

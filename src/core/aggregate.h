@@ -87,6 +87,9 @@ class ChangeAggregator {
                                          std::int32_t min_blocks = 5) const;
 
  private:
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io);  // the layout, in wire order
+
   util::SimTime start_;
   std::size_t days_;
   std::unordered_map<geo::GridCell, RegionDaySeries> by_cell_;

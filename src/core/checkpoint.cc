@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/digest.h"
+
 namespace diurnal::core {
 
 namespace {
@@ -15,10 +17,6 @@ constexpr std::uint32_t kShardOutcomesTag = util::state_tag("OUTC");
 constexpr std::uint32_t kShardDegradationTag = util::state_tag("DEGR");
 constexpr std::uint32_t kShardAggregateTag = util::state_tag("AGGR");
 constexpr std::uint32_t kShardSeriesTag = util::state_tag("SERI");
-
-[[noreturn]] void mismatch(const char* what) {
-  throw util::StateError(util::StateErrorKind::kBadValue, what);
-}
 
 void fingerprint_opt(util::StateWriter& w, const std::optional<double>& v) {
   w.boolean(v.has_value());
@@ -51,15 +49,14 @@ void fingerprint_layer(util::StateWriter& w,
   fingerprint_opt(w, o.outage_multiplier);
   w.boolean(o.dst.has_value());
   if (o.dst) w.u8(static_cast<std::uint8_t>(*o.dst));
-  w.u64(o.holidays.size());
-  for (const auto& h : o.holidays) {
+  w.seq(o.holidays, [&w](const auto& h) {
     w.str(h.name);
     w.i64(h.month);
     w.i64(h.day);
     w.i64(h.duration_days);
     w.f64(h.adoption);
     w.f64(h.residual_attendance);
-  }
+  });
   fingerprint_opt(w, o.adoption_trend_per_year);
   fingerprint_opt(w, o.cgnat_trend_per_year);
 }
@@ -74,116 +71,55 @@ void fingerprint_dataset(util::StateWriter& w, const DatasetSpec& ds) {
   w.i64(window.end);
 }
 
+/// SMET: the run and slot a shard file belongs to, and its block span.
+template <class IO, class Size>
+void shard_meta(IO& io, std::uint64_t fingerprint, std::size_t k,
+                Size& begin, Size& end) {
+  io.begin_section(kShardMetaTag);
+  io.expect(fingerprint,
+            "shard checkpoint was written under a different configuration");
+  io.expect(k, "shard checkpoint does not match its slot");
+  io.u64(begin);
+  io.u64(end);
+  io.end_section();
+}
+
+/// OUTC, DEGR and AGGR: the shard's result rows and its aggregator.
+template <class IO, class Outcome, class Degradation, class Aggregator>
+void shard_rows(IO& io, std::span<Outcome> outcomes,
+                std::span<Degradation> degradation, Aggregator& agg) {
+  io.begin_section(kShardOutcomesTag);
+  io.expect(outcomes.size(), "shard outcome count does not match its span");
+  for (auto& o : outcomes) fields(io, o);
+  io.end_section();
+  io.begin_section(kShardDegradationTag);
+  io.expect(degradation.size(),
+            "shard degradation count does not match its span");
+  for (auto& d : degradation) fields(io, d);
+  io.end_section();
+  io.begin_section(kShardAggregateTag);
+  io.nested(agg);
+  io.end_section();
+}
+
 }  // namespace
 
 void save_state(util::StateWriter& w, const BlockClassification& c) {
-  w.boolean(c.responsive);
-  w.boolean(c.diurnal);
-  w.boolean(c.wide_swing);
-  w.boolean(c.change_sensitive);
-  w.boolean(c.low_confidence);
-  w.f64(c.evidence_fraction);
-  w.boolean(c.diurnal_detail.diurnal);
-  w.f64(c.diurnal_detail.power_ratio);
-  w.f64(c.diurnal_detail.total_power);
-  w.f64(c.diurnal_detail.diurnal_power);
-  w.i64(c.diurnal_detail.segments);
-  w.i64(c.diurnal_detail.segments_diurnal);
-  w.boolean(c.swing_detail.wide);
-  w.i64(c.swing_detail.wide_days);
-  w.i64(c.swing_detail.total_days);
-  w.f64(c.swing_detail.max_daily_swing);
-  w.i64(c.swing_detail.best_window_wide);
+  fields(w, c);
 }
-
 void restore_state(util::StateReader& r, BlockClassification& c) {
-  c.responsive = r.boolean();
-  c.diurnal = r.boolean();
-  c.wide_swing = r.boolean();
-  c.change_sensitive = r.boolean();
-  c.low_confidence = r.boolean();
-  c.evidence_fraction = r.f64();
-  c.diurnal_detail.diurnal = r.boolean();
-  c.diurnal_detail.power_ratio = r.f64();
-  c.diurnal_detail.total_power = r.f64();
-  c.diurnal_detail.diurnal_power = r.f64();
-  c.diurnal_detail.segments = static_cast<int>(r.i64());
-  c.diurnal_detail.segments_diurnal = static_cast<int>(r.i64());
-  c.swing_detail.wide = r.boolean();
-  c.swing_detail.wide_days = static_cast<int>(r.i64());
-  c.swing_detail.total_days = static_cast<int>(r.i64());
-  c.swing_detail.max_daily_swing = r.f64();
-  c.swing_detail.best_window_wide = static_cast<int>(r.i64());
+  fields(r, c);
 }
-
 void save_state(util::StateWriter& w, const fault::BlockDegradation& d) {
-  w.i64(d.configured_observers);
-  w.i64(d.live_observers);
-  w.i64(d.partial_observers);
-  w.u64(d.dropped_observations);
-  w.u64(d.corrupted_observations);
-  w.f64(d.evidence_fraction);
-  w.f64(d.max_gap_hours);
-  w.boolean(d.low_confidence);
+  fields(w, d);
 }
-
 void restore_state(util::StateReader& r, fault::BlockDegradation& d) {
-  d.configured_observers = static_cast<int>(r.i64());
-  d.live_observers = static_cast<int>(r.i64());
-  d.partial_observers = static_cast<int>(r.i64());
-  d.dropped_observations = static_cast<std::size_t>(r.u64());
-  d.corrupted_observations = static_cast<std::size_t>(r.u64());
-  d.evidence_fraction = r.f64();
-  d.max_gap_hours = r.f64();
-  d.low_confidence = r.boolean();
+  fields(r, d);
 }
-
-void save_state(util::StateWriter& w, const DetectedChange& c) {
-  w.i64(c.start);
-  w.i64(c.alarm);
-  w.i64(c.end);
-  w.u8(c.direction == analysis::ChangeDirection::kUp ? 1 : 0);
-  w.f64(c.amplitude);
-  w.f64(c.amplitude_addresses);
-  w.boolean(c.filtered_as_outage);
-  w.boolean(c.filtered_small);
-  w.boolean(c.filtered_phase_only);
-  w.boolean(c.low_evidence);
-}
-
-void restore_state(util::StateReader& r, DetectedChange& c) {
-  c.start = r.i64();
-  c.alarm = r.i64();
-  c.end = r.i64();
-  c.direction = r.u8() != 0 ? analysis::ChangeDirection::kUp
-                            : analysis::ChangeDirection::kDown;
-  c.amplitude = r.f64();
-  c.amplitude_addresses = r.f64();
-  c.filtered_as_outage = r.boolean();
-  c.filtered_small = r.boolean();
-  c.filtered_phase_only = r.boolean();
-  c.low_evidence = r.boolean();
-}
-
-void save_state(util::StateWriter& w, const BlockOutcome& o) {
-  w.u32(o.id.id());
-  save_state(w, o.cls);
-  w.u64(o.changes.size());
-  for (const DetectedChange& c : o.changes) save_state(w, c);
-}
-
-void restore_state(util::StateReader& r, BlockOutcome& o) {
-  o.id = net::BlockId(r.u32());
-  restore_state(r, o.cls);
-  const std::uint64_t n = r.u64();
-  o.changes.clear();
-  o.changes.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    DetectedChange c;
-    restore_state(r, c);
-    o.changes.push_back(c);
-  }
-}
+void save_state(util::StateWriter& w, const DetectedChange& c) { fields(w, c); }
+void restore_state(util::StateReader& r, DetectedChange& c) { fields(r, c); }
+void save_state(util::StateWriter& w, const BlockOutcome& o) { fields(w, o); }
+void restore_state(util::StateReader& r, BlockOutcome& o) { fields(r, o); }
 
 std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
                                      const FleetConfig& config,
@@ -209,10 +145,8 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
   // worlds whose planted events differ only in a date, an adoption
   // rate, or a ramp width are different experiments and must not share
   // resumable state.
-  w.u64(world.calendar.size());
-  for (const auto& e : world.calendar) fingerprint_event(w, e);
-  w.u64(world.country_layers.size());
-  for (const auto& o : world.country_layers) fingerprint_layer(w, o);
+  w.seq(world.calendar, [&w](const auto& e) { fingerprint_event(w, e); });
+  w.seq(world.country_layers, [&w](const auto& o) { fingerprint_layer(w, o); });
   // Windows and observers.
   fingerprint_dataset(w, config.dataset);
   w.boolean(config.classify_dataset.has_value());
@@ -226,37 +160,33 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
   w.u64(config.loss.seed);
   w.boolean(config.loss.enable_congestion);
   w.u64(config.faults.seed);
-  w.u64(config.faults.outages.size());
-  for (const auto& o : config.faults.outages) {
+  w.seq(config.faults.outages, [&w](const auto& o) {
     w.u8(static_cast<std::uint8_t>(o.observer));
     w.u8(static_cast<std::uint8_t>(o.kind));
     w.i64(o.start);
     w.i64(o.end);
     w.i64(o.flap_period);
     w.f64(o.flap_down_fraction);
-  }
-  w.u64(config.faults.skews.size());
-  for (const auto& s : config.faults.skews) {
+  });
+  w.seq(config.faults.skews, [&w](const auto& s) {
     w.u8(static_cast<std::uint8_t>(s.observer));
     w.i64(s.skew_seconds);
     w.f64(s.drift_ppm);
-  }
-  w.u64(config.faults.bursts.size());
-  for (const auto& b : config.faults.bursts) {
+  });
+  w.seq(config.faults.bursts, [&w](const auto& b) {
     w.u8(static_cast<std::uint8_t>(b.observer));
     w.f64(b.rate);
     w.i64(b.mean_interval);
     w.i64(b.mean_duration);
     w.i64(b.start);
     w.i64(b.end);
-  }
-  w.u64(config.faults.truncations.size());
-  for (const auto& t : config.faults.truncations) {
+  });
+  w.seq(config.faults.truncations, [&w](const auto& t) {
     w.u8(static_cast<std::uint8_t>(t.observer));
     w.f64(t.prob);
     w.i64(t.start);
     w.i64(t.end);
-  }
+  });
   // Pipeline toggles and key analysis knobs.  Thread count, batch width
   // and residency caps are deliberately absent: the determinism contract
   // makes them invisible in the output.
@@ -280,13 +210,9 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
   w.u64(shard_size);
   w.end_section();
 
-  // FNV-1a over the serialized image.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : w.bytes()) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1a h;
+  h.bytes(w.bytes());
+  return h.h;
 }
 
 CheckpointManager::CheckpointManager(std::string dir,
@@ -315,6 +241,19 @@ std::string CheckpointManager::manifest_path() const {
   return dir_ + "/manifest.ckpt";
 }
 
+template <class IO, class Ids>
+void CheckpointManager::manifest_fields(IO& io, Ids& completed) const {
+  io.begin_section(kManifestMetaTag);
+  io.expect(fingerprint_,
+            "manifest was written under a different configuration");
+  io.expect(total_blocks_, "manifest covers a different block universe");
+  io.expect(shard_size_, "manifest covers a different block universe");
+  io.end_section();
+  io.begin_section(kManifestDoneTag);
+  io.seq(completed, [&io](auto& k) { io.u64(k); });
+  io.end_section();
+}
+
 std::vector<std::size_t> CheckpointManager::load_manifest() {
   std::vector<std::uint8_t> image;
   try {
@@ -323,25 +262,8 @@ std::vector<std::size_t> CheckpointManager::load_manifest() {
     return {};  // no manifest yet: a fresh run
   }
   util::StateReader r(image);
-  r.begin_section(kManifestMetaTag);
-  const std::uint64_t fp = r.u64();
-  const std::uint64_t total = r.u64();
-  const std::uint64_t ssize = r.u64();
-  r.end_section();
-  if (fp != fingerprint_) {
-    mismatch("manifest was written under a different configuration");
-  }
-  if (total != total_blocks_ || ssize != shard_size_) {
-    mismatch("manifest covers a different block universe");
-  }
-  r.begin_section(kManifestDoneTag);
-  const std::uint64_t n = r.u64();
   std::vector<std::size_t> done;
-  done.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    done.push_back(static_cast<std::size_t>(r.u64()));
-  }
-  r.end_section();
+  manifest_fields(r, done);
   return done;
 }
 
@@ -350,48 +272,21 @@ ShardCheckpoint CheckpointManager::load_shard(std::size_t k) {
       util::read_state_file(shard_path(k));
   util::StateReader r(image);
   ShardCheckpoint out;
-
-  r.begin_section(kShardMetaTag);
-  const std::uint64_t fp = r.u64();
-  const std::uint64_t shard = r.u64();
-  out.begin = static_cast<std::size_t>(r.u64());
-  out.end = static_cast<std::size_t>(r.u64());
-  r.end_section();
-  if (fp != fingerprint_) {
-    mismatch("shard checkpoint was written under a different configuration");
-  }
-  if (shard != k || out.end < out.begin || out.end > total_blocks_ ||
+  shard_meta(r, fingerprint_, k, out.begin, out.end);
+  if (out.end < out.begin || out.end > total_blocks_ ||
       out.begin != k * shard_size_) {
-    mismatch("shard checkpoint does not match its slot");
+    util::bad_value("shard checkpoint does not match its slot");
   }
-  const std::size_t rows = out.end - out.begin;
-
-  r.begin_section(kShardOutcomesTag);
-  const std::uint64_t n_out = r.u64();
-  if (n_out != rows) mismatch("shard outcome count does not match its span");
-  out.outcomes.resize(rows);
-  for (auto& o : out.outcomes) restore_state(r, o);
-  r.end_section();
-
-  r.begin_section(kShardDegradationTag);
-  const std::uint64_t n_deg = r.u64();
-  if (n_deg != rows) {
-    mismatch("shard degradation count does not match its span");
-  }
-  out.degradation.resize(rows);
-  for (auto& d : out.degradation) restore_state(r, d);
-  r.end_section();
-
-  r.begin_section(kShardAggregateTag);
-  out.aggregate.restore(r);
-  r.end_section();
-
+  out.outcomes.resize(out.end - out.begin);
+  out.degradation.resize(out.end - out.begin);
+  shard_rows(r, std::span(out.outcomes), std::span(out.degradation),
+             out.aggregate);
   if (r.has_section()) {
     r.begin_section(kShardSeriesTag);
     out.series.restore(r);
     r.end_section();
-    if (out.series.rows() != rows) {
-      mismatch("shard series row count does not match its span");
+    if (out.series.rows() != out.outcomes.size()) {
+      util::bad_value("shard series row count does not match its span");
     }
     out.has_series = true;
   }
@@ -407,43 +302,15 @@ void CheckpointManager::record_shard(std::size_t k, std::size_t begin,
                                      const ChangeAggregator& agg,
                                      bool with_series) {
   util::StateWriter w;
-  w.begin_section(kShardMetaTag);
-  w.u64(fingerprint_);
-  w.u64(k);
-  w.u64(begin);
-  w.u64(end);
-  w.end_section();
-
-  w.begin_section(kShardOutcomesTag);
-  w.u64(end - begin);
-  for (std::size_t i = begin; i < end; ++i) save_state(w, fleet.outcomes[i]);
-  w.end_section();
-
-  w.begin_section(kShardDegradationTag);
-  w.u64(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    save_state(w, fleet.degradation.blocks[i]);
-  }
-  w.end_section();
-
-  w.begin_section(kShardAggregateTag);
-  agg.save(w);
-  w.end_section();
-
+  shard_meta(w, fingerprint_, k, begin, end);
+  const std::size_t rows = end - begin;
+  shard_rows(w, std::span(fleet.outcomes).subspan(begin, rows),
+             std::span(fleet.degradation.blocks).subspan(begin, rows), agg);
   if (with_series) {
-    // Re-frame the shard's rows from the global store (the shard-local
-    // store is already retired by the time the fold completes).
-    SeriesStore slice;
-    slice.reset(end - begin, fleet.series.stride(), fleet.series.start(),
-                fleet.series.step());
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto src = fleet.series.series(i);
-      const auto dst = slice.row(i - begin);
-      std::copy(src.begin(), src.end(), dst.begin());
-      slice.set_len(i - begin, src.size());
-    }
+    // The shard's rows of the global store (the shard-local store is
+    // already retired by the time the fold completes).
     w.begin_section(kShardSeriesTag);
-    slice.save(w);
+    fleet.series.save_rows(w, begin, rows);
     w.end_section();
   }
 
@@ -470,15 +337,7 @@ std::size_t CheckpointManager::manifest_writes() const {
 
 void CheckpointManager::write_manifest_locked() {
   util::StateWriter w;
-  w.begin_section(kManifestMetaTag);
-  w.u64(fingerprint_);
-  w.u64(total_blocks_);
-  w.u64(shard_size_);
-  w.end_section();
-  w.begin_section(kManifestDoneTag);
-  w.u64(completed_.size());
-  for (const std::size_t k : completed_) w.u64(k);
-  w.end_section();
+  manifest_fields(w, completed_);
   util::write_state_file(manifest_path(), w.bytes());
   unflushed_ = 0;
   dirty_ = false;

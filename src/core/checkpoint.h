@@ -21,15 +21,73 @@
 #include <string>
 #include <vector>
 
+#include "analysis/cusum.h"
 #include "core/aggregate.h"
 #include "core/pipeline.h"
 #include "util/state_io.h"
 
 namespace diurnal::core {
 
-// Per-structure serializers shared by the shard checkpoint files and
-// the streaming-engine snapshot.  Each restore_state overwrites its
-// target completely.
+// Field lists of the result rows, in wire order (util/state_io.h),
+// shared by the shard checkpoint files and the streaming-engine
+// snapshot.  save_state/restore_state are their two directions; each
+// restore_state overwrites its target completely.
+template <class IO>
+void fields(IO& io, util::Field<IO, BlockClassification>& c) {
+  io.boolean(c.responsive);
+  io.boolean(c.diurnal);
+  io.boolean(c.wide_swing);
+  io.boolean(c.change_sensitive);
+  io.boolean(c.low_confidence);
+  io.f64(c.evidence_fraction);
+  io.boolean(c.diurnal_detail.diurnal);
+  io.f64(c.diurnal_detail.power_ratio);
+  io.f64(c.diurnal_detail.total_power);
+  io.f64(c.diurnal_detail.diurnal_power);
+  io.i64(c.diurnal_detail.segments);
+  io.i64(c.diurnal_detail.segments_diurnal);
+  io.boolean(c.swing_detail.wide);
+  io.i64(c.swing_detail.wide_days);
+  io.i64(c.swing_detail.total_days);
+  io.f64(c.swing_detail.max_daily_swing);
+  io.i64(c.swing_detail.best_window_wide);
+}
+
+template <class IO>
+void fields(IO& io, util::Field<IO, fault::BlockDegradation>& d) {
+  io.i64(d.configured_observers);
+  io.i64(d.live_observers);
+  io.i64(d.partial_observers);
+  io.u64(d.dropped_observations);
+  io.u64(d.corrupted_observations);
+  io.f64(d.evidence_fraction);
+  io.f64(d.max_gap_hours);
+  io.boolean(d.low_confidence);
+}
+
+template <class IO>
+void fields(IO& io, util::Field<IO, DetectedChange>& c) {
+  io.i64(c.start);
+  io.i64(c.alarm);
+  io.i64(c.end);
+  analysis::direction_field(io, c.direction);
+  io.f64(c.amplitude);
+  io.f64(c.amplitude_addresses);
+  io.boolean(c.filtered_as_outage);
+  io.boolean(c.filtered_small);
+  io.boolean(c.filtered_phase_only);
+  io.boolean(c.low_evidence);
+}
+
+template <class IO>
+void fields(IO& io, util::Field<IO, BlockOutcome>& o) {
+  std::uint32_t id = o.id.id();
+  io.u32(id);
+  if constexpr (IO::kReading) o.id = net::BlockId(id);
+  fields(io, o.cls);
+  io.seq(o.changes, [&io](auto& c) { fields(io, c); });
+}
+
 void save_state(util::StateWriter& w, const BlockClassification& c);
 void restore_state(util::StateReader& r, BlockClassification& c);
 void save_state(util::StateWriter& w, const fault::BlockDegradation& d);
@@ -50,6 +108,20 @@ void restore_state(util::StateReader& r, BlockOutcome& o);
 std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
                                      const FleetConfig& config,
                                      std::uint64_t shard_size = 0);
+
+/// The head of a resumable streaming run's one checkpoint file
+/// (diurnal_cli --stream's stream.ckpt, diurnal_serve's serve.ckpt): a
+/// CLIM section holding checkpoint_fingerprint(world, config, 0), then
+/// the engine image in the same file, so a crash mid-write can never
+/// leave a new image behind an old fingerprint.  Writes `fingerprint`;
+/// a reader fails with StateError(kBadValue) unless it matches.
+template <class IO>
+void run_fingerprint(IO& io, std::uint64_t fingerprint) {
+  io.begin_section(util::state_tag("CLIM"));
+  io.expect(fingerprint,
+            "checkpoint was written under a different configuration");
+  io.end_section();
+}
 
 /// One restored shard's contribution to the merged result.
 struct ShardCheckpoint {
@@ -116,6 +188,9 @@ class CheckpointManager {
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
  private:
+  /// The manifest layout, in wire order (util/state_io.h field lists).
+  template <class IO, class Ids>
+  void manifest_fields(IO& io, Ids& completed) const;
   void write_manifest_locked();
 
   std::string dir_;

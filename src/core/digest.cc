@@ -1,53 +1,30 @@
 #include "core/digest.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace diurnal::core {
 
-namespace {
-
-// FNV-1a, one byte at a time so the digest is endianness-independent.
-struct Digest {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  }
-  void mix(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  }
-};
-
-}  // namespace
-
 std::uint64_t fleet_digest(const FleetResult& r) {
-  Digest d;
-  d.mix(static_cast<std::uint64_t>(r.funnel.routed));
-  d.mix(static_cast<std::uint64_t>(r.funnel.responsive));
-  d.mix(static_cast<std::uint64_t>(r.funnel.diurnal));
-  d.mix(static_cast<std::uint64_t>(r.funnel.wide_swing));
-  d.mix(static_cast<std::uint64_t>(r.funnel.change_sensitive));
+  Fnv1a d;
+  d.u64(static_cast<std::uint64_t>(r.funnel.routed));
+  d.u64(static_cast<std::uint64_t>(r.funnel.responsive));
+  d.u64(static_cast<std::uint64_t>(r.funnel.diurnal));
+  d.u64(static_cast<std::uint64_t>(r.funnel.wide_swing));
+  d.u64(static_cast<std::uint64_t>(r.funnel.change_sensitive));
   for (const auto& out : r.outcomes) {
-    d.mix(static_cast<std::uint64_t>(out.id.id()));
-    d.mix(static_cast<std::uint64_t>((out.cls.responsive ? 1 : 0) |
+    d.u64(static_cast<std::uint64_t>(out.id.id()));
+    d.u64(static_cast<std::uint64_t>((out.cls.responsive ? 1 : 0) |
                                      (out.cls.diurnal ? 2 : 0) |
                                      (out.cls.wide_swing ? 4 : 0) |
                                      (out.cls.change_sensitive ? 8 : 0)));
     for (const auto& ch : out.changes) {
-      d.mix(static_cast<std::uint64_t>(ch.start));
-      d.mix(static_cast<std::uint64_t>(ch.alarm));
-      d.mix(static_cast<std::uint64_t>(ch.end));
-      d.mix(static_cast<std::uint64_t>(ch.direction));
-      d.mix(ch.amplitude);
-      d.mix(ch.amplitude_addresses);
-      d.mix(static_cast<std::uint64_t>((ch.filtered_as_outage ? 1 : 0) |
+      d.u64(static_cast<std::uint64_t>(ch.start));
+      d.u64(static_cast<std::uint64_t>(ch.alarm));
+      d.u64(static_cast<std::uint64_t>(ch.end));
+      d.u64(static_cast<std::uint64_t>(ch.direction));
+      d.f64(ch.amplitude);
+      d.f64(ch.amplitude_addresses);
+      d.u64(static_cast<std::uint64_t>((ch.filtered_as_outage ? 1 : 0) |
                                        (ch.filtered_small ? 2 : 0) |
                                        (ch.filtered_phase_only ? 4 : 0)));
     }

@@ -6,12 +6,33 @@
 // accounting is intentionally excluded — it annotates, never decides).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/pipeline.h"
 
 namespace diurnal::core {
+
+/// FNV-1a over fields fed one at a time, integers little-endian first
+/// (endianness-independent; never raw struct bytes, whose padding would
+/// make it nondeterministic).  The one accumulator behind the fleet
+/// digest, the snapshot answers digest and the checkpoint fingerprint.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+
+  void byte(std::uint8_t b) noexcept { h = (h ^ b) * 0x100000001b3ULL; }
+  void bytes(std::span<const std::uint8_t> b) noexcept {
+    for (const std::uint8_t x : b) byte(x);
+  }
+  void u64(std::uint64_t v) noexcept {
+    for (int i = 0; i < 64; i += 8) byte(static_cast<std::uint8_t>(v >> i));
+  }
+  void i64(std::int64_t v) noexcept { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
+  void boolean(bool v) noexcept { byte(v ? 1 : 0); }
+};
 
 std::uint64_t fleet_digest(const FleetResult& r);
 

@@ -1,7 +1,7 @@
 #include "core/series_store.h"
 
 #include <algorithm>
-#include <vector>
+#include <cstdint>
 
 namespace diurnal::core {
 
@@ -14,36 +14,46 @@ void SeriesStore::reset(std::size_t rows, std::size_t stride,
   len_.assign(rows, 0);
 }
 
-void SeriesStore::save(util::StateWriter& w) const {
-  w.u64(rows());
-  w.u64(stride_);
-  w.i64(start_);
-  w.i64(step_);
-  for (std::size_t i = 0; i < rows(); ++i) {
-    w.f64_span(series(i));
+template <class Self, class IO>
+void SeriesStore::fields(Self& self, IO& io, std::size_t first,
+                         std::size_t rows) {
+  std::size_t stride = self.stride_;
+  io.u64(rows);
+  io.u64(stride);
+  io.i64(self.start_);
+  io.i64(self.step_);
+  if constexpr (IO::kReading) {
+    // A row costs at least two bytes (count and packing tag), a full one
+    // a byte per sample.  Empty rows (unprobed blocks) are legitimate, so
+    // the section cannot bound rows × stride itself.
+    if ((stride != 0 && rows > SIZE_MAX / stride) ||
+        rows > io.remaining() / 2 || stride > io.remaining()) {
+      util::bad_value("series geometry exceeds what the image holds");
+    }
+    self.reset(rows, stride, self.start_, self.step_);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    if constexpr (IO::kReading) {
+      const auto row = self.row(i);
+      const std::size_t len = io.f64_span_into(row);
+      std::fill(row.begin() + static_cast<std::ptrdiff_t>(len), row.end(),
+                0.0);
+      self.set_len(i, len);
+    } else {
+      io.f64_span(self.series(first + i));
+    }
   }
 }
 
-void SeriesStore::restore(util::StateReader& r) {
-  const std::uint64_t rows = r.u64();
-  const std::uint64_t stride = r.u64();
-  const util::SimTime start = r.i64();
-  const std::int64_t step = r.i64();
-  reset(static_cast<std::size_t>(rows), static_cast<std::size_t>(stride),
-        start, step);
-  std::vector<double> row_buf;
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    r.f64_span(row_buf);
-    if (row_buf.size() > stride) {
-      throw util::StateError(util::StateErrorKind::kBadValue,
-                             "series row longer than the stride");
-    }
-    auto dst = row(static_cast<std::size_t>(i));
-    std::copy(row_buf.begin(), row_buf.end(), dst.begin());
-    std::fill(dst.begin() + static_cast<std::ptrdiff_t>(row_buf.size()),
-              dst.end(), 0.0);
-    set_len(static_cast<std::size_t>(i), row_buf.size());
-  }
+void SeriesStore::save(util::StateWriter& w) const {
+  fields(*this, w, 0, rows());
 }
+
+void SeriesStore::save_rows(util::StateWriter& w, std::size_t first,
+                            std::size_t n) const {
+  fields(*this, w, first, n);
+}
+
+void SeriesStore::restore(util::StateReader& r) { fields(*this, r, 0, 0); }
 
 }  // namespace diurnal::core

@@ -62,9 +62,14 @@ class SeriesStore {
   /// prefix (the tail past len(i) is indeterminate by contract and is
   /// not stored).  restore() re-reset()s to the stored geometry, so a
   /// default-constructed store is a valid target; unwritten tails come
-  /// back zero-filled.
+  /// back zero-filled.  A geometry the image cannot back — rows × stride
+  /// overflowing, more rows than the section holds, or a stride longer
+  /// than a row the section could hold — throws StateError.
   void save(util::StateWriter& w) const;
   void restore(util::StateReader& r);
+  /// save() of rows [first, first + n) alone: the image of an n-row
+  /// store with this geometry.
+  void save_rows(util::StateWriter& w, std::size_t first, std::size_t n) const;
 
   /// Heap bytes held (sample buffer + length column) — the dominant
   /// per-shard residency cost the shard scheduler accounts for.
@@ -74,6 +79,11 @@ class SeriesStore {
   }
 
  private:
+  /// The layout, in wire order; `first` and `rows` pick the rows a
+  /// writer saves.
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io, std::size_t first, std::size_t rows);
+
   std::vector<double, util::DefaultInitAllocator<double>> data_;
   std::vector<std::uint32_t> len_;
   std::size_t stride_ = 0;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+
+#include "core/digest.h"
 
 namespace diurnal::core {
 
@@ -19,37 +20,16 @@ bool alarm_by_block(const ProvisionalChange& a, const ProvisionalChange& b) {
   return a.start < b.start;
 }
 
-/// FNV-1a accumulator over the query surface.  Field-by-field (never
-/// raw struct bytes — padding would make the digest nondeterministic).
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void byte(std::uint8_t b) noexcept {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  void u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-  void i64(std::int64_t v) noexcept { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-  }
-  void b(bool v) noexcept { byte(v ? 1 : 0); }
-};
-
-void hash_classification(Fnv& f, const BlockClassification& c) {
-  f.b(c.responsive);
-  f.b(c.diurnal);
-  f.b(c.wide_swing);
-  f.b(c.change_sensitive);
-  f.b(c.low_confidence);
+void hash_classification(Fnv1a& f, const BlockClassification& c) {
+  f.boolean(c.responsive);
+  f.boolean(c.diurnal);
+  f.boolean(c.wide_swing);
+  f.boolean(c.change_sensitive);
+  f.boolean(c.low_confidence);
   f.f64(c.evidence_fraction);
 }
 
-void hash_degradation(Fnv& f, const fault::BlockDegradation& d) {
+void hash_degradation(Fnv1a& f, const fault::BlockDegradation& d) {
   f.i64(d.configured_observers);
   f.i64(d.live_observers);
   f.i64(d.partial_observers);
@@ -57,7 +37,7 @@ void hash_degradation(Fnv& f, const fault::BlockDegradation& d) {
   f.u64(d.corrupted_observations);
   f.f64(d.evidence_fraction);
   f.f64(d.max_gap_hours);
-  f.b(d.low_confidence);
+  f.boolean(d.low_confidence);
 }
 
 }  // namespace
@@ -105,11 +85,12 @@ const CellQueryStats* EpochSnapshot::cell(geo::GridCell c) const {
 }
 
 std::uint64_t EpochSnapshot::answers_digest() const {
-  Fnv f;
+  // Field by field over the whole query surface.
+  Fnv1a f;
   f.u64(scorecard_.epoch_index);
   f.i64(scorecard_.clock);
   f.u64(scorecard_.observations_total);
-  f.b(scorecard_.classification_complete);
+  f.boolean(scorecard_.classification_complete);
   f.i64(scorecard_.funnel.routed);
   f.i64(scorecard_.funnel.responsive);
   f.i64(scorecard_.funnel.diurnal);
@@ -126,10 +107,10 @@ std::uint64_t EpochSnapshot::answers_digest() const {
   f.u64(scorecard_.low_evidence_blocks);
   for (const Row& r : rows_) {
     f.u64(r.id.id());
-    f.b(r.begun);
-    f.b(r.active);
-    f.b(r.classified);
-    f.b(r.watched);
+    f.boolean(r.begun);
+    f.boolean(r.active);
+    f.boolean(r.classified);
+    f.boolean(r.watched);
     f.u64(r.delivered);
     f.u64(r.emitted);
     f.f64(r.evidence_fraction);
@@ -147,7 +128,7 @@ std::uint64_t EpochSnapshot::answers_digest() const {
     f.i64(a.start);
     f.i64(a.alarm);
     f.i64(a.end);
-    f.b(a.direction == analysis::ChangeDirection::kUp);
+    f.boolean(a.direction == analysis::ChangeDirection::kUp);
     f.f64(a.amplitude);
   }
   for (const CellQueryStats& c : cells_) {
@@ -201,6 +182,11 @@ void SnapshotServer::restore(util::StateReader& r) {
   engine_.restore(r);
 }
 
+void SnapshotServer::save(util::StateWriter& w) const {
+  assert(!writer_.joinable() && !finished_);
+  engine_.save(w);
+}
+
 void SnapshotServer::start() {
   assert(!started_ && !finished_);
   started_ = true;
@@ -241,20 +227,9 @@ std::shared_ptr<EpochSnapshot> SnapshotServer::build_snapshot(
   engine_.extract_rows(snap->rows_);
 
   // Trend tails from the stable emitted prefixes.
-  const std::int64_t step = config_.recon.sample_step;
   snap->trend_refs_.resize(snap->rows_.size());
   for (std::size_t i = 0; i < snap->rows_.size(); ++i) {
-    const auto s = engine_.emitted_series(i);
-    const std::size_t len =
-        serve_.trend_tail == 0 ? s.size() : std::min(serve_.trend_tail,
-                                                     s.size());
-    EpochSnapshot::TrendRef& t = snap->trend_refs_[i];
-    t.offset = snap->trend_data_.size();
-    t.len = len;
-    const std::size_t first = s.size() - len;
-    t.start = engine_.window_start() +
-              static_cast<std::int64_t>(first) * (step > 0 ? step : 1);
-    snap->trend_data_.insert(snap->trend_data_.end(), s.end() - len, s.end());
+    fill_trend(*snap, i, engine_.emitted_series(i));
   }
 
   // Cumulative alarm log: merge this epoch's (already sorted) batch.
@@ -279,6 +254,20 @@ std::shared_ptr<EpochSnapshot> SnapshotServer::build_snapshot(
     snap->image_ = w.take();
   }
   return snap;
+}
+
+void SnapshotServer::fill_trend(EpochSnapshot& snap, std::size_t i,
+                                std::span<const double> s) const {
+  const std::int64_t step = config_.recon.sample_step;
+  const std::size_t len =
+      serve_.trend_tail == 0 ? s.size() : std::min(serve_.trend_tail, s.size());
+  EpochSnapshot::TrendRef& t = snap.trend_refs_[i];
+  t.offset = snap.trend_data_.size();
+  t.len = len;
+  const std::size_t first = s.size() - len;
+  t.start = engine_.window_start() +
+            static_cast<std::int64_t>(first) * (step > 0 ? step : 1);
+  snap.trend_data_.insert(snap.trend_data_.end(), s.end() - len, s.end());
 }
 
 void SnapshotServer::fill_rollups(EpochSnapshot& snap) {
@@ -359,7 +348,6 @@ FleetResult SnapshotServer::drain() {
   FleetResult res = engine_.finalize();
   finished_ = true;
 
-  const std::int64_t step = config_.recon.sample_step;
   snap->trend_refs_.resize(snap->rows_.size());
   for (std::size_t i = 0; i < snap->rows_.size(); ++i) {
     EpochSnapshot::Row& row = snap->rows_[i];
@@ -373,16 +361,7 @@ FleetResult SnapshotServer::drain() {
       row.evidence_fraction = res.degradation.blocks[i].evidence_fraction;
       row.max_gap_hours = res.degradation.blocks[i].max_gap_hours;
     }
-    const std::size_t len =
-        serve_.trend_tail == 0 ? s.size() : std::min(serve_.trend_tail,
-                                                     s.size());
-    EpochSnapshot::TrendRef& t = snap->trend_refs_[i];
-    t.offset = snap->trend_data_.size();
-    t.len = len;
-    const std::size_t first = s.size() - len;
-    t.start = engine_.window_start() +
-              static_cast<std::int64_t>(first) * (step > 0 ? step : 1);
-    snap->trend_data_.insert(snap->trend_data_.end(), s.end() - len, s.end());
+    fill_trend(*snap, i, s);
   }
 
   snap->alarms_ = alarm_log_;

@@ -21,7 +21,8 @@
 // queued epoch, finalizes the engine (bit-identical to the batch drive
 // — the golden-digest contract), and publishes a final snapshot carrying
 // the authoritative verdicts.  stop() instead leaves the run mid-window;
-// the latest snapshot's image() is the checkpoint to resume from.
+// save() (equally, the latest snapshot's image()) is the checkpoint to
+// resume from.
 #pragma once
 
 #include <atomic>
@@ -196,8 +197,13 @@ class SnapshotServer {
   util::SimTime clock() const noexcept { return engine_.clock(); }
 
   /// Restores a mid-window engine image (an EpochSnapshot::image() or a
-  /// CLI streaming checkpoint's engine section).  Must precede start().
+  /// streaming checkpoint's engine section).  Must precede start().
   void restore(util::StateReader& r);
+
+  /// Writes the engine image — the bytes the latest snapshot's image()
+  /// carries, or the restored image before any epoch ran.  Valid before
+  /// start() and after stop(); never during ingest or after drain().
+  void save(util::StateWriter& w) const;
 
   /// Spawns the ingest loop.  Call once.
   void start();
@@ -231,8 +237,8 @@ class SnapshotServer {
   FleetResult drain();
 
   /// Abandon-in-place shutdown: stops the writer after the epoch it is
-  /// processing; the engine stays mid-window and the latest snapshot's
-  /// image() is the checkpoint to resume from.
+  /// processing; the engine stays mid-window and save() writes the
+  /// checkpoint to resume from.
   void stop();
 
   ServeStats stats() const;
@@ -240,7 +246,10 @@ class SnapshotServer {
  private:
   void writer_loop();
   std::shared_ptr<EpochSnapshot> build_snapshot(const EpochReport& rep);
-  void fill_trends(EpochSnapshot& snap);
+  /// Copies the trailing trend_tail samples of row i's series `s` into
+  /// the snapshot (trend_refs_ already sized).
+  void fill_trend(EpochSnapshot& snap, std::size_t i,
+                  std::span<const double> s) const;
   void fill_rollups(EpochSnapshot& snap);
 
   std::span<const sim::BlockProfile> blocks_;

@@ -124,13 +124,6 @@ void run_pool(unsigned n_threads, const Work& work) {
 /// stays flat as the stream grows.
 constexpr std::size_t kTrailPeriods = 5;
 
-// Cell flag bits in the engine snapshot.
-constexpr std::uint8_t kCellBegun = 1u << 0;
-constexpr std::uint8_t kCellActive = 1u << 1;
-constexpr std::uint8_t kCellClassified = 1u << 2;
-constexpr std::uint8_t kCellScreened = 1u << 3;
-constexpr std::uint8_t kCellWatched = 1u << 4;
-
 }  // namespace
 
 // One worker's finish path, shared by both drives.  A block joins the
@@ -339,19 +332,25 @@ FleetResult StreamingFleet::run_to_completion() {
 }
 
 void StreamingFleet::begin_cell(std::size_t i, probe::ProbeScratch& scratch) {
-  const auto& block = blocks_[i];
   Cell& c = cells_[i];
-  result_.outcomes[i].id = block.id;
   c.begun = true;
-  if (block.eb_count == 0) {
+  if (blocks_[i].eb_count == 0) {
     c.classified = true;  // trivially: never responds
     c.screened = true;
-    return;
+  } else {
+    c.active = true;
   }
+  bind_cell(i, scratch);
+}
+
+void StreamingFleet::bind_cell(std::size_t i, probe::ProbeScratch& scratch) {
+  const auto& block = blocks_[i];
+  result_.outcomes[i].id = block.id;
+  if (block.eb_count == 0) return;
+  Cell& c = cells_[i];
   c.stream.begin(block, detect_oc_, scratch,
                  mode_ == Mode::kUnion ? classify_window_.end : 0);
   c.stream.bind_series(store_.row(i));
-  c.active = true;
 }
 
 void StreamingFleet::screen_cell(std::size_t i, Worker& w) {
@@ -581,116 +580,86 @@ std::span<const double> StreamingFleet::emitted_series(std::size_t i) const {
   return c.stream.series().first(c.stream.recon_state().emitted());
 }
 
-void StreamingFleet::save(util::StateWriter& w) const {
-  assert(!finished_);
-  w.begin_section(util::state_tag("FLTM"));
-  w.u64(blocks_.size());
-  w.i64(window_.start);
-  w.i64(window_.end);
-  w.i64(classify_window_.start);
-  w.i64(classify_window_.end);
-  w.u8(static_cast<std::uint8_t>(mode_));
-  w.i64(clock_);
-  w.u64(epoch_index_);
-  w.u64(cells_.size());
-  w.end_section();
-  if (cells_.empty()) return;  // saved before the first advance
+template <class Self, class IO>
+void StreamingFleet::fields(Self& self, IO& io, probe::ProbeScratch* scratch) {
+  const char* const foreign =
+      "fleet snapshot was written under a different configuration";
+  std::uint64_t n_cells = self.cells_.size();
+  io.begin_section(util::state_tag("FLTM"));
+  io.expect(self.blocks_.size(), foreign);
+  io.expect(self.window_.start, foreign);
+  io.expect(self.window_.end, foreign);
+  io.expect(self.classify_window_.start, foreign);
+  io.expect(self.classify_window_.end, foreign);
+  io.expect(static_cast<std::uint8_t>(self.mode_), foreign);
+  io.i64(self.clock_);
+  io.u64(self.epoch_index_);
+  io.u64(n_cells);
+  io.end_section();
+  if (n_cells == 0) return;  // saved before the first advance
+  if constexpr (IO::kReading) {
+    if (n_cells != self.blocks_.size()) {
+      util::bad_value("fleet snapshot cell count does not match");
+    }
+    self.cells_.resize(self.blocks_.size());
+  }
 
-  w.begin_section(util::state_tag("CELL"));
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const Cell& c = cells_[i];
-    std::uint8_t flags = 0;
-    if (c.begun) flags |= kCellBegun;
-    if (c.active) flags |= kCellActive;
-    if (c.classified) flags |= kCellClassified;
-    if (c.screened) flags |= kCellScreened;
-    if (c.watched) flags |= kCellWatched;
-    w.u8(flags);
+  io.begin_section(util::state_tag("CELL"));
+  for (std::size_t i = 0; i < self.cells_.size(); ++i) {
+    auto& c = self.cells_[i];
+    const bool probed = self.blocks_[i].eb_count > 0;
+    io.flags(c.begun, c.active, c.classified, c.screened, c.watched);
+    if constexpr (IO::kReading) {
+      // Only a begun cell carries state, and only a probed one a stream.
+      const bool any = c.active || c.classified || c.screened || c.watched;
+      if ((!c.begun && any) || (c.active && !probed)) {
+        util::bad_value("inconsistent cell flags in fleet snapshot");
+      }
+      // Rebuild the config-derived skeleton exactly as the first advance
+      // did, then overwrite the mutable state.
+      if (c.begun) self.bind_cell(i, *scratch);
+    }
     if (!c.begun) continue;
-    w.u64(c.delivered);
-    w.u64(c.trend_fed);
-    w.u64(c.trend_base);
-    w.f64(c.tsum);
-    w.f64(c.tsum2);
-    w.u64(c.tn);
-    w.u64(c.reported);
+    io.u64(c.delivered);
+    // The watch maps its CUSUM's index k to sample trend_base + k.
+    io.index(c.trend_fed, 0, self.store_.stride() + 1);
+    io.index(c.trend_base, 0, c.trend_fed + 1);
+    io.f64(c.tsum);
+    io.f64(c.tsum2);
+    io.u64(c.tn);
+    io.u64(c.reported);
     // The provisional CUSUM exists once the watch fed it (tn > 0); the
-    // stream only while the cell still ingests rounds; a mid-run
-    // verdict (kUnion/kSeparate) only for probed blocks — eb_count == 0
-    // cells classify trivially and carry the default verdict.
-    if (c.tn > 0) c.cusum.save(w);
-    if (c.active) c.stream.save(w);
-    if (c.classified && blocks_[i].eb_count > 0) {
-      save_state(w, result_.outcomes[i].cls);
-      save_state(w, result_.degradation.blocks[i]);
+    // stream only while the cell still ingests rounds; a mid-run verdict
+    // (kUnion/kSeparate) only for probed blocks — eb_count == 0 cells
+    // classify trivially and carry the default verdict.
+    if (c.tn > 0) io.nested(c.cusum);
+    if (c.active) io.nested(c.stream);
+    if (c.classified && probed) {
+      core::fields(io, self.result_.outcomes[i].cls);
+      core::fields(io, self.result_.degradation.blocks[i]);
     }
   }
-  w.end_section();
+  io.end_section();
+}
+
+void StreamingFleet::save(util::StateWriter& w) const {
+  assert(!finished_);
+  fields(*this, w, nullptr);
 }
 
 void StreamingFleet::restore(util::StateReader& r) {
   assert(!finished_ && cells_.empty());
-  r.begin_section(util::state_tag("FLTM"));
-  const std::uint64_t n_blocks = r.u64();
-  const util::SimTime ws = r.i64();
-  const util::SimTime we = r.i64();
-  const util::SimTime cs = r.i64();
-  const util::SimTime ce = r.i64();
-  const std::uint8_t mode = r.u8();
-  const util::SimTime clock = r.i64();
-  const std::uint64_t epochs = r.u64();
-  const std::uint64_t n_cells = r.u64();
-  r.end_section();
-  if (n_blocks != blocks_.size() || ws != window_.start ||
-      we != window_.end || cs != classify_window_.start ||
-      ce != classify_window_.end ||
-      mode != static_cast<std::uint8_t>(mode_)) {
-    throw util::StateError(
-        util::StateErrorKind::kBadValue,
-        "fleet snapshot was written under a different configuration");
-  }
-  if (n_cells != 0 && n_cells != blocks_.size()) {
-    throw util::StateError(util::StateErrorKind::kBadValue,
-                           "fleet snapshot cell count does not match");
-  }
-  clock_ = clock;
-  epoch_index_ = static_cast<std::size_t>(epochs);
-  if (n_cells == 0) return;
-
-  cells_.resize(blocks_.size());
   probe::ProbeScratch scratch;
-  r.begin_section(util::state_tag("CELL"));
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const std::uint8_t flags = r.u8();
-    if (flags >= (kCellWatched << 1)) {
-      throw util::StateError(util::StateErrorKind::kBadValue,
-                             "unknown cell flags in fleet snapshot");
-    }
-    if ((flags & kCellBegun) == 0) continue;
-    // Rebuild the config-derived skeleton exactly as the first advance
-    // did (stream begin + row binding + outcome id), then overwrite the
-    // mutable state from the snapshot.
-    begin_cell(i, scratch);
-    Cell& c = cells_[i];
-    c.active = (flags & kCellActive) != 0;
-    c.classified = (flags & kCellClassified) != 0;
-    c.screened = (flags & kCellScreened) != 0;
-    c.watched = (flags & kCellWatched) != 0;
-    c.delivered = static_cast<std::size_t>(r.u64());
-    c.trend_fed = static_cast<std::size_t>(r.u64());
-    c.trend_base = static_cast<std::size_t>(r.u64());
-    c.tsum = r.f64();
-    c.tsum2 = r.f64();
-    c.tn = static_cast<std::size_t>(r.u64());
-    c.reported = static_cast<std::size_t>(r.u64());
-    if (c.tn > 0) c.cusum.restore(r);
-    if (c.active) c.stream.restore(r);
-    if (c.classified && blocks_[i].eb_count > 0) {
-      restore_state(r, result_.outcomes[i].cls);
-      restore_state(r, result_.degradation.blocks[i]);
-    }
+  try {
+    fields(*this, r, &scratch);
+  } catch (...) {
+    // Back to the engine as constructed: the next advance re-begins
+    // every cell and overwrites each row it touched.
+    cells_.clear();
+    clock_ = window_.start;
+    epoch_index_ = 0;
+    throw;
   }
-  r.end_section();
 }
 
 }  // namespace diurnal::core

@@ -136,7 +136,8 @@ class StreamingFleet {
   /// mutable state, so advance/finalize after restore are bit-identical
   /// to an uninterrupted run (tests/test_checkpoint.cc gates this at
   /// every epoch boundary).  A mismatched window, mode, or block count
-  /// throws StateError(kBadValue).
+  /// throws StateError(kBadValue); any failed restore leaves the engine
+  /// as constructed, so the caller may fall back to a fresh run.
   void save(util::StateWriter& w) const;
   void restore(util::StateReader& r);
 
@@ -188,6 +189,13 @@ class StreamingFleet {
   /// Block i is change-sensitive and detection is on.
   bool detects(std::size_t i) const noexcept;
   void begin_cell(std::size_t i, probe::ProbeScratch& scratch);
+  /// The config-derived part of a begun cell: its outcome id, and for a
+  /// probed block the stream begun and bound to the block's store row.
+  void bind_cell(std::size_t i, probe::ProbeScratch& scratch);
+  /// The snapshot layout (FLTM, then CELL), in wire order
+  /// (util/state_io.h field lists).  `scratch` serves the reader only.
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io, probe::ProbeScratch* scratch);
   void screen_cell(std::size_t i, Worker& w);
   void update_provisional(std::size_t i, analysis::BlockAnalyzer& az,
                           std::vector<ProvisionalChange>& out);

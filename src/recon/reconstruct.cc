@@ -192,72 +192,51 @@ void BlockReconState::snapshot(ReconResult& out) const {
   copy.finalize(out);
 }
 
-void BlockReconState::save(util::StateWriter& w) const {
+template <class Self, class IO>
+void BlockReconState::fields(Self& self, IO& io) {
   // Arguments-derived fields travel only as restore-time checks.
-  w.i64(eb_count_);
-  w.u64(n_samples_);
-  for (const std::int8_t s : state_) w.u8(static_cast<std::uint8_t>(s));
-  for (const std::int64_t t : last_seen_) w.i64(t);
-  w.i64(active_);
-  w.i64(observed_);
-  w.u64(positives_);
-  w.u64(next_sample_);
-  w.i64(last_obs_rel_);
-  w.u64(fresh_samples_);
-  w.f64(max_active_);
-  w.f64(max_gap_seconds_);
-  w.u64(gaps_.size());
-  for (const CoverageGap& g : gaps_) {
-    w.i64(g.start);
-    w.i64(g.end);
+  io.expect(self.eb_count_, "recon state was saved for a different block");
+  io.expect(self.n_samples_, "recon state was saved for a different block");
+  for (auto& s : self.state_) {
+    std::uint8_t byte = static_cast<std::uint8_t>(s);  // two's complement
+    io.u8(byte);
+    if constexpr (IO::kReading) s = static_cast<std::int8_t>(byte);
   }
-  for (const std::uint32_t p : pass_epoch_) w.u32(p);
-  w.u32(pass_);
-  w.i64(pass_seen_);
-  w.i64(pass_start_);
-  w.f64_span(fbs_spans_);
-  w.u64(observations_);
+  for (auto& t : self.last_seen_) io.i64(t);
+  io.i64(self.active_);
+  io.i64(self.observed_);
+  io.u64(self.positives_);
+  io.index(self.next_sample_, 0, self.n_samples_ + 1);
+  io.i64(self.last_obs_rel_);
+  io.u64(self.fresh_samples_);
+  io.f64(self.max_active_);
+  io.f64(self.max_gap_seconds_);
+  io.seq(self.gaps_, [&io](auto& g) {
+    io.i64(g.start);
+    io.i64(g.end);
+  });
+  for (auto& p : self.pass_epoch_) io.u32(p);
+  io.u32(self.pass_);
+  io.i64(self.pass_seen_);
+  io.i64(self.pass_start_);
+  io.f64_span(self.fbs_spans_);
+  io.u64(self.observations_);
   // The emitted-sample prefix is part of the state: a restored machine
   // must read back exactly the samples the saved one had written,
   // whether they live in the owned buffer or a bound store row.
-  w.f64_span(series_view().first(next_sample_));
+  if constexpr (IO::kReading) {
+    const std::size_t n = self.next_sample_;
+    if (io.f64_span_into({self.sink(), n}) != n) {
+      util::bad_value("emitted prefix shorter than the emitted count");
+    }
+  } else {
+    io.f64_span(self.series_view().first(self.next_sample_));
+  }
 }
 
-void BlockReconState::restore(util::StateReader& r) {
-  if (r.i64() != eb_count_ || r.u64() != n_samples_) {
-    throw util::StateError(util::StateErrorKind::kBadValue,
-                           "recon state was saved for a different block");
-  }
-  for (std::int8_t& s : state_) s = static_cast<std::int8_t>(r.u8());
-  for (std::int64_t& t : last_seen_) t = r.i64();
-  active_ = static_cast<int>(r.i64());
-  observed_ = static_cast<int>(r.i64());
-  positives_ = r.u64();
-  next_sample_ = r.u64();
-  if (next_sample_ > n_samples_) {
-    throw util::StateError(util::StateErrorKind::kBadValue,
-                           "emitted prefix exceeds the sample capacity");
-  }
-  last_obs_rel_ = r.i64();
-  fresh_samples_ = r.u64();
-  max_active_ = r.f64();
-  max_gap_seconds_ = r.f64();
-  const std::uint64_t n_gaps = r.u64();
-  gaps_.clear();
-  for (std::uint64_t i = 0; i < n_gaps; ++i) {
-    CoverageGap g;
-    g.start = r.i64();
-    g.end = r.i64();
-    gaps_.push_back(g);
-  }
-  for (std::uint32_t& p : pass_epoch_) p = r.u32();
-  pass_ = r.u32();
-  pass_seen_ = static_cast<int>(r.i64());
-  pass_start_ = r.i64();
-  r.f64_span(fbs_spans_);
-  observations_ = r.u64();
-  r.f64_span_into(std::span<double>(sink(), next_sample_));
-}
+void BlockReconState::save(util::StateWriter& w) const { fields(*this, w); }
+
+void BlockReconState::restore(util::StateReader& r) { fields(*this, r); }
 
 ReconResult reconstruct(const probe::ObservationVec& merged, int eb_count,
                         probe::ProbeWindow window, const ReconOptions& opt) {

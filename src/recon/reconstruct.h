@@ -214,6 +214,9 @@ class BlockReconState {
   }
 
  private:
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io);  // the layout, in wire order
+
   /// Where samples go: the bound row, else the owned buffer, sized on
   /// first use (out of line, off the per-observation path).
   double* sink() {

@@ -73,35 +73,35 @@ std::size_t StreamRepair::ingest(probe::ObservationVec& stream,
   return frontier;
 }
 
-void StreamRepair::save(util::StateWriter& w) const {
-  w.u64(processed_);
-  w.u64(stats_.observations);
-  w.u64(stats_.repaired);
-  for (const AddrState& st : addr_) {
+template <class Self, class IO>
+void StreamRepair::fields(Self& self, IO& io) {
+  io.u64(self.processed_);
+  io.u64(self.stats_.observations);
+  io.u64(self.stats_.repaired);
+  for (auto& st : self.addr_) {
     // kNone maps to 0 so untouched addresses cost one varint byte.
-    w.u64(st.last == kNone ? 0 : st.last + 1);
-    w.u8(static_cast<std::uint8_t>((st.has_prev ? 1 : 0) |
-                                   (st.last_up ? 2 : 0) |
-                                   (st.prev_up ? 4 : 0)));
+    std::uint64_t last = st.last == kNone ? 0 : st.last + 1;
+    io.u64(last);
+    io.flags(st.has_prev, st.last_up, st.prev_up);
+    if constexpr (IO::kReading) {
+      st.last = last == 0 ? kNone : static_cast<std::size_t>(last - 1);
+    }
   }
 }
 
-void StreamRepair::restore(util::StateReader& r) {
-  processed_ = r.u64();
-  stats_.observations = r.u64();
-  stats_.repaired = r.u64();
-  for (AddrState& st : addr_) {
-    const std::uint64_t last = r.u64();
-    st.last = last == 0 ? kNone : static_cast<std::size_t>(last - 1);
-    const std::uint8_t flags = r.u8();
-    if (flags > 7) {
-      throw util::StateError(util::StateErrorKind::kBadValue,
-                             "repair flags out of range");
-    }
-    st.has_prev = (flags & 1) != 0;
-    st.last_up = (flags & 2) != 0;
-    st.prev_up = (flags & 4) != 0;
+void StreamRepair::save(util::StateWriter& w) const { fields(*this, w); }
+
+void StreamRepair::restore(util::StateReader& r) { fields(*this, r); }
+
+bool StreamRepair::addresses_within(std::size_t base,
+                                    std::size_t end) const noexcept {
+  if (processed_ < base || processed_ > end) return false;
+  for (const AddrState& st : addr_) {
+    const bool held =
+        st.last != kNone && !st.last_up && st.has_prev && st.prev_up;
+    if (held && (st.last < base || st.last >= processed_)) return false;
   }
+  return true;
 }
 
 }  // namespace diurnal::recon

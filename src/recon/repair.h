@@ -73,7 +73,16 @@ class StreamRepair {
   void save(util::StateWriter& w) const;
   void restore(util::StateReader& r);
 
+  /// True when every absolute index the next ingest() may address —
+  /// the processed frontier and each held flip target — lies in the
+  /// buffered range [base, end).  A restored machine must pass before
+  /// it touches a restored buffer.
+  bool addresses_within(std::size_t base, std::size_t end) const noexcept;
+
  private:
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io);  // the layout, in wire order
+
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   struct AddrState {
     std::size_t last = kNone;  ///< absolute index of the latest observation

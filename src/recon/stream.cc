@@ -224,100 +224,64 @@ void BlockStream::finalize_stats(DegradedReconStats& out) {
   fill_observers(out.observers);
 }
 
-void BlockStream::save(util::StateWriter& w) const {
-  w.boolean(classify_pending_);
-  w.u64(delivered_);
-  w.u64(streams_.size());
-  for (const Stream& s : streams_) {
-    w.i64(s.state.next_round);
-    w.u64(s.state.cursor);
-    w.i64(s.state.rounds_since_positive);
-    w.boolean(s.state.done);
-    w.i64(s.carry.trunc_round);
-    w.boolean(s.carry.trunc_fired);
-    w.boolean(s.carry.trunc_kept_first);
-    w.u64(s.stats.input);
-    w.u64(s.stats.dropped);
-    w.u64(s.stats.corrupted);
-    w.u64(s.stats.retimed);
-    s.repair.save(w);
+template <class Self, class IO>
+void BlockStream::fields(Self& self, IO& io) {
+  io.boolean(self.classify_pending_);
+  io.u64(self.delivered_);
+  io.expect(self.streams_.size(),
+            "stream state was saved with a different observer set");
+  // The round loop reads the doubled probe order at cursor + j for
+  // j < eb_count; merge and repair address buf[i - base].
+  const std::size_t order = std::max<std::size_t>(self.block_->eb_count, 1);
+  for (auto& s : self.streams_) {
+    io.i64(s.state.next_round);
+    io.index(s.state.cursor, 0, order);
+    io.i64(s.state.rounds_since_positive);
+    io.boolean(s.state.done);
+    io.i64(s.carry.trunc_round);
+    io.boolean(s.carry.trunc_fired);
+    io.boolean(s.carry.trunc_kept_first);
+    io.u64(s.stats.input);
+    io.u64(s.stats.dropped);
+    io.u64(s.stats.corrupted);
+    io.u64(s.stats.retimed);
+    io.nested(s.repair);
     // The pending buffer: timestamps are non-decreasing, so they
     // delta-encode to ~1 varint byte each.
-    w.u64(s.buf.size());
     std::uint32_t prev_rel = 0;
-    for (const probe::Observation& obs : s.buf) {
-      w.u32(obs.rel_time - prev_rel);
+    io.seq(s.buf, [&](auto& obs) {
+      std::uint32_t delta = IO::kReading ? 0 : obs.rel_time - prev_rel;
+      io.u32(delta);
+      if constexpr (IO::kReading) obs.rel_time = prev_rel + delta;
       prev_rel = obs.rel_time;
-      w.u8(obs.addr);
-      w.boolean(obs.up);
-    }
-    w.u64(s.base);
-    w.u64(s.released);
-    w.u64(s.consumed);
-    w.u64(s.delivered);
-    w.u32(s.first_rel);
-    w.u32(s.last_rel);
+      io.u8(obs.addr);
+      io.boolean(obs.up);
+    });
+    io.u64(s.base);
+    io.index(s.released, s.base, s.base + s.buf.size() + 1);
+    io.index(s.consumed, s.base, s.base + s.buf.size() + 1);
+    io.u64(s.delivered);
+    io.u32(s.first_rel);
+    io.u32(s.last_rel);
   }
-  recon_.save(w);
-  if (classify_pending_) classify_recon_.save(w);
+  io.nested(self.recon_);
+  if (self.classify_pending_) io.nested(self.classify_recon_);
 }
 
+void BlockStream::save(util::StateWriter& w) const { fields(*this, w); }
+
 void BlockStream::restore(util::StateReader& r) {
-  const bool saved_classify_pending = r.boolean();
+  fields(*this, r);
   // begin() ran in the same mode (classify_end decides); the saved pass
-  // may additionally have retired its classification fork already.
-  if (saved_classify_pending && !classify_pending_) {
-    throw util::StateError(util::StateErrorKind::kBadValue,
-                           "stream state was saved in union-window mode");
+  // may additionally have retired its classification fork.
+  if (classify_pending_ && classify_end_ == 0) {
+    util::bad_value("stream state was saved in union-window mode");
   }
-  delivered_ = r.u64();
-  if (r.u64() != streams_.size()) {
-    throw util::StateError(util::StateErrorKind::kBadValue,
-                           "stream state was saved with a different "
-                           "observer set");
-  }
-  for (Stream& s : streams_) {
-    s.state.next_round = r.i64();
-    s.state.cursor = r.u64();
-    s.state.rounds_since_positive = static_cast<int>(r.i64());
-    s.state.done = r.boolean();
-    s.carry.trunc_round = r.i64();
-    s.carry.trunc_fired = r.boolean();
-    s.carry.trunc_kept_first = r.boolean();
-    s.stats.input = r.u64();
-    s.stats.dropped = r.u64();
-    s.stats.corrupted = r.u64();
-    s.stats.retimed = r.u64();
-    s.repair.restore(r);
-    const std::uint64_t n = r.u64();
-    s.buf.clear();
-    std::uint32_t prev_rel = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      probe::Observation obs;
-      obs.rel_time = prev_rel + r.u32();
-      prev_rel = obs.rel_time;
-      obs.addr = r.u8();
-      obs.up = r.boolean();
-      s.buf.push_back(obs);
+  for (const Stream& s : streams_) {
+    if (config_->one_loss_repair &&
+        !s.repair.addresses_within(s.base, s.base + s.buf.size())) {
+      util::bad_value("repair state outside the buffered range");
     }
-    s.base = r.u64();
-    s.released = r.u64();
-    s.consumed = r.u64();
-    s.delivered = r.u64();
-    s.first_rel = r.u32();
-    s.last_rel = r.u32();
-    if (s.consumed < s.base || s.released < s.base ||
-        s.consumed > s.base + s.buf.size() ||
-        s.released > s.base + s.buf.size()) {
-      throw util::StateError(util::StateErrorKind::kBadValue,
-                             "stream cursors outside the buffered range");
-    }
-  }
-  recon_.restore(r);
-  if (saved_classify_pending) {
-    classify_recon_.restore(r);
-  } else {
-    classify_pending_ = false;
   }
 }
 

@@ -120,7 +120,8 @@ class BlockStream {
   /// and classify_end (and bind_series() if the original was bound),
   /// then restore().  Afterwards any advance/finalize schedule is
   /// bitwise-identical to continuing the saved stream.  Throws
-  /// util::StateError on a corrupt or mismatched image.
+  /// util::StateError on a corrupt or mismatched image, including any
+  /// restored cursor outside the buffer or probe order it addresses.
   void restore(util::StateReader& r);
 
   /// Heap bytes this stream holds beyond sizeof(*this): per-observer
@@ -138,6 +139,9 @@ class BlockStream {
   }
 
  private:
+  template <class Self, class IO>
+  static void fields(Self& self, IO& io);  // the layout, in wire order
+
   struct Stream {
     char code = '?';
     probe::ObserverSpec spec{};

@@ -56,6 +56,11 @@ const char* to_string(StateErrorKind kind) noexcept {
   return "unknown";
 }
 
+void bad_value(const char* what) {
+  throw StateError(StateErrorKind::kBadValue,
+                   std::string("state image: ") + what);
+}
+
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
   static const std::array<std::uint32_t, 256> table = make_crc_table();
   std::uint32_t c = 0xFFFFFFFFu;
@@ -223,11 +228,23 @@ void StateReader::fail(StateErrorKind kind, const char* what) const {
   throw StateError(kind, std::string("state image: ") + what);
 }
 
-void StateReader::need(std::size_t n) const {
+std::size_t StateReader::remaining() const noexcept {
   const std::size_t limit = section_open_ ? section_end_ : image_.size();
-  if (n > limit - pos_ || pos_ > limit) {
+  return pos_ < limit ? limit - pos_ : 0;
+}
+
+void StateReader::need(std::size_t n) const {
+  if (n > remaining()) {
     fail(StateErrorKind::kTruncated, "read past the end of the data");
   }
+}
+
+void StateReader::count(std::size_t& n) {
+  const std::uint64_t v = u64();
+  if (v > remaining()) {
+    fail(StateErrorKind::kTruncated, "count exceeds what the data holds");
+  }
+  n = static_cast<std::size_t>(v);
 }
 
 std::uint32_t StateReader::raw32() {
@@ -355,40 +372,28 @@ std::string StateReader::str() {
 }
 
 void StateReader::f64_span(std::vector<double>& out) {
-  const std::uint64_t n = u64();
-  const std::uint8_t mode = u8();
-  out.clear();
-  // Bound the reservation by what the payload could actually hold, so a
-  // corrupt count cannot trigger a huge allocation before the reads
-  // themselves fail.
-  const std::size_t limit = (section_open_ ? section_end_ : image_.size());
-  out.reserve(std::min<std::size_t>(static_cast<std::size_t>(n),
-                                    limit - pos_ + 1));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (mode == kF64Varint) {
-      out.push_back(static_cast<double>(var64()));
-    } else if (mode == kF64Raw) {
-      out.push_back(f64());
-    } else {
-      fail(StateErrorKind::kBadValue, "unknown f64 span packing mode");
-    }
-  }
+  std::size_t n = 0;
+  count(n);
+  out.resize(n);
+  f64_values(out);
 }
 
-void StateReader::f64_span_into(std::span<double> out) {
+std::size_t StateReader::f64_span_into(std::span<double> out) {
   const std::uint64_t n = u64();
-  if (n != out.size()) {
-    fail(StateErrorKind::kBadValue, "f64 span length mismatch");
+  if (n > out.size()) {
+    fail(StateErrorKind::kBadValue, "f64 span longer than its storage");
   }
+  f64_values(out.first(static_cast<std::size_t>(n)));
+  return static_cast<std::size_t>(n);
+}
+
+void StateReader::f64_values(std::span<double> out) {
   const std::uint8_t mode = u8();
-  for (auto& slot : out) {
-    if (mode == kF64Varint) {
-      slot = static_cast<double>(var64());
-    } else if (mode == kF64Raw) {
-      slot = f64();
-    } else {
-      fail(StateErrorKind::kBadValue, "unknown f64 span packing mode");
-    }
+  if (mode != kF64Varint && mode != kF64Raw) {
+    fail(StateErrorKind::kBadValue, "unknown f64 span packing mode");
+  }
+  for (double& x : out) {
+    x = mode == kF64Varint ? static_cast<double>(var64()) : f64();
   }
 }
 

@@ -21,14 +21,22 @@
 // of caller state that has already validated.  Callers that can
 // recompute (the shard scheduler, the CLI resume path) catch it and
 // fall back; callers that cannot (tests) let it propagate.
+//
+// Field lists (DESIGN.md section 11): each serialized type states its
+// layout once, in one function templated over the direction — w.u64(x)
+// writes x, r.u64(x) reads into x — and branches on IO::kReading only
+// where a wire encoding differs from its C++ field.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace diurnal::util {
@@ -75,14 +83,117 @@ constexpr std::uint32_t state_tag(const char (&s)[5]) noexcept {
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte span.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
+/// Throws StateError(kBadValue, what): the range checks a restore runs
+/// after its field list.
+[[noreturn]] void bad_value(const char* what);
+
+/// A field of type T as a field list over IO sees it: const when writing.
+template <class IO, class T>
+using Field = std::conditional_t<IO::kReading, T, const T>;
+
+/// The composite verbs of a field list, one body for both directions:
+/// the CRTP base of StateWriter and StateReader.
+template <class IO>
+class FieldVerbs {
+ public:
+  /// A checked field, encoded by its type (signed as i64, one byte as
+  /// u8, wider unsigned as u64): a reader fails with kBadValue (`what`)
+  /// unless it reads back `value`.
+  template <std::integral T>
+  void expect(T value, const char* what) {
+    T v = value;
+    if constexpr (std::is_signed_v<T>) {
+      io().i64(v);
+    } else if constexpr (sizeof(T) == 1) {
+      io().u8(v);
+    } else {
+      io().u64(v);
+    }
+    if (v != value) bad_value(what);
+  }
+
+  /// An index (u64) that a reader accepts only in [lo, end), failing
+  /// with kBadValue otherwise: the form of every restored index that
+  /// later code uses to address a restored buffer.
+  template <std::integral T>
+  void index(T& field, std::uint64_t lo, std::uint64_t end) {
+    io().u64(field);
+    if (IO::kReading && (field < lo || field >= end)) {
+      bad_value("index outside the buffer it addresses");
+    }
+  }
+
+  /// A length-prefixed sequence: count, then each(element) in order.
+  /// Reading replaces the contents with default-constructed elements.
+  template <class Seq, class Fn>
+  void seq(Seq& s, Fn&& each) {
+    std::size_t n = s.size();
+    io().count(n);
+    if constexpr (IO::kReading) {
+      s.clear();
+      s.resize(n);
+    }
+    for (auto& e : s) each(e);
+  }
+
+  /// A map: count, then each(key, value) per entry.  Reading fills a
+  /// default-constructed pair per entry and stores it under its key.
+  template <class Map, class Fn>
+  void entries(Map& m, Fn&& each) {
+    std::size_t n = m.size();
+    io().count(n);
+    if constexpr (IO::kReading) {
+      m.clear();
+      for (; n > 0; --n) {
+        typename Map::key_type k{};
+        typename Map::mapped_type v{};
+        each(k, v);
+        m.insert_or_assign(k, std::move(v));
+      }
+    } else {
+      for (const auto& [k, v] : m) each(k, v);
+    }
+  }
+
+  /// Booleans packed into one byte, the first in bit 0; a reader fails
+  /// with kBadValue on a set bit past the last.
+  template <class... Bits>
+  void flags(Bits&... bits) {
+    unsigned bit = 0;
+    std::uint8_t packed = 0;
+    ((packed |= static_cast<std::uint8_t>((bits ? 1u : 0u) << bit++)), ...);
+    io().u8(packed);
+    if constexpr (IO::kReading) {
+      if ((packed >> sizeof...(Bits)) != 0) bad_value("unknown flag bits");
+      bit = 0;
+      ((bits = ((packed >> bit++) & 1u) != 0), ...);
+    }
+  }
+
+  /// A member object with its own layout: obj.save() or obj.restore().
+  template <class T>
+  void nested(T& obj) {
+    if constexpr (IO::kReading) {
+      obj.restore(io());
+    } else {
+      obj.save(io());
+    }
+  }
+
+ private:
+  IO& io() { return static_cast<IO&>(*this); }
+};
+
 /// Serializes values into an in-memory image.  Integer packing: with
 /// varint enabled (the default) u32/u64 are LEB128 and i64 is
 /// zigzag-LEB128; disabled, they are fixed-width.  f64 is always the
 /// raw 8-byte bit pattern — checkpoints must round-trip bitwise, so
 /// floating-point values are never re-encoded — except through
 /// f64_span's integral fast path, which is exact by construction.
-class StateWriter {
+class StateWriter : public FieldVerbs<StateWriter> {
  public:
+  static constexpr bool kReading = false;
+
   explicit StateWriter(bool varint = true);
 
   /// Opens a framed section; every value lands in it.  Sections do not
@@ -105,6 +216,10 @@ class StateWriter {
   /// otherwise as raw doubles.  Both round-trip bitwise.
   void f64_span(std::span<const double> v);
 
+  /// An element count (u64).  The reader bounds it by what the rest of
+  /// the section can hold.
+  void count(std::size_t n) { u64(n); }
+
   /// The finished image.  No section may be open.
   const std::vector<std::uint8_t>& bytes() const;
   std::vector<std::uint8_t> take();
@@ -126,8 +241,10 @@ class StateWriter {
 /// the tag and payload CRC before any value is read; end_section()
 /// requires the payload to be fully consumed.  Every decode error is a
 /// StateError — a corrupt image can never produce silent garbage.
-class StateReader {
+class StateReader : public FieldVerbs<StateReader> {
  public:
+  static constexpr bool kReading = true;
+
   /// Borrows `image` for the reader's lifetime.
   explicit StateReader(std::span<const std::uint8_t> image);
 
@@ -152,13 +269,44 @@ class StateReader {
   bool boolean();
   std::string str();
   void f64_span(std::vector<double>& out);
-  /// Reads a span serialized by f64_span into caller storage; the
-  /// stored count must equal out.size().
-  void f64_span_into(std::span<double> out);
+  /// Reads a span serialized by f64_span into the front of caller
+  /// storage and returns its length; a span longer than `out` fails
+  /// with kBadValue.
+  std::size_t f64_span_into(std::span<double> out);
+
+  // By-reference forms: the field-list spelling.  A decoded integer
+  // that does not fit its field fails with kBadValue.
+  template <std::integral T>
+  void u8(T& field) { field = narrow<T>(u8()); }
+  template <std::integral T>
+  void u32(T& field) { field = narrow<T>(u32()); }
+  template <std::integral T>
+  void u64(T& field) { field = narrow<T>(u64()); }
+  template <std::integral T>
+  void i64(T& field) { field = narrow<T>(i64()); }
+  void f64(double& field) { field = f64(); }
+  void boolean(bool& field) { field = boolean(); }
+
+  /// Reads an element count, failing with kTruncated unless the rest of
+  /// the open section holds at least a byte per element — so a corrupt
+  /// count never sizes an allocation beyond the image.
+  void count(std::size_t& n);
+
+  /// Bytes left in the open section (the whole remaining image when
+  /// none is open).
+  std::size_t remaining() const noexcept;
 
  private:
+  template <class T, class V>
+  T narrow(V v) const {
+    if (!std::in_range<T>(v)) bad_value("value does not fit its field");
+    return static_cast<T>(v);
+  }
+
   [[noreturn]] void fail(StateErrorKind kind, const char* what) const;
   void need(std::size_t n) const;
+  /// The packing tag and values of an f64_span whose count was read.
+  void f64_values(std::span<double> out);
   std::uint32_t raw32();
   std::uint64_t raw64();
   std::uint64_t var64();

@@ -15,10 +15,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <ostream>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -67,6 +70,25 @@ std::filesystem::path temp_dir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// An image's length and CRC-32.  The pins below hold every serialized
+/// layout byte-for-byte: a change that moves one of them is a format
+/// change and must bump util::kStateFormatVersion.
+struct ImagePin {
+  std::size_t bytes = 0;
+  std::uint32_t crc = 0;
+  bool operator==(const ImagePin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ImagePin& p) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", p.crc);
+  return os << p.bytes << " bytes, crc32 " << crc;
+}
+
+ImagePin pin_of(std::span<const std::uint8_t> image) {
+  return {image.size(), util::crc32(image)};
 }
 
 // ---------------------------------------------------------------------------
@@ -416,6 +438,7 @@ TEST(CusumCheckpoint, MidStreamRestoreMatchesUninterrupted) {
   for (const double v : x) whole.push(v);
   const auto want = whole.finish();
 
+  std::vector<std::uint8_t> images;  // every saved image, concatenated
   for (const std::size_t cut : {std::size_t{1}, std::size_t{150},
                                 std::size_t{201}, std::size_t{399}}) {
     analysis::OnlineCusum first;
@@ -425,6 +448,7 @@ TEST(CusumCheckpoint, MidStreamRestoreMatchesUninterrupted) {
     w.begin_section(util::state_tag("CSUM"));
     first.save(w);
     w.end_section();
+    images.insert(images.end(), w.bytes().begin(), w.bytes().end());
 
     analysis::OnlineCusum second;  // restore needs no begin()
     StateReader r(w.bytes());
@@ -445,6 +469,7 @@ TEST(CusumCheckpoint, MidStreamRestoreMatchesUninterrupted) {
     EXPECT_EQ(got.g_pos, want.g_pos) << "cut " << cut;
     EXPECT_EQ(got.g_neg, want.g_neg) << "cut " << cut;
   }
+  EXPECT_EQ(pin_of(images), (ImagePin{19985, 0x9ea8c3a6}));
 }
 
 TEST(SeriesStoreCheckpoint, RoundTripsGeometryLengthsAndSamples) {
@@ -461,6 +486,7 @@ TEST(SeriesStoreCheckpoint, RoundTripsGeometryLengthsAndSamples) {
   w.begin_section(util::state_tag("STOR"));
   store.save(w);
   w.end_section();
+  EXPECT_EQ(pin_of(w.bytes()), (ImagePin{122, 0xd7cea8e5}));
 
   core::SeriesStore got;
   StateReader r(w.bytes());
@@ -498,6 +524,7 @@ TEST(AggregatorCheckpoint, RestoredAggregatorMergesLikeTheOriginal) {
   w.begin_section(util::state_tag("AGGR"));
   agg.save(w);
   w.end_section();
+  EXPECT_EQ(pin_of(w.bytes()), (ImagePin{219, 0xaf8a2b76}));
   core::ChangeAggregator got;  // default-constructed target
   StateReader r(w.bytes());
   r.begin_section(util::state_tag("AGGR"));
@@ -553,6 +580,7 @@ TEST(BlockStreamCheckpoint, MidWindowRestoreFinalizesIdentically) {
   oc.observers = ds.observers();
   oc.window = ds.window();
   const auto span = oc.window.end - oc.window.start;
+  std::vector<std::uint8_t> images;  // every saved image, concatenated
   for (const char* scenario : {"none", "dropout", "meltdown"}) {
     const auto plan = fault::scenario(scenario, oc.window);
     oc.faults = &plan;
@@ -575,6 +603,7 @@ TEST(BlockStreamCheckpoint, MidWindowRestoreFinalizesIdentically) {
         w.begin_section(util::state_tag("STRM"));
         first.save(w);
         w.end_section();
+        images.insert(images.end(), w.bytes().begin(), w.bytes().end());
 
         recon::BlockStream second;
         second.begin(block, oc, scratch);  // identical args, then restore
@@ -606,6 +635,7 @@ TEST(BlockStreamCheckpoint, MidWindowRestoreFinalizesIdentically) {
       }
     }
   }
+  EXPECT_EQ(pin_of(images), (ImagePin{156374, 0xf6887d05}));
 }
 
 // ---------------------------------------------------------------------------
@@ -631,11 +661,13 @@ core::FleetConfig golden_config(int threads) {
 
 /// Advances to `cut`, snapshots, restores into a fresh engine (possibly
 /// with a different thread count), finishes the window in daily epochs,
-/// and returns the finalized digest.
+/// and returns the finalized digest.  `image`, when given, receives the
+/// snapshot's pin.
 std::string cut_and_resume_digest(const sim::World& world,
                                   const core::FleetConfig& save_cfg,
                                   const core::FleetConfig& resume_cfg,
-                                  double cut_fraction) {
+                                  double cut_fraction,
+                                  ImagePin* image = nullptr) {
   core::StreamingFleet first(world, save_cfg);
   const auto span = first.window_end() - first.window_start();
   const util::SimTime cut =
@@ -647,6 +679,7 @@ std::string cut_and_resume_digest(const sim::World& world,
   first.advance_to(cut);
   StateWriter w;
   first.save(w);
+  if (image != nullptr) *image = pin_of(w.bytes());
 
   core::StreamingFleet second(world, resume_cfg);
   StateReader r(w.bytes());
@@ -665,16 +698,24 @@ TEST(FleetCheckpoint, GoldenDigestSurvivesEveryCutAndThreadHop) {
   // Cut points early (nothing screened), mid-window (watch + provisional
   // CUSUM state live), and late (trailing STL windows stretched), saved
   // and restored across thread counts both ways.
-  for (const double cut : {0.25, 0.55, 0.9}) {
+  // Each cut's image is pinned too: a cell's state depends only on its
+  // block, so the bytes are the same at every thread count.
+  const auto check = [](double cut, ImagePin want) {
+    ImagePin image;
     EXPECT_EQ(cut_and_resume_digest(golden_world(), golden_config(1),
-                                    golden_config(8), cut),
+                                    golden_config(8), cut, &image),
               kGoldenDigest)
         << "cut " << cut << " save@1 resume@8";
+    EXPECT_EQ(image, want) << "cut " << cut << " save@1";
     EXPECT_EQ(cut_and_resume_digest(golden_world(), golden_config(8),
-                                    golden_config(1), cut),
+                                    golden_config(1), cut, &image),
               kGoldenDigest)
         << "cut " << cut << " save@8 resume@1";
-  }
+    EXPECT_EQ(image, want) << "cut " << cut << " save@8";
+  };
+  check(0.25, {4629606, 0x79a57f2e});
+  check(0.55, {6230260, 0x8f5374d6});
+  check(0.9, {7857782, 0xb39a1a37});
 }
 
 TEST(FleetCheckpoint, SnapshotBeforeFirstAdvanceIsAValidCheckpoint) {
@@ -711,7 +752,8 @@ TEST(FleetCheckpoint, SplitWindowModesRestoreAroundTheClassifyBoundary) {
     c.seed = 3;
     return c;
   }());
-  for (const char* plan : {"none", "skew"}) {
+  // `before` and `after` pin the images at the two cuts.
+  const auto check = [](const char* plan, ImagePin before, ImagePin after) {
     core::FleetConfig fc;
     fc.dataset = core::dataset("2020m1-ejnw");
     fc.classify_dataset = core::dataset("2020w1-ejnw");  // 1-week prefix
@@ -720,10 +762,14 @@ TEST(FleetCheckpoint, SplitWindowModesRestoreAroundTheClassifyBoundary) {
     const auto want =
         core::digest_hex(core::fleet_digest(core::run_fleet(world, fc)));
     for (const double cut : {0.15, 0.6}) {  // boundary sits at 0.25
-      EXPECT_EQ(cut_and_resume_digest(world, fc, fc, cut), want)
+      ImagePin image;
+      EXPECT_EQ(cut_and_resume_digest(world, fc, fc, cut, &image), want)
           << plan << " cut " << cut;
+      EXPECT_EQ(image, cut < 0.25 ? before : after) << plan << " cut " << cut;
     }
-  }
+  };
+  check("none", {1069568, 0x5f767909}, {363859, 0xee47dbaa});
+  check("skew", {870774, 0xe49c7366}, {375942, 0xbd7be6cf});
 }
 
 TEST(FleetCheckpoint, ForeignSnapshotIsRejected) {
@@ -756,6 +802,96 @@ TEST(FleetCheckpoint, ForeignSnapshotIsRejected) {
               wrong_world.restore(r);
             }),
             StateErrorKind::kBadValue);
+}
+
+TEST(CraftedImage, CrcValidMutationsAreRejectedOrRunClean) {
+  // Random payload mutations with every section CRC recomputed, so only
+  // the decoders stand between the image and the engine: each restore
+  // must throw StateError or leave an engine that runs to finalize.
+  // The sanitizer and Debug legs make an out-of-range access fatal.
+  static const sim::World world([] {
+    sim::WorldConfig c;
+    c.num_blocks = 60;
+    c.seed = 5;
+    return c;
+  }());
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020w2-ejnw");
+  fc.threads = 1;
+  core::StreamingFleet first(world, fc);
+  first.advance_to(first.window_start() + 5 * util::kSecondsPerDay);
+  StateWriter w;
+  first.save(w);
+  const std::vector<std::uint8_t> clean = w.take();
+
+  struct Payload {
+    std::size_t at = 0;
+    std::size_t len = 0;
+  };
+  // The image: a 20-byte header, then per section tag (4), length (8),
+  // CRC (4) and payload.
+  std::vector<Payload> payloads;
+  for (std::size_t pos = 20; pos < clean.size();) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, clean.data() + pos + 4, 8);
+    payloads.push_back({pos + 16, static_cast<std::size_t>(len)});
+    pos += 16 + static_cast<std::size_t>(len);
+  }
+  std::mt19937_64 rng(7);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<std::uint8_t> image = clean;
+    for (int edit = 0; edit < 1 + static_cast<int>(rng() % 3); ++edit) {
+      const Payload& p = payloads[rng() % payloads.size()];
+      if (p.len == 0) continue;
+      image[p.at + rng() % p.len] = static_cast<std::uint8_t>(rng());
+    }
+    for (const Payload& p : payloads) {
+      const std::uint32_t crc = util::crc32({image.data() + p.at, p.len});
+      std::memcpy(image.data() + p.at - 4, &crc, 4);
+    }
+    core::StreamingFleet second(world, fc);
+    try {
+      StateReader r(image);
+      second.restore(r);
+    } catch (const StateError&) {
+      continue;
+    }
+    ++accepted;
+    second.advance_to(second.window_end());
+    (void)second.finalize();
+  }
+  EXPECT_GT(accepted, 0u);  // some mutations land on free values
+}
+
+TEST(FleetCheckpoint, FailedRestoreLeavesTheEngineAsConstructed) {
+  // Same block count, windows and mode, different world: the snapshot
+  // passes FLTM and fails inside CELL, once a restored stream meets a
+  // block of another size.  The tools then start fresh with the same
+  // engine, which must run as if restore had never been called.
+  const auto world_of = [](std::uint64_t seed) {
+    sim::WorldConfig c;
+    c.num_blocks = 300;
+    c.seed = seed;
+    return sim::World(c);
+  };
+  const sim::World a = world_of(11);
+  const sim::World b = world_of(12);
+  const auto fc = golden_config(2);
+  core::StreamingFleet first(a, fc);
+  first.advance_to(first.window_start() + 9 * util::kSecondsPerDay);
+  StateWriter w;
+  first.save(w);
+
+  core::StreamingFleet second(b, fc);
+  EXPECT_EQ(kind_of([&] {
+              StateReader r(w.bytes());
+              second.restore(r);
+            }),
+            StateErrorKind::kBadValue);
+  EXPECT_EQ(second.clock(), second.window_start());
+  EXPECT_EQ(core::digest_hex(core::fleet_digest(second.run_to_completion())),
+            core::digest_hex(core::fleet_digest(core::run_fleet(b, fc))));
 }
 
 // ---------------------------------------------------------------------------
@@ -974,6 +1110,44 @@ TEST(ShardCheckpoint, RetainedSeriesSurviveTheResumeBitwise) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ShardCheckpoint, ShardAndManifestFilesArePinned) {
+  // One uncapped run with and without retained series.  Each shard's
+  // bytes depend only on its blocks, so the pins hold at any thread
+  // count.
+  const auto wc = shard_world_config();
+  const auto fc = shard_fleet_config(2);
+  // crc32 of shard-0 ... shard-7, without and with retained series.
+  const char* const want[] = {
+      "87f2bcaf c0977e43 59228c3b 87c58fb4 c5319e28 2d1cf093 c851b8ac 78d76381",
+      "48b93ffb 27e54b8e fb0773f3 fdf6f3ad 8cd2940e 4c8812cb 4e8c18d1 199b2513",
+  };
+  for (const bool retain_series : {false, true}) {
+    const auto dir = temp_dir("pinned");
+    core::ShardConfig sc;
+    sc.shard_size = 64;
+    sc.retain_series = retain_series;
+    sc.checkpoint_dir = dir.string();
+    const auto got = core::run_sharded_fleet(wc, fc, sc);
+    EXPECT_EQ(core::digest_hex(core::fleet_digest(got.fleet)),
+              "a938277e9fdf51bf");
+    std::string crcs;
+    for (std::size_t k = 0; k < got.stats.shards; ++k) {
+      const auto image = util::read_state_file(
+          (dir / ("shard-" + std::to_string(k) + ".ckpt")).string());
+      char crc[16];
+      std::snprintf(crc, sizeof(crc), k == 0 ? "%08x" : " %08x",
+                    util::crc32(image));
+      crcs += crc;
+    }
+    EXPECT_EQ(crcs, want[retain_series ? 1 : 0]);
+    EXPECT_EQ(pin_of(util::read_state_file((dir / "manifest.ckpt").string())),
+              (ImagePin{73, 0xf7806d21}));
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 64), 0x252ce201a6a07089ULL);
+  EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 0), 0xfe8ca450af9e5048ULL);
+}
+
 TEST(ShardCheckpoint, FingerprintSeparatesConfigsButNotExecutionShape) {
   const auto wc = shard_world_config();
   const auto fc = shard_fleet_config(2);
@@ -1047,6 +1221,208 @@ TEST(ShardCheckpoint, FingerprintCoversCalendarAndLayerContent) {
   auto phase = fc;
   phase.detector.phase_shift_filter = true;
   EXPECT_NE(core::checkpoint_fingerprint(wc, phase, 64), base);
+}
+
+// ---------------------------------------------------------------------------
+// Crafted images: every framing check passes (valid CRCs), but a count,
+// geometry or index would address memory out of range.  Each must end
+// in a StateError inside restore, never in a later crash.
+// ---------------------------------------------------------------------------
+
+/// A CUSUM image with the given series lengths and scan index, every
+/// other field at its begin() value.
+std::vector<std::uint8_t> cusum_image(std::size_t x_len, std::size_t g_len,
+                                      std::uint64_t next_index) {
+  StateWriter w;
+  w.begin_section(util::state_tag("CSUM"));
+  w.f64(1.0);                                   // threshold
+  w.f64(0.001);                                 // drift
+  w.f64_span(std::vector<double>(x_len, 0.5));  // x
+  w.f64_span(std::vector<double>(g_len, 0.0));  // g_pos
+  w.f64_span(std::vector<double>(g_len, 0.0));  // g_neg
+  w.u64(0);                                     // confirmed changes
+  w.u64(next_index);                            // i
+  // gp, gn, tap, tan, excursion, up, g, peak, start, alarm, end, j
+  w.f64(0.0);
+  w.f64(0.0);
+  w.u64(0);
+  w.u64(0);
+  w.boolean(false);
+  w.boolean(false);
+  w.f64(0.0);
+  w.f64(0.0);
+  for (int i = 0; i < 4; ++i) w.u64(0);
+  w.end_section();
+  return w.take();
+}
+
+void restore_cusum(const std::vector<std::uint8_t>& image) {
+  analysis::OnlineCusum c;
+  StateReader r(image);
+  r.begin_section(util::state_tag("CSUM"));
+  c.restore(r);
+  r.end_section();
+}
+
+TEST(CraftedImage, CusumSeriesLengthsMustAgree) {
+  EXPECT_NO_THROW(restore_cusum(cusum_image(4, 4, 1)));
+  // push() would write g_pos_[i_] past a one-sample trajectory.
+  EXPECT_EQ(kind_of([] { restore_cusum(cusum_image(4, 1, 1)); }),
+            StateErrorKind::kBadValue);
+}
+
+TEST(CraftedImage, CusumScanIndexStartsAtOne) {
+  // push() would read x_[i_ - 1] before the series.
+  EXPECT_EQ(kind_of([] { restore_cusum(cusum_image(4, 4, 0)); }),
+            StateErrorKind::kBadValue);
+}
+
+/// Re-frames a one-section image around `payload` with a matching
+/// length and CRC.
+std::vector<std::uint8_t> reframe(const std::vector<std::uint8_t>& image,
+                                  const std::vector<std::uint8_t>& payload) {
+  constexpr std::size_t kHeader = 20;  // magic, sentinel, version, flags
+  std::vector<std::uint8_t> out(image.begin(), image.begin() + kHeader + 4);
+  const std::uint64_t len = payload.size();
+  const std::uint32_t crc = util::crc32(payload);
+  const auto* l = reinterpret_cast<const std::uint8_t*>(&len);
+  const auto* c = reinterpret_cast<const std::uint8_t*>(&crc);
+  out.insert(out.end(), l, l + 8);
+  out.insert(out.end(), c, c + 4);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+std::size_t skip_varint(const std::vector<std::uint8_t>& b, std::size_t pos) {
+  while (b[pos] & 0x80u) ++pos;
+  return pos + 1;
+}
+
+TEST(CraftedImage, BlockStreamProberCursorStaysInsideTheProbeOrder) {
+  const sim::BlockProfile* block = nullptr;
+  for (const auto& b : recon_world().blocks()) {
+    if (b.eb_count > 0 && b.eb_count < 64) {
+      block = &b;
+      break;
+    }
+  }
+  ASSERT_NE(block, nullptr);
+  const auto ds = core::dataset("2020w2-ejnw");
+  recon::BlockObservationConfig oc;
+  oc.observers = ds.observers();
+  oc.window = ds.window();
+  probe::ProbeScratch scratch;
+  recon::BlockStream first;
+  first.begin(*block, oc, scratch);
+  first.advance_to(oc.window.start + (oc.window.end - oc.window.start) / 2);
+  StateWriter w;
+  w.begin_section(util::state_tag("STRM"));
+  first.save(w);
+  w.end_section();
+  const std::vector<std::uint8_t> image = w.take();
+
+  // Payload: classify flag, delivered, observer count, then observer
+  // 0's next round and its prober cursor.  Point the cursor at 200,
+  // past the 2 * eb_count doubled probe order.
+  std::vector<std::uint8_t> payload(image.begin() + 36, image.end());
+  std::size_t pos = 1;
+  for (int field = 0; field < 3; ++field) pos = skip_varint(payload, pos);
+  const std::size_t end = skip_varint(payload, pos);
+  payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(pos),
+                payload.begin() + static_cast<std::ptrdiff_t>(end));
+  const std::uint8_t cursor_200[] = {0xC8, 0x01};
+  payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(pos),
+                 std::begin(cursor_200), std::end(cursor_200));
+
+  const auto restore = [&](const std::vector<std::uint8_t>& img) {
+    recon::BlockStream second;
+    second.begin(*block, oc, scratch);
+    StateReader r(img);
+    r.begin_section(util::state_tag("STRM"));
+    second.restore(r);
+    r.end_section();
+  };
+  EXPECT_NO_THROW(restore(image));
+  EXPECT_EQ(kind_of([&] { restore(reframe(image, payload)); }),
+            StateErrorKind::kBadValue);
+}
+
+StateErrorKind restore_store(std::uint64_t rows, std::uint64_t stride) {
+  StateWriter w;
+  w.begin_section(util::state_tag("STOR"));
+  w.u64(rows);
+  w.u64(stride);
+  w.i64(0);                                   // start
+  w.i64(3600);                                // step
+  w.f64_span(std::vector<double>{1.0, 2.0});  // row 0
+  w.end_section();
+  return kind_of([&] {
+    core::SeriesStore store;
+    StateReader r(w.bytes());
+    r.begin_section(util::state_tag("STOR"));
+    store.restore(r);
+  });
+}
+
+TEST(CraftedImage, SeriesStoreGeometryProductMustNotOverflow) {
+  // 2^20 rows of stride 2^44 wrap to a zero-sized buffer.
+  EXPECT_EQ(restore_store(1ULL << 20, 1ULL << 44), StateErrorKind::kBadValue);
+}
+
+TEST(CraftedImage, SeriesStoreStrideMustFitTheSection) {
+  // One row of 2^40 samples: an 8 TiB buffer behind a 40-byte section.
+  EXPECT_EQ(restore_store(1, 1ULL << 40), StateErrorKind::kBadValue);
+}
+
+TEST(CraftedImage, AggregatorDayCountMustFitTheSection) {
+  StateWriter w;
+  w.begin_section(util::state_tag("AGGR"));
+  w.i64(0);           // start
+  w.u64(1ULL << 40);  // days
+  w.i64(0);           // first continent: change-sensitive blocks
+  w.u64(1ULL << 40);  // and its day-series length
+  w.end_section();
+  EXPECT_EQ(kind_of([&] {
+              core::ChangeAggregator agg;
+              StateReader r(w.bytes());
+              r.begin_section(util::state_tag("AGGR"));
+              agg.restore(r);
+            }),
+            StateErrorKind::kTruncated);
+}
+
+TEST(CraftedImage, OutcomeChangeCountMustFitTheSection) {
+  StateWriter w;
+  w.begin_section(util::state_tag("OUTC"));
+  w.u32(7);  // block id
+  core::save_state(w, core::BlockClassification{});
+  w.u64(1ULL << 61);  // changes
+  w.end_section();
+  EXPECT_EQ(kind_of([&] {
+              core::BlockOutcome o;
+              StateReader r(w.bytes());
+              r.begin_section(util::state_tag("OUTC"));
+              core::restore_state(r, o);
+            }),
+            StateErrorKind::kTruncated);
+}
+
+TEST(CraftedImage, ManifestIdCountMustFitTheSection) {
+  const auto dir = temp_dir("crafted_manifest");
+  StateWriter w;
+  w.begin_section(util::state_tag("CMET"));
+  w.u64(0x5eedULL);  // fingerprint
+  w.u64(8);          // total blocks
+  w.u64(2);          // shard size
+  w.end_section();
+  w.begin_section(util::state_tag("CDON"));
+  w.u64(1ULL << 61);  // completed ids
+  w.end_section();
+  util::write_state_file((dir / "manifest.ckpt").string(), w.bytes());
+  core::CheckpointManager mgr(dir.string(), 0x5eedULL, 8, 2);
+  EXPECT_EQ(kind_of([&] { (void)mgr.load_manifest(); }),
+            StateErrorKind::kTruncated);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -370,23 +370,78 @@ TEST(SnapshotServerStress, ReadersNeverTearAtEightEngineThreads) {
 // The golden drain digest (the cross-suite contract)
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotServerGolden, ServeDrainGoldenDigest) {
+const sim::World& golden_world() {
   static const sim::World world([] {
     sim::WorldConfig c;
     c.num_blocks = 2000;
     c.seed = 1;
     return c;
   }());
+  return world;
+}
+
+TEST(SnapshotServerGolden, ServeDrainGoldenDigest) {
+  // The drained query surface is pinned too, at two engine thread
+  // counts.
+  for (const int threads : {1, 4}) {
+    core::FleetConfig fc;
+    fc.dataset = core::dataset("2020m1-ejnw");
+    fc.threads = threads;
+    core::ServeConfig sc;
+    sc.keep_image = false;  // golden gate needs no checkpoint currency
+    core::SnapshotServer server(golden_world(), fc, sc);
+    server.start();
+    server.feed_all();
+    EXPECT_EQ(core::digest_hex(core::fleet_digest(server.drain())),
+              kGoldenDigest)
+        << "threads " << threads;
+    EXPECT_EQ(core::digest_hex(server.snapshot()->answers_digest()),
+              "4aae38cce9711df7")
+        << "threads " << threads;
+  }
+}
+
+/// Feeds ten daily epochs, then stops the server; returns the tenth
+/// snapshot.
+std::shared_ptr<const core::EpochSnapshot> ten_days_then_stop(
+    core::SnapshotServer& server) {
+  server.start();
+  for (int day = 1; day <= 10; ++day) {
+    EXPECT_TRUE(server.feed(server.window_start() +
+                            day * util::kSecondsPerDay));
+  }
+  const auto snap = server.wait_for_epoch(10);
+  server.stop();
+  return snap;
+}
+
+TEST(SnapshotServerGolden, TenthDailySnapshotIsPinned) {
   core::FleetConfig fc;
   fc.dataset = core::dataset("2020m1-ejnw");
   fc.threads = 4;
-  core::ServeConfig sc;
-  sc.keep_image = false;  // golden gate needs no checkpoint currency
-  core::SnapshotServer server(world, fc, sc);
-  server.start();
-  server.feed_all();
-  EXPECT_EQ(core::digest_hex(core::fleet_digest(server.drain())),
-            kGoldenDigest);
+  core::SnapshotServer server(golden_world(), fc);
+  const auto snap = ten_days_then_stop(server);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->epoch_index(), 9u);
+  EXPECT_EQ(core::digest_hex(snap->answers_digest()), "ae04aa5d2be4bed3");
+  EXPECT_EQ(snap->image().size(), 7674929u);
+  EXPECT_EQ(util::crc32(snap->image()), 0xda4508e6u);
+}
+
+TEST(SnapshotServerGolden, StoppedServerSavesTheLastSnapshotImage) {
+  // save() on the stopped engine is the serve tool's checkpoint: the
+  // very bytes the last published snapshot carries.
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020m1-ejnw");
+  fc.threads = 2;
+  core::SnapshotServer server(golden_world(), fc);
+  const auto snap = ten_days_then_stop(server);
+  ASSERT_NE(snap, nullptr);
+  util::StateWriter w;
+  server.save(w);
+  EXPECT_TRUE(std::equal(w.bytes().begin(), w.bytes().end(),
+                         snap->image().begin(), snap->image().end()));
+  EXPECT_EQ(util::crc32(w.bytes()), 0xda4508e6u);
 }
 
 }  // namespace

@@ -278,13 +278,7 @@ int cmd_run(const Args& a) {
       try {
         const auto image = util::read_state_file(ckpt_path);
         util::StateReader r(image);
-        r.begin_section(util::state_tag("CLIM"));
-        if (r.u64() != fp) {
-          throw util::StateError(
-              util::StateErrorKind::kBadValue,
-              "stream checkpoint was written under a different configuration");
-        }
-        r.end_section();
+        core::run_fingerprint(r, fp);
         engine.restore(r);
         std::printf("resumed stream checkpoint at %s\n",
                     util::to_string(util::date_of(engine.clock())).c_str());
@@ -312,9 +306,7 @@ int cmd_run(const Args& a) {
       if (bounded == engine.window_end()) break;
       if (!ckpt_path.empty()) {
         util::StateWriter w;
-        w.begin_section(util::state_tag("CLIM"));
-        w.u64(fp);
-        w.end_section();
+        core::run_fingerprint(w, fp);
         engine.save(w);
         util::write_state_file(ckpt_path, w.bytes());
       }

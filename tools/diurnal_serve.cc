@@ -16,10 +16,10 @@
 // reader latency distribution are reported.
 //
 // Shutdown semantics: SIGINT (or --stop-after K epochs) stops the
-// writer in place; with --checkpoint-dir the latest snapshot's engine
-// image is persisted (plus a fingerprint sidecar) and a later --resume
-// continues the run from that epoch, finalizing to the same digest as
-// an uninterrupted run.
+// writer in place; with --checkpoint-dir the stopped engine is saved to
+// one file, serve.ckpt (the run's fingerprint, then the engine image),
+// and a later --resume continues the run from that epoch, finalizing to
+// the same digest as an uninterrupted run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -127,25 +127,6 @@ Args parse(int argc, char** argv) {
 }
 
 std::string image_path(const std::string& dir) { return dir + "/serve.ckpt"; }
-std::string fprint_path(const std::string& dir) { return dir + "/serve.fp"; }
-
-/// Persists the fingerprint sidecar guarding a serve checkpoint.
-void write_fingerprint(const std::string& dir, std::uint64_t fp) {
-  util::StateWriter w;
-  w.begin_section(util::state_tag("SRVF"));
-  w.u64(fp);
-  w.end_section();
-  util::write_state_file(fprint_path(dir), w.bytes());
-}
-
-std::uint64_t read_fingerprint(const std::string& dir) {
-  const auto image = util::read_state_file(fprint_path(dir));
-  util::StateReader r(image);
-  r.begin_section(util::state_tag("SRVF"));
-  const std::uint64_t fp = r.u64();
-  r.end_section();
-  return fp;
-}
 
 double quantile_us(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -174,20 +155,16 @@ int main(int argc, char** argv) {
   core::ServeConfig sc;
   sc.epoch_duration = a.epoch;
   sc.feed_capacity = a.feed_capacity;
-  sc.keep_image = a.keep_image || a.checkpoint_dir.has_value();
+  sc.keep_image = a.keep_image;
 
   const std::uint64_t fp = core::checkpoint_fingerprint(wc, fc, 0);
   core::SnapshotServer server(world, fc, sc);
 
   if (a.resume && a.checkpoint_dir) {
     try {
-      if (read_fingerprint(*a.checkpoint_dir) != fp) {
-        throw util::StateError(
-            util::StateErrorKind::kBadValue,
-            "serve checkpoint was written under a different configuration");
-      }
       const auto image = util::read_state_file(image_path(*a.checkpoint_dir));
       util::StateReader r(image);
+      core::run_fingerprint(r, fp);
       server.restore(r);
       std::printf("resumed serve checkpoint (%s)\n",
                   image_path(*a.checkpoint_dir).c_str());
@@ -295,18 +272,17 @@ int main(int argc, char** argv) {
 
   if ((interrupted || (a.stop_after > 0 && published >= a.stop_after)) &&
       a.checkpoint_dir) {
-    // Stop in place and persist the snapshot currency.
+    // Stop in place and save the stopped engine.
     server.stop();
-    const auto snap = server.snapshot();
-    if (snap != nullptr && !snap->image().empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(*a.checkpoint_dir, ec);
-      util::write_state_file(image_path(*a.checkpoint_dir), snap->image());
-      write_fingerprint(*a.checkpoint_dir, fp);
-      std::printf("checkpointed epoch %zu to %s (resume with --resume)\n",
-                  snap->epoch_index(),
-                  image_path(*a.checkpoint_dir).c_str());
-    }
+    util::StateWriter w;
+    core::run_fingerprint(w, fp);
+    server.save(w);
+    std::error_code ec;
+    std::filesystem::create_directories(*a.checkpoint_dir, ec);
+    util::write_state_file(image_path(*a.checkpoint_dir), w.bytes());
+    std::printf("checkpointed %s to %s (resume with --resume)\n",
+                util::to_string(util::date_of(server.clock())).c_str(),
+                image_path(*a.checkpoint_dir).c_str());
     done.store(true);
     for (auto& r : readers) r.join();
     return 0;
@@ -317,10 +293,7 @@ int main(int argc, char** argv) {
   for (auto& r : readers) r.join();
 
   // A completed run must not be resumed from a stale image.
-  if (a.checkpoint_dir) {
-    std::remove(image_path(*a.checkpoint_dir).c_str());
-    std::remove(fprint_path(*a.checkpoint_dir).c_str());
-  }
+  if (a.checkpoint_dir) std::remove(image_path(*a.checkpoint_dir).c_str());
 
   const core::ServeStats stats = server.stats();
   std::vector<double> all;

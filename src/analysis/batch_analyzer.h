@@ -71,4 +71,35 @@ class BatchAnalyzer {
   std::size_t samples_ = 0;
 };
 
+/// Groups the jobs for which keep(job) holds into batches of one shape
+/// (equal series length and step: the analyzer's per-batch contract)
+/// and calls run(lanes, job_of_lane) once per batch, where lanes[j] is
+/// the series of jobs[job_of_lane[j]].  Batches come in order of their
+/// first job, lanes in job order; ragged shapes simply run as narrower
+/// batches.  A job exposes `counts` (its series) and `step`; at most
+/// kMaxLanes jobs.  Allocates nothing.
+template <class Job, class Keep, class Run>
+void for_each_shape_batch(std::span<Job> jobs, Keep&& keep, Run&& run) {
+  constexpr std::size_t kMax = BatchAnalyzer::kMaxLanes;
+  std::array<bool, kMax> done{};
+  std::array<std::span<const double>, kMax> lanes;
+  std::array<std::size_t, kMax> job_of_lane;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (done[i] || !keep(jobs[i])) continue;
+    std::size_t width = 0;
+    for (std::size_t k = i; k < jobs.size(); ++k) {
+      if (done[k] || !keep(jobs[k])) continue;
+      if (jobs[k].counts.size() == jobs[i].counts.size() &&
+          jobs[k].step == jobs[i].step) {
+        lanes[width] = jobs[k].counts;
+        job_of_lane[width] = k;
+        done[k] = true;
+        ++width;
+      }
+    }
+    run(std::span<const std::span<const double>>(lanes.data(), width),
+        std::span<const std::size_t>(job_of_lane.data(), width));
+  }
+}
+
 }  // namespace diurnal::analysis

@@ -6,23 +6,43 @@
 
 namespace diurnal::core {
 
+namespace {
+
+// A block's place in the funnel before any analysis: a non-responsive
+// block stops here.  The evidence floor annotates, never decides.
+BlockClassification funnel_entry(bool responsive, double evidence_fraction,
+                                 const ClassifierOptions& opt) {
+  BlockClassification c;
+  c.responsive = responsive;
+  c.evidence_fraction = evidence_fraction;
+  c.low_confidence = evidence_fraction < opt.min_evidence_fraction;
+  return c;
+}
+
+double samples_per_day(std::int64_t step) {
+  return static_cast<double>(util::kSecondsPerDay) / static_cast<double>(step);
+}
+
+// Table 2's verdict from the two tests' details: change-sensitive =
+// diurnal and wide swing.
+void set_verdict(BlockClassification& c) {
+  c.diurnal = c.diurnal_detail.diurnal;
+  c.wide_swing = c.swing_detail.wide;
+  c.change_sensitive = c.diurnal && c.wide_swing;
+}
+
+}  // namespace
+
 BlockClassification classify_block(std::span<const double> counts,
                                    util::SimTime start, std::int64_t step,
                                    bool responsive, double evidence_fraction,
                                    const ClassifierOptions& opt,
                                    analysis::BlockAnalyzer& az) {
-  BlockClassification c;
-  c.responsive = responsive;
-  c.evidence_fraction = evidence_fraction;
-  c.low_confidence = evidence_fraction < opt.min_evidence_fraction;
+  BlockClassification c = funnel_entry(responsive, evidence_fraction, opt);
   if (!c.responsive) return c;
-  const double samples_per_day = static_cast<double>(util::kSecondsPerDay) /
-                                 static_cast<double>(step);
-  c.diurnal_detail = az.diurnal(counts, samples_per_day, opt.diurnal);
-  c.diurnal = c.diurnal_detail.diurnal;
+  c.diurnal_detail = az.diurnal(counts, samples_per_day(step), opt.diurnal);
   c.swing_detail = az.swing(counts, start, step, opt.swing);
-  c.wide_swing = c.swing_detail.wide;
-  c.change_sensitive = c.diurnal && c.wide_swing;
+  set_verdict(c);
   return c;
 }
 
@@ -30,49 +50,30 @@ void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
                            const ClassifierOptions& opt,
                            analysis::BatchAnalyzer& baz,
                            analysis::BlockAnalyzer& az) {
-  // The funnel's cheap fields and the non-responsive early out are
-  // per-job; only responsive jobs reach the analysis chain.
-  for (auto& job : jobs) {
-    BlockClassification& c = *job.out;
-    c = BlockClassification{};
-    c.responsive = job.responsive;
-    c.evidence_fraction = job.evidence_fraction;
-    c.low_confidence = job.evidence_fraction < opt.min_evidence_fraction;
-  }
-
-  // Batched diurnality for equal-shape responsive jobs.
   constexpr std::size_t kMax = analysis::BatchAnalyzer::kMaxLanes;
   if (jobs.size() > kMax) {
     throw std::invalid_argument("classify_blocks_batch: too many jobs");
   }
-  std::array<bool, kMax> done{};
-  std::array<std::span<const double>, kMax> lanes;
-  std::array<std::size_t, kMax> job_of_lane;
-  std::array<analysis::DiurnalResult, kMax> results;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (done[i] || !jobs[i].responsive) continue;
-    std::size_t width = 0;
-    for (std::size_t k = i; k < jobs.size(); ++k) {
-      if (done[k] || !jobs[k].responsive) continue;
-      if (jobs[k].counts.size() == jobs[i].counts.size() &&
-          jobs[k].step == jobs[i].step) {
-        lanes[width] = jobs[k].counts;
-        job_of_lane[width] = k;
-        done[k] = true;
-        ++width;
-      }
-    }
-    const double samples_per_day = static_cast<double>(util::kSecondsPerDay) /
-                                   static_cast<double>(jobs[i].step);
-    baz.diurnal(std::span<const std::span<const double>>(lanes.data(), width),
-                samples_per_day, opt.diurnal,
-                std::span<analysis::DiurnalResult>(results.data(), width));
-    for (std::size_t j = 0; j < width; ++j) {
-      BlockClassification& c = *jobs[job_of_lane[j]].out;
-      c.diurnal_detail = results[j];
-      c.diurnal = c.diurnal_detail.diurnal;
-    }
+  // The funnel entry is per-job; only responsive jobs reach the
+  // analysis chain.
+  for (auto& job : jobs) {
+    *job.out = funnel_entry(job.responsive, job.evidence_fraction, opt);
   }
+
+  // Batched diurnality for equal-shape responsive jobs.
+  std::array<analysis::DiurnalResult, kMax> results;
+  analysis::for_each_shape_batch(
+      jobs, [](const BatchClassifyJob& job) { return job.responsive; },
+      [&](std::span<const std::span<const double>> lanes,
+          std::span<const std::size_t> job_of_lane) {
+        baz.diurnal(lanes, samples_per_day(jobs[job_of_lane[0]].step),
+                    opt.diurnal,
+                    std::span<analysis::DiurnalResult>(results.data(),
+                                                       lanes.size()));
+        for (std::size_t j = 0; j < lanes.size(); ++j) {
+          jobs[job_of_lane[j]].out->diurnal_detail = results[j];
+        }
+      });
 
   // Swing gate: scalar per job (its day-bucketed quantile scan is
   // already cheap and heavily branch-dependent).
@@ -80,8 +81,7 @@ void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
     if (!job.responsive) continue;
     BlockClassification& c = *job.out;
     c.swing_detail = az.swing(job.counts, job.start, job.step, opt.swing);
-    c.wide_swing = c.swing_detail.wide;
-    c.change_sensitive = c.diurnal && c.wide_swing;
+    set_verdict(c);
   }
 }
 

@@ -156,10 +156,10 @@ void detect_raw_outages(std::span<const double> counts, util::SimTime start,
 // (conservative: never discard for lack of evidence).
 void filter_uncorroborated_changes(std::span<const double> counts,
                                    util::SimTime start, std::int64_t step,
-                                   const DetectorOptions& opt,
+                                   int period, const DetectorOptions& opt,
                                    std::vector<DetectedChange>& changes) {
   const auto n = static_cast<std::int64_t>(counts.size());
-  const std::int64_t window = opt.period_seconds / step;
+  const std::int64_t window = period;
   for (auto& c : changes) {
     if (c.filtered_as_outage || c.filtered_small) continue;
     const std::int64_t lo = (c.start - start) / step;
@@ -200,9 +200,11 @@ void filter_uncorroborated_changes(std::span<const double> counts,
 // points into annotated DetectedChanges and running the outage
 // filters.  Shared verbatim by the scalar path (run_detection) and the
 // batched per-lane path (BatchDetector::flush), so the two stay
-// bit-identical by construction.
+// bit-identical by construction.  `period` is the series' detection
+// period.
 void extract_changes(std::span<const double> counts, util::SimTime start,
-                     std::int64_t step, const DetectorOptions& opt,
+                     std::int64_t step, int period,
+                     const DetectorOptions& opt,
                      std::span<const analysis::ChangePoint> cps,
                      std::span<const double> trend, analysis::Workspace& ws,
                      std::vector<DetectedChange>& changes) {
@@ -253,11 +255,19 @@ void extract_changes(std::span<const double> counts, util::SimTime start,
   }
 
   if (opt.phase_shift_filter) {
-    filter_uncorroborated_changes(counts, start, step, opt, changes);
+    filter_uncorroborated_changes(counts, start, step, period, opt, changes);
   }
 }
 
 }  // namespace
+
+int detection_period(std::size_t samples, std::int64_t step,
+                     const DetectorOptions& opt) {
+  if (step <= 0) return 0;
+  const int period = static_cast<int>(opt.period_seconds / step);
+  if (period < 2 || samples < static_cast<std::size_t>(2 * period)) return 0;
+  return period;
+}
 
 analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
                                           int period) {
@@ -283,12 +293,8 @@ void run_detection(std::span<const double> counts, util::SimTime start,
                    std::vector<DetectedChange>& changes,
                    DetectionResult* rich) {
   changes.clear();
-  if (counts.empty() || step <= 0) return;
-
-  const int period = static_cast<int>(opt.period_seconds / step);
-  if (period < 2 || counts.size() < static_cast<std::size_t>(2 * period)) {
-    return;
-  }
+  const int period = detection_period(counts.size(), step, opt);
+  if (period == 0) return;
 
   analysis::BlockAnalyzer::Decomposition dec;
   if (opt.trend_model == TrendModel::kNaive) {
@@ -299,7 +305,7 @@ void run_detection(std::span<const double> counts, util::SimTime start,
 
   const auto z = az.zscore(dec.trend);
   const auto cus = az.cusum(z, opt.cusum);
-  extract_changes(counts, start, step, opt, cus.changes, dec.trend,
+  extract_changes(counts, start, step, period, opt, cus.changes, dec.trend,
                   az.workspace(), changes);
 
   if (rich != nullptr) {
@@ -348,13 +354,9 @@ void BatchDetector::enqueue(std::span<const double> counts,
                             util::SimTime start, std::int64_t step,
                             std::vector<DetectedChange>* out) {
   out->clear();
-  // The scalar path's early outs: such blocks produce no changes and
-  // never reach the analysis chain, so they are not queued.
-  if (counts.empty() || step <= 0) return;
-  const int period = static_cast<int>(opt_.period_seconds / step);
-  if (period < 2 || counts.size() < static_cast<std::size_t>(2 * period)) {
-    return;
-  }
+  // Blocks the detector rejects produce no changes and never reach the
+  // analysis chain, so they are not queued.
+  if (detection_period(counts.size(), step, opt_) == 0) return;
   jobs_[pending_++] = Job{counts, start, step, out};
   if (pending_ == max_lanes_) flush();
 }
@@ -369,36 +371,22 @@ void BatchDetector::flush() {
     pending_ = 0;
     return;
   }
-  std::array<bool, analysis::BatchAnalyzer::kMaxLanes> done{};
-  std::array<std::span<const double>, analysis::BatchAnalyzer::kMaxLanes>
-      lanes;
-  std::array<std::size_t, analysis::BatchAnalyzer::kMaxLanes> job_of_lane;
-  for (std::size_t i = 0; i < pending_; ++i) {
-    if (done[i]) continue;
-    // One SoA batch per (length, step) shape; ragged tails simply run
-    // as narrower batches.
-    std::size_t width = 0;
-    for (std::size_t k = i; k < pending_; ++k) {
-      if (done[k]) continue;
-      if (jobs_[k].counts.size() == jobs_[i].counts.size() &&
-          jobs_[k].step == jobs_[i].step) {
-        lanes[width] = jobs_[k].counts;
-        job_of_lane[width] = k;
-        done[k] = true;
-        ++width;
-      }
-    }
-    const int period =
-        static_cast<int>(opt_.period_seconds / jobs_[i].step);
-    az_.run_detection_chain(
-        std::span<const std::span<const double>>(lanes.data(), width),
-        detector_stl_options(opt_, period), opt_.cusum);
-    for (std::size_t j = 0; j < width; ++j) {
-      Job& job = jobs_[job_of_lane[j]];
-      extract_changes(job.counts, job.start, job.step, opt_, az_.changes(j),
-                      az_.trend(j), az_.workspace(), *job.out);
-    }
-  }
+  analysis::for_each_shape_batch(
+      std::span<Job>(jobs_.data(), pending_), [](const Job&) { return true; },
+      [&](std::span<const std::span<const double>> lanes,
+          std::span<const std::size_t> job_of_lane) {
+        const Job& lead = jobs_[job_of_lane[0]];
+        const int period =
+            detection_period(lead.counts.size(), lead.step, opt_);
+        az_.run_detection_chain(lanes, detector_stl_options(opt_, period),
+                                opt_.cusum);
+        for (std::size_t j = 0; j < lanes.size(); ++j) {
+          Job& job = jobs_[job_of_lane[j]];
+          extract_changes(job.counts, job.start, job.step, period, opt_,
+                          az_.changes(j), az_.trend(j), az_.workspace(),
+                          *job.out);
+        }
+      });
   pending_ = 0;
 }
 

@@ -104,6 +104,14 @@ struct DetectionResult {
   std::vector<DetectedChange> activity_changes() const;
 };
 
+/// Samples per seasonal period (opt.period_seconds) for a series of
+/// `samples` samples taken every `step` seconds, or 0 when the detector
+/// cannot run on it: STL needs a positive step, a period of at least
+/// two samples and at least two full periods of samples.  Every
+/// detection path, batched or provisional, admits series by this rule.
+int detection_period(std::size_t samples, std::int64_t step,
+                     const DetectorOptions& opt);
+
 /// The detector's STL configuration for a series with `period` samples
 /// per season: opt.stl with the period set and, unless given, a trend
 /// span of ~1.25 periods.
@@ -147,9 +155,9 @@ class BatchDetector {
   BatchDetector& operator=(const BatchDetector&) = delete;
 
   /// Queues one block; `out` is cleared now and filled at flush time.
-  /// Blocks the scalar path's early outs reject (empty, bad step,
-  /// shorter than two periods) are finished immediately and never
-  /// queued.  Reaching max_lanes queued jobs flushes automatically.
+  /// Blocks detection_period() rejects are finished immediately and
+  /// never queued.  Reaching max_lanes queued jobs flushes
+  /// automatically.
   void enqueue(std::span<const double> counts, util::SimTime start,
                std::int64_t step, std::vector<DetectedChange>* out);
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -83,6 +84,12 @@ struct FleetResult {
 
 /// Runs the pipeline over every block of the world.
 FleetResult run_fleet(const sim::World& world, const FleetConfig& config);
+
+/// Folds the changes of the change-sensitive blocks among `outcomes`
+/// into `agg`; outcomes[i] is blocks[i]'s.
+void add_changes(ChangeAggregator& agg,
+                 std::span<const sim::BlockProfile> blocks,
+                 std::span<const BlockOutcome> outcomes);
 
 /// Aggregates a fleet result's activity changes by gridcell/continent
 /// over the detection window.

@@ -14,6 +14,15 @@ void SeriesStore::reset(std::size_t rows, std::size_t stride,
   len_.assign(rows, 0);
 }
 
+void SeriesStore::copy_rows(const SeriesStore& src,
+                            std::size_t first) noexcept {
+  for (std::size_t i = 0; i < src.rows(); ++i) {
+    const auto s = src.series(i);
+    std::copy(s.begin(), s.end(), row(first + i).begin());
+    set_len(first + i, s.size());
+  }
+}
+
 template <class Self, class IO>
 void SeriesStore::fields(Self& self, IO& io, std::size_t first,
                          std::size_t rows) {

@@ -58,6 +58,11 @@ class SeriesStore {
   }
   std::size_t len(std::size_t i) const noexcept { return len_[i]; }
 
+  /// Copies every row of `src` (its written prefix and length) into
+  /// rows [first, first + src.rows()) of this store, e.g. one shard's
+  /// rows into the fleet-wide store.  Same one-writer-per-row rule.
+  void copy_rows(const SeriesStore& src, std::size_t first) noexcept;
+
   /// Serializes geometry, per-row lengths and each row's written
   /// prefix (the tail past len(i) is indeterminate by contract and is
   /// not stored).  restore() re-reset()s to the stored geometry, so a

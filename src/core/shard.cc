@@ -2,26 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/streaming.h"
-#include "geo/countries.h"
+#include "core/worker_pool.h"
 
 namespace diurnal::core {
 
 namespace {
-
-unsigned resolve_threads(int requested) {
-  const unsigned n = requested > 0
-                         ? static_cast<unsigned>(requested)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  return std::min<unsigned>(n, 64);
-}
 
 /// Atomic running maximum.
 void track_peak(std::atomic<std::size_t>& peak, std::size_t value) {
@@ -67,13 +59,11 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
   // fully parallel StreamingFleet).
   const unsigned threads = resolve_threads(config.threads);
   const std::size_t max_resident = std::max<std::size_t>(1, shards.max_resident);
-  const std::size_t n_workers = std::max<std::size_t>(
+  const auto n_workers = static_cast<unsigned>(std::max<std::size_t>(
       1, std::min({static_cast<std::size_t>(threads), max_resident,
-                   std::max<std::size_t>(n_shards, 1)}));
-  const int intra_threads =
-      static_cast<int>(std::max<std::size_t>(1, threads / n_workers));
+                   std::max<std::size_t>(n_shards, 1)})));
+  const int intra_threads = static_cast<int>(std::max(1u, threads / n_workers));
 
-  std::atomic<std::size_t> next_shard{0};
   std::atomic<std::size_t> resident{0};
   std::atomic<std::size_t> peak_resident{0};
   std::atomic<std::size_t> resident_bytes{0};
@@ -112,12 +102,7 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
           }
           out.aggregate.merge_from(sc.aggregate);
           if (shards.retain_series) {
-            for (std::size_t i = 0; i < sc.series.rows(); ++i) {
-              const auto src = sc.series.series(i);
-              const auto dst = out.fleet.series.row(sc.begin + i);
-              std::memcpy(dst.data(), src.data(), src.size() * sizeof(double));
-              out.fleet.series.set_len(sc.begin + i, src.size());
-            }
+            out.fleet.series.copy_rows(sc.series, sc.begin);
           }
           done[k] = 1;
           ++resumed;
@@ -131,7 +116,8 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
   std::atomic<std::size_t> claimed{0};
   std::atomic<std::size_t> computed{0};
 
-  auto worker = [&] {
+  // Shard workers claim shards from the pool's shared counter.
+  run_pool(n_workers, [&](std::atomic<std::size_t>& next_shard) {
     sim::WorldSlice slice;
     ChangeAggregator local_agg(window.start, window.end);
     for (;;) {
@@ -169,29 +155,15 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
         out.fleet.outcomes[begin + i] = std::move(r.outcomes[i]);
       }
       out.fleet.degradation.absorb_rows(r.degradation, begin);
-      if (shards.retain_series) {
-        for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-          const auto src = r.series.series(i);
-          const auto dst = out.fleet.series.row(begin + i);
-          std::memcpy(dst.data(), src.data(), src.size() * sizeof(double));
-          out.fleet.series.set_len(begin + i, src.size());
-        }
-      }
+      if (shards.retain_series) out.fleet.series.copy_rows(r.series, begin);
       // Aggregate while the slice (block locations) is still resident.
       // With checkpointing the shard gets its own aggregator — its
       // series is what the checkpoint file stores (merge_from is
       // commutative, so folding it into local_agg afterwards reproduces
       // the uncheckpointed accumulation exactly).
       ChangeAggregator shard_agg(window.start, window.end);
-      ChangeAggregator& agg = ckpt ? shard_agg : local_agg;
-      const auto blocks = slice.blocks();
-      for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const auto& o = out.fleet.outcomes[begin + i];
-        if (!o.cls.change_sensitive) continue;
-        agg.add_block(blocks[i].cell(),
-                      geo::countries()[blocks[i].country].continent,
-                      o.changes);
-      }
+      add_changes(ckpt ? shard_agg : local_agg, slice.blocks(),
+                  std::span(out.fleet.outcomes).subspan(begin, end - begin));
       if (ckpt) {
         ckpt->record_shard(k, begin, end, out.fleet, shard_agg,
                            shards.retain_series);
@@ -207,16 +179,7 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
     }
     const std::lock_guard<std::mutex> lock(agg_mu);
     out.aggregate.merge_from(local_agg);
-  };
-
-  if (n_workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t t = 0; t < n_workers; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  });
 
   if (ckpt) ckpt->flush_manifest();
 

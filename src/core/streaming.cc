@@ -6,11 +6,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <mutex>
 #include <span>
-#include <thread>
 
 #include "core/checkpoint.h"
+#include "core/worker_pool.h"
 
 namespace diurnal::core {
 
@@ -57,13 +58,6 @@ void annotate_low_evidence(std::vector<DetectedChange>& changes,
   }
 }
 
-unsigned resolve_threads(int requested) {
-  const unsigned n = requested > 0
-                         ? static_cast<unsigned>(requested)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  return std::min<unsigned>(n, 64);
-}
-
 /// Lanes of the worker's finish queue: FleetConfig::analysis_batch_width
 /// resolved (0 = full width, otherwise clamped to [1, kMaxLanes]).
 std::size_t batch_width(int requested) {
@@ -100,22 +94,6 @@ void for_each_block(std::atomic<std::size_t>& next, std::size_t n,
     const std::size_t end = std::min(begin + kChunk, n);
     for (std::size_t i = begin; i < end; ++i) body(i);
   }
-}
-
-/// Runs work(next) on each of n_threads workers (each builds its own
-/// scratch) and joins them; `next` is their shared block counter.
-template <typename Work>
-void run_pool(unsigned n_threads, const Work& work) {
-  std::atomic<std::size_t> next{0};
-  auto run = [&] { work(next); };
-  if (n_threads <= 1) {
-    run();
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
-  for (auto& t : pool) t.join();
 }
 
 /// Trailing-window span for the provisional detector's STL re-fits, in
@@ -356,14 +334,16 @@ void StreamingFleet::bind_cell(std::size_t i, probe::ProbeScratch& scratch) {
 void StreamingFleet::screen_cell(std::size_t i, Worker& w) {
   Cell& c = cells_[i];
   const std::int64_t step = detect_oc_.recon.sample_step;
-  const std::int64_t period =
-      step > 0 ? config_.detector.period_seconds / step : 0;
-  if (period < 2 || !config_.run_detection) {
-    c.screened = true;  // nothing the watch could feed
+  // Nothing the watch could feed: detection is off, or the detector
+  // rejects the sampling step at any series length.
+  if (!config_.run_detection ||
+      detection_period(std::numeric_limits<std::size_t>::max(), step,
+                       config_.detector) == 0) {
+    c.screened = true;
     return;
   }
   const auto& rs = c.stream.recon_state();
-  if (rs.emitted() < 2 * static_cast<std::size_t>(period)) return;
+  if (detection_period(rs.emitted(), step, config_.detector) == 0) return;
   // Provisional screen: classify a truncated snapshot of the stream so
   // far.  The verdict is only a watch decision — the authoritative
   // classification happens at finalize over the full window.
@@ -382,10 +362,10 @@ void StreamingFleet::update_provisional(std::size_t i,
                                         std::vector<ProvisionalChange>& out) {
   Cell& c = cells_[i];
   const std::int64_t step = detect_oc_.recon.sample_step;
-  const std::size_t period =
-      static_cast<std::size_t>(config_.detector.period_seconds / step);
   const std::size_t emitted = c.stream.recon_state().emitted();
-  if (period < 2 || emitted < 2 * period || emitted <= c.trend_fed) return;
+  const auto period = static_cast<std::size_t>(
+      detection_period(emitted, step, config_.detector));
+  if (period == 0 || emitted <= c.trend_fed) return;
   if (c.tn == 0) c.cusum.begin(config_.detector.cusum);
 
   // Trailing-window STL re-fit: bounded per-epoch cost.  If the last fit

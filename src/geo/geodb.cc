@@ -16,12 +16,6 @@ std::optional<GeoRecord> GeoDatabase::lookup(net::BlockId block) const {
   return it->second;
 }
 
-std::optional<GridCell> GeoDatabase::cell_of(net::BlockId block) const {
-  const auto rec = lookup(block);
-  if (!rec) return std::nullopt;
-  return rec->cell();
-}
-
 GeoDatabase GeoDatabase::perturbed(double stddev_degrees,
                                    std::uint64_t seed) const {
   GeoDatabase out;

@@ -34,9 +34,6 @@ class GeoDatabase {
   /// fail to geolocate; all sampled blocks in section 3.6 geolocated).
   std::optional<GeoRecord> lookup(net::BlockId block) const;
 
-  /// Gridcell of a block, if known.
-  std::optional<GridCell> cell_of(net::BlockId block) const;
-
   std::size_t size() const noexcept { return records_.size(); }
 
   /// A copy with Gaussian location noise (degrees of standard deviation)

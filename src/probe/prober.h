@@ -92,8 +92,6 @@ struct ProbeScratch {
   /// First loss-hash stage per address (depends only on block and addr,
   /// so it is hoisted out of the probe loop).
   std::vector<std::uint64_t> loss_h1;
-  /// Per-observer observation streams (callers that collect-then-merge).
-  std::vector<ObservationVec> streams;
   /// Merge output buffer (merge_observations_into).
   ObservationVec merged;
 

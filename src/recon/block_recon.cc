@@ -1,74 +1,8 @@
 #include "recon/block_recon.h"
 
-#include "fault/inject.h"
-#include "recon/repair.h"
 #include "recon/stream.h"
 
 namespace diurnal::recon {
-
-namespace {
-
-char stream_code(const BlockObservationConfig& config, std::size_t i) {
-  return i < config.observers.size() ? config.observers[i].code : 'x';
-}
-
-// Probes every observer into scratch.streams (reused, resized in place),
-// injecting faults before repair (faults happen on the wire, repair is
-// an analysis-side decision).  When `info` is non-null it is filled with
-// one ObserverStreamInfo per stream.
-void collect_streams_into(const sim::BlockProfile& block,
-                          const BlockObservationConfig& config,
-                          probe::ProbeScratch& scratch,
-                          std::vector<fault::ObserverStreamInfo>* info) {
-  const std::size_t n =
-      config.observers.size() + (config.additional_observations ? 1 : 0);
-  scratch.streams.resize(n);
-  if (info != nullptr) info->assign(n, {});
-  const bool inject = config.faults != nullptr && !config.faults->empty();
-
-  auto finish_stream = [&](std::size_t i, probe::ObservationVec& stream) {
-    fault::StreamFaultStats stats;
-    if (inject) {
-      stats = fault::apply_faults(*config.faults, stream_code(config, i),
-                                  config.window, stream);
-    }
-    if (info != nullptr) {
-      auto& si = (*info)[i];
-      si.code = stream_code(config, i);
-      si.observations = stream.size();
-      si.faults = stats;
-      if (!stream.empty()) {
-        si.first_rel = stream.front().rel_time;
-        si.last_rel = stream.back().rel_time;
-      }
-    }
-    if (config.one_loss_repair) one_loss_repair(stream);
-  };
-
-  for (std::size_t i = 0; i < config.observers.size(); ++i) {
-    probe::probe_block_into(block, config.observers[i], config.loss,
-                            config.window, config.prober, scratch,
-                            scratch.streams[i]);
-    finish_stream(i, scratch.streams[i]);
-  }
-  if (config.additional_observations) {
-    probe::ProberConfig extra_cfg = config.prober;
-    extra_cfg.kind = probe::ProberKind::kAdditional;
-    probe::probe_block_into(block, probe::additional_observer(), config.loss,
-                            config.window, extra_cfg, scratch,
-                            scratch.streams[n - 1]);
-    finish_stream(n - 1, scratch.streams[n - 1]);
-  }
-}
-
-std::vector<probe::ObservationVec> collect_streams(
-    const sim::BlockProfile& block, const BlockObservationConfig& config) {
-  auto& scratch = probe::ProbeScratch::local();
-  collect_streams_into(block, config, scratch, nullptr);
-  return std::move(scratch.streams);
-}
-
-}  // namespace
 
 // The batch entry points run the streaming pipeline start-to-finish:
 // there is one pipeline implementation, and a whole-window pass is just
@@ -77,10 +11,10 @@ ReconResult observe_and_reconstruct(const sim::BlockProfile& block,
                                     const BlockObservationConfig& config,
                                     probe::ProbeScratch& scratch) {
   thread_local BlockStream stream;
-  thread_local DegradedReconResult result;
+  thread_local DegradedReconStats result;
   stream.begin(block, config, scratch);
-  stream.finalize(result);
-  return std::move(result.recon);
+  stream.finalize_stats(result);
+  return ReconResult(result.recon, stream.series());
 }
 
 ReconResult observe_and_reconstruct(const sim::BlockProfile& block,
@@ -88,27 +22,25 @@ ReconResult observe_and_reconstruct(const sim::BlockProfile& block,
   return observe_and_reconstruct(block, config, probe::ProbeScratch::local());
 }
 
-void observe_and_reconstruct_degraded(const sim::BlockProfile& block,
-                                      const BlockObservationConfig& config,
-                                      probe::ProbeScratch& scratch,
-                                      DegradedReconResult& out) {
-  thread_local BlockStream stream;
-  stream.begin(block, config, scratch);
-  stream.finalize(out);
-}
-
 MultiReconResult observe_and_reconstruct_detailed(
     const sim::BlockProfile& block, const BlockObservationConfig& config) {
   MultiReconResult out;
-  auto streams = collect_streams(block, config);
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    const char code = i < config.observers.size() ? config.observers[i].code : 'x';
-    out.per_observer.push_back(PerObserverRecon{
-        code, reconstruct(streams[i], block.eb_count, config.window,
-                          config.recon)});
+  // Each observer alone is the same pipeline over a one-observer config.
+  BlockObservationConfig single = config;
+  single.additional_observations = false;
+  for (const auto& spec : config.observers) {
+    single.observers = {spec};
+    out.per_observer.push_back(
+        PerObserverRecon{spec.code, observe_and_reconstruct(block, single)});
   }
-  auto merged = probe::merge_observations(std::move(streams));
-  out.combined = reconstruct(merged, block.eb_count, config.window, config.recon);
+  if (config.additional_observations) {
+    single.observers.clear();
+    single.additional_observations = true;
+    out.per_observer.push_back(
+        PerObserverRecon{probe::additional_observer().code,
+                         observe_and_reconstruct(block, single)});
+  }
+  out.combined = observe_and_reconstruct(block, config);
   return out;
 }
 

@@ -42,22 +42,11 @@ ReconResult observe_and_reconstruct(const sim::BlockProfile& block,
                                     const BlockObservationConfig& config,
                                     probe::ProbeScratch& scratch);
 
-/// Degraded-mode variant: also reports what each observer actually
-/// delivered (stream spans and fault-injection stats), the raw material
-/// of the fleet's DegradationReport.  `out` is reused across calls (one
-/// per worker thread, like the scratch).
-struct DegradedReconResult {
-  ReconResult recon;
-  std::vector<fault::ObserverStreamInfo> observers;
-};
-void observe_and_reconstruct_degraded(const sim::BlockProfile& block,
-                                      const BlockObservationConfig& config,
-                                      probe::ProbeScratch& scratch,
-                                      DegradedReconResult& out);
-
-/// DegradedReconResult with the series externalized (core::SeriesStore
-/// rows): statistics plus observer stream info only.  Reused across
-/// blocks like the scratch buffers.
+/// Degraded-mode statistics: a reconstruction's statistics (its series
+/// externalized, e.g. to core::SeriesStore rows) plus what each observer
+/// actually delivered (stream spans and fault-injection stats), the raw
+/// material of the fleet's DegradationReport.  Reused across blocks
+/// like the scratch buffers.
 struct DegradedReconStats {
   ReconStats recon;
   std::vector<fault::ObserverStreamInfo> observers;

@@ -8,12 +8,14 @@
 
 namespace diurnal::recon {
 
+ReconResult::ReconResult(const ReconStats& stats,
+                         std::span<const double> samples)
+    : ReconStats(stats),
+      counts(stats.start, stats.step,
+             std::vector<double>(samples.begin(), samples.end())) {}
+
 double ReconResult::fbs_median_seconds() const {
   return analysis::median(fbs_spans_seconds);
-}
-
-double ReconResult::fbs_quantile_seconds(double q) const {
-  return analysis::quantile(fbs_spans_seconds, q);
 }
 
 std::size_t sample_count(probe::ProbeWindow window, const ReconOptions& opt) {
@@ -62,134 +64,50 @@ void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
 
 void BlockReconState::size_samples() { samples_.assign(n_samples_, 0.0); }
 
-void BlockReconState::finalize(ReconResult& out) {
-  out = ReconResult{};
+void BlockReconState::emitted_stats(ReconStats& out,
+                                    std::int64_t end) const {
+  const std::size_t len = next_sample_;
+  out.start = window_.start;
+  out.step = degenerate_ ? std::max<std::int64_t>(opt_.sample_step, 1)
+                         : opt_.sample_step;
+  out.len = len;
   out.eb_count = eb_count_;
-  if (degenerate_) {
-    out.counts = util::TimeSeries(
-        window_.start, std::max<std::int64_t>(opt_.sample_step, 1), {});
-    return;
-  }
-  emit_until(duration_);
-  note_gap(duration_);
-  out.evidence_fraction =
-      n_samples_ == 0 ? 0.0
-                      : static_cast<double>(fresh_samples_) /
-                            static_cast<double>(n_samples_);
-  out.observations = observations_;
-  out.observed_targets = observed_;
   out.responsive = positives_ > 0;
   out.mean_reply_rate =
       observations_ == 0 ? 0.0
                          : static_cast<double>(positives_) /
                                static_cast<double>(observations_);
+  out.observations = observations_;
+  out.observed_targets = observed_;
   out.max_active = max_active_;
+  out.evidence_fraction = len == 0 ? 0.0
+                                   : static_cast<double>(fresh_samples_) /
+                                         static_cast<double>(len);
   out.max_gap_seconds = max_gap_seconds_;
-  out.gaps = std::move(gaps_);
-  out.fbs_spans_seconds = std::move(fbs_spans_);
-  if (bound_.empty()) {
-    out.counts =
-        util::TimeSeries(window_.start, opt_.sample_step, std::move(samples_));
-  } else {
-    // Bound output stays in the external buffer; the legacy result gets
-    // a copy so both views agree.
-    out.counts = util::TimeSeries(
-        window_.start, opt_.sample_step,
-        std::vector<double>(bound_.begin(), bound_.begin() + n_samples_));
-  }
+  // A degenerate state observes nothing, so it has no span to close.
+  if (!degenerate_) note_gap(end, out.gaps, out.max_gap_seconds);
 }
 
 void BlockReconState::finalize_stats(ReconStats& out) {
-  out.eb_count = eb_count_;
-  out.start = window_.start;
-  out.step = std::max<std::int64_t>(opt_.sample_step, 1);
-  out.len = 0;
-  out.responsive = false;
-  out.mean_reply_rate = 0.0;
-  out.observations = 0;
-  out.observed_targets = 0;
-  out.max_active = 0.0;
-  out.evidence_fraction = 0.0;
-  out.max_gap_seconds = 0.0;
-  out.gaps.clear();
-  out.fbs_spans_seconds.clear();
-  if (degenerate_) return;
-  emit_until(duration_);
-  note_gap(duration_);
-  out.step = opt_.sample_step;
-  out.len = n_samples_;
-  out.evidence_fraction =
-      n_samples_ == 0 ? 0.0
-                      : static_cast<double>(fresh_samples_) /
-                            static_cast<double>(n_samples_);
-  out.observations = observations_;
-  out.observed_targets = observed_;
-  out.responsive = positives_ > 0;
-  out.mean_reply_rate =
-      observations_ == 0 ? 0.0
-                         : static_cast<double>(positives_) /
-                               static_cast<double>(observations_);
-  out.max_active = max_active_;
-  out.max_gap_seconds = max_gap_seconds_;
+  emit_until(duration_);  // the whole window: next_sample_ == n_samples_
   // Swap instead of copy: `out` keeps the data, the state inherits the
   // old capacity for the next begin().
   std::swap(out.gaps, gaps_);
   std::swap(out.fbs_spans_seconds, fbs_spans_);
+  emitted_stats(out, duration_);
+}
+
+void BlockReconState::finalize(ReconResult& out) {
+  ReconStats stats;
+  finalize_stats(stats);
+  out = ReconResult(stats, series_view());
 }
 
 void BlockReconState::snapshot_stats(ReconStats& out) const {
-  out.eb_count = eb_count_;
-  out.start = window_.start;
-  out.step = std::max<std::int64_t>(opt_.sample_step, 1);
-  out.len = 0;
-  out.responsive = false;
-  out.mean_reply_rate = 0.0;
-  out.observations = 0;
-  out.observed_targets = 0;
-  out.max_active = 0.0;
-  out.evidence_fraction = 0.0;
-  out.max_gap_seconds = 0.0;
-  out.gaps.clear();
-  out.fbs_spans_seconds.clear();
-  if (degenerate_) return;
-  // Replays what finalize() would compute on a copy truncated to the
-  // emitted-sample prefix (snapshot() semantics): emit_until() is a
-  // no-op on the truncated copy, so only the trailing note_gap() and
-  // the evidence denominator change.
-  const std::size_t len = next_sample_;
-  const std::int64_t duration =
-      static_cast<std::int64_t>(len) * opt_.sample_step;
-  out.step = opt_.sample_step;
-  out.len = len;
-  out.evidence_fraction = len == 0 ? 0.0
-                                   : static_cast<double>(fresh_samples_) /
-                                         static_cast<double>(len);
-  out.observations = observations_;
-  out.observed_targets = observed_;
-  out.responsive = positives_ > 0;
-  out.mean_reply_rate =
-      observations_ == 0 ? 0.0
-                         : static_cast<double>(positives_) /
-                               static_cast<double>(observations_);
-  out.max_active = max_active_;
-  out.fbs_spans_seconds.assign(fbs_spans_.begin(), fbs_spans_.end());
   out.gaps.assign(gaps_.begin(), gaps_.end());
-  const std::int64_t from = std::max<std::int64_t>(last_obs_rel_, 0);
-  if (duration - from > opt_.stale_horizon) {
-    out.gaps.push_back(
-        CoverageGap{window_.start + from, window_.start + duration});
-  }
-  out.max_gap_seconds =
-      std::max(max_gap_seconds_, static_cast<double>(duration - from));
-}
-
-void BlockReconState::snapshot(ReconResult& out) const {
-  BlockReconState copy = *this;
-  copy.n_samples_ = copy.next_sample_;
-  copy.duration_ = static_cast<std::int64_t>(copy.next_sample_) *
-                   copy.opt_.sample_step;
-  copy.samples_.resize(copy.n_samples_);
-  copy.finalize(out);
+  out.fbs_spans_seconds.assign(fbs_spans_.begin(), fbs_spans_.end());
+  emitted_stats(out,
+                static_cast<std::int64_t>(next_sample_) * opt_.sample_step);
 }
 
 template <class Self, class IO>

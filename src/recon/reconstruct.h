@@ -39,8 +39,15 @@ struct CoverageGap {
   util::SimTime end = 0;
 };
 
-struct ReconResult {
-  util::TimeSeries counts;           ///< active-address estimate over time
+/// Every statistic of a reconstruction plus the (start, step, len)
+/// geometry of its series, without the samples themselves.  Used with
+/// externally bound sample storage (core::SeriesStore rows), where the
+/// series lives in the store and only the numbers travel.  Reusable
+/// across blocks — gaps/fbs capacity is recycled.
+struct ReconStats {
+  util::SimTime start = 0;   ///< series start time
+  std::int64_t step = 1;     ///< series sampling step (>= 1)
+  std::size_t len = 0;       ///< samples in the series
   bool responsive = false;           ///< any positive reply in the window
   double mean_reply_rate = 0.0;      ///< positive / total observations
   std::size_t observations = 0;
@@ -63,30 +70,18 @@ struct ReconResult {
   double evidence_fraction = 0.0;
   double max_gap_seconds = 0.0;
   std::vector<CoverageGap> gaps;
-
-  double fbs_median_seconds() const;
-  double fbs_quantile_seconds(double q) const;
 };
 
-/// ReconResult minus the sample storage: every statistic of a
-/// reconstruction plus the (start, step, len) geometry of its series.
-/// Used with externally bound sample storage (core::SeriesStore rows),
-/// where the series lives in the store and only the numbers travel.
-/// Reusable across blocks — gaps/fbs capacity is recycled.
-struct ReconStats {
-  util::SimTime start = 0;   ///< series start time
-  std::int64_t step = 1;     ///< series sampling step (>= 1)
-  std::size_t len = 0;       ///< samples in the series
-  bool responsive = false;
-  double mean_reply_rate = 0.0;
-  std::size_t observations = 0;
-  int eb_count = 0;
-  int observed_targets = 0;
-  double max_active = 0.0;
-  std::vector<double> fbs_spans_seconds;
-  double evidence_fraction = 0.0;
-  double max_gap_seconds = 0.0;
-  std::vector<CoverageGap> gaps;
+/// ReconStats plus its series: `counts` holds the `len` samples from
+/// `start` every `step`.
+struct ReconResult : ReconStats {
+  ReconResult() = default;
+  /// `stats` with a copy of its series' samples.
+  ReconResult(const ReconStats& stats, std::span<const double> samples);
+
+  util::TimeSeries counts;  ///< active-address estimate over time
+
+  double fbs_median_seconds() const;
 };
 
 /// Samples in a reconstruction of `window` at opt.sample_step (0 for an
@@ -136,7 +131,7 @@ class BlockReconState {
     if (degenerate_) return;
     const auto rel = static_cast<std::int64_t>(obs.rel_time);
     emit_until(rel - 1);
-    note_gap(rel);
+    note_gap(rel, gaps_, max_gap_seconds_);
     last_obs_rel_ = rel;
     ++observations_;
     const std::size_t a = obs.addr;
@@ -159,29 +154,23 @@ class BlockReconState {
     }
   }
 
-  /// Emits the trailing samples and gap, and moves the result out.
-  /// The state is spent afterwards; call begin() to reuse it.
-  void finalize(ReconResult& out);
-
-  /// Finalizes a copy truncated to the emitted-sample prefix: the
-  /// result's series ends at the last emitted sample and the evidence
-  /// denominator matches, so mid-stream consumers (the streaming
-  /// engine's provisional screens) see honest statistics instead of a
-  /// flat extrapolation to the window end.  The state itself is
-  /// untouched.
-  void snapshot(ReconResult& out) const;
-
-  /// finalize() without materializing the series: emits the trailing
-  /// samples into the owned/bound buffer and fills `out` with the
-  /// statistics only (recycling its gaps/fbs capacity).  The series
-  /// itself stays where it was written — read it via series_view() or
-  /// the bound store row.  The state is spent afterwards.
+  /// Emits the trailing samples and fills `out` with the statistics
+  /// only (recycling its gaps/fbs capacity).  The series itself stays
+  /// where it was written — read it via series_view() or the bound
+  /// store row.  The state is spent afterwards; call begin() to reuse
+  /// it.
   void finalize_stats(ReconStats& out);
 
-  /// snapshot() without the series copy: statistics truncated to the
-  /// emitted-sample prefix, computed exactly as a truncated finalize
-  /// would.  The state is untouched; the emitted prefix of
-  /// series_view() is the matching series.
+  /// finalize_stats() plus a copy of the series.
+  void finalize(ReconResult& out);
+
+  /// Statistics of the emitted-sample prefix, as if the window ended
+  /// there: the evidence denominator is the prefix and the trailing
+  /// observation-free span closes at its end, so mid-stream consumers
+  /// (the streaming engine's provisional screens and snapshot rows) see
+  /// honest statistics instead of a flat extrapolation to the window
+  /// end.  The state is untouched; the emitted prefix of series_view()
+  /// is the matching series.
   void snapshot_stats(ReconStats& out) const;
 
   /// Serializes every mutable field plus the emitted-sample prefix.
@@ -240,15 +229,22 @@ class BlockReconState {
       ++next_sample_;
     }
   }
-  void note_gap(std::int64_t up_to) {
+  /// Closes the observation-free span from the last observation to
+  /// `up_to` (window-relative): one longer than the stale horizon is a
+  /// coverage gap.
+  void note_gap(std::int64_t up_to, std::vector<CoverageGap>& gaps,
+                double& max_gap) const {
     const std::int64_t from = std::max<std::int64_t>(last_obs_rel_, 0);
     if (up_to - from > opt_.stale_horizon) {
-      gaps_.push_back(
-          CoverageGap{window_.start + from, window_.start + up_to});
+      gaps.push_back(CoverageGap{window_.start + from, window_.start + up_to});
     }
-    max_gap_seconds_ =
-        std::max(max_gap_seconds_, static_cast<double>(up_to - from));
+    max_gap = std::max(max_gap, static_cast<double>(up_to - from));
   }
+  /// The statistics of the emitted prefix, its trailing observation-free
+  /// span closed at `end` (window-relative): the one body behind
+  /// finalize_stats() and snapshot_stats(), which first put the gaps
+  /// and spans so far into out.gaps and out.fbs_spans_seconds.
+  void emitted_stats(ReconStats& out, std::int64_t end) const;
 
   ReconOptions opt_{};
   probe::ProbeWindow window_{};

@@ -22,12 +22,6 @@ namespace diurnal::recon {
 struct RepairStats {
   std::size_t observations = 0;
   std::size_t repaired = 0;  ///< non-replies flipped to positive
-
-  double repair_fraction() const noexcept {
-    return observations == 0
-               ? 0.0
-               : static_cast<double>(repaired) / static_cast<double>(observations);
-  }
 };
 
 /// Applies 1-loss repair in place to a single observer's time-ordered

@@ -188,30 +188,12 @@ void BlockStream::drain_classify_tail() {
   }
 }
 
-void BlockStream::finalize_classify(DegradedReconResult& out) {
-  assert(classify_pending_);
-  drain_classify_tail();
-  classify_recon_.finalize(out.recon);
-  fill_observers(out.observers);
-  classify_pending_ = false;
-}
-
 void BlockStream::finalize_classify_stats(DegradedReconStats& out) {
   assert(classify_pending_);
   drain_classify_tail();
   classify_recon_.finalize_stats(out.recon);
   fill_observers(out.observers);
   classify_pending_ = false;
-}
-
-void BlockStream::finalize(DegradedReconResult& out) {
-  advance_to(config_->window.end);
-  if (config_->one_loss_repair) {
-    for (Stream& s : streams_) s.released = s.repair.finish();
-  }
-  pump();
-  recon_.finalize(out.recon);
-  fill_observers(out.observers);
 }
 
 void BlockStream::finalize_stats(DegradedReconStats& out) {

@@ -50,7 +50,7 @@ class BlockStream {
   ///
   /// classify_end != 0 selects union-window mode: one observation pass
   /// over config.window also maintains a second reconstruction over
-  /// [window.start, classify_end), finalized by finalize_classify().
+  /// [window.start, classify_end), finalized by finalize_classify_stats().
   /// Requires window.start < classify_end <= window.end and a fault
   /// plan without skew specs (retiming drops depend on the window
   /// span, so a sliced stream would diverge from a dedicated
@@ -87,25 +87,20 @@ class BlockStream {
     scratch_ = &scratch;
   }
 
-  /// Union-window mode only: produces the classification-window result,
-  /// byte-identical to a dedicated batch pass over [window.start,
-  /// classify_end).  Must be called when advance_to(classify_end) has
-  /// run and before any later advance (so the ingested rounds are
+  /// Union-window mode only: produces the classification-window
+  /// statistics, byte-identical to a dedicated batch pass over
+  /// [window.start, classify_end); the samples stay readable via
+  /// classify_series().  Must be called when advance_to(classify_end)
+  /// has run and before any later advance (so the ingested rounds are
   /// exactly the classification window's).  Held/pending observations
   /// are drained into the classification recon as end-of-stream — the
   /// hold-until-rescanned carryover the detection stream keeps pending.
-  void finalize_classify(DegradedReconResult& out);
-
-  /// finalize_classify() with the series left in place: statistics go
-  /// to `out`, samples stay readable via classify_series().
   void finalize_classify_stats(DegradedReconStats& out);
 
   /// Drains everything (remaining rounds, held repairs, pending merge
-  /// heads) and produces the full-window result.
-  void finalize(DegradedReconResult& out);
-
-  /// finalize() with the series left in place (bound store row or the
-  /// internal buffer, readable via series()).
+  /// heads) and produces the full-window statistics; the series stays
+  /// in place (bound store row or the internal buffer, readable via
+  /// series()).
   void finalize_stats(DegradedReconStats& out);
 
   /// Post-fault observations delivered by all observers so far.

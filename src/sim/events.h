@@ -56,8 +56,6 @@ struct Event {
   /// — the WFH-ramp scenarios where a region phases into lockdown over
   /// a week-plus instead of on one order date.
   int ramp_days = 0;
-
-  util::Date start_date() const { return util::date_of(start); }
 };
 
 /// The full 2019-10-01 .. 2023-06-30 calendar used by default worlds:

@@ -1,5 +1,7 @@
 #include "util/date.h"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -55,6 +57,27 @@ Date parse_date(const std::string& s) {
     throw std::invalid_argument("parse_date: malformed date '" + s + "'");
   }
   return Date{y, m, d};
+}
+
+std::int64_t parse_duration(const std::string& s) {
+  const char* const last = s.data() + s.size();
+  std::int64_t n = 0;
+  const auto [end, ec] = std::from_chars(s.data(), last, n);
+  std::int64_t scale = 0;
+  if (ec == std::errc{} && last - end <= 1) {
+    switch (end == last ? 's' : *end) {
+      case 'd': scale = kSecondsPerDay; break;
+      case 'h': scale = kSecondsPerHour; break;
+      case 'm': scale = 60; break;
+      case 's': scale = 1; break;
+      default: break;
+    }
+  }
+  if (scale == 0 || n <= 0 || n > INT64_MAX / scale) {
+    throw std::invalid_argument("parse_duration: malformed duration '" + s +
+                                "' (use e.g. 1d, 6h, 660s)");
+  }
+  return n * scale;
 }
 
 std::int64_t epoch_days() noexcept { return days_from_civil(kEpochDate); }

@@ -56,6 +56,11 @@ inline constexpr std::int64_t kRoundSeconds = 660;
 inline constexpr double kRoundsPerDay =
     static_cast<double>(kSecondsPerDay) / static_cast<double>(kRoundSeconds);
 
+/// Parses a duration: "1d", "6h", "90m", "660s", or bare seconds.
+/// Throws std::invalid_argument unless it is a positive count with at
+/// most one unit letter.
+std::int64_t parse_duration(const std::string& s);
+
 /// The simulation epoch as a civil date.
 inline constexpr Date kEpochDate{2019, 10, 1};
 

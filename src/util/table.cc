@@ -12,11 +12,6 @@ TextTable::TextTable(std::vector<std::string> headers)
   if (!align_.empty()) align_[0] = Align::kLeft;
 }
 
-void TextTable::set_alignment(std::vector<Align> align) {
-  align_ = std::move(align);
-  align_.resize(headers_.size(), Align::kRight);
-}
-
 void TextTable::add_row(std::vector<std::string> cells) {
   cells.resize(headers_.size());
   rows_.push_back(std::move(cells));

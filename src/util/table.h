@@ -20,9 +20,6 @@ class TextTable {
  public:
   explicit TextTable(std::vector<std::string> headers);
 
-  /// Sets per-column alignment (default: first column left, rest right).
-  void set_alignment(std::vector<Align> align);
-
   void add_row(std::vector<std::string> cells);
 
   /// Renders the full table, including a separator under the header.

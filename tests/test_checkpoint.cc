@@ -591,8 +591,8 @@ TEST(BlockStreamCheckpoint, MidWindowRestoreFinalizesIdentically) {
       recon::BlockStream whole;
       whole.begin(block, oc, scratch);
       whole.advance_to(oc.window.end);
-      recon::DegradedReconResult want;
-      whole.finalize(want);
+      recon::DegradedReconStats want;
+      whole.finalize_stats(want);
 
       for (const int eighth : {1, 4, 7}) {
         const util::SimTime cut = oc.window.start + span * eighth / 8;
@@ -612,12 +612,12 @@ TEST(BlockStreamCheckpoint, MidWindowRestoreFinalizesIdentically) {
         second.restore(r);
         r.end_section();
         second.advance_to(oc.window.end);
-        recon::DegradedReconResult got;
-        second.finalize(got);
+        recon::DegradedReconStats got;
+        second.finalize_stats(got);
 
-        ASSERT_EQ(got.recon.counts.size(), want.recon.counts.size());
-        for (std::size_t i = 0; i < want.recon.counts.size(); ++i) {
-          ASSERT_EQ(got.recon.counts[i], want.recon.counts[i])
+        ASSERT_EQ(got.recon.len, want.recon.len);
+        for (std::size_t i = 0; i < want.recon.len; ++i) {
+          ASSERT_EQ(second.series()[i], whole.series()[i])
               << scenario << " block " << b << " cut " << eighth
               << "/8 sample " << i;
         }

@@ -42,15 +42,21 @@ const sim::World& small_world() {
   return world;
 }
 
+// What the per-stage pipeline reports for one block.
+struct OracleResult {
+  recon::ReconResult recon;
+  std::vector<fault::ObserverStreamInfo> observers;
+};
+
 // The pre-refactor per-stage pipeline (probe -> faults -> repair ->
 // merge -> reconstruct), whole-window per stage: the ground truth the
 // streaming pipeline must reproduce bit-for-bit.
-recon::DegradedReconResult batch_oracle(
+OracleResult batch_oracle(
     const sim::BlockProfile& block, const recon::BlockObservationConfig& oc) {
   const std::size_t n =
       oc.observers.size() + (oc.additional_observations ? 1 : 0);
   std::vector<ObservationVec> streams(n);
-  recon::DegradedReconResult out;
+  OracleResult out;
   out.observers.assign(n, {});
   probe::ProbeScratch scratch;
   const bool inject = oc.faults != nullptr && !oc.faults->empty();
@@ -376,9 +382,10 @@ TEST(BlockStreamTest, EpochAdvanceMatchesBatchOracle) {
           stream.advance_to(t);
           stream.advance_to(t);  // zero-round epoch: must be a no-op
         }
-        recon::DegradedReconResult got;
-        stream.finalize(got);
-        expect_recon_equal(got.recon, want.recon);
+        recon::DegradedReconStats got;
+        stream.finalize_stats(got);
+        expect_recon_equal(recon::ReconResult(got.recon, stream.series()),
+                           want.recon);
         expect_observers_equal(got.observers, want.observers);
       }
     }
@@ -410,15 +417,18 @@ TEST(BlockStreamTest, UnionForkMatchesDedicatedClassifyPass) {
       stream.advance_to(t);
     }
     stream.advance_to(classify_end);
-    recon::DegradedReconResult got_classify;
-    stream.finalize_classify(got_classify);
-    expect_recon_equal(got_classify.recon, want_classify.recon);
+    recon::DegradedReconStats got_classify;
+    stream.finalize_classify_stats(got_classify);
+    expect_recon_equal(
+        recon::ReconResult(got_classify.recon, stream.classify_series()),
+        want_classify.recon);
     expect_observers_equal(got_classify.observers, want_classify.observers);
 
     // The detection stream continues from the fork untouched.
-    recon::DegradedReconResult got_detect;
-    stream.finalize(got_detect);
-    expect_recon_equal(got_detect.recon, want_detect.recon);
+    recon::DegradedReconStats got_detect;
+    stream.finalize_stats(got_detect);
+    expect_recon_equal(recon::ReconResult(got_detect.recon, stream.series()),
+                       want_detect.recon);
     expect_observers_equal(got_detect.observers, want_detect.observers);
   }
 }
@@ -624,6 +634,115 @@ TEST(DrivePin, SameWindowGoldenEpochSurface) {
   EXPECT_EQ(run.digest, "f94c66488def6938");
   EXPECT_EQ(run.observations, 24733478u);
   EXPECT_EQ(run.alarms, 193u);
+}
+
+// ---------------------------------------------------------------------------
+// Gapped reconstruction pins: every observer hard down for day 9 of a
+// four-week window, so every probed block's reconstruction carries a
+// coverage gap.  Pins the mid-run row statistics (before and after the
+// outage), the final degradation rows and digest, and the one-block
+// reconstruction statistics.
+// ---------------------------------------------------------------------------
+
+const sim::World& gapped_world() {
+  static const sim::World world([] {
+    sim::WorldConfig c;
+    c.num_blocks = 120;
+    c.seed = 7;
+    return c;
+  }());
+  return world;
+}
+
+fault::FaultPlan day_nine_outage(probe::ProbeWindow w) {
+  fault::FaultPlan plan;
+  plan.outages.push_back(fault::OutageSpec{
+      fault::kAllObservers, fault::OutageKind::kHardDown,
+      w.start + 9 * util::kSecondsPerDay, w.start + 10 * util::kSecondsPerDay});
+  return plan;
+}
+
+std::string row_stats_digest(const core::StreamingFleet& fleet) {
+  std::vector<core::StreamingFleet::BlockSnapshotRow> rows;
+  fleet.extract_rows(rows);
+  core::Fnv1a h;
+  for (const auto& row : rows) {
+    h.u64(row.emitted);
+    h.f64(row.evidence_fraction);
+    h.f64(row.max_gap_hours);
+  }
+  return core::digest_hex(h.h);
+}
+
+TEST(GappedReconPin, MidRunRowsAndFinalDegradation) {
+  for (const int threads : {1, 2}) {
+    core::FleetConfig fc;
+    fc.dataset = core::dataset("2020m1-ejnw");
+    const ProbeWindow w = fc.dataset.window();
+    fc.faults = day_nine_outage(w);
+    fc.threads = threads;
+    const auto want = core::fleet_digest(core::run_fleet(gapped_world(), fc));
+
+    core::StreamingFleet fleet(gapped_world(), fc);
+    fleet.advance_to(w.start + 9 * util::kSecondsPerDay +
+                     12 * util::kSecondsPerHour);
+    EXPECT_EQ(row_stats_digest(fleet), "acc99f40dd642adb") << threads;
+    fleet.advance_to(w.start + 11 * util::kSecondsPerDay);
+    EXPECT_EQ(row_stats_digest(fleet), "fe6254f750dcfd32") << threads;
+
+    const auto result = fleet.finalize();
+    core::Fnv1a h;
+    for (const auto& d : result.degradation.blocks) {
+      h.f64(d.evidence_fraction);
+      h.f64(d.max_gap_hours);
+      h.boolean(d.low_confidence);
+      h.i64(d.live_observers);
+      h.i64(d.partial_observers);
+    }
+    EXPECT_EQ(core::digest_hex(h.h), "615c935bf39f1bf9") << threads;
+    EXPECT_EQ(core::digest_hex(core::fleet_digest(result)),
+              "dba50a660757abad")
+        << threads;
+    EXPECT_EQ(core::fleet_digest(result), want) << threads;
+  }
+}
+
+TEST(GappedReconPin, ObserveAndReconstructStatistics) {
+  const auto ds = core::dataset("2020m1-ejnw");
+  const core::FleetConfig fc;
+  recon::BlockObservationConfig oc;
+  oc.observers = ds.observers();
+  oc.loss = probe::LossModel(fc.loss);
+  oc.window = ds.window();
+  const auto plan = day_nine_outage(oc.window);
+  oc.faults = &plan;
+
+  core::Fnv1a h;
+  std::size_t probed = 0;
+  for (const auto& block : gapped_world().blocks()) {
+    if (block.eb_count == 0) continue;
+    ++probed;
+    const auto r = recon::observe_and_reconstruct(block, oc);
+    EXPECT_FALSE(r.gaps.empty()) << block.id.to_string();
+    h.u64(r.counts.size());
+    for (const double v : r.counts.span()) h.f64(v);
+    h.boolean(r.responsive);
+    h.f64(r.mean_reply_rate);
+    h.u64(r.observations);
+    h.i64(r.observed_targets);
+    h.f64(r.max_active);
+    h.f64(r.evidence_fraction);
+    h.f64(r.max_gap_seconds);
+    h.u64(r.gaps.size());
+    for (const auto& g : r.gaps) {
+      h.i64(g.start);
+      h.i64(g.end);
+    }
+    h.u64(r.fbs_spans_seconds.size());
+    for (const double s : r.fbs_spans_seconds) h.f64(s);
+  }
+  EXPECT_EQ(probed, 69u);
+  EXPECT_EQ(core::digest_hex(h.h), "308ebe829baa65ed");
 }
 
 }  // namespace

@@ -53,6 +53,18 @@ TEST(Date, FormatParse) {
   EXPECT_THROW(parse_date("2020-13-05"), std::invalid_argument);
 }
 
+TEST(Date, ParseDuration) {
+  EXPECT_EQ(parse_duration("1d"), kSecondsPerDay);
+  EXPECT_EQ(parse_duration("6h"), 6 * kSecondsPerHour);
+  EXPECT_EQ(parse_duration("90m"), 90 * 60);
+  EXPECT_EQ(parse_duration("660s"), 660);
+  EXPECT_EQ(parse_duration("86400"), kSecondsPerDay);  // bare seconds
+  for (const char* bad : {"", "0", "0d", "-5", "+5", "1x", "1dd", "d", " 5",
+                          "999999999999999999d"}) {
+    EXPECT_THROW(parse_duration(bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(SimTimeline, EpochAnchors) {
   EXPECT_EQ(time_of(2019, 10, 1), 0);
   EXPECT_EQ(time_of(2019, 10, 2), kSecondsPerDay);

@@ -57,6 +57,8 @@
 #include "util/mem.h"
 #include "util/table.h"
 
+#include "flags.h"
+
 using namespace diurnal;
 
 namespace {
@@ -65,11 +67,11 @@ struct Args {
   std::string command;
   int blocks = 3000;
   std::uint64_t seed = 1;
-  std::string dataset = "2020q1-ejnw";
-  std::optional<std::string> classify_dataset;
+  core::DatasetSpec dataset = core::dataset("2020q1-ejnw");
+  std::optional<core::DatasetSpec> classify_dataset;
   std::optional<std::string> country;
   std::optional<std::string> out_prefix;
-  std::optional<std::string> block_id;
+  std::optional<net::BlockId> block_id;
   std::optional<std::string> fault_scenario;
   bool usc = false;
   bool vpn = false;
@@ -87,28 +89,6 @@ struct Args {
   std::size_t checkpoint_every = 1;  ///< manifest rewrite cadence
   std::size_t max_shards = 0;        ///< stop after K computed shards
 };
-
-/// Parses "1d", "6h", "90m", "660s", or bare seconds.
-std::int64_t parse_duration(const std::string& s) {
-  char* end = nullptr;
-  const std::int64_t n = std::strtoll(s.c_str(), &end, 10);
-  std::int64_t scale = 1;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'd': scale = util::kSecondsPerDay; break;
-      case 'h': scale = 3600; break;
-      case 'm': scale = 60; break;
-      case 's': scale = 1; break;
-      default: scale = 0; break;
-    }
-  }
-  if (n <= 0 || scale == 0) {
-    std::fprintf(stderr, "bad duration '%s' (use e.g. 1d, 6h, 660s)\n",
-                 s.c_str());
-    std::exit(2);
-  }
-  return n * scale;
-}
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
@@ -140,31 +120,43 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--blocks") a.blocks = std::atoi(value().c_str());
-    else if (flag == "--seed") a.seed = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--dataset") a.dataset = value();
-    else if (flag == "--classify") a.classify_dataset = value();
-    else if (flag == "--country") a.country = value();
+    if (flag == "--blocks") a.blocks = tools::flag_int(flag, value(), 1);
+    else if (flag == "--seed") a.seed = tools::flag_uint(flag, value());
+    else if (flag == "--dataset")
+      a.dataset = tools::flag_dataset(flag, value());
+    else if (flag == "--classify")
+      a.classify_dataset = tools::flag_dataset(flag, value());
+    else if (flag == "--country")
+      a.country = tools::flag_value(flag, value(), [](const std::string& c) {
+        geo::country_index(c);
+        return c;
+      });
     else if (flag == "--out") a.out_prefix = value();
-    else if (flag == "--id") a.block_id = value();
-    else if (flag == "--fault") a.fault_scenario = value();
+    else if (flag == "--id")
+      a.block_id = tools::flag_value(flag, value(), net::BlockId::parse);
+    else if (flag == "--fault")
+      a.fault_scenario = tools::flag_scenario(flag, value());
     else if (flag == "--usc") a.usc = true;
     else if (flag == "--vpn") a.vpn = true;
     else if (flag == "--discover") a.discover = true;
     else if (flag == "--validate") a.validate = true;
     else if (flag == "--stream") a.stream = true;
-    else if (flag == "--shards") a.shards = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--shard-size") a.shard_size = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--max-resident") a.max_resident = std::strtoull(value().c_str(), nullptr, 10);
+    else if (flag == "--shards") a.shards = tools::flag_uint(flag, value());
+    else if (flag == "--shard-size")
+      a.shard_size = tools::flag_uint(flag, value());
+    else if (flag == "--max-resident")
+      a.max_resident = tools::flag_uint(flag, value());
     else if (flag == "--checkpoint-dir") a.checkpoint_dir = value();
     else if (flag == "--resume") a.resume = true;
     else if (flag == "--checkpoint-every")
-      a.checkpoint_every = std::strtoull(value().c_str(), nullptr, 10);
+      a.checkpoint_every = tools::flag_uint(flag, value());
     else if (flag == "--max-shards")
-      a.max_shards = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--epoch") a.epoch = parse_duration(value());
+      a.max_shards = tools::flag_uint(flag, value());
+    else if (flag == "--epoch")
+      a.epoch = tools::flag_value(flag, value(), util::parse_duration);
     else if (flag.rfind("--epoch=", 0) == 0)
-      a.epoch = parse_duration(flag.substr(8));
+      a.epoch =
+          tools::flag_value("--epoch", flag.substr(8), util::parse_duration);
     else usage();
   }
   return a;
@@ -251,8 +243,8 @@ int cmd_run(const Args& a) {
   wc.only_country = a.country;
 
   core::FleetConfig fc;
-  fc.dataset = core::dataset(a.dataset);
-  if (a.classify_dataset) fc.classify_dataset = core::dataset(*a.classify_dataset);
+  fc.dataset = a.dataset;
+  fc.classify_dataset = a.classify_dataset;
   if (a.fault_scenario) {
     fc.faults = fault::scenario(*a.fault_scenario, fc.dataset.window());
   }
@@ -369,14 +361,14 @@ int cmd_block(const Args& a) {
 
   net::BlockId id = world.usc_office_block();
   if (a.vpn) id = world.usc_vpn_block();
-  if (a.block_id) id = net::BlockId::parse(*a.block_id);
+  if (a.block_id) id = *a.block_id;
   const auto* block = world.find(id);
   if (block == nullptr) {
     std::fprintf(stderr, "block %s not in this world\n", id.to_string().c_str());
     return 1;
   }
 
-  const auto ds = core::dataset(a.dataset);
+  const core::DatasetSpec& ds = a.dataset;
   recon::BlockObservationConfig oc;
   oc.observers = ds.observers();
   oc.window = ds.window();

@@ -32,6 +32,8 @@
 #include "validate/harness.h"
 #include "validate/scenario.h"
 
+#include "flags.h"
+
 using namespace diurnal;
 
 namespace {
@@ -74,7 +76,7 @@ Args parse(int argc, char** argv) {
     else if (flag == "--list") a.list = true;
     else if (flag == "--batch-only") a.batch_only = true;
     else if (flag == "--explain") a.explain = true;
-    else if (flag == "--threads") a.threads = std::atoi(value().c_str());
+    else if (flag == "--threads") a.threads = tools::flag_int(flag, value(), 0);
     else usage();
   }
   return a;

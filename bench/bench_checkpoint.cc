@@ -2,8 +2,8 @@
 // core/checkpoint.h) — what a snapshot costs, what a resume saves, and
 // proof the persistence layer never buys speed with correctness:
 //
-//  snapshot    mid-window StreamingFleet save/restore latency and image
-//              size (bytes/block) in both packings (varint vs raw f64),
+//  snapshot    mid-window StreamingFleet save/restore latency, image
+//              size (bytes/block) and CRC-32 (the CI same-bytes pin),
 //              with the restored engine finalizing to the reference
 //              fleet digest bit-for-bit;
 //  resume      sharded kill-mid-run at 10k blocks: wall-clock of the
@@ -74,6 +74,13 @@ std::filesystem::path fresh_dir(const char* name) {
   return dir;
 }
 
+/// A CRC-32 as 8 lowercase hex digits (the BENCH_checkpoint.json form).
+std::string crc_hex(std::uint32_t crc) {
+  char buf[9];
+  std::snprintf(buf, sizeof(buf), "%08x", crc);
+  return buf;
+}
+
 /// Returns freed arena pages to the OS so a following peak-RSS reset
 /// measures the next phase, not this one's leftovers.
 void trim_heap() {
@@ -100,8 +107,9 @@ int main() {
   // Phase 1: mid-window fleet snapshot — latency, size, digest gate.
   // ------------------------------------------------------------------
   const auto wc = bench::scaled_world(2000, 1);
-  double save_secs[2] = {0, 0};
-  std::size_t image_bytes[2] = {0, 0};
+  double save_secs = 0.0;
+  std::size_t image_bytes = 0;
+  std::uint32_t image_crc = 0;
   double restore_secs = 0.0;
   double n_blocks = 0.0;
   std::uint64_t ref_digest = 0;
@@ -117,33 +125,27 @@ int main() {
     const auto span = engine.window_end() - engine.window_start();
     engine.advance_to(engine.window_start() + span / 2);
 
-    // Save latency and image size, varint vs raw f64 packing.  The
-    // state is identical either way; varint wins on the integral count
-    // series, raw on fully fractional payloads.
+    // Save latency, image size and checksum.
     constexpr int kReps = 5;
-    for (const bool varint : {true, false}) {
-      for (int rep = 0; rep < kReps; ++rep) {
-        util::StateWriter w(varint);
-        const auto t0 = Clock::now();
-        engine.save(w);
-        save_secs[varint ? 0 : 1] += seconds_since(t0) / kReps;
-        image_bytes[varint ? 0 : 1] = w.size();
-      }
+    std::vector<std::uint8_t> image;
+    for (int rep = 0; rep < kReps; ++rep) {
+      util::StateWriter w;
+      const auto t0 = Clock::now();
+      engine.save(w);
+      save_secs += seconds_since(t0) / kReps;
+      image = w.take();
     }
+    image_bytes = image.size();
+    image_crc = util::crc32(image);
     std::printf("\nsnapshot @ mid-window (%zu blocks):\n",
                 world.blocks().size());
-    std::printf("  varint  %8.2f ms  %9zu bytes  (%.1f bytes/block)\n",
-                save_secs[0] * 1e3, image_bytes[0],
-                image_bytes[0] / n_blocks);
-    std::printf("  raw f64 %8.2f ms  %9zu bytes  (%.1f bytes/block)\n",
-                save_secs[1] * 1e3, image_bytes[1],
-                image_bytes[1] / n_blocks);
+    std::printf("  save    %8.2f ms  %9zu bytes  (%.1f bytes/block, "
+                "crc32 %s)\n",
+                save_secs * 1e3, image_bytes, image_bytes / n_blocks,
+                crc_hex(image_crc).c_str());
 
     // Restore latency, then the non-negotiable: the restored engine
     // must finish to the reference digest.
-    util::StateWriter snap;
-    engine.save(snap);
-    const auto image = snap.take();
     core::StreamingFleet resumed(world, fc);
     const auto t_restore = Clock::now();
     {
@@ -319,13 +321,11 @@ int main() {
 
   bench::JsonObject snapshot;
   snapshot.add("blocks", static_cast<std::int64_t>(n_blocks))
-      .add("save_ms_varint", save_secs[0] * 1e3)
-      .add("save_ms_raw", save_secs[1] * 1e3)
+      .add("save_ms", save_secs * 1e3)
       .add("restore_ms", restore_secs * 1e3)
-      .add("image_bytes_varint", static_cast<std::int64_t>(image_bytes[0]))
-      .add("image_bytes_raw", static_cast<std::int64_t>(image_bytes[1]))
-      .add("bytes_per_block_varint", image_bytes[0] / n_blocks)
-      .add("bytes_per_block_raw", image_bytes[1] / n_blocks)
+      .add("image_bytes", static_cast<std::int64_t>(image_bytes))
+      .add("image_crc32", crc_hex(image_crc))
+      .add("bytes_per_block", image_bytes / n_blocks)
       .add("fleet_digest", bench::digest_hex(ref_digest))
       .add("restore_digest_match", digest_ok);
 
@@ -362,6 +362,8 @@ int main() {
   j.add("bench", "checkpoint")
       .add("dataset", fc.dataset.abbr)
       .add("threads", static_cast<std::int64_t>(hw))
+      .add("hardware_concurrency",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()))
       .add("state_format_version",
            static_cast<std::int64_t>(util::kStateFormatVersion))
       .add_object("snapshot", snapshot)

@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
 #include "core/digest.h"
 
 namespace diurnal::core {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Adds a writer-thread interval to a cumulative ServeStats timer.
+void add_seconds(std::atomic<double>& total, Clock::duration d) {
+  total.fetch_add(std::chrono::duration<double>(d).count(),
+                  std::memory_order_relaxed);
+}
 
 bool alarm_before(const ProvisionalChange& a, const ProvisionalChange& b) {
   if (a.alarm != b.alarm) return a.alarm < b.alarm;
@@ -211,9 +220,13 @@ std::size_t SnapshotServer::feed_all() {
 
 void SnapshotServer::writer_loop() {
   while (auto until = feed_.pop()) {
+    const auto t0 = Clock::now();
     EpochReport rep = engine_.advance_to(*until);
+    const auto t1 = Clock::now();
     observations_.fetch_add(rep.observations, std::memory_order_relaxed);
     auto snap = build_snapshot(rep);
+    add_seconds(advance_seconds_, t1 - t0);
+    add_seconds(publish_seconds_, Clock::now() - t1);
     snapshot_bytes_.store(snap->bytes(), std::memory_order_relaxed);
     epochs_.fetch_add(1, std::memory_order_relaxed);
     registry_.publish(std::move(snap));
@@ -249,9 +262,12 @@ std::shared_ptr<EpochSnapshot> SnapshotServer::build_snapshot(
   snap->scorecard_.funnel = rep.funnel;
 
   if (serve_.keep_image) {
+    const auto t0 = Clock::now();
     util::StateWriter w;
     engine_.save(w);
     snap->image_ = w.take();
+    add_seconds(image_seconds_, Clock::now() - t0);
+    image_bytes_.store(snap->image_.size(), std::memory_order_relaxed);
   }
   return snap;
 }
@@ -394,6 +410,10 @@ ServeStats SnapshotServer::stats() const {
   s.feed_peak_depth = feed_.peak_size();
   s.feed_capacity = feed_.capacity();
   s.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
+  s.advance_seconds = advance_seconds_.load(std::memory_order_relaxed);
+  s.publish_seconds = publish_seconds_.load(std::memory_order_relaxed);
+  s.image_seconds = image_seconds_.load(std::memory_order_relaxed);
+  s.image_bytes = image_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -173,6 +173,14 @@ struct ServeStats {
   std::size_t feed_peak_depth = 0;
   std::size_t feed_capacity = 0;
   std::size_t snapshot_bytes = 0;  ///< latest snapshot's footprint
+  /// Where the writer's time went, in steady_clock seconds summed over
+  /// the ingest epochs (divide by epochs_published for a per-epoch
+  /// mean): the engine's advance, and publication — building the
+  /// snapshot, its state image included.  Never hashed.
+  double advance_seconds = 0.0;
+  double publish_seconds = 0.0;
+  double image_seconds = 0.0;   ///< 0 with ServeConfig::keep_image off
+  std::size_t image_bytes = 0;  ///< latest snapshot's image
 };
 
 class SnapshotServer {
@@ -276,6 +284,10 @@ class SnapshotServer {
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::uint64_t> observations_{0};
   std::atomic<std::size_t> snapshot_bytes_{0};
+  std::atomic<double> advance_seconds_{0.0};
+  std::atomic<double> publish_seconds_{0.0};
+  std::atomic<double> image_seconds_{0.0};
+  std::atomic<std::size_t> image_bytes_{0};
 };
 
 }  // namespace diurnal::core

@@ -154,7 +154,28 @@ void BlockReconState::fields(Self& self, IO& io) {
 
 void BlockReconState::save(util::StateWriter& w) const { fields(*this, w); }
 
-void BlockReconState::restore(util::StateReader& r) { fields(*this, r); }
+void BlockReconState::restore(util::StateReader& r) {
+  fields(*this, r);
+  // push() keeps the address counters exact functions of the address
+  // states; a counter that disagrees (say, one near INT_MAX) would
+  // overflow on the next push.
+  const std::size_t addresses = static_cast<std::size_t>(
+      std::clamp(eb_count_, 0, static_cast<int>(state_.size())));
+  int active = 0;
+  int observed = 0;
+  for (std::size_t a = 0; a < state_.size(); ++a) {
+    const std::int8_t s = state_[a];
+    if (s < -1 || s > 1) util::bad_value("address state outside {-1, 0, 1}");
+    if (a >= addresses && s != -1) {
+      util::bad_value("address state past the block's addresses");
+    }
+    active += s == 1 ? 1 : 0;
+    observed += s != -1 ? 1 : 0;
+  }
+  if (active_ != active || observed_ != observed) {
+    util::bad_value("address counters disagree with the address states");
+  }
+}
 
 ReconResult reconstruct(const probe::ObservationVec& merged, int eb_count,
                         probe::ProbeWindow window, const ReconOptions& opt) {

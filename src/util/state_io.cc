@@ -16,21 +16,35 @@ constexpr std::array<char, 8> kMagic = {'D', 'I', 'U', 'R', 'N', 'C', 'K', 'P'};
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
 constexpr std::uint32_t kFlagVarint = 1u << 0;
 
+/// The longest LEB128 encoding of a 64-bit value.
+constexpr std::size_t kMaxVarintBytes = 10;
+
 /// Per-array tags of f64_span's packing decision.
 constexpr std::uint8_t kF64Raw = 0;
 constexpr std::uint8_t kF64Varint = 1;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slice-by-16 tables: t[0] is the bytewise table; t[k][i] is the CRC
+/// of byte i followed by k zero bytes, so one step folds sixteen bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
@@ -62,40 +76,30 @@ void bad_value(const char* what) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (; n >= 16; p += 16, n -= 16) {
+    // Byte j of the step has 15 - j bytes after it; the running CRC
+    // folds into the first four.
+    std::uint32_t next = 0;
+    for (std::size_t j = 0; j < 16; ++j) {
+      const std::uint32_t b = j < 4 ? (p[j] ^ (c >> (8 * j))) & 0xFFu : p[j];
+      next ^= t[15 - j][b];
+    }
+    c = next;
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
-StateWriter::StateWriter(bool varint) : varint_(varint) {
+StateWriter::StateWriter() {
   buf_.reserve(64);
-  for (const char c : kMagic) buf_.push_back(static_cast<std::uint8_t>(c));
+  append(kMagic.data(), kMagic.size());
   raw32(kEndianSentinel);
   raw32(kStateFormatVersion);
-  raw32(varint_ ? kFlagVarint : 0u);
-}
-
-void StateWriter::raw32(std::uint32_t v) {
-  std::uint8_t b[4];
-  std::memcpy(b, &v, 4);
-  buf_.insert(buf_.end(), b, b + 4);
-}
-
-void StateWriter::raw64(std::uint64_t v) {
-  std::uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  buf_.insert(buf_.end(), b, b + 8);
-}
-
-void StateWriter::var64(std::uint64_t v) {
-  while (v >= 0x80u) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  raw32(kFlagVarint);
 }
 
 void StateWriter::begin_section(std::uint32_t tag) {
@@ -124,39 +128,6 @@ void StateWriter::end_section() {
   section_open_ = false;
 }
 
-void StateWriter::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void StateWriter::u32(std::uint32_t v) {
-  if (varint_) {
-    var64(v);
-  } else {
-    raw32(v);
-  }
-}
-
-void StateWriter::u64(std::uint64_t v) {
-  if (varint_) {
-    var64(v);
-  } else {
-    raw64(v);
-  }
-}
-
-void StateWriter::i64(std::int64_t v) {
-  // Zigzag: small magnitudes of either sign stay short.
-  const std::uint64_t z = (static_cast<std::uint64_t>(v) << 1) ^
-                          static_cast<std::uint64_t>(v >> 63);
-  u64(z);
-}
-
-void StateWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  raw64(bits);
-}
-
-void StateWriter::boolean(bool v) { u8(v ? 1 : 0); }
-
 void StateWriter::str(std::string_view s) {
   u64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
@@ -164,23 +135,31 @@ void StateWriter::str(std::string_view s) {
 
 void StateWriter::f64_span(std::span<const double> v) {
   u64(v.size());
-  bool integral = varint_;
-  if (integral) {
-    constexpr double kMax = 4503599627370496.0;  // 2^52
-    for (const double x : v) {
-      if (!(x >= 0.0 && x < kMax) || std::nearbyint(x) != x ||
-          std::signbit(x)) {
-        integral = false;
-        break;
-      }
+  // The range and sign tests reject NaN, infinities and -0.0 before
+  // the integer round trip, which then decides integrality exactly.
+  constexpr double kMax = 4503599627370496.0;  // 2^52
+  bool integral = true;
+  for (const double x : v) {
+    if (!(x >= 0.0 && x < kMax) || std::signbit(x) ||
+        static_cast<double>(static_cast<std::int64_t>(x)) != x) {
+      integral = false;
+      break;
     }
   }
-  u8(integral ? kF64Varint : kF64Raw);
   if (integral) {
+    u8(kF64Varint);
     for (const double x : v) var64(static_cast<std::uint64_t>(x));
-  } else {
-    for (const double x : v) f64(x);
+    return;
   }
+  u8(kF64Raw);
+  if (buf_.capacity() - buf_.size() >= v.size_bytes()) {
+    append(v.data(), v.size_bytes());
+    return;
+  }
+  // Growing: a value at a time, so the buffer reallocates where
+  // per-value appends would and the image's capacity (its footprint in
+  // a snapshot) does not depend on the one-insert path.
+  for (const double x : v) f64(x);
 }
 
 const std::vector<std::uint8_t>& StateWriter::bytes() const {
@@ -215,13 +194,13 @@ StateReader::StateReader(std::span<const std::uint8_t> image)
   if (version_ != kStateFormatVersion) {
     fail(StateErrorKind::kBadVersion, "unsupported state format version");
   }
-  const std::uint32_t flags = raw32();
-  if ((flags & ~kFlagVarint) != 0) {
-    // A flag bit this reader does not understand changes decoding rules
-    // in ways it cannot honour; accepting it would be silent garbage.
-    fail(StateErrorKind::kBadValue, "unknown header flag bits");
+  // Every writer sets bit 0 (LEB128 integers) and no other.  An unknown
+  // bit changes decoding rules this reader cannot honour, and bit 0
+  // clear asks for fixed-width integers, which it no longer decodes:
+  // accepting either would be silent garbage.
+  if (raw32() != kFlagVarint) {
+    fail(StateErrorKind::kBadValue, "unsupported header flags");
   }
-  varint_ = (flags & kFlagVarint) != 0;
 }
 
 void StateReader::fail(StateErrorKind kind, const char* what) const {
@@ -264,20 +243,19 @@ std::uint64_t StateReader::raw64() {
 }
 
 std::uint64_t StateReader::var64() {
+  // With room for the longest varint left, no byte of this one can run
+  // past the data, so that one check covers them all.
+  const bool checked = remaining() < kMaxVarintBytes;
   std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    need(1);
+  for (int shift = 0;; shift += 7) {
+    if (checked) need(1);
     const std::uint8_t b = image_[pos_++];
+    // The tenth byte carries bit 63 alone, and no continuation.
     if (shift == 63 && b > 1) {
       fail(StateErrorKind::kBadValue, "varint overflows 64 bits");
     }
     v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
     if ((b & 0x80u) == 0) return v;
-    shift += 7;
-    if (shift > 63) {
-      fail(StateErrorKind::kBadValue, "varint overflows 64 bits");
-    }
   }
 }
 
@@ -334,7 +312,6 @@ std::uint8_t StateReader::u8() {
 }
 
 std::uint32_t StateReader::u32() {
-  if (!varint_) return raw32();
   const std::uint64_t v = var64();
   if (v > 0xFFFFFFFFull) {
     fail(StateErrorKind::kBadValue, "u32 value out of range");
@@ -342,7 +319,7 @@ std::uint32_t StateReader::u32() {
   return static_cast<std::uint32_t>(v);
 }
 
-std::uint64_t StateReader::u64() { return varint_ ? var64() : raw64(); }
+std::uint64_t StateReader::u64() { return var64(); }
 
 std::int64_t StateReader::i64() {
   const std::uint64_t z = u64();
@@ -389,12 +366,18 @@ std::size_t StateReader::f64_span_into(std::span<double> out) {
 
 void StateReader::f64_values(std::span<double> out) {
   const std::uint8_t mode = u8();
-  if (mode != kF64Varint && mode != kF64Raw) {
+  if (mode == kF64Raw) {
+    need(out.size_bytes());
+    if (!out.empty()) {
+      std::memcpy(out.data(), image_.data() + pos_, out.size_bytes());
+    }
+    pos_ += out.size_bytes();
+    return;
+  }
+  if (mode != kF64Varint) {
     fail(StateErrorKind::kBadValue, "unknown f64 span packing mode");
   }
-  for (double& x : out) {
-    x = mode == kF64Varint ? static_cast<double>(var64()) : f64();
-  }
+  for (double& x : out) x = static_cast<double>(var64());
 }
 
 void write_state_file(const std::string& path,

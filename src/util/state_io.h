@@ -4,7 +4,7 @@
 // A state image is a header plus a sequence of framed sections:
 //
 //   header   "DIURNCKP" | endian sentinel u32 | format version u32 |
-//            flags u32 (bit 0: varint integer packing)
+//            flags u32 (bit 0, always set: LEB128 integer packing)
 //   section  tag u32 | payload length u64 | payload CRC32 u32 | payload
 //
 // The header fields are fixed-width native-endian; the sentinel detects
@@ -28,6 +28,7 @@
 // where a wire encoding differs from its C++ field.
 #pragma once
 
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -80,7 +81,9 @@ constexpr std::uint32_t state_tag(const char (&s)[5]) noexcept {
          (static_cast<std::uint32_t>(static_cast<unsigned char>(s[3])) << 24);
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected; initial value and final
+/// xor 0xFFFFFFFF) over a byte span, sixteen bytes per table step
+/// (slice-by-16).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Throws StateError(kBadValue, what): the range checks a restore runs
@@ -184,17 +187,24 @@ class FieldVerbs {
   IO& io() { return static_cast<IO&>(*this); }
 };
 
-/// Serializes values into an in-memory image.  Integer packing: with
-/// varint enabled (the default) u32/u64 are LEB128 and i64 is
-/// zigzag-LEB128; disabled, they are fixed-width.  f64 is always the
-/// raw 8-byte bit pattern — checkpoints must round-trip bitwise, so
-/// floating-point values are never re-encoded — except through
-/// f64_span's integral fast path, which is exact by construction.
+/// Serializes values into an in-memory image.  Integers are LEB128
+/// (u32, u64) and zigzag-LEB128 (i64).  f64 is always the raw 8-byte
+/// bit pattern — checkpoints must round-trip bitwise, so floating-point
+/// values are never re-encoded — except through f64_span's integral
+/// fast path, which is exact by construction.
+///
+/// The value verbs are inline: the field lists that call them are
+/// compiled in every layer's translation unit, and an image is mostly
+/// one- and two-byte fields.  Bytes are appended through the vector's
+/// own push_back/insert growth, which never touches pages past what has
+/// been written; a raw f64 array is one insert only when it fits the
+/// capacity, so it grows the vector exactly as appending each value
+/// alone would.
 class StateWriter : public FieldVerbs<StateWriter> {
  public:
   static constexpr bool kReading = false;
 
-  explicit StateWriter(bool varint = true);
+  StateWriter();
 
   /// Opens a framed section; every value lands in it.  Sections do not
   /// nest.
@@ -202,12 +212,16 @@ class StateWriter : public FieldVerbs<StateWriter> {
   /// Closes the open section, patching its length and CRC.
   void end_section();
 
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);
-  void boolean(bool v);
+  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u32(std::uint32_t v) { var64(v); }
+  void u64(std::uint64_t v) { var64(v); }
+  void i64(std::int64_t v) {
+    // Zigzag: small magnitudes of either sign stay short.
+    var64((static_cast<std::uint64_t>(v) << 1) ^
+          static_cast<std::uint64_t>(v >> 63));
+  }
+  void f64(double v) { raw64(std::bit_cast<std::uint64_t>(v)); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s);
 
   /// A double array with a transparent packing decision: when every
@@ -226,14 +240,22 @@ class StateWriter : public FieldVerbs<StateWriter> {
   std::size_t size() const noexcept { return buf_.size(); }
 
  private:
-  void raw32(std::uint32_t v);
-  void raw64(std::uint64_t v);
-  void var64(std::uint64_t v);
+  void append(const void* data, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(data);
+    buf_.insert(buf_.end(), b, b + n);
+  }
+  void raw32(std::uint32_t v) { append(&v, sizeof(v)); }
+  void raw64(std::uint64_t v) { append(&v, sizeof(v)); }
+  void var64(std::uint64_t v) {
+    for (; v >= 0x80u; v >>= 7) {
+      buf_.push_back(static_cast<std::uint8_t>(v) | 0x80u);
+    }
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
 
   std::vector<std::uint8_t> buf_;
   std::size_t payload_start_ = 0;  ///< open section's payload offset
   bool section_open_ = false;
-  bool varint_ = true;
 };
 
 /// Deserializes an image produced by StateWriter.  The constructor
@@ -315,7 +337,6 @@ class StateReader : public FieldVerbs<StateReader> {
   std::size_t pos_ = 0;
   std::size_t section_end_ = 0;
   bool section_open_ = false;
-  bool varint_ = true;
   std::uint32_t version_ = 0;
 };
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/datasets.h"
@@ -280,6 +281,40 @@ TEST(SnapshotServerTest, BackpressureBoundsTheFeedAndIsAccounted) {
   const auto snap = server.snapshot();
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->image().empty());  // keep_image off
+}
+
+TEST(SnapshotServerTest, PublicationCostIsAccountedOutsideTheAnswers) {
+  // The writer times its advance, its publication and the state image
+  // inside it; the image's bytes are the latest snapshot's.  None of it
+  // is an answer: a server without images answers identically.
+  const auto fc = small_config(2);
+  const auto five_days = [&](bool keep_image) {
+    core::ServeConfig sc;
+    sc.keep_image = keep_image;
+    core::SnapshotServer server(small_world(), fc, sc);
+    server.start();
+    for (int day = 1; day <= 5; ++day) {
+      EXPECT_TRUE(server.feed(server.window_start() +
+                              day * util::kSecondsPerDay));
+    }
+    auto snap = server.wait_for_epoch(5);
+    server.stop();
+    return std::make_pair(server.stats(), std::move(snap));
+  };
+  const auto [with, imaged] = five_days(true);
+  ASSERT_NE(imaged, nullptr);
+  EXPECT_EQ(with.epochs_published, 5u);
+  EXPECT_GT(with.advance_seconds, 0.0);
+  EXPECT_GT(with.image_seconds, 0.0);
+  EXPECT_LE(with.image_seconds, with.publish_seconds);
+  EXPECT_EQ(with.image_bytes, imaged->image().size());
+
+  const auto [without, bare] = five_days(false);
+  ASSERT_NE(bare, nullptr);
+  EXPECT_GT(without.publish_seconds, 0.0);
+  EXPECT_EQ(without.image_seconds, 0.0);
+  EXPECT_EQ(without.image_bytes, 0u);
+  EXPECT_EQ(bare->answers_digest(), imaged->answers_digest());
 }
 
 // ---------------------------------------------------------------------------

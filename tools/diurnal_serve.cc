@@ -286,12 +286,17 @@ int main(int argc, char** argv) {
   }
   std::sort(all.begin(), all.end());
 
+  const auto epochs = static_cast<double>(stats.epochs_published);
+  const double mean_ms = epochs > 0 ? 1e3 / epochs : 0.0;  // per epoch
   std::printf(
       "\nfinalized: %llu epochs, %llu observations, %llu backpressure "
-      "waits\n",
+      "waits; per epoch: advance %.2f ms, publish %.2f ms (state image "
+      "%.2f ms, latest %zu bytes)\n",
       static_cast<unsigned long long>(stats.epochs_published),
       static_cast<unsigned long long>(stats.observations),
-      static_cast<unsigned long long>(stats.feed_waits));
+      static_cast<unsigned long long>(stats.feed_waits),
+      stats.advance_seconds * mean_ms, stats.publish_seconds * mean_ms,
+      stats.image_seconds * mean_ms, stats.image_bytes);
   const auto& f = fleet.funnel;
   std::printf(
       "funnel: %lld routed -> %lld responsive -> %lld diurnal -> "

@@ -43,12 +43,17 @@ int main() {
                      "recall"});
   for (const double threshold : {0.5, 1.0, 2.0, 4.0}) {
     for (const double drift : {0.0, 0.001, 0.01}) {
-      core::DetectorOptions det;
-      det.cusum = analysis::CusumOptions{threshold, drift};
+      core::DetectorOptions opt;
+      opt.cusum = analysis::CusumOptions{threshold, drift};
+      core::BatchDetector det(opt);
+      for (std::size_t k = 0; k < cs_index.size(); ++k) {
+        const auto& counts = cs_counts[k];
+        det.enqueue(counts.span(), counts.start(), counts.step(),
+                    &fleet.outcomes[cs_index[k]].changes);
+      }
+      det.flush();
       std::int64_t total_changes = 0;
       for (std::size_t k = 0; k < cs_index.size(); ++k) {
-        fleet.outcomes[cs_index[k]].changes =
-            core::detect_changes(cs_counts[k], det).changes;
         for (const auto& c : fleet.outcomes[cs_index[k]].changes) {
           total_changes += !c.filtered_as_outage;
         }

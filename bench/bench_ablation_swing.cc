@@ -33,6 +33,7 @@ int main() {
     truth_diurnal_cat.push_back(sim::is_diurnal_category(b.category) ? 1 : 0);
   }
   std::printf("responsive-capable blocks probed: %zu\n\n", recons.size());
+  std::vector<core::BlockClassification> verdicts(recons.size());
 
   util::TextTable t({"min swing s", "rule", "wide blocks", "change-sensitive",
                      "c-s that are truly diurnal"});
@@ -52,9 +53,10 @@ int main() {
       opt.swing.min_swing = s;
       opt.swing.window_days = rule.window;
       opt.swing.min_wide_days = rule.min_days;
+      bench::classify_batched(recons, opt, verdicts);
       std::int64_t wide = 0, cs = 0, cs_truth = 0;
       for (std::size_t i = 0; i < recons.size(); ++i) {
-        const auto cls = core::classify_block(recons[i], opt);
+        const auto& cls = verdicts[i];
         wide += cls.wide_swing;
         cs += cls.change_sensitive;
         cs_truth += cls.change_sensitive && truth_diurnal_cat[i];

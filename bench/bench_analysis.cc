@@ -1,11 +1,10 @@
 // BENCH analysis: per-stage throughput of the span-kernel analysis
 // layer (FFT diurnality, STL decomposition, CUSUM) over real fleet
-// series — scalar AND batched (SoA) paths — plus the allocation story
-// the refactor exists for: heap allocations per block for the legacy
-// vector/TimeSeries chain vs the warm BlockAnalyzer chain.  The span
-// and batched chains must run with ZERO steady-state allocations per
-// block, and the batched results must be bit-identical to the scalar
-// kernels (the bench exits nonzero otherwise); the fleet digest is
+// series — scalar AND batched (SoA) paths — plus heap allocations per
+// block of the warm scalar (BlockAnalyzer) and batched chains.  Both
+// must run with ZERO steady-state allocations per block, and the
+// batched results must be bit-identical to the scalar kernels (the
+// bench exits nonzero otherwise); the fleet digest is
 // recorded so CI can cross-check that the measured build still
 // produces the golden result.
 //
@@ -33,16 +32,13 @@
 
 #include "analysis/batch.h"
 #include "analysis/block_analyzer.h"
-#include "analysis/cusum.h"
-#include "analysis/diurnal_test.h"
 #include "analysis/simd.h"
 #include "analysis/stl.h"
-#include "analysis/swing.h"
 #include "common.h"
 #include "core/datasets.h"
 #include "core/pipeline.h"
+#include "flags.h"
 #include "sim/world.h"
-#include "util/timeseries.h"
 
 namespace {
 
@@ -121,9 +117,8 @@ int main(int argc, char** argv) {
     if (arg == "--scalar") {
       scalar_only = true;
     } else if (arg == "--batch-width" && a + 1 < argc) {
-      const long w = std::strtol(argv[++a], nullptr, 10);
-      batch_width = static_cast<std::size_t>(std::clamp<long>(
-          w, 1, static_cast<long>(analysis::kMaxBatchLanes)));
+      batch_width =
+          tools::flag_uint(arg, argv[++a], 1, analysis::kMaxBatchLanes);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scalar] [--batch-width N]  (N in 1..%zu)\n",
@@ -192,8 +187,8 @@ int main(int argc, char** argv) {
     zrows.emplace_back(z.begin(), z.end());
   }
 
-  // Min-of-reps per-stage scalar throughput, every stage through the
-  // same warm analyzer the fleet workers use.
+  // Min-of-reps per-stage scalar throughput, every stage through one
+  // warm scalar analyzer.
   double fft_best = 0, stl_best = 0, cusum_best = 0;
   for (int rep = 0; rep < reps; ++rep) {
     auto t = Clock::now();
@@ -370,27 +365,10 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // Allocations per block: the legacy vector/TimeSeries chain vs one
-  // warm-analyzer pass over the same blocks, and (batched mode) one
-  // warm batched pass.  Both warm chains must never touch the heap.
+  // Allocations per block: one warm-analyzer pass over the sampled
+  // blocks and (batched mode) one warm batched pass.  Both warm chains
+  // must never touch the heap.
   // ------------------------------------------------------------------
-  const auto legacy_pass = [&] {
-    for (const std::size_t i : rows) {
-      const auto s = fleet.series.series(i);
-      // What the fleet did before the span layer: materialize a
-      // TimeSeries, then run each kernel through its owning wrapper.
-      util::TimeSeries ts(fleet.series.start(), step,
-                          std::vector<double>(s.begin(), s.end()));
-      const auto d = analysis::test_diurnal(ts);
-      const auto sw = analysis::classify_swing(ts);
-      auto dec = analysis::stl_decompose(s, stl_opt);
-      const auto z =
-          util::TimeSeries(ts.start(), step, std::move(dec.trend)).zscore();
-      const auto cus = analysis::cusum_detect(z.span());
-      g_sink = g_sink + d.power_ratio + sw.max_daily_swing +
-               static_cast<double>(cus.changes.size());
-    }
-  };
   const auto span_pass = [&] {
     for (const std::size_t i : rows) {
       const auto s = fleet.series.series(i);
@@ -416,15 +394,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  legacy_pass();  // warm whatever the libc allocator caches
-  span_pass();    // warm the analyzer's workspace and machine buffers
+  span_pass();  // warm the analyzer's workspace and machine buffers
   const std::size_t misses_before = az.workspace().pool_misses();
 
   std::size_t c0 = g_allocs.load();
-  legacy_pass();
-  const std::size_t legacy_allocs = g_allocs.load() - c0;
-
-  c0 = g_allocs.load();
   span_pass();
   const std::size_t span_allocs = g_allocs.load() - c0;
   const std::size_t pool_miss_delta =
@@ -441,9 +414,7 @@ int main(int argc, char** argv) {
 
   const double blocks = static_cast<double>(rows.size());
   std::printf(
-      "allocations/block: legacy %.1f, span %.1f, batched %.1f "
-      "(pool misses %zu + %zu)\n",
-      static_cast<double>(legacy_allocs) / blocks,
+      "allocations/block: span %.1f, batched %.1f (pool misses %zu + %zu)\n",
       static_cast<double>(span_allocs) / blocks,
       static_cast<double>(batch_allocs) / blocks, pool_miss_delta,
       batch_pool_miss);
@@ -493,8 +464,7 @@ int main(int argc, char** argv) {
     j.add("fft_msamples_per_sec", n / fft_best * 1e-6)
         .add("stl_msamples_per_sec", n / stl_best * 1e-6);
   }
-  j.add("legacy_allocs_per_block", static_cast<double>(legacy_allocs) / blocks)
-      .add("span_allocs_per_block", static_cast<double>(span_allocs) / blocks)
+  j.add("span_allocs_per_block", static_cast<double>(span_allocs) / blocks)
       .add("batch_allocs_per_block",
            static_cast<double>(batch_allocs) / blocks)
       .add("workspace_pool_miss_delta",

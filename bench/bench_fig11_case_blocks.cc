@@ -7,23 +7,21 @@
 #include <cstdio>
 
 #include "common.h"
-#include "core/classify.h"
-#include "core/detect.h"
+#include "core/pipeline.h"
 #include "recon/block_recon.h"
 
 using namespace diurnal;
 
 namespace {
 
-void analyze(const sim::World& world, const sim::BlockProfile& block,
-             const char* label) {
+void analyze(const sim::BlockProfile& block, const char* label) {
   recon::BlockObservationConfig oc;
   oc.observers = probe::sites_from_string("ejnw");
   oc.window = probe::ProbeWindow{util::time_of(2020, 1, 1),
                                  util::time_of(2020, 4, 15)};
   const auto recon = recon::observe_and_reconstruct(block, oc);
-  const auto cls = core::classify_block(recon);
-  const auto det = core::detect_changes(recon.counts);
+  const auto verdict = core::analyze_block(recon);
+  const auto& cls = verdict.cls;
 
   std::printf("%s: %s (|E(b)| = %d)\n", label, block.id.to_string().c_str(),
               recon.eb_count);
@@ -38,7 +36,7 @@ void analyze(const sim::World& world, const sim::BlockProfile& block,
                 bench::bar(days[i].max / std::max(1.0, recon.max_active), 25)
                     .c_str());
   }
-  for (const auto& c : det.changes) {
+  for (const auto& c : verdict.changes) {
     std::printf("  %s change  alarm %s  amplitude %+.2f%s\n",
                 c.direction == analysis::ChangeDirection::kDown ? "DOWN" : "UP",
                 util::to_string(util::date_of(c.alarm)).c_str(), c.amplitude,
@@ -56,9 +54,9 @@ int main() {
   wc.num_blocks = 0;
   const sim::World world(wc);
 
-  analyze(world, *world.find(world.uae_case_block()),
+  analyze(*world.find(world.uae_case_block()),
           "(a) UAE block, diurnal activity disappears at lockdown");
-  analyze(world, *world.find(world.renumber_case_block()),
+  analyze(*world.find(world.renumber_case_block()),
           "(b) renumbered block, non-Covid down/up pair in mid-February");
 
   std::printf("paper: (a) detects the lockdown change around 2020-03-24;\n"

@@ -5,8 +5,7 @@
 #include <cstdio>
 
 #include "common.h"
-#include "core/classify.h"
-#include "core/detect.h"
+#include "core/pipeline.h"
 #include "recon/block_recon.h"
 
 using namespace diurnal;
@@ -23,8 +22,8 @@ int main() {
   oc.window = probe::ProbeWindow{util::time_of(2020, 1, 1),
                                  util::time_of(2020, 3, 25)};
   const auto recon = recon::observe_and_reconstruct(*vpn, oc);
-  const auto cls = core::classify_block(recon);
-  const auto det = core::detect_changes(recon.counts);
+  const auto verdict = core::analyze_block(recon);
+  const auto& cls = verdict.cls;
 
   std::printf("(a) active addresses over three months (|E(b)| = %d):\n",
               recon.eb_count);
@@ -39,9 +38,9 @@ int main() {
 
   std::printf("\nchange-sensitive: %s\n", cls.change_sensitive ? "YES" : "no");
   std::printf("\n(b) detected changes (threshold 1, drift 0.001): N = %zu\n",
-              det.changes.size());
+              verdict.changes.size());
   bool drop_near_wfh = false;
-  for (const auto& c : det.changes) {
+  for (const auto& c : verdict.changes) {
     std::printf("  %s  alarm %s  amplitude %+.2f%s\n",
                 c.direction == analysis::ChangeDirection::kDown ? "DOWN" : "UP",
                 util::to_string(util::date_of(c.alarm)).c_str(), c.amplitude,

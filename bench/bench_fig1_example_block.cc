@@ -7,9 +7,9 @@
 //       drift 0.001).
 #include <cstdio>
 
+#include "analysis/stl.h"
 #include "common.h"
-#include "core/classify.h"
-#include "core/detect.h"
+#include "core/pipeline.h"
 #include "recon/block_recon.h"
 
 using namespace diurnal;
@@ -38,32 +38,39 @@ int main() {
                 bench::bar(days[i].max / 20.0, 30).c_str());
   }
 
-  const auto cls = core::classify_block(recon);
+  const auto verdict = core::analyze_block(recon);
+  const auto& cls = verdict.cls;
   std::printf("\nclassification: diurnal=%s (power ratio %.2f), wide "
               "swing=%s (max %.0f) -> change-sensitive=%s\n",
               cls.diurnal ? "yes" : "no", cls.diurnal_detail.power_ratio,
               cls.wide_swing ? "yes" : "no", cls.swing_detail.max_daily_swing,
               cls.change_sensitive ? "YES" : "no");
 
-  const auto det = core::detect_changes(recon.counts);
+  // The detector's own STL configuration for this series.
+  const core::DetectorOptions opt;
+  const auto& counts = recon.counts;
+  const auto dec = analysis::stl_decompose(
+      counts.span(),
+      core::detector_stl_options(
+          opt, core::detection_period(counts.size(), counts.step(), opt)));
   std::printf("\n(b) STL decomposition (weekly period; every 4th day shown):\n");
   std::printf("  %-12s %8s %16s %9s\n", "date", "trend", "seasonal[min,max]",
               "residual");
-  for (std::size_t i = 0; i + 96 <= det.trend.size(); i += 96) {
+  for (std::size_t i = 0; i + 96 <= dec.trend.size(); i += 96) {
     double smin = 1e9, smax = -1e9, rabs = 0;
     for (std::size_t j = i; j < i + 96; ++j) {
-      smin = std::min(smin, det.seasonal[j]);
-      smax = std::max(smax, det.seasonal[j]);
-      rabs += std::abs(det.residual[j]) / 96.0;
+      smin = std::min(smin, dec.seasonal[j]);
+      smax = std::max(smax, dec.seasonal[j]);
+      rabs += std::abs(dec.residual[j]) / 96.0;
     }
     std::printf("  %-12s %8.2f  [%6.2f,%6.2f] %9.2f\n",
-                util::to_string(util::date_of(det.trend.time_at(i))).c_str(),
-                det.trend[i], smin, smax, rabs);
+                util::to_string(util::date_of(counts.time_at(i))).c_str(),
+                dec.trend[i], smin, smax, rabs);
   }
 
   std::printf("\n(c) CUSUM detection (threshold 1, drift 0.001): N changes = %zu\n",
-              det.changes.size());
-  for (const auto& c : det.changes) {
+              verdict.changes.size());
+  for (const auto& c : verdict.changes) {
     std::printf("  %s change: start %s  alarm %s  end %s  amplitude %+.2f%s\n",
                 c.direction == analysis::ChangeDirection::kDown ? "DOWN" : "UP",
                 util::to_string(util::date_of(c.start)).c_str(),

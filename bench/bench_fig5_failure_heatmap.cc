@@ -3,6 +3,7 @@
 // time x |E(b)|), and the logistic-regression model that selects
 // under-probed blocks for additional probing (paper: 0.5% false-negative
 // rate; 1.8M of 5.2M blocks selected).
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -37,17 +38,21 @@ int main() {
   std::vector<std::vector<double>> features;
   std::vector<int> labels;
   int truth_cs = 0, truth_cs_missed = 0;
+  analysis::BatchAnalyzer baz;
 
   for (const auto& b : world.blocks()) {
     if (b.eb_count < 8) continue;
     const auto truth = world.truth_series(b, oc.window.start, oc.window.end, 3600);
-    recon::ReconResult truth_recon;
-    truth_recon.counts = truth;
-    truth_recon.responsive = truth.max() > 0;
-    const auto truth_cls = core::classify_block(truth_recon);
-
     const auto r = recon::observe_and_reconstruct(b, oc);
-    const auto cls = core::classify_block(r);
+    // The truth series and the reconstruction, classified as one batch.
+    core::BlockClassification truth_cls, cls;
+    std::array<core::BatchClassifyJob, 2> jobs{{
+        {truth.span(), truth.start(), truth.step(), truth.max() > 0, 1.0,
+         &truth_cls},
+        {r.counts.span(), r.counts.start(), r.counts.step(), r.responsive,
+         r.evidence_fraction, &cls},
+    }};
+    core::classify_blocks_batch(jobs, {}, baz);
     const double fbs_h = r.fbs_spans_seconds.empty()
                              ? 24.0
                              : r.fbs_median_seconds() / 3600.0;

@@ -76,6 +76,11 @@ int main() {
   double stage_total = 0;
   probe::ProbeScratch scratch;
   std::vector<probe::ObservationVec> streams;
+  // The engine's analysis at width 1: one-job classification batches,
+  // then a one-lane detector.
+  analysis::BatchAnalyzer baz;
+  core::BatchDetector detector(fc.detector, 1);
+  std::vector<core::DetectedChange> changes;
 
   for (int rep = 0; rep < reps; ++rep) {
     StageSeconds cur;
@@ -109,15 +114,21 @@ int main() {
                                                 oc.window, oc.recon);
       cur.reconstruct += seconds_since(t);
 
+      const auto& counts = recon_res.counts;
       t = Clock::now();
-      const auto cls = core::classify_block(recon_res, fc.classifier);
+      core::BlockClassification cls;
+      core::BatchClassifyJob job{counts.span(), counts.start(), counts.step(),
+                                 recon_res.responsive,
+                                 recon_res.evidence_fraction, &cls};
+      core::classify_blocks_batch(std::span(&job, 1), fc.classifier, baz);
       cur.classify += seconds_since(t);
 
       if (cls.change_sensitive) {
         t = Clock::now();
-        const auto det = core::detect_changes(recon_res.counts, fc.detector);
+        detector.enqueue(counts.span(), counts.start(), counts.step(),
+                         &changes);
         cur.detect += seconds_since(t);
-        detected_blocks += det.changes.empty() ? 0 : 1;
+        detected_blocks += changes.empty() ? 0 : 1;
       }
     }
     const double cur_total = seconds_since(stage_t0);

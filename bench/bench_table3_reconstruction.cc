@@ -62,12 +62,20 @@ int main() {
     oc.window = ds.window();
     oc.prober.kind = options[oi].survey ? probe::ProberKind::kSurvey
                                         : probe::ProberKind::kTrinocular;
-    for (const auto& b : world.blocks()) {
-      core::BlockClassification c;
-      if (b.eb_count > 0) {
-        c = core::classify_block(recon::observe_and_reconstruct(b, oc));
-      }
-      cls[oi].push_back(c);
+    // Never-responding blocks keep the default (unresponsive) verdict.
+    std::vector<recon::ReconResult> recons;
+    std::vector<std::size_t> probed;
+    for (std::size_t i = 0; i < world.blocks().size(); ++i) {
+      const auto& b = world.blocks()[i];
+      if (b.eb_count == 0) continue;
+      recons.push_back(recon::observe_and_reconstruct(b, oc));
+      probed.push_back(i);
+    }
+    std::vector<core::BlockClassification> verdicts(recons.size());
+    bench::classify_batched(recons, {}, verdicts);
+    cls[oi].resize(world.blocks().size());
+    for (std::size_t k = 0; k < probed.size(); ++k) {
+      cls[oi][probed[k]] = verdicts[k];
     }
   }
 

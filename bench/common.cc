@@ -1,18 +1,21 @@
 #include "common.h"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "core/digest.h"
+#include "flags.h"
 
 namespace diurnal::bench {
 
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
+  return tools::flag_int(name, v, 0);
 }
 
 void header(const std::string& artifact, const std::string& title,
@@ -37,6 +40,23 @@ sim::WorldConfig scaled_world(int default_blocks, std::uint64_t seed,
         static_cast<unsigned long long>(wc.seed));
   }
   return wc;
+}
+
+void classify_batched(std::span<const recon::ReconResult> recons,
+                      const core::ClassifierOptions& opt,
+                      std::span<core::BlockClassification> out) {
+  constexpr std::size_t kLanes = analysis::BatchAnalyzer::kMaxLanes;
+  analysis::BatchAnalyzer baz;
+  std::array<core::BatchClassifyJob, kLanes> jobs;
+  for (std::size_t i = 0; i < recons.size(); i += kLanes) {
+    const std::size_t n = std::min(kLanes, recons.size() - i);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto& r = recons[i + k];
+      jobs[k] = {r.counts.span(), r.counts.start(), r.counts.step(),
+                 r.responsive, r.evidence_fraction, &out[i + k]};
+    }
+    core::classify_blocks_batch(std::span(jobs.data(), n), opt, baz);
+  }
 }
 
 void print_funnel(const std::string& name, const core::FunnelCounts& f) {
@@ -78,7 +98,10 @@ JsonObject& JsonObject::add(const std::string& key, std::int64_t v) {
 }
 
 JsonObject& JsonObject::add(const std::string& key, const std::string& v) {
-  fields_.emplace_back(key, "\"" + json_escape(v) + "\"");
+  std::string quoted = "\"";
+  quoted += json_escape(v);
+  quoted += '"';
+  fields_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +23,8 @@
 
 namespace diurnal::bench {
 
-/// Reads an integer environment override.
+/// Reads a non-negative integer environment override; a malformed value
+/// (`12x`, `-1`, `abc`) prints one stderr line and exits with status 2.
 int env_int(const char* name, int fallback);
 
 /// Prints the bench banner: artifact id, title, and scale note.
@@ -33,6 +35,12 @@ void header(const std::string& artifact, const std::string& title,
 /// a printed scale annotation.
 sim::WorldConfig scaled_world(int default_blocks, std::uint64_t seed = 1,
                               bool announce = true);
+
+/// Classifies each reconstruction as the fleet does, in batches of
+/// core::classify_blocks_batch(): out[i] receives recons[i]'s verdict.
+void classify_batched(std::span<const recon::ReconResult> recons,
+                      const core::ClassifierOptions& opt,
+                      std::span<core::BlockClassification> out);
 
 /// Appends a Table 2-style funnel column description.
 void print_funnel(const std::string& name, const core::FunnelCounts& f);

@@ -6,8 +6,7 @@
 // 2020-03-15.
 #include <cstdio>
 
-#include "core/classify.h"
-#include "core/detect.h"
+#include "core/pipeline.h"
 #include "recon/block_recon.h"
 #include "sim/world.h"
 
@@ -33,16 +32,18 @@ int main() {
               block->id.to_string().c_str(), recon.eb_count, recon.max_active,
               recon.mean_reply_rate);
 
-  // 3. Is the block change-sensitive (diurnal + persistent wide swing)?
-  const core::BlockClassification cls = core::classify_block(recon);
+  // 3. Judge it as the fleet does.  Is the block change-sensitive
+  //    (diurnal + persistent wide swing)?
+  const core::BlockOutcome verdict = core::analyze_block(recon);
+  const core::BlockClassification& cls = verdict.cls;
   std::printf("diurnal = %s (power ratio %.2f), wide swing = %s (max %.0f)\n",
               cls.diurnal ? "yes" : "no", cls.diurnal_detail.power_ratio,
               cls.wide_swing ? "yes" : "no", cls.swing_detail.max_daily_swing);
   std::printf("change-sensitive: %s\n", cls.change_sensitive ? "YES" : "no");
 
-  // 4. Extract the STL trend and run CUSUM change detection on it.
-  const core::DetectionResult det = core::detect_changes(recon.counts);
-  for (const auto& ch : det.changes) {
+  // 4. A change-sensitive block's STL trend went through CUSUM change
+  //    detection.
+  for (const auto& ch : verdict.changes) {
     std::printf("  change: %s  start %s  alarm %s  amplitude %+.2f%s\n",
                 ch.direction == analysis::ChangeDirection::kDown ? "DOWN" : "UP ",
                 util::to_string(util::date_of(ch.start)).c_str(),

@@ -29,16 +29,6 @@ BlockAnalyzer::Decomposition BlockAnalyzer::decompose_stl(
   return Decomposition{trend_, seasonal_, residual_};
 }
 
-BlockAnalyzer::Decomposition BlockAnalyzer::decompose_naive(
-    std::span<const double> y, int period) {
-  const std::size_t n = y.size();
-  trend_.resize(n);
-  seasonal_.resize(n);
-  residual_.resize(n);
-  naive_decompose(y, period, ws_, trend_, seasonal_, residual_);
-  return Decomposition{trend_, seasonal_, residual_};
-}
-
 std::span<const double> BlockAnalyzer::zscore(std::span<const double> x) {
   // Mirrors util::TimeSeries::zscore() operation for operation,
   // including the constant-series guard (see that implementation for

@@ -3,8 +3,10 @@
 //
 // A BlockAnalyzer owns one Workspace plus the persistent output buffers
 // the chain writes into, so a warm analyzer runs every stage for block
-// after block with zero steady-state heap traffic.  The fleet engine
-// keeps one per worker thread.
+// after block with zero steady-state heap traffic.  The engine runs the
+// batched tier (BatchAnalyzer); this scalar chain is the oracle the
+// bitwise tests hold the batched kernels to, and the analyzer behind
+// core::classify_block's span form.
 //
 // Contracts:
 //  * One analyzer per thread (the Workspace is unsynchronized).
@@ -25,7 +27,6 @@
 
 #include "analysis/cusum.h"
 #include "analysis/diurnal_test.h"
-#include "analysis/naive_seasonal.h"
 #include "analysis/stl.h"
 #include "analysis/swing.h"
 #include "analysis/workspace.h"
@@ -58,9 +59,6 @@ class BlockAnalyzer {
 
   /// STL decomposition into the analyzer's persistent buffers.
   Decomposition decompose_stl(std::span<const double> y, const StlOptions& opt);
-
-  /// Classical additive decomposition (the ablation baseline).
-  Decomposition decompose_naive(std::span<const double> y, int period);
 
   /// Z-score normalization with util::TimeSeries::zscore() semantics:
   /// numerically constant series (sd <= 1e-9 * max(1, |mean|)) map to

@@ -163,16 +163,4 @@ CusumResult cusum_detect(std::span<const double> x, const CusumOptions& opt) {
   return c.finish();
 }
 
-std::vector<DatedChange> cusum_detect_dated(const util::TimeSeries& series,
-                                            const CusumOptions& opt) {
-  const auto res = cusum_detect(series.span(), opt);
-  std::vector<DatedChange> out;
-  out.reserve(res.changes.size());
-  for (const auto& cp : res.changes) {
-    out.push_back(DatedChange{cp, series.time_at(cp.start),
-                              series.time_at(cp.alarm), series.time_at(cp.end)});
-  }
-  return out;
-}
-
 }  // namespace diurnal::analysis

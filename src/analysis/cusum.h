@@ -8,11 +8,11 @@
 // threshold 1 and drift 0.001.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "util/state_io.h"
-#include "util/timeseries.h"
 
 namespace diurnal::analysis {
 
@@ -138,17 +138,5 @@ class OnlineCusum {
 /// Runs two-sided CUSUM over x.  One full pass of the OnlineCusum
 /// machine.
 CusumResult cusum_detect(std::span<const double> x, const CusumOptions& opt = {});
-
-/// A change annotated with calendar data, produced from a TimeSeries.
-struct DatedChange {
-  ChangePoint point;
-  util::SimTime start_time = 0;
-  util::SimTime alarm_time = 0;
-  util::SimTime end_time = 0;
-};
-
-/// Runs CUSUM on a series and maps indices to times.
-std::vector<DatedChange> cusum_detect_dated(const util::TimeSeries& series,
-                                            const CusumOptions& opt = {});
 
 }  // namespace diurnal::analysis

@@ -9,13 +9,6 @@
 
 namespace diurnal::analysis {
 
-DiurnalResult test_diurnal(const util::TimeSeries& series,
-                           const DiurnalOptions& opt) {
-  const double samples_per_day =
-      static_cast<double>(util::kSecondsPerDay) / static_cast<double>(series.step());
-  return test_diurnal(series.span(), samples_per_day, opt);
-}
-
 namespace {
 
 // Diurnal-band power ratio of a mean-removed window.

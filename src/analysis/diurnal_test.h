@@ -10,7 +10,6 @@
 #include <span>
 
 #include "analysis/workspace.h"
-#include "util/timeseries.h"
 
 namespace diurnal::analysis {
 
@@ -42,13 +41,10 @@ struct DiurnalResult {
   int segments_diurnal = 0;   ///< segments individually diurnal
 };
 
-/// Tests a regularly sampled active-address series for diurnality.
-/// The series step must divide 24 hours; at least two full days of data
-/// are required (otherwise the result is non-diurnal).
-DiurnalResult test_diurnal(const util::TimeSeries& series,
-                           const DiurnalOptions& opt = {});
-
-/// Same test on raw samples with a given number of samples per day.
+/// Tests a regularly sampled active-address series, `samples_per_day`
+/// samples per day, for diurnality.  The step must divide 24 hours; at
+/// least two full days of data are required (otherwise the result is
+/// non-diurnal).
 DiurnalResult test_diurnal(std::span<const double> values, double samples_per_day,
                            const DiurnalOptions& opt = {});
 

@@ -177,13 +177,4 @@ StlDecomposition stl_decompose(std::span<const double> y, const StlOptions& opt)
   return out;
 }
 
-StlSeries stl_decompose(const util::TimeSeries& series, const StlOptions& opt) {
-  const auto d = stl_decompose(series.span(), opt);
-  return StlSeries{
-      util::TimeSeries(series.start(), series.step(), d.trend),
-      util::TimeSeries(series.start(), series.step(), d.seasonal),
-      util::TimeSeries(series.start(), series.step(), d.residual),
-  };
-}
-
 }  // namespace diurnal::analysis

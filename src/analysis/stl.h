@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/workspace.h"
-#include "util/timeseries.h"
 
 namespace diurnal::analysis {
 
@@ -51,15 +50,6 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
                    Workspace& ws, std::span<double> trend,
                    std::span<double> seasonal, std::span<double> residual,
                    std::span<double> robustness_out = {});
-
-/// Convenience overload mapping a TimeSeries; returns components as
-/// TimeSeries aligned with the input.
-struct StlSeries {
-  util::TimeSeries trend;
-  util::TimeSeries seasonal;
-  util::TimeSeries residual;
-};
-StlSeries stl_decompose(const util::TimeSeries& series, const StlOptions& opt);
 
 /// The Cleveland default trend span: smallest odd integer >=
 /// 1.5 * period / (1 - 1.5/seasonal_span).

@@ -9,10 +9,9 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "analysis/workspace.h"
-#include "util/timeseries.h"
+#include "util/date.h"
 
 namespace diurnal::analysis {
 
@@ -30,18 +29,10 @@ struct SwingResult {
   int best_window_wide = 0;   ///< most wide days in any window
 };
 
-/// Classifies the swing of an active-address series.
-SwingResult classify_swing(const util::TimeSeries& series,
-                           const SwingOptions& opt = {});
-
-/// Same classification from precomputed per-day stats.
-SwingResult classify_swing(const std::vector<util::DayStats>& days,
-                           const SwingOptions& opt = {});
-
-/// Allocation-free variant on raw samples: value[i] covers
-/// [start + i*step, start + (i+1)*step); the per-day stats and the dense
-/// wide-day axis are computed inline with scratch leased from `ws`.
-/// Bit-identical to classify_swing(TimeSeries(start, step, values), opt).
+/// Classifies the swing of an active-address series: value[i] covers
+/// [start + i*step, start + (i+1)*step).  The per-day stats and the
+/// dense wide-day axis are computed inline with scratch leased from
+/// `ws`, so a warm workspace runs allocation-free.
 SwingResult classify_swing(std::span<const double> values, util::SimTime start,
                            std::int64_t step, const SwingOptions& opt,
                            Workspace& ws);

@@ -195,7 +195,9 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
   w.boolean(config.run_detection);
   w.f64(config.classifier.min_evidence_fraction);
   w.i64(config.detector.period_seconds);
-  w.u8(config.detector.trend_model == TrendModel::kStl ? 0 : 1);
+  // The retired trend-model byte: STL, the only model, wrote 0, so
+  // fingerprints and checkpoints written before its removal still match.
+  w.u8(0);
   w.f64(config.detector.cusum.threshold);
   w.f64(config.detector.cusum.drift);
   w.i64(config.detector.outage_pair_window);

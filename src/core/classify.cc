@@ -48,8 +48,7 @@ BlockClassification classify_block(std::span<const double> counts,
 
 void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
                            const ClassifierOptions& opt,
-                           analysis::BatchAnalyzer& baz,
-                           analysis::BlockAnalyzer& az) {
+                           analysis::BatchAnalyzer& baz) {
   constexpr std::size_t kMax = analysis::BatchAnalyzer::kMaxLanes;
   if (jobs.size() > kMax) {
     throw std::invalid_argument("classify_blocks_batch: too many jobs");
@@ -80,17 +79,10 @@ void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
   for (auto& job : jobs) {
     if (!job.responsive) continue;
     BlockClassification& c = *job.out;
-    c.swing_detail = az.swing(job.counts, job.start, job.step, opt.swing);
+    c.swing_detail = analysis::classify_swing(job.counts, job.start, job.step,
+                                              opt.swing, baz.workspace());
     set_verdict(c);
   }
-}
-
-BlockClassification classify_block(const recon::ReconResult& recon,
-                                   const ClassifierOptions& opt) {
-  thread_local analysis::BlockAnalyzer az;
-  return classify_block(recon.counts.span(), recon.counts.start(),
-                        recon.counts.step(), recon.responsive,
-                        recon.evidence_fraction, opt, az);
 }
 
 void FunnelCounts::add(const BlockClassification& c) noexcept {

@@ -12,7 +12,6 @@
 #include "analysis/block_analyzer.h"
 #include "analysis/diurnal_test.h"
 #include "analysis/swing.h"
-#include "recon/reconstruct.h"
 
 namespace diurnal::core {
 
@@ -44,14 +43,10 @@ struct BlockClassification {
   analysis::SwingResult swing_detail{};
 };
 
-/// Classifies a reconstructed block.
-BlockClassification classify_block(const recon::ReconResult& recon,
-                                   const ClassifierOptions& opt = {});
-
-/// Span-kernel path: classifies from the raw series plus the only two
+/// Scalar path: classifies from the raw series plus the only two
 /// reconstruction statistics the funnel consults, running the analysis
 /// chain through the caller's per-thread analyzer.  Bit-identical to
-/// the ReconResult overload.
+/// classify_blocks_batch() on that job.
 BlockClassification classify_block(std::span<const double> counts,
                                    util::SimTime start, std::int64_t step,
                                    bool responsive, double evidence_fraction,
@@ -69,16 +64,25 @@ struct BatchClassifyJob {
 };
 
 /// Batched classification: runs the diurnality tests for equal-shape
-/// responsive jobs through the SoA kernels, the swing gate scalar per
-/// job.  jobs.size() must be at most
+/// responsive jobs through the SoA kernels, the swing gate per job on
+/// the span kernel.  jobs.size() must be at most
 /// analysis::BatchAnalyzer::kMaxLanes (callers feed worker-local
 /// batches; ragged tails are smaller job sets).  Each job's result is
-/// bit-identical to classify_block() on that job.  `baz` and `az` are
-/// the caller's per-thread analyzers.
+/// bit-identical to classify_block() on that job.  `baz` is the
+/// caller's per-thread analyzer.
 void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
                            const ClassifierOptions& opt,
-                           analysis::BatchAnalyzer& baz,
-                           analysis::BlockAnalyzer& az);
+                           analysis::BatchAnalyzer& baz);
+
+/// The same call; the BlockAnalyzer is unused.  Kept only for the
+/// repository benchmark (perfbench/src/batch.cc), which compiles
+/// against this signature until a benchmark change moves it off.
+inline void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
+                                  const ClassifierOptions& opt,
+                                  analysis::BatchAnalyzer& baz,
+                                  analysis::BlockAnalyzer&) {
+  classify_blocks_batch(jobs, opt, baz);
+}
 
 /// Table 2 row: counts of blocks at each funnel stage.
 struct FunnelCounts {

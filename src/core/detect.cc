@@ -4,18 +4,9 @@
 #include <array>
 #include <cmath>
 
-#include "analysis/naive_seasonal.h"
 #include "analysis/stats.h"
 
 namespace diurnal::core {
-
-std::vector<DetectedChange> DetectionResult::activity_changes() const {
-  std::vector<DetectedChange> out;
-  for (const auto& c : changes) {
-    if (c.counted()) out.push_back(c);
-  }
-  return out;
-}
 
 namespace {
 
@@ -196,12 +187,8 @@ void filter_uncorroborated_changes(std::span<const double> counts,
   }
 }
 
-// Everything after the trend -> z-score -> CUSUM chain: turning change
-// points into annotated DetectedChanges and running the outage
-// filters.  Shared verbatim by the scalar path (run_detection) and the
-// batched per-lane path (BatchDetector::flush), so the two stay
-// bit-identical by construction.  `period` is the series' detection
-// period.
+}  // namespace
+
 void extract_changes(std::span<const double> counts, util::SimTime start,
                      std::int64_t step, int period,
                      const DetectorOptions& opt,
@@ -259,8 +246,6 @@ void extract_changes(std::span<const double> counts, util::SimTime start,
   }
 }
 
-}  // namespace
-
 int detection_period(std::size_t samples, std::int64_t step,
                      const DetectorOptions& opt) {
   if (step <= 0) return 0;
@@ -283,66 +268,6 @@ analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
   return stl;
 }
 
-namespace {
-
-// The whole detection stage over span kernels.  `rich` non-null also
-// materializes the component series of the legacy DetectionResult.
-void run_detection(std::span<const double> counts, util::SimTime start,
-                   std::int64_t step, const DetectorOptions& opt,
-                   analysis::BlockAnalyzer& az,
-                   std::vector<DetectedChange>& changes,
-                   DetectionResult* rich) {
-  changes.clear();
-  const int period = detection_period(counts.size(), step, opt);
-  if (period == 0) return;
-
-  analysis::BlockAnalyzer::Decomposition dec;
-  if (opt.trend_model == TrendModel::kNaive) {
-    dec = az.decompose_naive(counts, period);
-  } else {
-    dec = az.decompose_stl(counts, detector_stl_options(opt, period));
-  }
-
-  const auto z = az.zscore(dec.trend);
-  const auto cus = az.cusum(z, opt.cusum);
-  extract_changes(counts, start, step, period, opt, cus.changes, dec.trend,
-                  az.workspace(), changes);
-
-  if (rich != nullptr) {
-    rich->trend = util::TimeSeries(start, step,
-                                   std::vector<double>(dec.trend.begin(),
-                                                       dec.trend.end()));
-    rich->seasonal = util::TimeSeries(
-        start, step,
-        std::vector<double>(dec.seasonal.begin(), dec.seasonal.end()));
-    rich->residual = util::TimeSeries(
-        start, step,
-        std::vector<double>(dec.residual.begin(), dec.residual.end()));
-    rich->normalized_trend =
-        util::TimeSeries(start, step, std::vector<double>(z.begin(), z.end()));
-    rich->cusum_pos.assign(cus.g_pos.begin(), cus.g_pos.end());
-    rich->cusum_neg.assign(cus.g_neg.begin(), cus.g_neg.end());
-  }
-}
-
-}  // namespace
-
-void detect_changes(std::span<const double> counts, util::SimTime start,
-                    std::int64_t step, const DetectorOptions& opt,
-                    analysis::BlockAnalyzer& az,
-                    std::vector<DetectedChange>& changes) {
-  run_detection(counts, start, step, opt, az, changes, nullptr);
-}
-
-DetectionResult detect_changes(const util::TimeSeries& counts,
-                               const DetectorOptions& opt) {
-  thread_local analysis::BlockAnalyzer az;
-  DetectionResult res;
-  run_detection(counts.span(), counts.start(), counts.step(), opt, az,
-                res.changes, &res);
-  return res;
-}
-
 BatchDetector::BatchDetector(const DetectorOptions& opt,
                              std::size_t max_lanes)
     : opt_(opt),
@@ -362,15 +287,6 @@ void BatchDetector::enqueue(std::span<const double> counts,
 }
 
 void BatchDetector::flush() {
-  if (opt_.trend_model == TrendModel::kNaive) {
-    for (std::size_t i = 0; i < pending_; ++i) {
-      const Job& job = jobs_[i];
-      run_detection(job.counts, job.start, job.step, opt_, naive_az_,
-                    *job.out, nullptr);
-    }
-    pending_ = 0;
-    return;
-  }
   analysis::for_each_shape_batch(
       std::span<Job>(jobs_.data(), pending_), [](const Job&) { return true; },
       [&](std::span<const std::span<const double>> lanes,

@@ -10,23 +10,16 @@
 #include <vector>
 
 #include "analysis/batch_analyzer.h"
-#include "analysis/block_analyzer.h"
 #include "analysis/cusum.h"
 #include "analysis/stl.h"
-#include "util/timeseries.h"
+#include "util/date.h"
 
 namespace diurnal::core {
-
-/// Which seasonality model extracts the trend (section 2.5 compared
-/// both and adopted STL for robustness; the naive model remains as the
-/// ablation baseline).
-enum class TrendModel { kStl, kNaive };
 
 struct DetectorOptions {
   /// Seasonal period in seconds (default one week: the STL seasonal
   /// component then models daily and weekly structure, as in Figure 1b).
   std::int64_t period_seconds = 7 * util::kSecondsPerDay;
-  TrendModel trend_model = TrendModel::kStl;
   analysis::StlOptions stl{};              ///< period is derived per series
   analysis::CusumOptions cusum{1.0, 0.001};
   /// A down change whose alarm is followed by an opposite-direction
@@ -91,19 +84,6 @@ struct DetectedChange {
   }
 };
 
-struct DetectionResult {
-  util::TimeSeries trend;             ///< STL trend
-  util::TimeSeries seasonal;          ///< STL seasonal component
-  util::TimeSeries residual;          ///< STL residual
-  util::TimeSeries normalized_trend;  ///< z-scored trend fed to CUSUM
-  std::vector<double> cusum_pos;      ///< cumulative positive sums
-  std::vector<double> cusum_neg;      ///< cumulative negative sums
-  std::vector<DetectedChange> changes;
-
-  /// Changes attributed to human activity (outage pairs removed).
-  std::vector<DetectedChange> activity_changes() const;
-};
-
 /// Samples per seasonal period (opt.period_seconds) for a series of
 /// `samples` samples taken every `step` seconds, or 0 when the detector
 /// cannot run on it: STL needs a positive step, a period of at least
@@ -118,29 +98,23 @@ int detection_period(std::size_t samples, std::int64_t step,
 analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
                                           int period);
 
-/// Runs the full trend-extraction + change-detection stage on an
-/// active-address count series.  Series shorter than two periods yield
-/// an empty result.
-DetectionResult detect_changes(const util::TimeSeries& counts,
-                               const DetectorOptions& opt = {});
-
-/// Span-kernel path: the same stage run through the caller's per-thread
-/// analyzer, emitting only the change list (no component series are
-/// materialized — the fleet drive never reads them).  `changes` is
-/// cleared and refilled; bit-identical to the overload above.
-void detect_changes(std::span<const double> counts, util::SimTime start,
-                    std::int64_t step, const DetectorOptions& opt,
-                    analysis::BlockAnalyzer& az,
-                    std::vector<DetectedChange>& changes);
+/// Everything after the trend -> z-score -> CUSUM chain of one series:
+/// turns the chain's change points `cps` into annotated changes
+/// (appended to `changes`) and runs the outage filters.  `trend` is the
+/// chain's trend, `period` the series' detection_period().  The one
+/// body of these rules, run per lane by BatchDetector (and by the
+/// scalar oracle the tests compare it with).
+void extract_changes(std::span<const double> counts, util::SimTime start,
+                     std::int64_t step, int period,
+                     const DetectorOptions& opt,
+                     std::span<const analysis::ChangePoint> cps,
+                     std::span<const double> trend, analysis::Workspace& ws,
+                     std::vector<DetectedChange>& changes);
 
 /// Batched detection: queues block jobs and runs the STL -> z-score ->
 /// CUSUM chain for up to kMaxBatchLanes of them at once through the
-/// SoA kernels (analysis/batch.h), then the same per-lane change
-/// extraction and outage filters as detect_changes().  Each block's
-/// change list is bit-identical to the scalar path's.
-///
-/// Naive-trend jobs (the section 2.5 ablation) run through the
-/// per-block chain at flush time; there is no batched naive kernel.
+/// SoA kernels (analysis/batch.h), then extract_changes() per lane.
+/// Each block's change list is bit-identical to the scalar chain's.
 ///
 /// Contracts: one detector per thread; queued spans must stay valid
 /// until the enqueue that fills the batch or an explicit flush() — the
@@ -181,7 +155,6 @@ class BatchDetector {
   std::array<Job, analysis::BatchAnalyzer::kMaxLanes> jobs_;
   std::size_t pending_ = 0;
   analysis::BatchAnalyzer az_;
-  analysis::BlockAnalyzer naive_az_;  ///< naive-trend jobs only
 };
 
 }  // namespace diurnal::core

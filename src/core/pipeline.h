@@ -51,12 +51,13 @@ struct FleetConfig {
   int threads = 0;  ///< 0 = hardware concurrency
 
   /// Lanes of each worker's analysis batches (analysis/batch.h), for
-  /// classification and detection alike: 0 = full width
-  /// (analysis::BatchAnalyzer::kMaxLanes), otherwise clamped to [1,
-  /// kMaxLanes]; 1 runs one-lane batches through the same runtime-width
-  /// kernels.  Results are bit-identical at every width (the batched
-  /// kernels replicate the scalar arithmetic per lane).  No production
-  /// caller sets it; tests use it to force narrow and ragged batches.
+  /// classification, detection and the provisional watch alike: 0 =
+  /// full width (analysis::BatchAnalyzer::kMaxLanes), otherwise clamped
+  /// to [1, kMaxLanes]; 1 runs one-lane batches through the same
+  /// runtime-width kernels.  Results are bit-identical at every width
+  /// (the batched kernels replicate the scalar arithmetic per lane).  No
+  /// production caller sets it; tests use it to force narrow and ragged
+  /// batches.
   int analysis_batch_width = 0;
 };
 
@@ -84,6 +85,25 @@ struct FleetResult {
 
 /// Runs the pipeline over every block of the world.
 FleetResult run_fleet(const sim::World& world, const FleetConfig& config);
+
+/// One block's verdicts on the fleet's finish path, at width 1: a
+/// one-job classify_blocks_batch(), then, for a change-sensitive block
+/// with `run_detection` set, a one-lane BatchDetector, then the
+/// low-evidence annotation.  On a single window, equal to the fleet's
+/// outcome for a block observed as the fleet observes it (the outcome
+/// id is left unset).
+BlockOutcome analyze_block(const recon::ReconResult& recon,
+                           const ClassifierOptions& classifier = {},
+                           const DetectorOptions& detector = {},
+                           bool run_detection = true);
+
+/// Degraded-mode annotation: marks low_evidence on each change whose
+/// evidence window overlaps one of `gaps` (with a day of slack), or on
+/// every change when `evidence_fraction` fell below `evidence_floor`.
+void annotate_low_evidence(std::vector<DetectedChange>& changes,
+                           double evidence_fraction,
+                           std::span<const recon::CoverageGap> gaps,
+                           double evidence_floor);
 
 /// Folds the changes of the change-sensitive blocks among `outcomes`
 /// into `agg`; outcomes[i] is blocks[i]'s.

@@ -32,32 +32,6 @@ recon::BlockObservationConfig observation_config(const FleetConfig& cfg,
   return oc;
 }
 
-// Degraded-mode annotation: a change whose evidence window overlaps a
-// coverage gap (or whose whole reconstruction fell below the confidence
-// floor) may be observers failing rather than humans moving.  One day of
-// slack on each side, because STL smoothing and CUSUM change-dating can
-// land the excursion boundary a few samples off the gap edge.
-void annotate_low_evidence(std::vector<DetectedChange>& changes,
-                           double evidence_fraction,
-                           std::span<const recon::CoverageGap> gaps,
-                           double evidence_floor) {
-  if (changes.empty()) return;
-  const bool all_low = evidence_fraction < evidence_floor;
-  constexpr util::SimTime kSlack = util::kSecondsPerDay;
-  for (auto& c : changes) {
-    if (all_low) {
-      c.low_evidence = true;
-      continue;
-    }
-    for (const auto& g : gaps) {
-      if (c.start - kSlack < g.end && c.end + kSlack > g.start) {
-        c.low_evidence = true;
-        break;
-      }
-    }
-  }
-}
-
 /// Lanes of the worker's finish queue: FleetConfig::analysis_batch_width
 /// resolved (0 = full width, otherwise clamped to [1, kMaxLanes]).
 std::size_t batch_width(int requested) {
@@ -113,13 +87,24 @@ constexpr std::size_t kTrailPeriods = 5;
 // row and says whether to detect.  Those blocks run through the batched
 // detector, and the low-evidence annotation follows its flush.  Slots
 // reuse their high-water capacity, so the steady state allocates
-// nothing per block.
+// nothing per block.  The incremental drive's provisional watch queues
+// its trailing STL refits here as well, fitted as shape batches.
 struct StreamingFleet::Worker {
   struct Slot {
     std::size_t index = 0;
     bool classify = true;            ///< verdict pending, else detect only
     std::span<const double> counts;  ///< the classification series
     recon::DegradedReconStats sr;    ///< stats of the series made final last
+  };
+
+  /// One watched cell's trailing refit: samples [first, first +
+  /// counts.size()) of its detection series.
+  struct WatchFit {
+    std::span<const double> counts;
+    std::int64_t step = 0;
+    std::size_t cell = 0;
+    std::size_t first = 0;
+    int period = 0;
   };
 
   explicit Worker(StreamingFleet& f)
@@ -202,7 +187,7 @@ struct StreamingFleet::Worker {
           fleet.evidence_floor_);
     }
     classify_blocks_batch(std::span<BatchClassifyJob>(jobs.data(), n_jobs),
-                          fleet.config_.classifier, baz, az);
+                          fleet.config_.classifier, baz);
     for (std::size_t k = 0; k < n; ++k) {
       Slot& s = slots[k];
       if (!detect_series(s)) continue;
@@ -220,6 +205,73 @@ struct StreamingFleet::Worker {
     n = 0;
   }
 
+  void queue_fit(const WatchFit& f) {
+    fits[n_fits++] = f;
+    if (n_fits == width) fit_watch();
+  }
+
+  /// Fits every queued watch window (equal lengths share a batch), then
+  /// feeds each cell's frozen-trend running z and online CUSUM.  The
+  /// detection chain's trend is the scalar STL's, bit for bit.
+  void fit_watch() {
+    const DetectorOptions& opt = fleet.config_.detector;
+    analysis::for_each_shape_batch(
+        std::span<WatchFit>(fits.data(), n_fits),
+        [](const WatchFit&) { return true; },
+        [&](std::span<const std::span<const double>> lanes,
+            std::span<const std::size_t> fit_of_lane) {
+          const int period = fits[fit_of_lane[0]].period;
+          baz.run_detection_chain(lanes, detector_stl_options(opt, period),
+                                  opt.cusum);
+          for (std::size_t j = 0; j < lanes.size(); ++j) {
+            feed_watch(fits[fit_of_lane[j]], baz.trend(j));
+          }
+        });
+    n_fits = 0;
+  }
+
+  void feed_watch(const WatchFit& f, std::span<const double> trend) {
+    Cell& c = fleet.cells_[f.cell];
+    const std::size_t emitted = f.first + f.counts.size();
+    if (c.tn == 0) {
+      c.cusum.begin(fleet.config_.detector.cusum);
+      c.trend_base = f.first;
+    }
+    for (std::size_t idx = std::max(c.trend_fed, f.first); idx < emitted;
+         ++idx) {
+      // Freeze the trend as first estimated and z-normalize with running
+      // moments: the stream sees each value once, so this is what an
+      // online detector can actually know at that point in time.
+      const double v = trend[idx - f.first];
+      ++c.tn;
+      c.tsum += v;
+      c.tsum2 += v * v;
+      const double mean = c.tsum / static_cast<double>(c.tn);
+      const double var =
+          std::max(0.0, c.tsum2 / static_cast<double>(c.tn) - mean * mean);
+      const double sd = std::sqrt(var);
+      c.cusum.push(sd > 1e-9 ? (v - mean) / sd : 0.0);
+    }
+    c.trend_fed = emitted;
+
+    auto time_of = [&](std::size_t k) {
+      return fleet.window_.start +
+             static_cast<std::int64_t>(c.trend_base + k) * f.step;
+    };
+    const auto& confirmed = c.cusum.confirmed();
+    for (; c.reported < confirmed.size(); ++c.reported) {
+      const auto& cp = confirmed[c.reported];
+      ProvisionalChange pc;
+      pc.id = fleet.result_.outcomes[f.cell].id;
+      pc.start = time_of(cp.start);
+      pc.alarm = time_of(cp.alarm);
+      pc.end = time_of(cp.end);
+      pc.direction = cp.direction;
+      pc.amplitude = cp.amplitude;
+      found.push_back(pc);
+    }
+  }
+
   StreamingFleet& fleet;
   const std::size_t width;
   probe::ProbeScratch scratch;
@@ -228,9 +280,11 @@ struct StreamingFleet::Worker {
   std::array<Slot, analysis::BatchAnalyzer::kMaxLanes> slots;
   std::size_t n = 0;
   analysis::BatchAnalyzer baz;
-  analysis::BlockAnalyzer az;
   BatchDetector det;
   recon::ReconStats screen;  ///< the provisional screen's snapshot
+  std::array<WatchFit, analysis::BatchAnalyzer::kMaxLanes> fits;
+  std::size_t n_fits = 0;
+  std::vector<ProvisionalChange> found;  ///< alarms confirmed this epoch
 };
 
 StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
@@ -352,64 +406,29 @@ void StreamingFleet::screen_cell(std::size_t i, Worker& w) {
   BatchClassifyJob job =
       classify_job(c.stream.series().first(w.screen.len), w.screen, &cls);
   classify_blocks_batch(std::span<BatchClassifyJob>(&job, 1),
-                        config_.classifier, w.baz, w.az);
+                        config_.classifier, w.baz);
   c.screened = true;
   c.watched = cls.change_sensitive;
 }
 
-void StreamingFleet::update_provisional(std::size_t i,
-                                        analysis::BlockAnalyzer& az,
-                                        std::vector<ProvisionalChange>& out) {
+void StreamingFleet::update_provisional(std::size_t i, Worker& w) {
   Cell& c = cells_[i];
   const std::int64_t step = detect_oc_.recon.sample_step;
   const std::size_t emitted = c.stream.recon_state().emitted();
-  const auto period = static_cast<std::size_t>(
-      detection_period(emitted, step, config_.detector));
+  const int period = detection_period(emitted, step, config_.detector);
   if (period == 0 || emitted <= c.trend_fed) return;
-  if (c.tn == 0) c.cusum.begin(config_.detector.cusum);
 
   // Trailing-window STL re-fit: bounded per-epoch cost.  If the last fit
   // is older than the trailing span (an epoch longer than the span),
   // stretch the window back to it so the z sequence stays contiguous —
-  // the CUSUM's indices map 1:1 onto samples trend_base + k.
-  std::size_t first = emitted - std::min(emitted, kTrailPeriods * period);
+  // the CUSUM's indices map 1:1 onto samples trend_base + k.  The row
+  // holds still until the next advance: each cell advances once per
+  // epoch, on one worker.
+  const std::size_t span = kTrailPeriods * static_cast<std::size_t>(period);
+  std::size_t first = emitted - std::min(emitted, span);
   if (c.tn > 0 && c.trend_fed < first) first = c.trend_fed;
-  const auto dec = az.decompose_stl(
-      c.stream.series().subspan(first, emitted - first),
-      detector_stl_options(config_.detector, static_cast<int>(period)));
-
-  if (c.tn == 0) c.trend_base = first;
-  for (std::size_t idx = std::max(c.trend_fed, first); idx < emitted; ++idx) {
-    // Freeze the trend as first estimated and z-normalize with running
-    // moments: the stream sees each value once, so this is what an
-    // online detector can actually know at that point in time.
-    const double v = dec.trend[idx - first];
-    ++c.tn;
-    c.tsum += v;
-    c.tsum2 += v * v;
-    const double mean = c.tsum / static_cast<double>(c.tn);
-    const double var =
-        std::max(0.0, c.tsum2 / static_cast<double>(c.tn) - mean * mean);
-    const double sd = std::sqrt(var);
-    c.cusum.push(sd > 1e-9 ? (v - mean) / sd : 0.0);
-  }
-  c.trend_fed = emitted;
-
-  auto time_of = [&](std::size_t k) {
-    return window_.start + static_cast<std::int64_t>(c.trend_base + k) * step;
-  };
-  const auto& confirmed = c.cusum.confirmed();
-  for (; c.reported < confirmed.size(); ++c.reported) {
-    const auto& cp = confirmed[c.reported];
-    ProvisionalChange pc;
-    pc.id = result_.outcomes[i].id;
-    pc.start = time_of(cp.start);
-    pc.alarm = time_of(cp.alarm);
-    pc.end = time_of(cp.end);
-    pc.direction = cp.direction;
-    pc.amplitude = cp.amplitude;
-    out.push_back(pc);
-  }
+  w.queue_fit({c.stream.series().subspan(first, emitted - first), step, i,
+               first, period});
 }
 
 EpochReport StreamingFleet::advance_to(util::SimTime until) {
@@ -431,7 +450,6 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
   run_pool(threads_, [&](std::atomic<std::size_t>& next) {
     Worker w(*this);
     std::size_t delivered = 0;
-    std::vector<ProvisionalChange> found;
     // Everything after a cell's advance this epoch: delivery accounting,
     // the single-window watch screen and the provisional detector.
     auto settle = [&](std::size_t i) {
@@ -440,7 +458,7 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
       delivered += d - c.delivered;
       c.delivered = d;
       if (mode_ == Mode::kSame && !c.screened) screen_cell(i, w);
-      if (c.watched) update_provisional(i, w.az, found);
+      if (c.watched) update_provisional(i, w);
     };
     // A split-window verdict decides the watch; a union-fork cell ingests
     // past the classification boundary only when watched.  Detection
@@ -474,9 +492,11 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
       settle(i);
     });
     w.flush(after_verdict);
+    w.fit_watch();
     const std::lock_guard<std::mutex> lock(mu);
     rep.observations += delivered;
-    rep.provisional.insert(rep.provisional.end(), found.begin(), found.end());
+    rep.provisional.insert(rep.provisional.end(), w.found.begin(),
+                           w.found.end());
   });
 
   clock_ = until;

@@ -35,7 +35,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/block_analyzer.h"
 #include "analysis/cusum.h"
 #include "core/pipeline.h"
 #include "core/series_store.h"
@@ -197,8 +196,8 @@ class StreamingFleet {
   template <class Self, class IO>
   static void fields(Self& self, IO& io, probe::ProbeScratch* scratch);
   void screen_cell(std::size_t i, Worker& w);
-  void update_provisional(std::size_t i, analysis::BlockAnalyzer& az,
-                          std::vector<ProvisionalChange>& out);
+  /// Queues watched cell i's trailing STL refit on the worker.
+  void update_provisional(std::size_t i, Worker& w);
   void finish_result();
 
   std::span<const sim::BlockProfile> blocks_;

@@ -216,7 +216,7 @@ void round_prober_resume(const sim::BlockProfile& block,
   // registers on its own).  Re-snapshots at window boundaries only.
   sim::ActivityCursor::FastView fv{nullptr, 0,
                                    std::numeric_limits<SimTime>::min(),
-                                   std::numeric_limits<SimTime>::min()};
+                                   std::numeric_limits<SimTime>::min(), 0};
   auto probe_up = [&](SimTime probe_time,
                       std::uint8_t addr) __attribute__((always_inline)) -> bool {
     if (probe_time >= fv.until) [[unlikely]] {

@@ -1,6 +1,7 @@
 #include "validate/baseline.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -108,11 +109,19 @@ std::string to_json(const Baseline& b) {
 
 namespace {
 
+// Input bounds, checked before any recursion: the checked-in baseline is
+// 16.6 KB and nests objects 5 deep (root, scenarios, scenario, classes,
+// class).  1 MiB leaves room for a catalog some 60 times larger, and 32
+// levels keep the recursive descent's stack small, so a crafted file
+// fails with a message instead of exhausting memory or the stack.
+constexpr std::size_t kMaxBaselineBytes = std::size_t{1} << 20;
+constexpr int kMaxDepth = 32;
+
 struct Value {
   enum Kind { kNull, kBool, kNumber, kString, kObject } kind = kNull;
   bool b = false;
   double number = 0.0;
-  std::string str;
+  std::string str;  ///< a string's text, or a number's token
   std::vector<std::pair<std::string, Value>> members;
 
   const Value* get(std::string_view key) const {
@@ -180,10 +189,14 @@ class Parser {
     const char c = peek();
     Value v;
     if (c == '{') {
+      if (++depth_ > kMaxDepth) {
+        fail("objects nested deeper than " + std::to_string(kMaxDepth));
+      }
       v.kind = Value::kObject;
       ++pos_;
       if (peek() == '}') {
         ++pos_;
+        --depth_;
         return v;
       }
       while (true) {
@@ -196,6 +209,7 @@ class Parser {
           continue;
         }
         expect('}');
+        --depth_;
         return v;
       }
     }
@@ -225,21 +239,43 @@ class Parser {
     }
     if (pos_ == start) fail("unexpected character");
     v.kind = Value::kNumber;
-    v.number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    v.str = s_.substr(start, pos_ - start);
+    char* end = nullptr;
+    v.number = std::strtod(v.str.c_str(), &end);
+    if (end != v.str.c_str() + v.str.size() || !std::isfinite(v.number)) {
+      pos_ = start;
+      fail("malformed number '" + v.str + "'");
+    }
     return v;
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< objects open at pos_
 };
 
-int require_int(const Value& obj, std::string_view key) {
+// A count field: a non-negative decimal integer that fits T, read
+// exactly from its token (so 2.5, -1 and 1e300 are rejected, and an
+// int64 latency sum above 2^53 keeps every digit).
+template <class T>
+T require_count(const Value& obj, std::string_view key) {
   const Value* v = obj.get(key);
   if (v == nullptr || v->kind != Value::kNumber) {
     throw std::runtime_error("baseline JSON: missing numeric field '" +
                              std::string(key) + "'");
   }
-  return static_cast<int>(v->number);
+  const char* const last = v->str.data() + v->str.size();
+  T n{};
+  const auto [end, ec] = std::from_chars(v->str.data(), last, n);
+  if (ec != std::errc{} || end != last || n < 0) {
+    throw std::runtime_error("baseline JSON: field '" + std::string(key) +
+                             "' is not a count in range: " + v->str);
+  }
+  return n;
+}
+
+int require_int(const Value& obj, std::string_view key) {
+  return require_count<int>(obj, key);
 }
 
 std::optional<double> optional_rate(const Value& obj, std::string_view key) {
@@ -255,6 +291,12 @@ std::optional<double> optional_rate(const Value& obj, std::string_view key) {
 }  // namespace
 
 Baseline parse_baseline(const std::string& text) {
+  if (text.size() > kMaxBaselineBytes) {
+    throw std::runtime_error("baseline JSON: " + std::to_string(text.size()) +
+                             " bytes, over the " +
+                             std::to_string(kMaxBaselineBytes) +
+                             "-byte limit");
+  }
   const Value root = Parser(text).parse();
   if (root.kind != Value::kObject) {
     throw std::runtime_error("baseline JSON: root is not an object");
@@ -313,7 +355,8 @@ Baseline parse_baseline(const std::string& text) {
       t.truth = require_int(*cv, "truth");
       t.matched = require_int(*cv, "matched");
       t.missed = require_int(*cv, "missed");
-      t.abs_latency_sum = require_int(*cv, "abs_latency_seconds");
+      t.abs_latency_sum =
+          require_count<std::int64_t>(*cv, "abs_latency_seconds");
     }
     b.scenarios.emplace_back(name, std::move(r));
   }

@@ -1,9 +1,10 @@
 // Property tests for the span-based analysis kernel layer: every span
-// kernel must be BIT-identical to its legacy vector/TimeSeries wrapper
-// on random series (including NaN-gap and short-series edges), a
-// Workspace must never leak lease state between kernels, and a warm
-// BlockAnalyzer must reproduce a cold run exactly.  The fleet digest
-// gate (test_fleet_digest) depends on these identities holding.
+// kernel must be BIT-identical to its vector wrapper or the scalar
+// oracle (tests/oracle.h) on random series (including NaN-gap and
+// short-series edges), the engine's per-block path must match the
+// oracle, a Workspace must never leak lease state between kernels, and
+// a warm BlockAnalyzer must reproduce a cold run exactly.  The fleet
+// digest gate (test_fleet_digest) depends on these identities holding.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,7 +27,9 @@
 #include "analysis/workspace.h"
 #include "core/classify.h"
 #include "core/detect.h"
+#include "core/pipeline.h"
 #include "core/series_store.h"
+#include "oracle.h"
 #include "util/timeseries.h"
 
 namespace diurnal {
@@ -117,7 +120,7 @@ TEST(AnalysisKernels, SwingSpanMatchesTimeSeries) {
                                 std::size_t{24 * 10 + 3}}) {
       const auto v = make_series(n, 7 + static_cast<std::uint64_t>(n));
       const util::TimeSeries ts(start, kHour, std::vector<double>(v));
-      const auto legacy = analysis::classify_swing(ts);
+      const auto legacy = oracle::classify_swing(ts.daily_stats());
       const auto span = analysis::classify_swing(v, start, kHour, {}, ws);
       EXPECT_EQ(legacy.wide, span.wide) << start << "/" << n;
       EXPECT_EQ(legacy.wide_days, span.wide_days);
@@ -221,19 +224,21 @@ TEST(AnalysisKernels, AnalyzerZscoreMatchesTimeSeries) {
 }
 
 TEST(AnalysisKernels, DetectChangesSpanMatchesLegacy) {
+  // The production detector at width 1 against the scalar oracle.
   analysis::BlockAnalyzer az;
-  std::vector<core::DetectedChange> span_changes;
+  std::vector<core::DetectedChange> got, want;
+  core::BatchDetector det({}, 1);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     auto v = make_series(24 * 35, seed);
     // A mid-window step change so the CUSUM has something to confirm.
     for (std::size_t i = v.size() / 2; i < v.size(); ++i) v[i] += 6.0;
-    const util::TimeSeries ts(17 * kHour, kHour, std::vector<double>(v));
-    const auto legacy = core::detect_changes(ts);
-    core::detect_changes(v, ts.start(), ts.step(), {}, az, span_changes);
-    ASSERT_EQ(legacy.changes.size(), span_changes.size()) << seed;
-    for (std::size_t i = 0; i < span_changes.size(); ++i) {
-      const auto& a = legacy.changes[i];
-      const auto& b = span_changes[i];
+    det.enqueue(v, 17 * kHour, kHour, &got);
+    det.flush();
+    oracle::detect_changes(v, 17 * kHour, kHour, {}, az, want);
+    ASSERT_EQ(want.size(), got.size()) << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const auto& a = want[i];
+      const auto& b = got[i];
       EXPECT_EQ(a.start, b.start);
       EXPECT_EQ(a.alarm, b.alarm);
       EXPECT_EQ(a.end, b.end);
@@ -247,13 +252,14 @@ TEST(AnalysisKernels, DetectChangesSpanMatchesLegacy) {
 }
 
 TEST(AnalysisKernels, ClassifyBlockSpanMatchesLegacy) {
+  // The engine's per-block classification against the scalar chain.
   analysis::BlockAnalyzer az;
   recon::ReconResult rr;
   rr.responsive = true;
   rr.evidence_fraction = 0.9;
   rr.counts = util::TimeSeries(3 * kHour, kHour,
                                make_series(24 * 14, 21));
-  const auto legacy = core::classify_block(rr);
+  const auto legacy = core::analyze_block(rr).cls;
   const auto span = core::classify_block(
       rr.counts.span(), rr.counts.start(), rr.counts.step(), rr.responsive,
       rr.evidence_fraction, {}, az);

@@ -28,6 +28,7 @@
 #include "analysis/workspace.h"
 #include "core/classify.h"
 #include "core/detect.h"
+#include "oracle.h"
 #include "util/timeseries.h"
 
 namespace diurnal {
@@ -474,7 +475,8 @@ TEST(BatchDetectorTest, BitwiseMatchesScalarDetectOnRaggedJobs) {
   std::vector<core::DetectedChange> want;
   bool any_changes = false;
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    core::detect_changes(cases[c].counts, cases[c].start, kHour, opt, az, want);
+    oracle::detect_changes(cases[c].counts, cases[c].start, kHour, opt, az,
+                           want);
     expect_same_changes(got[c], want, c);
     any_changes = any_changes || !want.empty();
   }
@@ -504,8 +506,7 @@ TEST(BatchClassifyTest, BitwiseMatchesClassifyBlock) {
                     cases[c].evidence, &got[c]});
   }
   analysis::BatchAnalyzer baz;
-  analysis::BlockAnalyzer az;
-  core::classify_blocks_batch(jobs, opt, baz, az);
+  core::classify_blocks_batch(jobs, opt, baz);
 
   analysis::BlockAnalyzer saz;
   for (std::size_t c = 0; c < cases.size(); ++c) {

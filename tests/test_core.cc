@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/aggregate.h"
 #include "core/classify.h"
@@ -29,6 +31,28 @@ recon::ReconResult recon_of(std::vector<double> counts, SimTime start = 0) {
   return r;
 }
 
+// The engine's per-block verdicts (classification, then detection of a
+// change-sensitive block) on a synthetic reconstruction.
+BlockClassification classify(const recon::ReconResult& r) {
+  return analyze_block(r).cls;
+}
+
+// The production detector, one lane, on an hourly series from t = 0.
+std::vector<DetectedChange> detect(std::span<const double> counts,
+                                   const DetectorOptions& opt = {}) {
+  std::vector<DetectedChange> changes;
+  BatchDetector det(opt, 1);
+  det.enqueue(counts, 0, util::kSecondsPerHour, &changes);
+  det.flush();
+  return changes;
+}
+
+// The changes attributed to human activity.
+std::vector<DetectedChange> counted(std::vector<DetectedChange> changes) {
+  std::erase_if(changes, [](const DetectedChange& c) { return !c.counted(); });
+  return changes;
+}
+
 // Hourly office-like series: `level` actives 9-17h on workdays.
 std::vector<double> office_series(int days, double level,
                                   double after_level = -1.0,
@@ -48,7 +72,7 @@ std::vector<double> office_series(int days, double level,
 }
 
 TEST(Classify, OfficeBlockIsChangeSensitive) {
-  const auto cls = classify_block(recon_of(office_series(28, 15.0)));
+  const auto cls = classify(recon_of(office_series(28, 15.0)));
   EXPECT_TRUE(cls.responsive);
   EXPECT_TRUE(cls.diurnal);
   EXPECT_TRUE(cls.wide_swing);
@@ -56,7 +80,7 @@ TEST(Classify, OfficeBlockIsChangeSensitive) {
 }
 
 TEST(Classify, FlatServerIsNotChangeSensitive) {
-  const auto cls = classify_block(recon_of(std::vector<double>(28 * 24, 40.0)));
+  const auto cls = classify(recon_of(std::vector<double>(28 * 24, 40.0)));
   EXPECT_TRUE(cls.responsive);
   EXPECT_FALSE(cls.diurnal);
   EXPECT_FALSE(cls.wide_swing);
@@ -64,7 +88,7 @@ TEST(Classify, FlatServerIsNotChangeSensitive) {
 }
 
 TEST(Classify, DiurnalButNarrowIsNotChangeSensitive) {
-  const auto cls = classify_block(recon_of(office_series(28, 3.0)));
+  const auto cls = classify(recon_of(office_series(28, 3.0)));
   EXPECT_TRUE(cls.diurnal);
   EXPECT_FALSE(cls.wide_swing);
   EXPECT_FALSE(cls.change_sensitive);
@@ -74,7 +98,7 @@ TEST(Classify, NoisyWideButNotDiurnal) {
   util::Xoshiro256 rng(3);
   std::vector<double> v(28 * 24);
   for (auto& x : v) x = std::max(0.0, rng.normal(20, 6));
-  const auto cls = classify_block(recon_of(std::move(v)));
+  const auto cls = classify(recon_of(std::move(v)));
   EXPECT_FALSE(cls.diurnal);
   EXPECT_TRUE(cls.wide_swing);
   EXPECT_FALSE(cls.change_sensitive);
@@ -84,7 +108,7 @@ TEST(Classify, UnresponsiveShortCircuits) {
   recon::ReconResult r;
   r.counts = util::TimeSeries(0, 3600, std::vector<double>(28 * 24, 0.0));
   r.responsive = false;
-  const auto cls = classify_block(r);
+  const auto cls = classify(r);
   EXPECT_FALSE(cls.responsive);
   EXPECT_FALSE(cls.change_sensitive);
 }
@@ -112,11 +136,10 @@ TEST(Funnel, CountsAreConsistent) {
 TEST(Detect, FindsWfhStyleDrop) {
   // Six weeks of strong office diurnality, then the swing disappears.
   const auto counts = office_series(70, 15.0, 2.0, 42);
-  const auto det =
-      detect_changes(util::TimeSeries(0, util::kSecondsPerHour, counts));
-  ASSERT_FALSE(det.changes.empty());
+  const auto changes = detect(counts);
+  ASSERT_FALSE(changes.empty());
   bool found = false;
-  for (const auto& c : det.changes) {
+  for (const auto& c : changes) {
     if (c.direction == analysis::ChangeDirection::kDown &&
         std::llabs(util::day_index(c.alarm) - 42) <= 4 &&
         !c.filtered_as_outage) {
@@ -128,10 +151,8 @@ TEST(Detect, FindsWfhStyleDrop) {
 
 TEST(Detect, SilentOnStablePattern) {
   const auto counts = office_series(70, 15.0);
-  const auto det =
-      detect_changes(util::TimeSeries(0, util::kSecondsPerHour, counts));
   int unfiltered_down = 0;
-  for (const auto& c : det.changes) {
+  for (const auto& c : detect(counts)) {
     if (!c.filtered_as_outage &&
         c.direction == analysis::ChangeDirection::kDown) {
       ++unfiltered_down;
@@ -145,12 +166,11 @@ TEST(Detect, OutagePairIsFiltered) {
   // must be filtered, leaving no activity changes.
   auto counts = office_series(70, 15.0);
   for (int h = 35 * 24; h < 37 * 24; ++h) counts[static_cast<std::size_t>(h)] = 0.0;
-  const auto det =
-      detect_changes(util::TimeSeries(0, util::kSecondsPerHour, counts));
+  const auto changes = detect(counts);
   // The outage is seen...
-  EXPECT_GE(det.changes.size(), 2u);
+  EXPECT_GE(changes.size(), 2u);
   // ...but attributed to an outage, not to human activity.
-  for (const auto& c : det.activity_changes()) {
+  for (const auto& c : counted(changes)) {
     EXPECT_GT(std::llabs(util::day_index(c.alarm) - 36), 2)
         << "outage-day change survived filtering";
   }
@@ -158,16 +178,11 @@ TEST(Detect, OutagePairIsFiltered) {
 
 TEST(Detect, PermanentDropIsNotFiltered) {
   const auto counts = office_series(70, 15.0, 2.0, 42);
-  const auto det =
-      detect_changes(util::TimeSeries(0, util::kSecondsPerHour, counts));
-  EXPECT_FALSE(det.activity_changes().empty());
+  EXPECT_FALSE(counted(detect(counts)).empty());
 }
 
 TEST(Detect, ShortSeriesYieldsEmptyResult) {
-  const auto det = detect_changes(
-      util::TimeSeries(0, util::kSecondsPerHour, std::vector<double>(100, 1.0)));
-  EXPECT_TRUE(det.changes.empty());
-  EXPECT_TRUE(det.trend.empty());
+  EXPECT_TRUE(detect(std::vector<double>(100, 1.0)).empty());
 }
 
 // Hourly office-like series whose workday start shifts by one hour at
@@ -193,17 +208,16 @@ TEST(Detect, PhaseShiftFilterAnnotatesUncorroboratedChanges) {
   // annotate: the change list itself is identical to the unfiltered
   // detector's.
   const auto counts = phase_shift_series(70, 15.0, 42);
-  const util::TimeSeries series(0, util::kSecondsPerHour, counts);
   DetectorOptions on;
   on.phase_shift_filter = true;
-  const auto base = detect_changes(series);
-  const auto filtered = detect_changes(series, on);
-  ASSERT_EQ(base.changes.size(), filtered.changes.size());
-  for (std::size_t i = 0; i < base.changes.size(); ++i) {
-    EXPECT_EQ(base.changes[i].start, filtered.changes[i].start);
-    EXPECT_EQ(base.changes[i].direction, filtered.changes[i].direction);
+  const auto base = detect(counts);
+  const auto filtered = detect(counts, on);
+  ASSERT_EQ(base.size(), filtered.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(base[i].start, filtered[i].start);
+    EXPECT_EQ(base[i].direction, filtered[i].direction);
   }
-  EXPECT_TRUE(filtered.activity_changes().empty());
+  EXPECT_TRUE(counted(filtered).empty());
 }
 
 TEST(Detect, PhaseShiftFilterKeepsCorroboratedDrop) {
@@ -212,23 +226,11 @@ TEST(Detect, PhaseShiftFilterKeepsCorroboratedDrop) {
   const auto counts = office_series(70, 15.0, 2.0, 42);
   DetectorOptions on;
   on.phase_shift_filter = true;
-  const auto det =
-      detect_changes(util::TimeSeries(0, util::kSecondsPerHour, counts), on);
-  EXPECT_FALSE(det.activity_changes().empty());
-  for (const auto& c : det.activity_changes()) {
+  const auto activity = counted(detect(counts, on));
+  EXPECT_FALSE(activity.empty());
+  for (const auto& c : activity) {
     EXPECT_FALSE(c.filtered_phase_only);
   }
-}
-
-TEST(Detect, ComponentsExposedForPlotting) {
-  const auto counts = office_series(28, 12.0);
-  const auto det =
-      detect_changes(util::TimeSeries(0, util::kSecondsPerHour, counts));
-  EXPECT_EQ(det.trend.size(), counts.size());
-  EXPECT_EQ(det.seasonal.size(), counts.size());
-  EXPECT_EQ(det.normalized_trend.size(), counts.size());
-  EXPECT_EQ(det.cusum_pos.size(), counts.size());
-  EXPECT_NEAR(det.normalized_trend.mean(), 0.0, 1e-9);
 }
 
 TEST(Datasets, Table6Registry) {

@@ -95,17 +95,6 @@ TEST(Cusum, EmptyAndTinyInputs) {
   EXPECT_TRUE(cusum_detect(one).changes.empty());
 }
 
-TEST(Cusum, DatedChangesCarryTimes) {
-  auto x = step_series(300, 100, 1.0, -1.0, 0.0, 5);
-  util::TimeSeries series(util::time_of(2020, 1, 1), util::kSecondsPerHour, x);
-  const auto dated = cusum_detect_dated(series, CusumOptions{1.0, 0.001});
-  ASSERT_FALSE(dated.empty());
-  EXPECT_EQ(dated[0].alarm_time,
-            series.time_at(dated[0].point.alarm));
-  EXPECT_GE(dated[0].alarm_time, util::time_of(2020, 1, 5));
-  EXPECT_LE(dated[0].start_time, dated[0].alarm_time);
-}
-
 // Property sweep: the detector finds a unit step across thresholds and
 // noise levels, with alarm delay growing with threshold.
 class CusumSweep : public ::testing::TestWithParam<std::tuple<double, double>> {};

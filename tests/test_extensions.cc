@@ -290,31 +290,5 @@ TEST(Report, WritesAllCsvFiles) {
   std::filesystem::remove_all(dir);
 }
 
-// --- naive trend-model option ---
-
-TEST(TrendModel, NaiveOptionDetectsTheSameBigDrop) {
-  std::vector<double> v;
-  for (int d = 0; d < 70; ++d) {
-    const int wd = (d + 2) % 7;
-    const bool work = wd >= 1 && wd <= 5;
-    const double level = d >= 42 ? 2.0 : 15.0;
-    for (int h = 0; h < 24; ++h) {
-      v.push_back(work && h >= 9 && h < 17 ? level : 1.0);
-    }
-  }
-  util::TimeSeries series(0, util::kSecondsPerHour, v);
-  core::DetectorOptions naive;
-  naive.trend_model = core::TrendModel::kNaive;
-  const auto det = core::detect_changes(series, naive);
-  bool found = false;
-  for (const auto& c : det.activity_changes()) {
-    if (c.direction == analysis::ChangeDirection::kDown &&
-        std::llabs(util::day_index(c.alarm) - 42) <= 5) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 }  // namespace
 }  // namespace diurnal

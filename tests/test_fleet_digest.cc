@@ -14,10 +14,14 @@
 // tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core/digest.h"
 #include "core/pipeline.h"
 #include "core/streaming.h"
 #include "fault/fault_plan.h"
+#include "recon/block_recon.h"
 #include "sim/world.h"
 #include "validate/harness.h"
 #include "validate/scenario.h"
@@ -122,6 +126,99 @@ TEST(FleetDigest, BatchWidthInvariantUnderFaults) {
 
   EXPECT_EQ(core::digest_hex(one_lane_digest),
             core::digest_hex(batched_digest));
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void expect_same_classification(const core::BlockClassification& a,
+                                const core::BlockClassification& b) {
+  EXPECT_EQ(a.responsive, b.responsive);
+  EXPECT_EQ(a.diurnal, b.diurnal);
+  EXPECT_EQ(a.wide_swing, b.wide_swing);
+  EXPECT_EQ(a.change_sensitive, b.change_sensitive);
+  EXPECT_EQ(a.low_confidence, b.low_confidence);
+  EXPECT_EQ(bits(a.evidence_fraction), bits(b.evidence_fraction));
+  const auto& ad = a.diurnal_detail;
+  const auto& bd = b.diurnal_detail;
+  EXPECT_EQ(ad.diurnal, bd.diurnal);
+  EXPECT_EQ(bits(ad.power_ratio), bits(bd.power_ratio));
+  EXPECT_EQ(bits(ad.total_power), bits(bd.total_power));
+  EXPECT_EQ(bits(ad.diurnal_power), bits(bd.diurnal_power));
+  EXPECT_EQ(ad.segments, bd.segments);
+  EXPECT_EQ(ad.segments_diurnal, bd.segments_diurnal);
+  const auto& as = a.swing_detail;
+  const auto& bs = b.swing_detail;
+  EXPECT_EQ(as.wide, bs.wide);
+  EXPECT_EQ(as.wide_days, bs.wide_days);
+  EXPECT_EQ(as.total_days, bs.total_days);
+  EXPECT_EQ(bits(as.max_daily_swing), bits(bs.max_daily_swing));
+  EXPECT_EQ(as.best_window_wide, bs.best_window_wide);
+}
+
+// Runs the fleet over the golden world, then every probed block again
+// on its own: observed as the fleet observes it and judged by
+// core::analyze_block.  Each verdict and change must equal the fleet's,
+// doubles bit for bit.  Returns the low-evidence changes of
+// change-sensitive blocks.
+int expect_per_block_verdicts_match_fleet(const core::FleetConfig& fc) {
+  const auto& world = golden_world();
+  const auto fleet = core::run_fleet(world, fc);
+  recon::BlockObservationConfig oc;
+  oc.observers = fc.dataset.observers();
+  oc.loss = probe::LossModel(fc.loss);
+  oc.window = fc.dataset.window();
+  oc.one_loss_repair = fc.one_loss_repair;
+  oc.faults = &fc.faults;
+  oc.recon = fc.recon;
+  int low_evidence = 0;
+  for (std::size_t i = 0; i < world.blocks().size(); ++i) {
+    const auto& block = world.blocks()[i];
+    if (block.eb_count == 0) continue;  // never probed by the fleet
+    SCOPED_TRACE(block.id.to_string());
+    const auto got =
+        core::analyze_block(recon::observe_and_reconstruct(block, oc),
+                            fc.classifier, fc.detector, fc.run_detection);
+    const auto& want = fleet.outcomes[i];
+    expect_same_classification(got.cls, want.cls);
+    EXPECT_EQ(got.changes.size(), want.changes.size());
+    if (got.changes.size() != want.changes.size()) continue;
+    for (std::size_t k = 0; k < got.changes.size(); ++k) {
+      const auto& a = got.changes[k];
+      const auto& b = want.changes[k];
+      EXPECT_EQ(a.start, b.start);
+      EXPECT_EQ(a.alarm, b.alarm);
+      EXPECT_EQ(a.end, b.end);
+      EXPECT_EQ(a.direction, b.direction);
+      EXPECT_EQ(bits(a.amplitude), bits(b.amplitude));
+      EXPECT_EQ(bits(a.amplitude_addresses), bits(b.amplitude_addresses));
+      EXPECT_EQ(a.filtered_as_outage, b.filtered_as_outage);
+      EXPECT_EQ(a.filtered_small, b.filtered_small);
+      EXPECT_EQ(a.filtered_phase_only, b.filtered_phase_only);
+      EXPECT_EQ(a.low_evidence, b.low_evidence);
+      low_evidence += a.low_evidence;
+    }
+  }
+  return low_evidence;
+}
+
+TEST(PerBlockVerdicts, MatchTheFleetOnEveryGoldenBlock) {
+  expect_per_block_verdicts_match_fleet(golden_config(0));
+}
+
+TEST(PerBlockVerdicts, MatchTheFleetUnderFaults) {
+  // Every observer dark for two days mid-window: the coverage gap makes
+  // changes near it low-evidence, and the comparison must cover some.
+  auto fc = golden_config(0);
+  const auto w = fc.dataset.window();
+  fault::OutageSpec blackout;
+  blackout.start = w.start + 12 * util::kSecondsPerDay;
+  blackout.end = w.start + 14 * util::kSecondsPerDay;
+  fc.faults.outages.push_back(blackout);
+  EXPECT_GT(expect_per_block_verdicts_match_fleet(fc), 0);
 }
 
 TEST(FleetDigest, ValidationGoldenMixScenarioReproducesGoldenDigest) {

@@ -172,17 +172,6 @@ TEST(Stl, DefaultTrendSpanFormula) {
   EXPECT_GE(default_trend_span(2, 7) % 2, 1);
 }
 
-TEST(Stl, TimeSeriesOverloadAlignsComponents) {
-  const auto syn = make_synthetic(6, 24, 0.2, 6);
-  util::TimeSeries series(1000, 3600, syn.y);
-  StlOptions opt;
-  opt.period = 24;
-  const auto d = stl_decompose(series, opt);
-  EXPECT_EQ(d.trend.start(), 1000);
-  EXPECT_EQ(d.trend.step(), 3600);
-  EXPECT_EQ(d.trend.size(), series.size());
-}
-
 // Property: STL seasonal component is (approximately) zero-mean over
 // each full cycle for a variety of periods.
 class StlPeriodSweep : public ::testing::TestWithParam<int> {};

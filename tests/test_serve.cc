@@ -345,7 +345,9 @@ void reader_stress(int engine_threads, int n_readers) {
           continue;
         }
         // Publication order is monotone from any reader's viewpoint.
-        if (!first) EXPECT_GE(snap->epoch_index(), last_epoch);
+        if (!first) {
+          EXPECT_GE(snap->epoch_index(), last_epoch);
+        }
         first = false;
         last_epoch = snap->epoch_index();
         rng ^= rng << 13;

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/block_analyzer.h"
 #include "analysis/cusum.h"
 #include "core/datasets.h"
 #include "core/digest.h"
@@ -497,43 +496,6 @@ TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
   EXPECT_TRUE(complete_seen);
   const auto fused = fleet.finalize();
   EXPECT_EQ(core::fleet_digest(fused), core::fleet_digest(two_pass));
-}
-
-TEST(StreamingFleetTest, NaiveTrendModelMatchesPerBlockDetection) {
-  // The section 2.5 ablation: the batched detector runs naive-trend
-  // jobs through the per-block chain, at a one-lane and the full width.
-  core::FleetConfig fc;
-  fc.dataset = core::dataset("2020m1-ejnw");
-  fc.detector.trend_model = core::TrendModel::kNaive;
-  fc.threads = 2;
-  analysis::BlockAnalyzer az;
-  std::vector<core::DetectedChange> want;
-  for (const int width : {1, 0}) {
-    fc.analysis_batch_width = width;
-    const auto result = core::run_fleet(fleet_world(), fc);
-    std::size_t changes = 0;
-    for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-      const auto& got = result.outcomes[i].changes;
-      want.clear();
-      if (result.outcomes[i].cls.change_sensitive) {
-        core::detect_changes(result.series.series(i), result.series.start(),
-                             result.series.step(), fc.detector, az, want);
-      }
-      ASSERT_EQ(got.size(), want.size()) << "block " << i;
-      for (std::size_t k = 0; k < want.size(); ++k) {
-        EXPECT_EQ(got[k].start, want[k].start);
-        EXPECT_EQ(got[k].alarm, want[k].alarm);
-        EXPECT_EQ(got[k].end, want[k].end);
-        EXPECT_EQ(got[k].direction, want[k].direction);
-        EXPECT_EQ(got[k].amplitude, want[k].amplitude);
-        EXPECT_EQ(got[k].amplitude_addresses, want[k].amplitude_addresses);
-        EXPECT_EQ(got[k].counted(), want[k].counted());
-        EXPECT_EQ(got[k].low_evidence, want[k].low_evidence);
-      }
-      changes += want.size();
-    }
-    EXPECT_GT(changes, 0u) << "width " << width;
-  }
 }
 
 // ---------------------------------------------------------------------------

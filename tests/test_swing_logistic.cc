@@ -5,6 +5,7 @@
 
 #include "analysis/logistic.h"
 #include "analysis/swing.h"
+#include "oracle.h"
 #include "util/rng.h"
 
 namespace diurnal::analysis {
@@ -12,17 +13,18 @@ namespace {
 
 using util::DayStats;
 
-std::vector<DayStats> days_with_swings(const std::vector<double>& swings) {
-  std::vector<DayStats> out;
-  for (std::size_t i = 0; i < swings.size(); ++i) {
-    DayStats d;
-    d.day = static_cast<std::int64_t>(i);
-    d.min = 0.0;
-    d.max = swings[i];
-    d.samples = 24;
-    out.push_back(d);
-  }
+// An hourly series from day 0 whose day i swings from 0 to swings[i].
+std::vector<double> days_with_swings(const std::vector<double>& swings) {
+  std::vector<double> out(swings.size() * 24, 0.0);
+  for (std::size_t i = 0; i < swings.size(); ++i) out[i * 24 + 12] = swings[i];
   return out;
+}
+
+// The production swing kernel on an hourly series from t = 0.
+SwingResult classify_swing(const std::vector<double>& hourly,
+                           const SwingOptions& opt) {
+  Workspace ws;
+  return classify_swing(hourly, 0, util::kSecondsPerHour, opt, ws);
 }
 
 TEST(Swing, WideWeekQualifies) {
@@ -74,15 +76,17 @@ TEST(Swing, GapDaysBreakWindows) {
     s.max = 10;
     days.push_back(s);
   }
-  const auto r = classify_swing(days, SwingOptions{});
+  // An hourly series covers every day, so only the per-day oracle can
+  // hold days without samples.
+  const auto r = oracle::classify_swing(days, SwingOptions{});
   EXPECT_TRUE(r.wide);  // the first 4 are within one 7-day window
   SwingOptions strict;
   strict.min_wide_days = 5;
-  EXPECT_FALSE(classify_swing(days, strict).wide);
+  EXPECT_FALSE(oracle::classify_swing(days, strict).wide);
 }
 
 TEST(Swing, EmptyInput) {
-  EXPECT_FALSE(classify_swing(std::vector<DayStats>{}, SwingOptions{}).wide);
+  EXPECT_FALSE(classify_swing(std::vector<double>{}, SwingOptions{}).wide);
 }
 
 TEST(Swing, FromTimeSeries) {
@@ -95,8 +99,7 @@ TEST(Swing, FromTimeSeries) {
       v.push_back(work && h >= 9 && h < 17 ? 12.0 : 0.0);
     }
   }
-  util::TimeSeries s(0, util::kSecondsPerHour, v);
-  const auto r = classify_swing(s, SwingOptions{});
+  const auto r = classify_swing(v, SwingOptions{});
   EXPECT_TRUE(r.wide);
   EXPECT_EQ(r.total_days, 14);
 }

@@ -5,6 +5,11 @@
 // thread-count metamorphic gates the paper-facing numbers rest on.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/detect.h"
@@ -203,6 +208,115 @@ TEST(Baseline, JsonRoundTripIsExact) {
   EXPECT_EQ(rec->digest, "deadbeefcafef00d");
   EXPECT_EQ(rec->score, card);
   EXPECT_TRUE(validate::compare_to_baseline(b, parsed, 1e-9).empty());
+}
+
+TEST(Baseline, LatencySumBeyondIntRoundTrips) {
+  // abs_latency_seconds is an int64 sum: ~6,200 matched truths at the
+  // ±4-day window already pass 2^31 seconds.
+  validate::Baseline b;
+  validate::Scorecard card;
+  auto& tally = card.of(TruthClass::kWfhOnset);
+  tally.truth = 9000;
+  tally.matched = 9000;
+  tally.abs_latency_sum = 3'000'000'000;
+  b.scenarios.emplace_back("long", validate::make_record(card, 1));
+  const auto parsed = validate::parse_baseline(validate::to_json(b));
+  ASSERT_EQ(parsed.scenarios.size(), 1u);
+  EXPECT_EQ(parsed.scenarios[0].second.score, card);
+}
+
+// A to_json document whose one class tally reads `truth` verbatim.
+std::string baseline_with_truth(const std::string& truth) {
+  validate::Baseline b;
+  validate::Scorecard card;
+  card.of(TruthClass::kHolidayDip).truth = 12345;
+  b.scenarios.emplace_back("s", validate::make_record(card, 1));
+  std::string json = validate::to_json(b);
+  // The last occurrence: the scenario's own "truth" total comes first.
+  const std::string needle = "\"truth\": 12345";
+  const auto at = json.rfind(needle);
+  EXPECT_NE(at, std::string::npos);
+  return json.replace(at, needle.size(), "\"truth\": " + truth);
+}
+
+TEST(Baseline, CountFieldsMustBeNonNegativeIntegersInRange) {
+  EXPECT_NO_THROW(validate::parse_baseline(baseline_with_truth("7")));
+  for (const std::string bad : {"1e300", "2.5", "-1", "3000000000", "1-2"}) {
+    try {
+      validate::parse_baseline(baseline_with_truth(bad));
+      ADD_FAILURE() << bad << " accepted as a count";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      if (bad != "1-2") {
+        EXPECT_NE(what.find("'truth'"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(Baseline, DeepNestingAndOversizeInputThrowTyped) {
+  // 2,000,000 nested objects once overflowed the recursive descent's
+  // stack; the size bound and the depth bound each reject them now.
+  std::string deep;
+  for (int i = 0; i < 2'000'000; ++i) deep += "{\"a\":";
+  EXPECT_THROW(validate::parse_baseline(deep), std::runtime_error);
+  // Under the size bound, the depth bound alone.
+  std::string nested;
+  for (int i = 0; i < 100; ++i) nested += "{\"a\":";
+  nested += "1";
+  for (int i = 0; i < 100; ++i) nested += "}";
+  try {
+    validate::parse_baseline(nested);
+    ADD_FAILURE() << "100 nested objects accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nested"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Baseline, MutatedBaselineParsesOrThrowsTyped) {
+  // Seeded mutations of the checked-in baseline: byte flips,
+  // truncations and duplicated brackets.  Each parse returns or throws
+  // std::runtime_error — any other exception escapes and fails here,
+  // and the sanitizer legs catch undefined behavior.
+  std::ifstream in(DIURNAL_BASELINE_PATH);
+  ASSERT_TRUE(in) << DIURNAL_BASELINE_PATH;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  ASSERT_NO_THROW(validate::parse_baseline(text));
+
+  std::mt19937_64 rng(20240607);
+  auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  int rejected = 0;
+  constexpr int kTrials = 1500;
+  for (int t = 0; t < kTrials; ++t) {
+    std::string m = text;
+    switch (t % 3) {
+      case 0:  // flip one to four bytes
+        for (std::size_t k = 0, n = 1 + pick(4); k < n; ++k) {
+          m[pick(m.size())] = static_cast<char>(pick(256));
+        }
+        break;
+      case 1:  // truncate
+        m.resize(pick(m.size()));
+        break;
+      default: {  // duplicate a bracket, or insert one anywhere
+        const char bracket = "{}"[pick(2)];
+        const auto at = m.find(bracket, pick(m.size()));
+        m.insert(at == std::string::npos ? pick(m.size()) : at,
+                 std::string(1 + pick(64), bracket));
+      }
+    }
+    try {
+      validate::parse_baseline(m);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, kTrials / 2);
 }
 
 TEST(Baseline, ComparatorFlagsEveryCounterDrift) {

@@ -16,8 +16,9 @@
 // `run` executes probe -> reconstruct -> classify -> detect -> aggregate
 // over a synthetic world, optionally exporting CSVs (--out), discovering
 // regional events (--discover), and scoring against ground truth
-// (--validate).  `block` runs the single-block pipeline and prints the
-// Figure-1-style story for one /24.  `--fault` injects a named observer
+// (--validate).  `block` judges one /24 on the fleet's own finish path
+// (core::analyze_block) and prints the Figure-1-style story, with the
+// tags the engine sets on each change.  `--fault` injects a named observer
 // fault scenario (see `faults`) and reports the degradation summary.
 // `--stream` drives the fleet incrementally, one epoch (--epoch=1d, 6h,
 // 660s, ...) at a time, printing per-epoch delivery counts and
@@ -378,7 +379,8 @@ int cmd_block(const Args& a) {
     oc.faults = &plan;
   }
   const auto r = recon::observe_and_reconstruct(*block, oc);
-  const auto cls = core::classify_block(r);
+  const auto out = core::analyze_block(r);
+  const auto& cls = out.cls;
   std::printf("%s: |E(b)| %d, max active %.0f, reply rate %.3f\n",
               id.to_string().c_str(), r.eb_count, r.max_active,
               r.mean_reply_rate);
@@ -393,13 +395,19 @@ int cmd_block(const Args& a) {
               cls.diurnal ? "yes" : "no", cls.diurnal_detail.power_ratio,
               cls.wide_swing ? "yes" : "no", cls.swing_detail.max_daily_swing,
               cls.change_sensitive ? "YES" : "no");
-  for (const auto& c : core::detect_changes(r.counts).changes) {
-    std::printf("  %s alarm %s amplitude %+.1f addr%s%s\n",
+  if (!cls.change_sensitive) {
+    std::printf("not change-sensitive: the fleet runs no change detection "
+                "on this block\n");
+  }
+  for (const auto& c : out.changes) {
+    std::printf("  %s alarm %s amplitude %+.1f addr%s%s%s%s\n",
                 c.direction == analysis::ChangeDirection::kDown ? "DOWN" : "UP",
                 util::to_string(util::date_of(c.alarm)).c_str(),
                 c.amplitude_addresses,
                 c.filtered_as_outage ? " [outage]" : "",
-                c.filtered_small ? " [small]" : "");
+                c.filtered_small ? " [small]" : "",
+                c.filtered_phase_only ? " [phase-only]" : "",
+                c.low_evidence ? " [low evidence]" : "");
   }
   return 0;
 }

@@ -25,9 +25,7 @@ int main() {
   auto fleet = core::run_fleet(world, fc);
 
   const auto ds = fc.dataset;
-  recon::BlockObservationConfig oc;
-  oc.observers = ds.observers();
-  oc.window = ds.window();
+  const recon::BlockObservationConfig oc = fc.observation(ds);
 
   std::vector<std::size_t> cs_index;
   std::vector<util::TimeSeries> cs_counts;

@@ -57,11 +57,7 @@ int main() {
   // ------------------------------------------------------------------
   // Single-thread per-stage pass (the probe-simulation throughput gate).
   // ------------------------------------------------------------------
-  recon::BlockObservationConfig oc;
-  oc.observers = fc.dataset.observers();
-  oc.loss = probe::LossModel(fc.loss);
-  oc.window = fc.dataset.window();
-  oc.recon = fc.recon;
+  const recon::BlockObservationConfig oc = fc.observation(fc.dataset);
 
   // The stage pass repeats DIURNAL_BENCH_REPS times (default 3) and
   // keeps the fastest pass: the pipeline is deterministic, so the reps

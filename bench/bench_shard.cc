@@ -251,8 +251,6 @@ int main() {
       .add("peak_resident", static_cast<std::int64_t>(cap.stats.peak_resident))
       .add("peak_resident_bytes",
            static_cast<std::int64_t>(cap.stats.peak_resident_bytes))
-      .add("series_bytes_retained",
-           static_cast<std::int64_t>(cap.stats.series_bytes_retained))
       .add("heap_allocations", static_cast<std::int64_t>(allocs))
       .add("allocs_per_block", static_cast<double>(allocs) / n_blocks)
       .add("rss_before_kb", static_cast<std::int64_t>(before.rss_kb))

@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -16,7 +17,7 @@ constexpr std::uint32_t kShardMetaTag = util::state_tag("SMET");
 constexpr std::uint32_t kShardOutcomesTag = util::state_tag("OUTC");
 constexpr std::uint32_t kShardDegradationTag = util::state_tag("DEGR");
 constexpr std::uint32_t kShardAggregateTag = util::state_tag("AGGR");
-constexpr std::uint32_t kShardSeriesTag = util::state_tag("SERI");
+constexpr std::uint32_t kRunFingerprintTag = util::state_tag("CLIM");
 
 void fingerprint_opt(util::StateWriter& w, const std::optional<double>& v) {
   w.boolean(v.has_value());
@@ -71,6 +72,23 @@ void fingerprint_dataset(util::StateWriter& w, const DatasetSpec& ds) {
   w.i64(window.end);
 }
 
+/// CMET and CDON: the manifest's run and universe, then the ids of the
+/// completed shards.
+template <class IO, class Ids>
+void manifest_fields(IO& io, std::uint64_t fingerprint,
+                     std::uint64_t total_blocks, std::uint64_t shard_size,
+                     Ids& completed) {
+  io.begin_section(kManifestMetaTag);
+  io.expect(fingerprint,
+            "manifest was written under a different configuration");
+  io.expect(total_blocks, "manifest covers a different block universe");
+  io.expect(shard_size, "manifest covers a different block universe");
+  io.end_section();
+  io.begin_section(kManifestDoneTag);
+  io.seq(completed, [&io](auto& k) { io.u64(k); });
+  io.end_section();
+}
+
 /// SMET: the run and slot a shard file belongs to, and its block span.
 template <class IO, class Size>
 void shard_meta(IO& io, std::uint64_t fingerprint, std::size_t k,
@@ -102,24 +120,27 @@ void shard_rows(IO& io, std::span<Outcome> outcomes,
   io.end_section();
 }
 
-}  // namespace
+/// CLIM: the head of a run file.  A reader fails with kBadValue unless
+/// the fingerprint matches.
+template <class IO>
+void run_fingerprint(IO& io, std::uint64_t fingerprint) {
+  io.begin_section(kRunFingerprintTag);
+  io.expect(fingerprint,
+            "checkpoint was written under a different configuration");
+  io.end_section();
+}
 
-void save_state(util::StateWriter& w, const BlockClassification& c) {
-  fields(w, c);
+/// Creates a checkpoint directory, or throws StateError(kIo).
+void create_checkpoint_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    throw util::StateError(util::StateErrorKind::kIo,
+                           "cannot create checkpoint directory " + dir);
+  }
 }
-void restore_state(util::StateReader& r, BlockClassification& c) {
-  fields(r, c);
-}
-void save_state(util::StateWriter& w, const fault::BlockDegradation& d) {
-  fields(w, d);
-}
-void restore_state(util::StateReader& r, fault::BlockDegradation& d) {
-  fields(r, d);
-}
-void save_state(util::StateWriter& w, const DetectedChange& c) { fields(w, c); }
-void restore_state(util::StateReader& r, DetectedChange& c) { fields(r, c); }
-void save_state(util::StateWriter& w, const BlockOutcome& o) { fields(w, o); }
-void restore_state(util::StateReader& r, BlockOutcome& o) { fields(r, o); }
+
+}  // namespace
 
 std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
                                      const FleetConfig& config,
@@ -227,12 +248,7 @@ CheckpointManager::CheckpointManager(std::string dir,
       total_blocks_(total_blocks),
       shard_size_(shard_size),
       manifest_every_(manifest_every == 0 ? 1 : manifest_every) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    throw util::StateError(util::StateErrorKind::kIo,
-                           "cannot create checkpoint directory " + dir_);
-  }
+  create_checkpoint_dir(dir_);
 }
 
 std::string CheckpointManager::shard_path(std::size_t k) const {
@@ -241,19 +257,6 @@ std::string CheckpointManager::shard_path(std::size_t k) const {
 
 std::string CheckpointManager::manifest_path() const {
   return dir_ + "/manifest.ckpt";
-}
-
-template <class IO, class Ids>
-void CheckpointManager::manifest_fields(IO& io, Ids& completed) const {
-  io.begin_section(kManifestMetaTag);
-  io.expect(fingerprint_,
-            "manifest was written under a different configuration");
-  io.expect(total_blocks_, "manifest covers a different block universe");
-  io.expect(shard_size_, "manifest covers a different block universe");
-  io.end_section();
-  io.begin_section(kManifestDoneTag);
-  io.seq(completed, [&io](auto& k) { io.u64(k); });
-  io.end_section();
 }
 
 std::vector<std::size_t> CheckpointManager::load_manifest() {
@@ -265,7 +268,7 @@ std::vector<std::size_t> CheckpointManager::load_manifest() {
   }
   util::StateReader r(image);
   std::vector<std::size_t> done;
-  manifest_fields(r, done);
+  manifest_fields(r, fingerprint_, total_blocks_, shard_size_, done);
   return done;
 }
 
@@ -283,15 +286,6 @@ ShardCheckpoint CheckpointManager::load_shard(std::size_t k) {
   out.degradation.resize(out.end - out.begin);
   shard_rows(r, std::span(out.outcomes), std::span(out.degradation),
              out.aggregate);
-  if (r.has_section()) {
-    r.begin_section(kShardSeriesTag);
-    out.series.restore(r);
-    r.end_section();
-    if (out.series.rows() != out.outcomes.size()) {
-      util::bad_value("shard series row count does not match its span");
-    }
-    out.has_series = true;
-  }
 
   const std::lock_guard<std::mutex> lock(mu_);
   completed_.insert(k);
@@ -301,20 +295,12 @@ ShardCheckpoint CheckpointManager::load_shard(std::size_t k) {
 void CheckpointManager::record_shard(std::size_t k, std::size_t begin,
                                      std::size_t end,
                                      const FleetResult& fleet,
-                                     const ChangeAggregator& agg,
-                                     bool with_series) {
+                                     const ChangeAggregator& agg) {
   util::StateWriter w;
   shard_meta(w, fingerprint_, k, begin, end);
   const std::size_t rows = end - begin;
   shard_rows(w, std::span(fleet.outcomes).subspan(begin, rows),
              std::span(fleet.degradation.blocks).subspan(begin, rows), agg);
-  if (with_series) {
-    // The shard's rows of the global store (the shard-local store is
-    // already retired by the time the fold completes).
-    w.begin_section(kShardSeriesTag);
-    fleet.series.save_rows(w, begin, rows);
-    w.end_section();
-  }
 
   util::write_state_file(shard_path(k), w.bytes());
 
@@ -339,11 +325,42 @@ std::size_t CheckpointManager::manifest_writes() const {
 
 void CheckpointManager::write_manifest_locked() {
   util::StateWriter w;
-  manifest_fields(w, completed_);
+  manifest_fields(w, fingerprint_, total_blocks_, shard_size_, completed_);
   util::write_state_file(manifest_path(), w.bytes());
   unflushed_ = 0;
   dirty_ = false;
   ++manifest_writes_;
 }
+
+RunCheckpoint::RunCheckpoint(const std::string& dir, const std::string& name,
+                             const sim::WorldConfig& world,
+                             const FleetConfig& config)
+    : path_(dir + "/" + name),
+      fingerprint_(checkpoint_fingerprint(world, config, 0)) {
+  create_checkpoint_dir(dir);
+}
+
+std::optional<std::string> RunCheckpoint::read(
+    const std::function<void(util::StateReader&)>& restore) const {
+  try {
+    const std::vector<std::uint8_t> image = util::read_state_file(path_);
+    util::StateReader r(image);
+    run_fingerprint(r, fingerprint_);
+    restore(r);
+  } catch (const util::StateError& e) {
+    return e.what();
+  }
+  return std::nullopt;
+}
+
+void RunCheckpoint::write(
+    const std::function<void(util::StateWriter&)>& save) const {
+  util::StateWriter w;
+  run_fingerprint(w, fingerprint_);
+  save(w);
+  util::write_state_file(path_, w.bytes());
+}
+
+void RunCheckpoint::discard() const { std::remove(path_.c_str()); }
 
 }  // namespace diurnal::core

@@ -1,14 +1,15 @@
 // Externalized pipeline results: per-shard checkpoint files plus the
 // manifest that lets run_sharded_fleet() resume a killed run without
-// recomputing completed shards (DESIGN.md section 11).
+// recomputing completed shards, and the one file of a resumable
+// streaming run (DESIGN.md section 11).
 //
 // A shard checkpoint stores the shard's *outputs* — outcomes,
-// degradation rows, gridcell aggregation, optionally series rows — not
-// its in-flight reconstruction state: shards are the unit of recompute,
-// so a shard is either done (its file is complete and CRC-clean) or it
-// runs again from the world seed.  Mid-window state travels through the
-// StreamingFleet::save()/restore() path instead (the CLI's streaming
-// checkpoints), built on the same serializers below.
+// degradation rows, gridcell aggregation — not its in-flight
+// reconstruction state: shards are the unit of recompute, so a shard is
+// either done (its file is complete and CRC-clean) or it runs again
+// from the world seed.  Mid-window state travels through the
+// StreamingFleet::save()/restore() path instead, which RunCheckpoint
+// keeps in one file per streaming run.
 //
 // Every file carries the run's config fingerprint; a checkpoint written
 // under a different world/fleet configuration is rejected with
@@ -16,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,8 +33,7 @@ namespace diurnal::core {
 
 // Field lists of the result rows, in wire order (util/state_io.h),
 // shared by the shard checkpoint files and the streaming-engine
-// snapshot.  save_state/restore_state are their two directions; each
-// restore_state overwrites its target completely.
+// snapshot.  Reading overwrites the target completely.
 template <class IO>
 void fields(IO& io, util::Field<IO, BlockClassification>& c) {
   io.boolean(c.responsive);
@@ -88,15 +90,6 @@ void fields(IO& io, util::Field<IO, BlockOutcome>& o) {
   io.seq(o.changes, [&io](auto& c) { fields(io, c); });
 }
 
-void save_state(util::StateWriter& w, const BlockClassification& c);
-void restore_state(util::StateReader& r, BlockClassification& c);
-void save_state(util::StateWriter& w, const fault::BlockDegradation& d);
-void restore_state(util::StateReader& r, fault::BlockDegradation& d);
-void save_state(util::StateWriter& w, const DetectedChange& c);
-void restore_state(util::StateReader& r, DetectedChange& c);
-void save_state(util::StateWriter& w, const BlockOutcome& o);
-void restore_state(util::StateReader& r, BlockOutcome& o);
-
 /// Fingerprint of everything a checkpoint's results depend on: the
 /// world configuration, the datasets/windows, the fault plan, and the
 /// key analysis knobs.  Deliberately excludes the execution shape —
@@ -109,19 +102,47 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
                                      const FleetConfig& config,
                                      std::uint64_t shard_size = 0);
 
-/// The head of a resumable streaming run's one checkpoint file
-/// (diurnal_cli --stream's stream.ckpt, diurnal_serve's serve.ckpt): a
-/// CLIM section holding checkpoint_fingerprint(world, config, 0), then
-/// the engine image in the same file, so a crash mid-write can never
-/// leave a new image behind an old fingerprint.  Writes `fingerprint`;
-/// a reader fails with StateError(kBadValue) unless it matches.
-template <class IO>
-void run_fingerprint(IO& io, std::uint64_t fingerprint) {
-  io.begin_section(util::state_tag("CLIM"));
-  io.expect(fingerprint,
-            "checkpoint was written under a different configuration");
-  io.end_section();
-}
+/// The one checkpoint file of a resumable streaming run (diurnal_cli
+/// run --stream's stream.ckpt, diurnal_serve's serve.ckpt): a CLIM
+/// section holding checkpoint_fingerprint(world, config, 0), then the
+/// engine image — a StreamingFleet's or a SnapshotServer's save() — in
+/// the same file, so a crash mid-write can never leave a new image
+/// behind an old fingerprint.
+class RunCheckpoint {
+ public:
+  /// The file `dir`/`name` of the run over `world` with `config`.
+  /// Creates `dir` if needed; throws StateError(kIo) when it cannot.
+  RunCheckpoint(const std::string& dir, const std::string& name,
+                const sim::WorldConfig& world, const FleetConfig& config);
+
+  /// Restores the engine from the file.  Returns nothing on success;
+  /// otherwise the reason the run starts fresh (a missing, truncated,
+  /// corrupt or foreign file), and the engine is left as constructed.
+  template <class Engine>
+  std::optional<std::string> resume(Engine& engine) const {
+    return read([&engine](util::StateReader& r) { engine.restore(r); });
+  }
+
+  /// Writes the fingerprint and the engine image atomically
+  /// (util::write_state_file); throws StateError(kIo) on failure.
+  template <class Engine>
+  void save(const Engine& engine) const {
+    write([&engine](util::StateWriter& w) { engine.save(w); });
+  }
+
+  /// Removes the file: a completed run must not resume from it.
+  void discard() const;
+
+  const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::optional<std::string> read(
+      const std::function<void(util::StateReader&)>& restore) const;
+  void write(const std::function<void(util::StateWriter&)>& save) const;
+
+  std::string path_;
+  std::uint64_t fingerprint_;
+};
 
 /// One restored shard's contribution to the merged result.
 struct ShardCheckpoint {
@@ -130,8 +151,6 @@ struct ShardCheckpoint {
   std::vector<BlockOutcome> outcomes;                ///< end - begin rows
   std::vector<fault::BlockDegradation> degradation;  ///< end - begin rows
   ChangeAggregator aggregate;  ///< this shard's gridcell/continent series
-  bool has_series = false;     ///< recorded with retain_series
-  SeriesStore series;          ///< end - begin rows when has_series
 };
 
 /// Owns a checkpoint directory: one `shard-<k>.ckpt` per completed
@@ -161,15 +180,25 @@ class CheckpointManager {
   /// Loads shard k's checkpoint file and marks it complete in this
   /// manager.  Throws StateError when the file is missing, corrupt,
   /// truncated, or fingerprint-mismatched — callers recompute the shard.
+  /// Sections after the outputs are not read.
   ShardCheckpoint load_shard(std::size_t k);
 
   /// Serializes shard k's slice [begin, end) of the already-folded
   /// global result plus its own aggregator, writes the shard file
   /// atomically, and rewrites the manifest every `manifest_every`
-  /// completions.
+  /// completions.  Throws StateError(kIo) when a file cannot be
+  /// written.
+  void record_shard(std::size_t k, std::size_t begin, std::size_t end,
+                    const FleetResult& fleet, const ChangeAggregator& agg);
+
+  /// The same call; the flag is unused.  Kept only for the repository
+  /// benchmark (perfbench/src/batch.cc), which compiles against this
+  /// signature until a benchmark change moves it off.
   void record_shard(std::size_t k, std::size_t begin, std::size_t end,
                     const FleetResult& fleet, const ChangeAggregator& agg,
-                    bool with_series);
+                    bool) {
+    record_shard(k, begin, end, fleet, agg);
+  }
 
   /// Rewrites the manifest with every shard recorded so far.
   /// Idempotent: a flush with nothing new since the last write is a
@@ -182,15 +211,9 @@ class CheckpointManager {
   /// the finalize-idempotence tests).
   std::size_t manifest_writes() const;
 
+ private:
   std::string shard_path(std::size_t k) const;
   std::string manifest_path() const;
-  const std::string& dir() const noexcept { return dir_; }
-  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
-
- private:
-  /// The manifest layout, in wire order (util/state_io.h field lists).
-  template <class IO, class Ids>
-  void manifest_fields(IO& io, Ids& completed) const;
   void write_manifest_locked();
 
   std::string dir_;

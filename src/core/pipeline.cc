@@ -4,6 +4,21 @@
 
 namespace diurnal::core {
 
+recon::BlockObservationConfig FleetConfig::observation(
+    const DatasetSpec& ds) const {
+  recon::BlockObservationConfig oc;
+  oc.observers = ds.observers();
+  oc.loss = probe::LossModel(loss);
+  oc.window = ds.window();
+  oc.prober.kind =
+      ds.survey ? probe::ProberKind::kSurvey : probe::ProberKind::kTrinocular;
+  oc.one_loss_repair = one_loss_repair;
+  oc.additional_observations = additional_observations;
+  oc.faults = &faults;
+  oc.recon = recon;
+  return oc;
+}
+
 // One pipeline implementation: the batch entry point is the streaming
 // engine driven start-to-finish (see core/streaming.h for the staging
 // and the equivalence contract).

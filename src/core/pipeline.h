@@ -59,6 +59,13 @@ struct FleetConfig {
   /// production caller sets it; tests use it to force narrow and ragged
   /// batches.
   int analysis_batch_width = 0;
+
+  /// How the fleet observes a block over dataset `ds` (`dataset` or
+  /// `classify_dataset`): its observers and window, survey or
+  /// Trinocular probing as the dataset says, and this configuration's
+  /// loss model, repair, fault plan and recon options.  The result
+  /// points at `faults`, so it must not outlive this configuration.
+  recon::BlockObservationConfig observation(const DatasetSpec& ds) const;
 };
 
 struct BlockOutcome {

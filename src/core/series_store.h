@@ -22,7 +22,6 @@
 
 #include "util/date.h"
 #include "util/default_init_allocator.h"
-#include "util/state_io.h"
 
 namespace diurnal::core {
 
@@ -35,7 +34,13 @@ class SeriesStore {
   /// are indeterminate; each row's length starts at zero until its
   /// writer calls set_len().
   void reset(std::size_t rows, std::size_t stride, util::SimTime start,
-             std::int64_t step);
+             std::int64_t step) {
+    stride_ = stride;
+    start_ = start;
+    step_ = step <= 0 ? 1 : step;
+    data_.resize(rows * stride);  // default-init: rows are written by owners
+    len_.assign(rows, 0);
+  }
 
   std::size_t rows() const noexcept { return len_.size(); }
   std::size_t stride() const noexcept { return stride_; }
@@ -58,24 +63,6 @@ class SeriesStore {
   }
   std::size_t len(std::size_t i) const noexcept { return len_[i]; }
 
-  /// Copies every row of `src` (its written prefix and length) into
-  /// rows [first, first + src.rows()) of this store, e.g. one shard's
-  /// rows into the fleet-wide store.  Same one-writer-per-row rule.
-  void copy_rows(const SeriesStore& src, std::size_t first) noexcept;
-
-  /// Serializes geometry, per-row lengths and each row's written
-  /// prefix (the tail past len(i) is indeterminate by contract and is
-  /// not stored).  restore() re-reset()s to the stored geometry, so a
-  /// default-constructed store is a valid target; unwritten tails come
-  /// back zero-filled.  A geometry the image cannot back — rows × stride
-  /// overflowing, more rows than the section holds, or a stride longer
-  /// than a row the section could hold — throws StateError.
-  void save(util::StateWriter& w) const;
-  void restore(util::StateReader& r);
-  /// save() of rows [first, first + n) alone: the image of an n-row
-  /// store with this geometry.
-  void save_rows(util::StateWriter& w, std::size_t first, std::size_t n) const;
-
   /// Heap bytes held (sample buffer + length column) — the dominant
   /// per-shard residency cost the shard scheduler accounts for.
   std::size_t memory_bytes() const noexcept {
@@ -84,11 +71,6 @@ class SeriesStore {
   }
 
  private:
-  /// The layout, in wire order; `first` and `rows` pick the rows a
-  /// writer saves.
-  template <class Self, class IO>
-  static void fields(Self& self, IO& io, std::size_t first, std::size_t rows);
-
   std::vector<double, util::DefaultInitAllocator<double>> data_;
   std::vector<std::uint32_t> len_;
   std::size_t stride_ = 0;

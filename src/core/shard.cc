@@ -42,15 +42,11 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
       total == 0 ? 0 : (total + shard_size - 1) / shard_size;
 
   const auto window = config.dataset.window();
-  const std::int64_t sstep = config.recon.sample_step;
   const std::size_t stride = recon::sample_count(window, config.recon);
 
   ShardedFleetResult out{{}, ChangeAggregator(window.start, window.end), {}};
   out.fleet.outcomes.resize(total);
   out.fleet.degradation.blocks.resize(total);
-  if (shards.retain_series) {
-    out.fleet.series.reset(total, stride, window.start, sstep);
-  }
 
   // Worker topology: each shard worker owns at most one resident shard,
   // so min(threads, max_resident) workers enforce the residency cap by
@@ -93,17 +89,11 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
         if (k >= n_shards) continue;
         try {
           ShardCheckpoint sc = ckpt->load_shard(k);
-          if (shards.retain_series && !sc.has_series) {
-            continue;  // recorded without series: recompute for this run
-          }
           for (std::size_t i = 0; i < sc.outcomes.size(); ++i) {
             out.fleet.outcomes[sc.begin + i] = std::move(sc.outcomes[i]);
             out.fleet.degradation.blocks[sc.begin + i] = sc.degradation[i];
           }
           out.aggregate.merge_from(sc.aggregate);
-          if (shards.retain_series) {
-            out.fleet.series.copy_rows(sc.series, sc.begin);
-          }
           done[k] = 1;
           ++resumed;
         } catch (const util::StateError&) {
@@ -155,7 +145,6 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
         out.fleet.outcomes[begin + i] = std::move(r.outcomes[i]);
       }
       out.fleet.degradation.absorb_rows(r.degradation, begin);
-      if (shards.retain_series) out.fleet.series.copy_rows(r.series, begin);
       // Aggregate while the slice (block locations) is still resident.
       // With checkpointing the shard gets its own aggregator — its
       // series is what the checkpoint file stores (merge_from is
@@ -165,8 +154,7 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
       add_changes(ckpt ? shard_agg : local_agg, slice.blocks(),
                   std::span(out.fleet.outcomes).subspan(begin, end - begin));
       if (ckpt) {
-        ckpt->record_shard(k, begin, end, out.fleet, shard_agg,
-                           shards.retain_series);
+        ckpt->record_shard(k, begin, end, out.fleet, shard_agg);
         local_agg.merge_from(shard_agg);
       }
       computed.fetch_add(1, std::memory_order_relaxed);
@@ -194,8 +182,6 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
   out.stats.intra_threads = static_cast<std::size_t>(intra_threads);
   out.stats.peak_resident = peak_resident.load();
   out.stats.peak_resident_bytes = peak_resident_bytes.load();
-  out.stats.series_bytes_retained =
-      shards.retain_series ? out.fleet.series.memory_bytes() : 0;
   out.stats.resumed_shards = resumed;
   out.stats.completed_shards = computed.load();
   return out;

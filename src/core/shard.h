@@ -10,8 +10,7 @@
 //     -> probe -> faults -> repair -> merge -> recon -> analysis
 //        (one span-based StreamingFleet over the slice)
 //     -> fold outcomes/degradation into the global result,
-//        merge the shard's gridcell/continent aggregation,
-//        optionally copy series rows (retention is opt-in)
+//        merge the shard's gridcell/continent aggregation
 //     -> retire (slice + shard SeriesStore freed)
 //
 // At most `max_resident` shards are alive at once, so peak memory is
@@ -41,12 +40,6 @@ struct ShardConfig {
   /// once.  Also caps shard-level workers: each worker holds at most
   /// one resident shard.
   std::size_t max_resident = 4;
-
-  /// Keep every block's reconstructed series in the merged result
-  /// (FleetResult::series).  Off by default: series are the dominant
-  /// per-block cost (stride doubles per block), and the funnel, changes
-  /// and aggregation do not need them after a shard retires.
-  bool retain_series = false;
 
   /// Directory for shard checkpoint files (core/checkpoint.h); empty
   /// disables checkpointing.  Each completed shard's outputs are written
@@ -86,9 +79,6 @@ struct ShardStats {
   /// shard-local series stores (the structures sharding exists to
   /// bound; excludes the global verdict arrays and worker scratch).
   std::size_t peak_resident_bytes = 0;
-  /// Global series bytes kept because retain_series was set (0 = all
-  /// series memory was reclaimed at shard retirement).
-  std::size_t series_bytes_retained = 0;
   /// Shards folded in from checkpoint files instead of being computed.
   std::size_t resumed_shards = 0;
   /// Shards computed (and, with a checkpoint_dir, recorded) this run.
@@ -96,7 +86,9 @@ struct ShardStats {
 };
 
 struct ShardedFleetResult {
-  FleetResult fleet;          ///< outcomes/degradation over all blocks
+  /// Outcomes/degradation over all blocks; no series (each shard's
+  /// store is freed when the shard retires).
+  FleetResult fleet;
   ChangeAggregator aggregate; ///< gridcell/continent series, merged
   ShardStats stats;
 };
@@ -104,7 +96,10 @@ struct ShardedFleetResult {
 /// Runs the full pipeline over `world_config`'s universe in shards.
 /// The output contract: fleet_digest(result.fleet) equals the digest of
 /// run_fleet() over the materialized world with the same FleetConfig,
-/// and `aggregate` equals aggregate_changes() on that result.
+/// and `aggregate` equals aggregate_changes() on that result.  A
+/// checkpoint directory that cannot be created, or a shard file or
+/// manifest that cannot be written, throws StateError(kIo) on the
+/// calling thread once every shard worker has stopped.
 ShardedFleetResult run_sharded_fleet(const sim::WorldConfig& world_config,
                                      const FleetConfig& config,
                                      const ShardConfig& shards = {});

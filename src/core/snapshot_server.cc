@@ -180,11 +180,7 @@ SnapshotServer::SnapshotServer(std::span<const sim::BlockProfile> blocks,
   index_ = std::move(index);
 }
 
-SnapshotServer::~SnapshotServer() {
-  feed_.close();
-  if (writer_.joinable()) writer_.join();
-  registry_.close();
-}
+SnapshotServer::~SnapshotServer() { stop(); }
 
 void SnapshotServer::restore(util::StateReader& r) {
   assert(!started_);
@@ -224,7 +220,7 @@ void SnapshotServer::writer_loop() {
     EpochReport rep = engine_.advance_to(*until);
     const auto t1 = Clock::now();
     observations_.fetch_add(rep.observations, std::memory_order_relaxed);
-    auto snap = build_snapshot(rep);
+    auto snap = build_snapshot(rep, nullptr);
     add_seconds(advance_seconds_, t1 - t0);
     add_seconds(publish_seconds_, Clock::now() - t1);
     snapshot_bytes_.store(snap->bytes(), std::memory_order_relaxed);
@@ -234,15 +230,37 @@ void SnapshotServer::writer_loop() {
 }
 
 std::shared_ptr<EpochSnapshot> SnapshotServer::build_snapshot(
-    const EpochReport& rep) {
+    const EpochReport& rep, FleetResult* final) {
   auto snap = std::make_shared<EpochSnapshot>();
   snap->index_ = index_;
+  // Live ingest counters come from the engine before finalize spends
+  // it; a final snapshot's verdicts, series and funnel from the
+  // authoritative result after.
   engine_.extract_rows(snap->rows_);
+  if (final != nullptr) {
+    *final = engine_.finalize();
+    snap->final_ = true;
+  }
 
   // Trend tails from the stable emitted prefixes.
   snap->trend_refs_.resize(snap->rows_.size());
   for (std::size_t i = 0; i < snap->rows_.size(); ++i) {
-    fill_trend(*snap, i, engine_.emitted_series(i));
+    if (final == nullptr) {
+      fill_trend(*snap, i, engine_.emitted_series(i));
+      continue;
+    }
+    EpochSnapshot::Row& row = snap->rows_[i];
+    const auto s = final->series.series(i);
+    row.active = false;
+    row.classified = true;
+    row.cls = final->outcomes[i].cls;
+    row.degradation = final->degradation.blocks[i];
+    row.emitted = s.size();
+    if (blocks_[i].eb_count > 0) {
+      row.evidence_fraction = row.degradation.evidence_fraction;
+      row.max_gap_hours = row.degradation.max_gap_hours;
+    }
+    fill_trend(*snap, i, s);
   }
 
   // Cumulative alarm log: merge this epoch's (already sorted) batch.
@@ -259,9 +277,9 @@ std::shared_ptr<EpochSnapshot> SnapshotServer::build_snapshot(
   snap->scorecard_.observations_total =
       observations_.load(std::memory_order_relaxed);
   snap->scorecard_.classification_complete = rep.classification_complete;
-  snap->scorecard_.funnel = rep.funnel;
+  snap->scorecard_.funnel = final != nullptr ? final->funnel : rep.funnel;
 
-  if (serve_.keep_image) {
+  if (final == nullptr && serve_.keep_image) {
     const auto t0 = Clock::now();
     util::StateWriter w;
     engine_.save(w);
@@ -353,41 +371,15 @@ FleetResult SnapshotServer::drain() {
   feed_.close();
   if (writer_.joinable()) writer_.join();
 
-  // Final snapshot: live ingest counters come from the engine before
-  // finalize spends it; verdicts, series and funnel from the
-  // authoritative result after.
-  auto snap = std::make_shared<EpochSnapshot>();
-  snap->final_ = true;
-  snap->index_ = index_;
-  engine_.extract_rows(snap->rows_);
-
-  FleetResult res = engine_.finalize();
+  // The final snapshot: every epoch ingested, classification complete,
+  // no new alarms and no image (a completed run has nothing to resume).
+  EpochReport last;
+  last.epoch_index = epochs_.load(std::memory_order_relaxed);
+  last.epoch_end = window_end();
+  last.classification_complete = true;
+  FleetResult res;
+  auto snap = build_snapshot(last, &res);
   finished_ = true;
-
-  snap->trend_refs_.resize(snap->rows_.size());
-  for (std::size_t i = 0; i < snap->rows_.size(); ++i) {
-    EpochSnapshot::Row& row = snap->rows_[i];
-    row.active = false;
-    row.classified = true;
-    row.cls = res.outcomes[i].cls;
-    row.degradation = res.degradation.blocks[i];
-    const auto s = res.series.series(i);
-    row.emitted = s.size();
-    if (blocks_[i].eb_count > 0) {
-      row.evidence_fraction = res.degradation.blocks[i].evidence_fraction;
-      row.max_gap_hours = res.degradation.blocks[i].max_gap_hours;
-    }
-    fill_trend(*snap, i, s);
-  }
-
-  snap->alarms_ = alarm_log_;
-  fill_rollups(*snap);
-  snap->scorecard_.epoch_index = epochs_.load(std::memory_order_relaxed);
-  snap->scorecard_.clock = window_end();
-  snap->scorecard_.observations_total =
-      observations_.load(std::memory_order_relaxed);
-  snap->scorecard_.classification_complete = true;
-  snap->scorecard_.funnel = res.funnel;
 
   snapshot_bytes_.store(snap->bytes(), std::memory_order_relaxed);
   registry_.publish(std::move(snap));

@@ -253,7 +253,11 @@ class SnapshotServer {
 
  private:
   void writer_loop();
-  std::shared_ptr<EpochSnapshot> build_snapshot(const EpochReport& rep);
+  /// The snapshot of the epoch `rep` reports.  With `final` set, the
+  /// engine is finalized into it first and the snapshot is the drained
+  /// run's: authoritative rows, the result's series and funnel, no image.
+  std::shared_ptr<EpochSnapshot> build_snapshot(const EpochReport& rep,
+                                                FleetResult* final);
   /// Copies the trailing trend_tail samples of row i's series `s` into
   /// the snapshot (trend_refs_ already sized).
   void fill_trend(EpochSnapshot& snap, std::size_t i,

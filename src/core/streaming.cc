@@ -17,21 +17,6 @@ namespace diurnal::core {
 
 namespace {
 
-recon::BlockObservationConfig observation_config(const FleetConfig& cfg,
-                                                 const DatasetSpec& ds) {
-  recon::BlockObservationConfig oc;
-  oc.observers = ds.observers();
-  oc.loss = probe::LossModel(cfg.loss);
-  oc.window = ds.window();
-  oc.prober.kind =
-      ds.survey ? probe::ProberKind::kSurvey : probe::ProberKind::kTrinocular;
-  oc.one_loss_repair = cfg.one_loss_repair;
-  oc.additional_observations = cfg.additional_observations;
-  oc.faults = &cfg.faults;
-  oc.recon = cfg.recon;
-  return oc;
-}
-
 /// Lanes of the worker's finish queue: FleetConfig::analysis_batch_width
 /// resolved (0 = full width, otherwise clamped to [1, kMaxLanes]).
 std::size_t batch_width(int requested) {
@@ -309,8 +294,8 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
     mode_ = prefix && config.faults.skews.empty() ? Mode::kUnion
                                                   : Mode::kSeparate;
   }
-  classify_oc_ = observation_config(config, classify_ds);
-  detect_oc_ = observation_config(config, config.dataset);
+  classify_oc_ = config.observation(classify_ds);
+  detect_oc_ = config.observation(config.dataset);
   evidence_floor_ = config.classifier.min_evidence_fraction;
   threads_ = resolve_threads(config.threads);
 

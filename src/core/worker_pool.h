@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -22,19 +24,34 @@ inline unsigned resolve_threads(int requested) {
 
 /// Runs work(next) on each of n_threads workers (each builds its own
 /// scratch) and joins them; `next` is their shared work counter.  A
-/// single worker runs on the calling thread.
+/// single worker runs on the calling thread.  When workers throw, the
+/// first exception is rethrown on the calling thread once every worker
+/// has joined.
 template <typename Work>
 void run_pool(unsigned n_threads, const Work& work) {
   std::atomic<std::size_t> next{0};
-  auto run = [&] { work(next); };
   if (n_threads <= 1) {
-    run();
+    work(next);
     return;
   }
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
-  for (auto& t : pool) t.join();
+  std::exception_ptr failure;
+  std::mutex failure_mu;
+  auto run = [&] {
+    try {
+      work(next);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mu);
+      if (!failure) failure = std::current_exception();
+    }
+  };
+  {
+    // A jthread joins when destroyed, so every started worker has
+    // joined here, also when a later thread cannot be started.
+    std::vector<std::jthread> pool;
+    pool.reserve(n_threads);
+    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace diurnal::core

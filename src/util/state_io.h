@@ -314,11 +314,10 @@ class StateReader : public FieldVerbs<StateReader> {
   /// count never sizes an allocation beyond the image.
   void count(std::size_t& n);
 
+ private:
   /// Bytes left in the open section (the whole remaining image when
   /// none is open).
   std::size_t remaining() const noexcept;
-
- private:
   template <class T, class V>
   T narrow(V v) const {
     if (!std::in_range<T>(v)) bad_value("value does not fit its field");

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <random>
 #include <span>
@@ -32,7 +33,6 @@
 #include "core/checkpoint.h"
 #include "core/digest.h"
 #include "core/pipeline.h"
-#include "core/series_store.h"
 #include "core/shard.h"
 #include "core/streaming.h"
 #include "fault/fault_plan.h"
@@ -468,7 +468,7 @@ TEST(StateIo, AtomicFileWriteRoundTripsAndMissingFileIsIo) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer round-trips: CUSUM, series store, aggregator
+// Layer round-trips: CUSUM, aggregator
 // ---------------------------------------------------------------------------
 
 TEST(CusumCheckpoint, MidStreamRestoreMatchesUninterrupted) {
@@ -516,41 +516,6 @@ TEST(CusumCheckpoint, MidStreamRestoreMatchesUninterrupted) {
     EXPECT_EQ(got.g_neg, want.g_neg) << "cut " << cut;
   }
   EXPECT_EQ(pin_of(images), (ImagePin{19985, 0x9ea8c3a6}));
-}
-
-TEST(SeriesStoreCheckpoint, RoundTripsGeometryLengthsAndSamples) {
-  core::SeriesStore store;
-  store.reset(3, 8, 1234567, 3600);
-  for (std::size_t i = 0; i < 3; ++i) {
-    auto row = store.row(i);
-    for (std::size_t j = 0; j < 2 * i + 1; ++j) {
-      row[j] = static_cast<double>(i * 100 + j) + 0.25;
-    }
-    store.set_len(i, 2 * i + 1);
-  }
-  StateWriter w;
-  w.begin_section(util::state_tag("STOR"));
-  store.save(w);
-  w.end_section();
-  EXPECT_EQ(pin_of(w.bytes()), (ImagePin{122, 0xd7cea8e5}));
-
-  core::SeriesStore got;
-  StateReader r(w.bytes());
-  r.begin_section(util::state_tag("STOR"));
-  got.restore(r);
-  r.end_section();
-  ASSERT_EQ(got.rows(), store.rows());
-  EXPECT_EQ(got.stride(), store.stride());
-  EXPECT_EQ(got.start(), store.start());
-  EXPECT_EQ(got.step(), store.step());
-  for (std::size_t i = 0; i < store.rows(); ++i) {
-    ASSERT_EQ(got.len(i), store.len(i)) << "row " << i;
-    const auto a = store.series(i);
-    const auto b = got.series(i);
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a[j], b[j]) << "row " << i << " sample " << j;
-    }
-  }
 }
 
 TEST(AggregatorCheckpoint, RestoredAggregatorMergesLikeTheOriginal) {
@@ -974,6 +939,102 @@ TEST(FleetCheckpoint, FailedRestoreLeavesTheEngineAsConstructed) {
 }
 
 // ---------------------------------------------------------------------------
+// RunCheckpoint: the one file of a streaming run
+// ---------------------------------------------------------------------------
+
+sim::WorldConfig run_world_config() {
+  sim::WorldConfig wc;
+  wc.num_blocks = 60;
+  wc.seed = 5;
+  return wc;
+}
+
+core::FleetConfig run_fleet_config() {
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020w2-ejnw");
+  fc.threads = 1;
+  return fc;
+}
+
+TEST(RunCheckpoint, FileIsPinnedAndResumesToTheUninterruptedDigest) {
+  // The bytes are the run fingerprint's CLIM section, then the engine
+  // image: the layout both streaming tools wrote before one type owned
+  // it, so an older stream.ckpt or serve.ckpt still resumes.
+  const auto wc = run_world_config();
+  const auto fc = run_fleet_config();
+  const sim::World world(wc);
+  const auto dir = temp_dir("run_file");
+  const core::RunCheckpoint ckpt(dir.string(), "stream.ckpt", wc, fc);
+  EXPECT_EQ(ckpt.path(), (dir / "stream.ckpt").string());
+
+  core::StreamingFleet first(world, fc);
+  first.advance_to(first.window_start() + 3 * util::kSecondsPerDay);
+  ckpt.save(first);
+  EXPECT_EQ(pin_of(util::read_state_file(ckpt.path())),
+            (ImagePin{256614, 0x6ee5d92a}));
+
+  core::StreamingFleet second(world, fc);
+  EXPECT_EQ(ckpt.resume(second), std::nullopt);
+  EXPECT_EQ(second.clock(), first.clock());
+  second.advance_to(second.window_end());
+  EXPECT_EQ(core::fleet_digest(second.finalize()),
+            core::fleet_digest(core::run_fleet(world, fc)));
+
+  ckpt.discard();
+  EXPECT_FALSE(std::filesystem::exists(ckpt.path()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunCheckpoint, MissingTruncatedOrForeignFileStartsFreshWithAReason) {
+  const auto wc = run_world_config();
+  const auto fc = run_fleet_config();
+  const sim::World world(wc);
+  const auto dir = temp_dir("run_file_fresh");
+  const core::RunCheckpoint ckpt(dir.string(), "stream.ckpt", wc, fc);
+  // Each failed resume leaves the engine as constructed.
+  const auto starts_fresh = [&](const char* why) {
+    core::StreamingFleet engine(world, fc);
+    const auto reason = ckpt.resume(engine);
+    EXPECT_NE(reason, std::nullopt);
+    if (reason) {
+      EXPECT_NE(reason->find(why), std::string::npos) << *reason;
+    }
+    EXPECT_EQ(engine.clock(), engine.window_start());
+  };
+  starts_fresh("cannot open for read");
+
+  core::StreamingFleet first(world, fc);
+  first.advance_to(first.window_start() + 3 * util::kSecondsPerDay);
+  ckpt.save(first);
+  auto image = util::read_state_file(ckpt.path());
+  image.resize(image.size() / 2);
+  util::write_state_file(ckpt.path(), image);
+  starts_fresh("exceeds the image");
+
+  // Another world's run file at the same path.
+  auto other = wc;
+  other.seed = 6;
+  const sim::World other_world(other);
+  core::StreamingFleet foreign(other_world, fc);
+  foreign.advance_to(foreign.window_start() + 3 * util::kSecondsPerDay);
+  core::RunCheckpoint(dir.string(), "stream.ckpt", other, fc).save(foreign);
+  starts_fresh("different configuration");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunCheckpoint, UncreatableDirectoryIsAnIoError) {
+  const auto dir = temp_dir("run_file_blocked");
+  const auto file = dir / "plain-file";
+  util::write_state_file(file.string(), std::vector<std::uint8_t>{});
+  EXPECT_EQ(kind_of([&] {
+              core::RunCheckpoint((file / "sub").string(), "stream.ckpt",
+                                  run_world_config(), run_fleet_config());
+            }),
+            StateErrorKind::kIo);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // shard: kill-mid-run resume from the manifest
 // ---------------------------------------------------------------------------
 
@@ -1112,7 +1173,7 @@ TEST(ShardCheckpoint, FinalizeManifestWriteIsIdempotent) {
     // the finalize flush has nothing to add.
     core::CheckpointManager mgr(dir.string(), 0x5eedULL, 8, 2, 1);
     for (std::size_t k = 0; k < 4; ++k) {
-      mgr.record_shard(k, 2 * k, 2 * k + 2, fleet, agg, false);
+      mgr.record_shard(k, 2 * k, 2 * k + 2, fleet, agg);
     }
     EXPECT_EQ(mgr.manifest_writes(), 4u);
     mgr.flush_manifest();
@@ -1126,7 +1187,7 @@ TEST(ShardCheckpoint, FinalizeManifestWriteIsIdempotent) {
     // real flush for the unpersisted tail, then nothing.
     core::CheckpointManager mgr(dir.string(), 0x5eedULL, 8, 2, 3);
     for (std::size_t k = 0; k < 4; ++k) {
-      mgr.record_shard(k, 2 * k, 2 * k + 2, fleet, agg, false);
+      mgr.record_shard(k, 2 * k, 2 * k + 2, fleet, agg);
     }
     EXPECT_EQ(mgr.manifest_writes(), 1u);
     mgr.flush_manifest();
@@ -1159,70 +1220,84 @@ TEST(ShardCheckpoint, ForeignFingerprintCheckpointsAreIgnored) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardCheckpoint, RetainedSeriesSurviveTheResumeBitwise) {
-  const auto wc = shard_world_config();
-  const auto fc = shard_fleet_config(2);
-  const sim::World world(wc);
-  const auto ref = core::run_fleet(world, fc);
-
-  const auto dir = temp_dir("series");
+TEST(ShardCheckpoint, UnwritableShardFileFailsTypedOnTheCallingThread) {
+  // A directory where shard 1's file belongs makes its rename fail in a
+  // shard worker; the error must reach the caller, not std::terminate.
+  const auto dir = temp_dir("unwritable_shard");
+  std::filesystem::create_directories(dir / "shard-1.ckpt");
   core::ShardConfig sc;
   sc.shard_size = 64;
-  sc.retain_series = true;
+  sc.max_resident = 4;
   sc.checkpoint_dir = dir.string();
-  auto capped = sc;
-  capped.max_shards = 4;
-  (void)core::run_sharded_fleet(wc, fc, capped);
+  EXPECT_EQ(kind_of([&] {
+              (void)core::run_sharded_fleet(shard_world_config(),
+                                            shard_fleet_config(4), sc);
+            }),
+            StateErrorKind::kIo);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardCheckpoint, SectionsAfterTheOutputsAreNotRead) {
+  // Shard files once carried an optional series section after the
+  // outputs.  A resume reads the outputs only, so a trailing section —
+  // here one whose geometry no image could back — costs nothing.
+  const auto wc = shard_world_config();
+  const auto fc = shard_fleet_config(2);
+  const auto dir = temp_dir("trailing_section");
+  core::ShardConfig sc;
+  sc.shard_size = 64;
+  sc.checkpoint_dir = dir.string();
+  const auto first = core::run_sharded_fleet(wc, fc, sc);
+
+  StateWriter w;
+  w.begin_section(util::state_tag("SERI"));
+  w.u64(1);           // rows
+  w.u64(1ULL << 40);  // stride
+  w.end_section();
+  const auto section = std::span(w.bytes()).subspan(20);  // past the header
+  for (std::size_t k = 0; k < first.stats.shards; ++k) {
+    const auto path = (dir / ("shard-" + std::to_string(k) + ".ckpt")).string();
+    auto image = util::read_state_file(path);
+    image.insert(image.end(), section.begin(), section.end());
+    util::write_state_file(path, image);
+  }
   auto resumed = sc;
   resumed.resume = true;
-  const auto full = core::run_sharded_fleet(wc, fc, resumed);
-  EXPECT_EQ(full.stats.resumed_shards, 4u);
-  ASSERT_EQ(full.fleet.series.rows(), ref.series.rows());
-  for (std::size_t i = 0; i < ref.series.rows(); ++i) {
-    const auto a = ref.series.series(i);
-    const auto b = full.fleet.series.series(i);
-    ASSERT_EQ(a.size(), b.size()) << "row " << i;
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      ASSERT_EQ(a[j], b[j]) << "row " << i << " sample " << j;
-    }
-  }
+  const auto again = core::run_sharded_fleet(wc, fc, resumed);
+  EXPECT_EQ(again.stats.resumed_shards, first.stats.shards);
+  EXPECT_EQ(again.stats.completed_shards, 0u);
+  EXPECT_EQ(core::fleet_digest(again.fleet), core::fleet_digest(first.fleet));
   std::filesystem::remove_all(dir);
 }
 
 TEST(ShardCheckpoint, ShardAndManifestFilesArePinned) {
-  // One uncapped run with and without retained series.  Each shard's
-  // bytes depend only on its blocks, so the pins hold at any thread
-  // count.
+  // Each shard's bytes depend only on its blocks, so the pins hold at
+  // any thread count.
   const auto wc = shard_world_config();
   const auto fc = shard_fleet_config(2);
-  // crc32 of shard-0 ... shard-7, without and with retained series.
-  const char* const want[] = {
-      "87f2bcaf c0977e43 59228c3b 87c58fb4 c5319e28 2d1cf093 c851b8ac 78d76381",
-      "48b93ffb 27e54b8e fb0773f3 fdf6f3ad 8cd2940e 4c8812cb 4e8c18d1 199b2513",
-  };
-  for (const bool retain_series : {false, true}) {
-    const auto dir = temp_dir("pinned");
-    core::ShardConfig sc;
-    sc.shard_size = 64;
-    sc.retain_series = retain_series;
-    sc.checkpoint_dir = dir.string();
-    const auto got = core::run_sharded_fleet(wc, fc, sc);
-    EXPECT_EQ(core::digest_hex(core::fleet_digest(got.fleet)),
-              "a938277e9fdf51bf");
-    std::string crcs;
-    for (std::size_t k = 0; k < got.stats.shards; ++k) {
-      const auto image = util::read_state_file(
-          (dir / ("shard-" + std::to_string(k) + ".ckpt")).string());
-      char crc[16];
-      std::snprintf(crc, sizeof(crc), k == 0 ? "%08x" : " %08x",
-                    util::crc32(image));
-      crcs += crc;
-    }
-    EXPECT_EQ(crcs, want[retain_series ? 1 : 0]);
-    EXPECT_EQ(pin_of(util::read_state_file((dir / "manifest.ckpt").string())),
-              (ImagePin{73, 0xf7806d21}));
-    std::filesystem::remove_all(dir);
+  const auto dir = temp_dir("pinned");
+  core::ShardConfig sc;
+  sc.shard_size = 64;
+  sc.checkpoint_dir = dir.string();
+  const auto got = core::run_sharded_fleet(wc, fc, sc);
+  EXPECT_EQ(core::digest_hex(core::fleet_digest(got.fleet)),
+            "a938277e9fdf51bf");
+  std::string crcs;
+  for (std::size_t k = 0; k < got.stats.shards; ++k) {
+    const auto image = util::read_state_file(
+        (dir / ("shard-" + std::to_string(k) + ".ckpt")).string());
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), k == 0 ? "%08x" : " %08x",
+                  util::crc32(image));
+    crcs += crc;
   }
+  // crc32 of shard-0 ... shard-7.
+  EXPECT_EQ(crcs,
+            "87f2bcaf c0977e43 59228c3b 87c58fb4 c5319e28 2d1cf093 c851b8ac "
+            "78d76381");
+  EXPECT_EQ(pin_of(util::read_state_file((dir / "manifest.ckpt").string())),
+            (ImagePin{73, 0xf7806d21}));
+  std::filesystem::remove_all(dir);
   EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 64), 0x252ce201a6a07089ULL);
   EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 0), 0xfe8ca450af9e5048ULL);
 }
@@ -1505,33 +1580,6 @@ TEST(CraftedImage, ReconCountersMustMatchTheAddressStates) {
   EXPECT_TRUE(rejected(past));
 }
 
-StateErrorKind restore_store(std::uint64_t rows, std::uint64_t stride) {
-  StateWriter w;
-  w.begin_section(util::state_tag("STOR"));
-  w.u64(rows);
-  w.u64(stride);
-  w.i64(0);                                   // start
-  w.i64(3600);                                // step
-  w.f64_span(std::vector<double>{1.0, 2.0});  // row 0
-  w.end_section();
-  return kind_of([&] {
-    core::SeriesStore store;
-    StateReader r(w.bytes());
-    r.begin_section(util::state_tag("STOR"));
-    store.restore(r);
-  });
-}
-
-TEST(CraftedImage, SeriesStoreGeometryProductMustNotOverflow) {
-  // 2^20 rows of stride 2^44 wrap to a zero-sized buffer.
-  EXPECT_EQ(restore_store(1ULL << 20, 1ULL << 44), StateErrorKind::kBadValue);
-}
-
-TEST(CraftedImage, SeriesStoreStrideMustFitTheSection) {
-  // One row of 2^40 samples: an 8 TiB buffer behind a 40-byte section.
-  EXPECT_EQ(restore_store(1, 1ULL << 40), StateErrorKind::kBadValue);
-}
-
 TEST(CraftedImage, AggregatorDayCountMustFitTheSection) {
   StateWriter w;
   w.begin_section(util::state_tag("AGGR"));
@@ -1553,14 +1601,14 @@ TEST(CraftedImage, OutcomeChangeCountMustFitTheSection) {
   StateWriter w;
   w.begin_section(util::state_tag("OUTC"));
   w.u32(7);  // block id
-  core::save_state(w, core::BlockClassification{});
+  core::fields(w, core::BlockClassification{});
   w.u64(1ULL << 61);  // changes
   w.end_section();
   EXPECT_EQ(kind_of([&] {
               core::BlockOutcome o;
               StateReader r(w.bytes());
               r.begin_section(util::state_tag("OUTC"));
-              core::restore_state(r, o);
+              core::fields(r, o);
             }),
             StateErrorKind::kTruncated);
 }

@@ -159,21 +159,15 @@ void expect_same_classification(const core::BlockClassification& a,
   EXPECT_EQ(as.best_window_wide, bs.best_window_wide);
 }
 
-// Runs the fleet over the golden world, then every probed block again
-// on its own: observed as the fleet observes it and judged by
+// Runs the fleet over `world`, then every probed block again on its
+// own: observed as the fleet observes it and judged by
 // core::analyze_block.  Each verdict and change must equal the fleet's,
 // doubles bit for bit.  Returns the low-evidence changes of
 // change-sensitive blocks.
-int expect_per_block_verdicts_match_fleet(const core::FleetConfig& fc) {
-  const auto& world = golden_world();
+int expect_per_block_verdicts_match_fleet(const sim::World& world,
+                                          const core::FleetConfig& fc) {
   const auto fleet = core::run_fleet(world, fc);
-  recon::BlockObservationConfig oc;
-  oc.observers = fc.dataset.observers();
-  oc.loss = probe::LossModel(fc.loss);
-  oc.window = fc.dataset.window();
-  oc.one_loss_repair = fc.one_loss_repair;
-  oc.faults = &fc.faults;
-  oc.recon = fc.recon;
+  const recon::BlockObservationConfig oc = fc.observation(fc.dataset);
   int low_evidence = 0;
   for (std::size_t i = 0; i < world.blocks().size(); ++i) {
     const auto& block = world.blocks()[i];
@@ -206,7 +200,7 @@ int expect_per_block_verdicts_match_fleet(const core::FleetConfig& fc) {
 }
 
 TEST(PerBlockVerdicts, MatchTheFleetOnEveryGoldenBlock) {
-  expect_per_block_verdicts_match_fleet(golden_config(0));
+  expect_per_block_verdicts_match_fleet(golden_world(), golden_config(0));
 }
 
 TEST(PerBlockVerdicts, MatchTheFleetUnderFaults) {
@@ -218,7 +212,23 @@ TEST(PerBlockVerdicts, MatchTheFleetUnderFaults) {
   blackout.start = w.start + 12 * util::kSecondsPerDay;
   blackout.end = w.start + 14 * util::kSecondsPerDay;
   fc.faults.outages.push_back(blackout);
-  EXPECT_GT(expect_per_block_verdicts_match_fleet(fc), 0);
+  EXPECT_GT(expect_per_block_verdicts_match_fleet(golden_world(), fc), 0);
+}
+
+TEST(PerBlockVerdicts, MatchTheFleetOnASurveyDataset) {
+  // A survey dataset probes every address every round; a per-block
+  // caller must observe it that way too, not Trinocular-style.  Survey
+  // probing is costly, so the world is small.
+  static const sim::World world([] {
+    sim::WorldConfig c;
+    c.num_blocks = 40;
+    c.seed = 1;
+    return c;
+  }());
+  auto fc = golden_config(0);
+  fc.dataset = core::dataset("2020it89-w");
+  ASSERT_TRUE(fc.dataset.survey);
+  expect_per_block_verdicts_match_fleet(world, fc);
 }
 
 TEST(FleetDigest, ValidationGoldenMixScenarioReproducesGoldenDigest) {

@@ -6,14 +6,20 @@
 // with tests/test_checkpoint.cc and the bench-smoke CI gate.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/datasets.h"
 #include "core/digest.h"
 #include "core/pipeline.h"
@@ -30,13 +36,15 @@ namespace {
 // Shared with tests/test_checkpoint.cc and the bench-smoke CI gate.
 constexpr char kGoldenDigest[] = "f94c66488def6938";
 
+sim::WorldConfig small_world_config() {
+  sim::WorldConfig c;
+  c.num_blocks = 120;
+  c.seed = 7;
+  return c;
+}
+
 const sim::World& small_world() {
-  static const sim::World world([] {
-    sim::WorldConfig c;
-    c.num_blocks = 120;
-    c.seed = 7;
-    return c;
-  }());
+  static const sim::World world(small_world_config());
   return world;
 }
 
@@ -207,6 +215,32 @@ TEST(SnapshotServerTest, SnapshotImageIsARestorableCheckpoint) {
   second.start();
   second.feed_all();
   EXPECT_EQ(core::digest_hex(core::fleet_digest(second.drain())), want);
+}
+
+TEST(SnapshotServerTest, StoppedServerResumesFromItsRunFile) {
+  // diurnal_serve's checkpoint: the stopped server saved to its run file
+  // and resumed by a fresh server finishes to the batch digest.
+  const auto fc = small_config(2);
+  const auto want = batch_digest(small_world(), fc);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("diurnal_serve_run_" + std::to_string(::getpid()));
+  const core::RunCheckpoint ckpt(dir.string(), "serve.ckpt",
+                                 small_world_config(), fc);
+
+  core::SnapshotServer first(small_world(), fc);
+  first.start();
+  ASSERT_TRUE(first.feed(first.window_start() + 5 * util::kSecondsPerDay));
+  ASSERT_NE(first.wait_for_epoch(1), nullptr);
+  first.stop();
+  ckpt.save(first);
+
+  core::SnapshotServer second(small_world(), fc);
+  EXPECT_EQ(ckpt.resume(second), std::nullopt);
+  EXPECT_EQ(second.clock(), first.clock());
+  second.start();
+  second.feed_all();
+  EXPECT_EQ(core::digest_hex(core::fleet_digest(second.drain())), want);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotServerTest, QuerySurfaceIsInternallyConsistent) {

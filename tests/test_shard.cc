@@ -5,12 +5,11 @@
 // bitwise-identical fleet digest — same funnel, same per-block
 // verdicts, same detected changes — at every shard size and thread
 // count, with and without fault plans; gridcell/continent aggregation
-// merged across shards equals unsharded aggregation; and with series
-// retention off, no series bytes survive shard retirement.
+// merged across shards equals unsharded aggregation; and no series
+// bytes survive shard retirement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/digest.h"
 #include "core/pipeline.h"
@@ -217,31 +216,8 @@ TEST(ShardScheduler, RetentionOffLeavesNoSeriesBytes) {
   const auto sharded = core::run_sharded_fleet(wc, fc, sc);
   EXPECT_TRUE(sharded.fleet.series.empty());
   EXPECT_EQ(sharded.fleet.series.memory_bytes(), 0u);
-  EXPECT_EQ(sharded.stats.series_bytes_retained, 0u);
   // The per-shard stores existed while resident, then were reclaimed.
   EXPECT_GT(sharded.stats.peak_resident_bytes, 0u);
-}
-
-TEST(ShardScheduler, RetainedSeriesMatchUnshardedBitwise) {
-  const auto wc = small_world_config();
-  const auto fc = fleet_config(2);
-  const auto ref = reference_run(wc, fc);
-  core::ShardConfig sc;
-  sc.shard_size = 64;
-  sc.retain_series = true;
-  const auto sharded = core::run_sharded_fleet(wc, fc, sc);
-  ASSERT_EQ(sharded.fleet.series.rows(), ref.fleet.series.rows());
-  ASSERT_EQ(sharded.fleet.series.stride(), ref.fleet.series.stride());
-  EXPECT_GT(sharded.stats.series_bytes_retained, 0u);
-  for (std::size_t i = 0; i < ref.fleet.series.rows(); ++i) {
-    const auto a = ref.fleet.series.series(i);
-    const auto b = sharded.fleet.series.series(i);
-    ASSERT_EQ(a.size(), b.size()) << "row " << i;
-    if (!a.empty()) {
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-          << "row " << i;
-    }
-  }
 }
 
 TEST(ShardScheduler, ResidencyStaysWithinMaxResident) {

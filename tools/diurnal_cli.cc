@@ -31,8 +31,9 @@
 // each completed shard (plus a manifest) there, the streaming drive
 // snapshots the engine after every epoch; `--resume` picks either back
 // up, skipping completed work, with a final result bit-identical to an
-// uninterrupted run.  `--max-shards K` stops the sharded drive after K
-// computed shards (the kill half of a kill/resume demo); see
+// uninterrupted run; a checkpoint that cannot be written is one stderr
+// line and exit status 1.  `--max-shards K` stops the sharded drive
+// after K computed shards (the kill half of a kill/resume demo); see
 // EXPERIMENTS.md for the recipe.
 #include <algorithm>
 #include <cstdio>
@@ -40,8 +41,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-
-#include <filesystem>
 
 #include "core/checkpoint.h"
 #include "core/discovery.h"
@@ -84,7 +83,7 @@ struct Args {
   std::size_t shards = 0;        ///< partition into N shards
   std::size_t shard_size = 0;    ///< ... or into shards of S blocks
   std::size_t max_resident = 0;  ///< resident-shard cap (default 4)
-  // Checkpoint/restore (core/checkpoint.h, util/state_io.h).
+  // Checkpoint/restore (core/checkpoint.h).
   std::optional<std::string> checkpoint_dir;
   bool resume = false;
   std::size_t checkpoint_every = 1;  ///< manifest rewrite cadence
@@ -258,26 +257,17 @@ int cmd_run(const Args& a) {
   core::FleetResult fleet;
   if (a.stream) {
     core::StreamingFleet engine(world, fc);
-    // Streaming checkpoints: one engine snapshot per epoch, keyed by the
-    // same config fingerprint as the shard files (shard_size 0).
-    std::string ckpt_path;
-    const std::uint64_t fp = core::checkpoint_fingerprint(wc, fc, 0);
-    if (a.checkpoint_dir) {
-      std::error_code ec;
-      std::filesystem::create_directories(*a.checkpoint_dir, ec);
-      ckpt_path = *a.checkpoint_dir + "/stream.ckpt";
-    }
-    if (a.resume && !ckpt_path.empty()) {
-      try {
-        const auto image = util::read_state_file(ckpt_path);
-        util::StateReader r(image);
-        core::run_fingerprint(r, fp);
-        engine.restore(r);
+    // Streaming checkpoints: the engine image after every epoch, in the
+    // run's one file.
+    std::optional<core::RunCheckpoint> ckpt;
+    if (a.checkpoint_dir) ckpt.emplace(*a.checkpoint_dir, "stream.ckpt", wc, fc);
+    if (a.resume && ckpt) {
+      if (const auto why = ckpt->resume(engine)) {
+        std::fprintf(stderr, "cannot resume %s (%s); starting fresh\n",
+                     ckpt->path().c_str(), why->c_str());
+      } else {
         std::printf("resumed stream checkpoint at %s\n",
                     util::to_string(util::date_of(engine.clock())).c_str());
-      } catch (const util::StateError& e) {
-        std::fprintf(stderr, "cannot resume %s (%s); starting fresh\n",
-                     ckpt_path.c_str(), e.what());
       }
     }
     for (util::SimTime t = engine.clock() + a.epoch;; t += a.epoch) {
@@ -297,17 +287,10 @@ int cmd_run(const Args& a) {
                     p.amplitude);
       }
       if (bounded == engine.window_end()) break;
-      if (!ckpt_path.empty()) {
-        util::StateWriter w;
-        core::run_fingerprint(w, fp);
-        engine.save(w);
-        util::write_state_file(ckpt_path, w.bytes());
-      }
+      if (ckpt) ckpt->save(engine);
     }
     fleet = engine.finalize();
-    // The run is complete; a stale snapshot must not resume a finished
-    // world, so drop it.
-    if (!ckpt_path.empty()) std::remove(ckpt_path.c_str());
+    if (ckpt) ckpt->discard();
     const auto span = engine.window_end() - engine.window_start();
     std::printf("finalized: authoritative result over %lld epochs\n\n",
                 static_cast<long long>((span + a.epoch - 1) / a.epoch));
@@ -369,17 +352,15 @@ int cmd_block(const Args& a) {
     return 1;
   }
 
-  const core::DatasetSpec& ds = a.dataset;
-  recon::BlockObservationConfig oc;
-  oc.observers = ds.observers();
-  oc.window = ds.window();
-  fault::FaultPlan plan;
+  core::FleetConfig fc;
+  fc.dataset = a.dataset;
   if (a.fault_scenario) {
-    plan = fault::scenario(*a.fault_scenario, ds.window());
-    oc.faults = &plan;
+    fc.faults = fault::scenario(*a.fault_scenario, fc.dataset.window());
   }
-  const auto r = recon::observe_and_reconstruct(*block, oc);
-  const auto out = core::analyze_block(r);
+  const auto r =
+      recon::observe_and_reconstruct(*block, fc.observation(fc.dataset));
+  const auto out =
+      core::analyze_block(r, fc.classifier, fc.detector, fc.run_detection);
   const auto& cls = out.cls;
   std::printf("%s: |E(b)| %d, max active %.0f, reply rate %.3f\n",
               id.to_string().c_str(), r.eb_count, r.max_active,
@@ -503,7 +484,14 @@ int main(int argc, char** argv) {
     }
   }
   const Args a = parse(argc, argv);
-  if (a.command == "run") return cmd_run(a);
+  if (a.command == "run") {
+    try {
+      return cmd_run(a);
+    } catch (const util::StateError& e) {
+      std::fprintf(stderr, "checkpoint failed: %s\n", e.what());
+      return 1;
+    }
+  }
   if (a.command == "block") return cmd_block(a);
   if (a.command == "datasets") {
     for (const auto& d : core::table6_datasets()) {

@@ -17,9 +17,11 @@
 //
 // Shutdown semantics: SIGINT (or --stop-after K epochs) stops the
 // writer in place; with --checkpoint-dir the stopped engine is saved to
-// one file, serve.ckpt (the run's fingerprint, then the engine image),
-// and a later --resume continues the run from that epoch, finalizing to
-// the same digest as an uninterrupted run.
+// one file, serve.ckpt (core::RunCheckpoint: the run's fingerprint, then
+// the engine image), and a later --resume continues the run from that
+// epoch, finalizing to the same digest as an uninterrupted run.  A
+// checkpoint that cannot be written is one stderr line and exit status
+// 1, after the reader threads have joined.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -27,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -40,7 +41,6 @@
 #include "fault/fault_plan.h"
 #include "sim/world.h"
 #include "util/date.h"
-#include "util/state_io.h"
 
 #include "flags.h"
 
@@ -110,8 +110,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-std::string image_path(const std::string& dir) { return dir + "/serve.ckpt"; }
-
 double quantile_us(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto i = static_cast<std::size_t>(
@@ -119,11 +117,7 @@ double quantile_us(std::vector<double>& sorted, double q) {
   return sorted[std::min(i, sorted.size() - 1)];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-
+int serve(const Args& a) {
   sim::WorldConfig wc;
   wc.num_blocks = a.blocks;
   wc.seed = a.seed;
@@ -141,20 +135,15 @@ int main(int argc, char** argv) {
   sc.feed_capacity = a.feed_capacity;
   sc.keep_image = a.keep_image;
 
-  const std::uint64_t fp = core::checkpoint_fingerprint(wc, fc, 0);
   core::SnapshotServer server(world, fc, sc);
-
-  if (a.resume && a.checkpoint_dir) {
-    try {
-      const auto image = util::read_state_file(image_path(*a.checkpoint_dir));
-      util::StateReader r(image);
-      core::run_fingerprint(r, fp);
-      server.restore(r);
-      std::printf("resumed serve checkpoint (%s)\n",
-                  image_path(*a.checkpoint_dir).c_str());
-    } catch (const util::StateError& e) {
+  std::optional<core::RunCheckpoint> ckpt;
+  if (a.checkpoint_dir) ckpt.emplace(*a.checkpoint_dir, "serve.ckpt", wc, fc);
+  if (a.resume && ckpt) {
+    if (const auto why = ckpt->resume(server)) {
       std::fprintf(stderr, "cannot resume %s (%s); starting fresh\n",
-                   image_path(*a.checkpoint_dir).c_str(), e.what());
+                   ckpt->path().c_str(), why->c_str());
+    } else {
+      std::printf("resumed serve checkpoint (%s)\n", ckpt->path().c_str());
     }
   }
 
@@ -255,29 +244,22 @@ int main(int argc, char** argv) {
   }
 
   if ((interrupted || (a.stop_after > 0 && published >= a.stop_after)) &&
-      a.checkpoint_dir) {
+      ckpt) {
     // Stop in place and save the stopped engine.
     server.stop();
-    util::StateWriter w;
-    core::run_fingerprint(w, fp);
-    server.save(w);
-    std::error_code ec;
-    std::filesystem::create_directories(*a.checkpoint_dir, ec);
-    util::write_state_file(image_path(*a.checkpoint_dir), w.bytes());
-    std::printf("checkpointed %s to %s (resume with --resume)\n",
-                util::to_string(util::date_of(server.clock())).c_str(),
-                image_path(*a.checkpoint_dir).c_str());
     done.store(true);
     for (auto& r : readers) r.join();
+    ckpt->save(server);
+    std::printf("checkpointed %s to %s (resume with --resume)\n",
+                util::to_string(util::date_of(server.clock())).c_str(),
+                ckpt->path().c_str());
     return 0;
   }
 
   const auto fleet = server.drain();
   done.store(true);
   for (auto& r : readers) r.join();
-
-  // A completed run must not be resumed from a stale image.
-  if (a.checkpoint_dir) std::remove(image_path(*a.checkpoint_dir).c_str());
+  if (ckpt) ckpt->discard();
 
   const core::ServeStats stats = server.stats();
   std::vector<double> all;
@@ -313,4 +295,16 @@ int main(int argc, char** argv) {
   std::printf("fleet digest %s\n",
               core::digest_hex(core::fleet_digest(fleet)).c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Args a = parse(argc, argv);
+  try {
+    return serve(a);
+  } catch (const util::StateError& e) {
+    std::fprintf(stderr, "checkpoint failed: %s\n", e.what());
+    return 1;
+  }
 }

@@ -108,6 +108,34 @@ int main(int argc, char** argv) {
                  a.scenario->c_str());
     return 2;
   }
+  if (a.update_baseline && a.scenario) {
+    std::fprintf(stderr,
+                 "--update-baseline requires a full catalog run "
+                 "(drop --scenario)\n");
+    return 2;
+  }
+
+  // The baseline is read before anything runs, so a missing or
+  // malformed one fails at once.
+  validate::Baseline baseline;
+  if (!a.update_baseline) {
+    std::ifstream in(a.baseline_path);
+    if (!in) {
+      std::fprintf(stderr,
+                   "no baseline at %s (run with --update-baseline to create "
+                   "one)\n",
+                   a.baseline_path.c_str());
+      return 1;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    try {
+      baseline = validate::parse_baseline(buf.str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", a.baseline_path.c_str(), e.what());
+      return 1;
+    }
+  }
 
   validate::Baseline current;
   std::vector<std::string> violations;
@@ -207,12 +235,6 @@ int main(int argc, char** argv) {
                    failures);
       return 1;
     }
-    if (a.scenario) {
-      std::fprintf(stderr,
-                   "--update-baseline requires a full catalog run "
-                   "(drop --scenario)\n");
-      return 2;
-    }
     std::ofstream out(a.baseline_path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", a.baseline_path.c_str());
@@ -221,24 +243,6 @@ int main(int argc, char** argv) {
     out << validate::to_json(current);
     std::printf("baseline written to %s\n", a.baseline_path.c_str());
     return 0;
-  }
-
-  std::ifstream in(a.baseline_path);
-  if (!in) {
-    std::fprintf(stderr,
-                 "no baseline at %s (run with --update-baseline to create "
-                 "one)\n",
-                 a.baseline_path.c_str());
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  validate::Baseline baseline;
-  try {
-    baseline = validate::parse_baseline(buf.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", a.baseline_path.c_str(), e.what());
-    return 1;
   }
 
   const auto mismatches = validate::compare_to_baseline(

@@ -56,10 +56,8 @@ SampledBlock score_block(const sim::BlockProfile& block,
   // like the USC VPN, which are genuine downward changes.
   std::vector<util::SimTime> truth_times;
   auto occupied_at = [&](util::SimTime t) {
-    if (block.occupied_from >= 0 && t < block.occupied_from) return false;
-    if (block.occupied_until >= 0 && t >= block.occupied_until) return false;
-    if (block.vacate_at >= 0 && t >= block.vacate_at) return false;
-    return true;
+    return sim::humans_present(block, t) &&
+           !(block.vacate_at >= 0 && t >= block.vacate_at);
   };
   for (const auto& sup : block.suppressions) {
     if (sup.kind == sim::EventKind::kWorkFromHome &&

@@ -200,9 +200,7 @@ void ActivityCursor::refresh_window(SimTime t) noexcept {
   // The oracle resolves a vacate before the renumber remap, so a vacated
   // block answers for its original low addresses, un-mirrored.
   flip_ = flipped && !vacated_;
-  humans_absent_ = (occupied_from_ >= 0 && t < occupied_from_) ||
-                   (occupied_until_ >= 0 && t >= occupied_until_) ||
-                   (cgnat_at_ >= 0 && t >= cgnat_at_);
+  humans_absent_ = !humans_present(*block_, t);
   plain_ = !outage_active_ && !in_gap;
 
   const SimTime edges[] = {vacate_at_,     renumber_at_,    renumber_appear_,

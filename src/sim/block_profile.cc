@@ -163,11 +163,7 @@ bool address_active(const BlockProfile& b, int addr, SimTime t) noexcept {
   // window (infrastructure stays up).  CGNAT absorption ends the
   // publicly visible population the same way: after cgnat_at only the
   // always-on gateway addresses (handled above) still answer.
-  if ((b.occupied_from >= 0 && t < b.occupied_from) ||
-      (b.occupied_until >= 0 && t >= b.occupied_until) ||
-      (b.cgnat_at >= 0 && t >= b.cgnat_at)) {
-    return false;
-  }
+  if (!humans_present(b, t)) return false;
 
   // Stale E(b) entries: targets that responded in the past but are no
   // longer in use never answer now.

@@ -120,6 +120,16 @@ struct BlockProfile {
   }
 };
 
+/// True while the block's human population can be present at t: inside
+/// its occupancy window and before any CGNAT absorption.  Infrastructure
+/// (the always-on hosts) answers regardless.  A vacate is not part of the
+/// rule; the truth scorers test it on top.
+inline bool humans_present(const BlockProfile& b, util::SimTime t) noexcept {
+  return !(b.occupied_from >= 0 && t < b.occupied_from) &&
+         !(b.occupied_until >= 0 && t >= b.occupied_until) &&
+         !(b.cgnat_at >= 0 && t >= b.cgnat_at);
+}
+
 /// True when target index `addr` of `block` answers a probe at time t.
 /// `addr` must be < block.eb_count; out-of-range targets never respond.
 bool address_active(const BlockProfile& block, int addr,

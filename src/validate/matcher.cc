@@ -22,11 +22,7 @@ std::string_view to_string(TruthClass c) noexcept {
 namespace {
 
 bool occupied_at(const sim::BlockProfile& b, SimTime t) {
-  if (b.occupied_from >= 0 && t < b.occupied_from) return false;
-  if (b.occupied_until >= 0 && t >= b.occupied_until) return false;
-  if (b.vacate_at >= 0 && t >= b.vacate_at) return false;
-  if (b.cgnat_at >= 0 && t >= b.cgnat_at) return false;
-  return true;
+  return sim::humans_present(b, t) && !(b.vacate_at >= 0 && t >= b.vacate_at);
 }
 
 }  // namespace

@@ -1,6 +1,4 @@
-// Tests for the extension modules: the Trinocular-style outage
-// detector, additional-probing selection, event discovery, CSV report
-// export, and the naive-trend detector option.
+// Tests for the extension modules: event discovery and CSV report export.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,184 +8,12 @@
 #include "core/detect.h"
 #include "core/discovery.h"
 #include "core/report.h"
-#include "probe/additional_selection.h"
-#include "recon/block_recon.h"
-#include "recon/outage.h"
 #include "sim/world.h"
 
 namespace diurnal {
 namespace {
 
-using probe::Observation;
-using probe::ObservationVec;
-using probe::ProbeWindow;
 using util::time_of;
-
-// --- recon::detect_outages ---
-
-// Always-up stream: one positive probe per round.
-ObservationVec steady_stream(int rounds, bool up = true) {
-  ObservationVec v;
-  for (int r = 0; r < rounds; ++r) {
-    v.push_back(Observation{static_cast<std::uint32_t>(r) * 660,
-                            static_cast<std::uint8_t>(r % 16), up});
-  }
-  return v;
-}
-
-TEST(OutageDetector, SilentOnSteadyBlock) {
-  const auto stream = steady_stream(2000);
-  const auto r = recon::detect_outages(stream, ProbeWindow{0, 2000 * 660});
-  EXPECT_TRUE(r.outages.empty());
-  EXPECT_TRUE(r.ever_up);
-  EXPECT_GT(r.final_availability, 0.5);
-}
-
-TEST(OutageDetector, FindsMidStreamBlackout) {
-  // Up for 500 rounds, dark for 300 (16 probes/round, all negative),
-  // then up again.
-  ObservationVec v = steady_stream(500);
-  for (int r = 500; r < 800; ++r) {
-    for (int j = 0; j < 16; ++j) {
-      v.push_back(Observation{static_cast<std::uint32_t>(r) * 660 + static_cast<std::uint32_t>(j),
-                              static_cast<std::uint8_t>(j), false});
-    }
-  }
-  for (int r = 800; r < 1300; ++r) {
-    v.push_back(Observation{static_cast<std::uint32_t>(r) * 660,
-                            static_cast<std::uint8_t>(r % 16), true});
-  }
-  const auto res = recon::detect_outages(v, ProbeWindow{0, 1300 * 660});
-  ASSERT_EQ(res.outages.size(), 1u);
-  // Start within the dark period (a few rounds of evidence needed).
-  EXPECT_GE(res.outages[0].start, 500 * 660);
-  EXPECT_LE(res.outages[0].start, 560 * 660);
-  EXPECT_GE(res.outages[0].end, 800 * 660);
-  EXPECT_LE(res.outages[0].end, 810 * 660);
-}
-
-TEST(OutageDetector, OpenEndedOutageRunsToWindowEnd) {
-  ObservationVec v = steady_stream(500);
-  for (int r = 500; r < 900; ++r) {
-    for (int j = 0; j < 8; ++j) {
-      v.push_back(Observation{static_cast<std::uint32_t>(r) * 660 + static_cast<std::uint32_t>(j),
-                              static_cast<std::uint8_t>(j), false});
-    }
-  }
-  const auto res = recon::detect_outages(v, ProbeWindow{0, 900 * 660});
-  ASSERT_EQ(res.outages.size(), 1u);
-  EXPECT_EQ(res.outages[0].end, 900 * 660);
-}
-
-TEST(OutageDetector, SparseBlockNotFlaggedWhileUp) {
-  // A block answering only 10% of probes is sparse, not down; the
-  // adaptive availability must keep the belief up.
-  ObservationVec v;
-  for (int r = 0; r < 4000; ++r) {
-    v.push_back(Observation{static_cast<std::uint32_t>(r) * 660,
-                            static_cast<std::uint8_t>(r % 16), r % 10 == 0});
-  }
-  const auto res = recon::detect_outages(v, ProbeWindow{0, 4000 * 660});
-  EXPECT_TRUE(res.outages.empty()) << res.outages.size();
-  EXPECT_LT(res.final_availability, 0.3);
-}
-
-TEST(OutageDetector, DiurnalOfficeBlockHasNoNightlyOutages) {
-  sim::WorldConfig wc;
-  wc.num_blocks = 0;
-  const sim::World world(wc);
-  const auto* office = world.find(world.usc_office_block());
-  recon::BlockObservationConfig oc;
-  oc.observers = probe::sites_from_string("ejnw");
-  oc.window = ProbeWindow{time_of(2020, 1, 6), time_of(2020, 2, 3)};
-  probe::LossModel no_loss(probe::LossModelConfig{0, 0, 0, 'w', 1, false});
-  oc.loss = no_loss;
-  std::vector<probe::ObservationVec> streams;
-  for (const auto& obs : oc.observers) {
-    streams.push_back(probe::probe_block(*office, obs, no_loss, oc.window));
-  }
-  const auto merged = probe::merge_observations(std::move(streams));
-  const auto res = recon::detect_outages(merged, oc.window);
-  // Nights bring long negative runs, but positives from the always-on
-  // hosts keep arriving; at most a stray short detection is tolerable.
-  EXPECT_LE(res.outages.size(), 1u);
-}
-
-TEST(OutageDetector, RealOutageInSimulatedBlockIsFound) {
-  sim::WorldConfig wc;
-  wc.num_blocks = 0;
-  const sim::World world(wc);
-  sim::BlockProfile block = *world.find(world.usc_vpn_block());
-  block.vacate_at = -1;
-  const util::SimTime o_start = time_of(2020, 1, 15) + 6 * 3600;
-  const util::SimTime o_end = o_start + 8 * 3600;
-  block.outages.push_back(sim::OutageInterval{o_start, o_end});
-
-  probe::LossModel no_loss(probe::LossModelConfig{0, 0, 0, 'w', 1, false});
-  const ProbeWindow window{time_of(2020, 1, 6), time_of(2020, 1, 27)};
-  std::vector<probe::ObservationVec> streams;
-  for (const auto& obs : probe::sites_from_string("ejnw")) {
-    streams.push_back(probe::probe_block(block, obs, no_loss, window));
-  }
-  const auto merged = probe::merge_observations(std::move(streams));
-  const auto res = recon::detect_outages(merged, window);
-  bool found = false;
-  for (const auto& o : res.outages) {
-    if (o.start < o_end && o.end > o_start) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(OutageDetector, EmptyStream) {
-  const auto res = recon::detect_outages({}, ProbeWindow{0, 1000});
-  EXPECT_TRUE(res.outages.empty());
-  EXPECT_FALSE(res.ever_up);
-}
-
-// --- probe::AdditionalProbingSelector ---
-
-std::vector<probe::BlockScanSample> synthetic_scan_samples() {
-  // FBS grows with |E(b)| * availability (one probe per round on
-  // always-answering targets).
-  std::vector<probe::BlockScanSample> samples;
-  util::Xoshiro256 rng(5);
-  for (int i = 0; i < 600; ++i) {
-    probe::BlockScanSample s;
-    s.id = net::BlockId(static_cast<std::uint32_t>(1000 + i));
-    s.eb_count = 8 + static_cast<int>(rng.below(249));
-    s.availability = rng.uniform(0.01, 1.0);
-    const double rounds = s.eb_count * (0.3 + 0.7 * s.availability);
-    s.observed_fbs_hours = rounds * 660.0 / 3600.0 + rng.normal(0, 0.3);
-    samples.push_back(s);
-  }
-  return samples;
-}
-
-TEST(AdditionalSelection, LearnsTheFbsBoundary) {
-  const auto samples = synthetic_scan_samples();
-  probe::AdditionalProbingSelector sel;
-  sel.fit(samples);
-  const auto m = sel.evaluate(samples);
-  EXPECT_GT(m.accuracy(), 0.85);
-  // The paper reports a very low false-negative rate (0.5%): missing an
-  // under-probed block is the costly error.
-  EXPECT_LT(m.false_negative_rate(), 0.15);
-}
-
-TEST(AdditionalSelection, ExcludesTinyAndIdleBlocks) {
-  const auto samples = synthetic_scan_samples();
-  probe::AdditionalProbingSelector sel;
-  sel.fit(samples);
-  EXPECT_FALSE(sel.should_probe(16, 0.9));   // |E(b)| < 32
-  EXPECT_FALSE(sel.should_probe(200, 0.01)); // A < 0.05
-  EXPECT_TRUE(sel.should_probe(256, 0.95));  // the worst case
-}
-
-TEST(AdditionalSelection, RejectsEmptyFit) {
-  probe::AdditionalProbingSelector sel;
-  EXPECT_THROW(sel.fit({}), std::invalid_argument);
-  EXPECT_THROW(sel.should_probe(100, 0.5), std::logic_error);
-}
 
 // --- core::discover_events ---
 

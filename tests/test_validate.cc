@@ -5,6 +5,7 @@
 // thread-count metamorphic gates the paper-facing numbers rest on.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "core/detect.h"
+#include "core/metrics.h"
+#include "sim/world.h"
 #include "util/date.h"
 #include "validate/baseline.h"
 #include "validate/harness.h"
@@ -384,6 +387,50 @@ TEST(Catalog, PlantedTruthIsDeterministic) {
     planted += ta.size();
   }
   EXPECT_GT(planted, 0u);  // the WFH step actually plants truth
+}
+
+// A WFH order that lands after CGNAT absorbed a block finds nobody left
+// to send home (sim::humans_present): neither the Table 5 sample scorer
+// nor planted_truth may count its onset as truth.
+TEST(TruthRule, WfhAfterCgnatAbsorptionIsNoTruth) {
+  const auto* s = validate::find_scenario("cgnat_fade");
+  ASSERT_NE(s, nullptr);
+  sim::WorldConfig config = s->world;
+  sim::Event wfh;
+  wfh.kind = sim::EventKind::kWorkFromHome;
+  wfh.scope.country_code = "US";
+  wfh.start = util::time_of(2020, 3, 15);  // the US date Table 5 scores
+  wfh.end = config.horizon_end;
+  wfh.adoption = 1.0;
+  config.calendar.push_back(wfh);
+  const sim::World world(config);
+
+  const auto& blocks = world.blocks();
+  std::size_t pick = 0;
+  while (pick < blocks.size()) {
+    const auto& b = blocks[pick];
+    const auto onset = sim::wfh_start(b);
+    if (onset && std::abs(*onset - wfh.start) <= 4 * kDay && b.cgnat_at >= 0 &&
+        b.cgnat_at < *onset && b.vacate_at < 0) {
+      break;
+    }
+    ++pick;
+  }
+  ASSERT_LT(pick, blocks.size()) << "no block absorbed before its WFH onset";
+  const auto& block = blocks[pick];
+
+  core::FleetResult fleet;
+  fleet.outcomes.resize(blocks.size());
+  fleet.outcomes[pick].cls.change_sensitive = true;  // and no changes
+  const auto v = core::validate_sample(world, fleet, core::ValidationConfig{});
+  ASSERT_EQ(v.blocks.size(), 1u);
+  EXPECT_EQ(v.blocks[0].verdict, core::BlockVerdict::kNoCusum);
+  EXPECT_EQ(v.false_negative, 0);
+
+  const probe::ProbeWindow horizon{config.horizon_start, config.horizon_end};
+  for (const auto& t : validate::planted_truth(block, horizon, {})) {
+    EXPECT_NE(t.cls, TruthClass::kWfhOnset);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -216,10 +216,10 @@ int serve(const Args& a) {
 
   // Ingest ticker: feed one epoch, wait for its snapshot, print the
   // scorecard line an analyst would watch.
-  bool interrupted = false;
+  bool stopped = false;  // by SIGINT or --stop-after, not the window end
   for (;;) {
     if (g_stop.load() || (a.stop_after > 0 && published >= a.stop_after)) {
-      interrupted = g_stop.load();
+      stopped = true;
       break;
     }
     const auto snap_before = server.stats().epochs_published;
@@ -243,8 +243,7 @@ int serve(const Args& a) {
     if (tick >= server.window_end()) break;
   }
 
-  if ((interrupted || (a.stop_after > 0 && published >= a.stop_after)) &&
-      ckpt) {
+  if (stopped && ckpt) {
     // Stop in place and save the stopped engine.
     server.stop();
     done.store(true);

@@ -36,6 +36,7 @@
 #include "analysis/stl.h"
 #include "common.h"
 #include "core/datasets.h"
+#include "core/digest.h"
 #include "core/pipeline.h"
 #include "flags.h"
 #include "sim/world.h"
@@ -148,9 +149,9 @@ int main(int argc, char** argv) {
   auto t0 = Clock::now();
   const auto fleet = core::run_fleet(world, fc);
   const double fleet_seconds = seconds_since(t0);
-  const std::uint64_t digest = bench::fleet_digest(fleet);
+  const std::uint64_t digest = core::fleet_digest(fleet);
   std::printf("fleet pass: %.2fs, digest %s\n", fleet_seconds,
-              bench::digest_hex(digest).c_str());
+              core::digest_hex(digest).c_str());
 
   const std::int64_t step = fleet.series.step();
   const double samples_per_day =
@@ -440,7 +441,7 @@ int main(int argc, char** argv) {
       .add("world_seed", static_cast<std::int64_t>(wc.seed))
       .add("stage_reps", static_cast<std::int64_t>(reps))
       .add("fleet_seconds", fleet_seconds)
-      .add("fleet_digest", bench::digest_hex(digest))
+      .add("fleet_digest", core::digest_hex(digest))
       .add("sampled_blocks", static_cast<std::int64_t>(rows.size()))
       .add("samples_per_block",
            static_cast<std::int64_t>(total_samples / rows.size()))

@@ -10,8 +10,8 @@
 //              interrupted run + resumed completion vs one uninterrupted
 //              run, digest-gated;
 //  capacity    a DIURNAL_BENCH_CKPT_BLOCKS world (default 100k) driven
-//              with per-shard checkpoints, then fully resumed from the
-//              manifest: the resume must cost < 10% of the full run's
+//              with per-shard checkpoints, then fully resumed from its
+//              shard files: the resume must cost < 10% of the full run's
 //              wall-clock and stay under a pinned peak-RSS budget;
 //  rejection   a deliberately corrupted shard file must be refused by
 //              the typed StateError path (recorded as a receipt key the
@@ -27,11 +27,10 @@
 //
 // Scale knobs: DIURNAL_BENCH_BLOCKS (snapshot world),
 // DIURNAL_BENCH_CKPT_BLOCKS, DIURNAL_BENCH_CKPT_SHARD_SIZE,
-// DIURNAL_BENCH_CKPT_EVERY, DIURNAL_BENCH_RSS_BUDGET_KB,
-// DIURNAL_BENCH_SEED, DIURNAL_BENCH_JSON; DIURNAL_BENCH_CKPT_DIR keeps
-// the capacity run's checkpoint directory (manifest + shard files) on
-// disk instead of a scratch path — the weekly large-world job uploads
-// its manifest as an artifact.
+// DIURNAL_BENCH_RSS_BUDGET_KB, DIURNAL_BENCH_SEED, DIURNAL_BENCH_JSON;
+// DIURNAL_BENCH_CKPT_DIR keeps the capacity run's checkpoint directory
+// (its shard files) on disk instead of a scratch path — the weekly
+// large-world job uploads its file listing as an artifact.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +47,7 @@
 #include "common.h"
 #include "core/checkpoint.h"
 #include "core/datasets.h"
+#include "core/digest.h"
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "core/streaming.h"
@@ -117,9 +117,9 @@ int main() {
   {
     const sim::World world(wc);
     n_blocks = static_cast<double>(world.blocks().size());
-    ref_digest = bench::fleet_digest(core::run_fleet(world, fc));
+    ref_digest = core::fleet_digest(core::run_fleet(world, fc));
     std::printf("reference fleet digest %s\n",
-                bench::digest_hex(ref_digest).c_str());
+                core::digest_hex(ref_digest).c_str());
 
     core::StreamingFleet engine(world, fc);
     const auto span = engine.window_end() - engine.window_start();
@@ -154,12 +154,11 @@ int main() {
     }
     restore_secs = seconds_since(t_restore);
     resumed.advance_to(resumed.window_end());
-    const std::uint64_t resumed_digest =
-        bench::fleet_digest(resumed.finalize());
+    const std::uint64_t resumed_digest = core::fleet_digest(resumed.finalize());
     digest_ok = resumed_digest == ref_digest;
     std::printf("  restore %8.2f ms  -> digest %s (%s)\n",
                 restore_secs * 1e3,
-                bench::digest_hex(resumed_digest).c_str(),
+                core::digest_hex(resumed_digest).c_str(),
                 digest_ok ? "match" : "MISMATCH");
   }
 
@@ -181,7 +180,7 @@ int main() {
     const auto t_replay = Clock::now();
     const auto whole = core::run_sharded_fleet(mid, fc, sc);
     replay_secs = seconds_since(t_replay);
-    const std::uint64_t mid_digest = bench::fleet_digest(whole.fleet);
+    const std::uint64_t mid_digest = core::fleet_digest(whole.fleet);
 
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -196,7 +195,7 @@ int main() {
     const auto t_resume = Clock::now();
     const auto finished = core::run_sharded_fleet(mid, fc, cont);
     resume_secs = seconds_since(t_resume);
-    mid_ok = bench::fleet_digest(finished.fleet) == mid_digest;
+    mid_ok = core::fleet_digest(finished.fleet) == mid_digest;
     mid_stats = finished.stats;
     std::printf(
         "\nkill-mid-run @ %zu blocks (%zu shards, killed after %zu):\n",
@@ -217,8 +216,6 @@ int main() {
   core::ShardConfig cap;
   cap.shard_size = static_cast<std::size_t>(
       bench::env_int("DIURNAL_BENCH_CKPT_SHARD_SIZE", 4096));
-  cap.checkpoint_every = static_cast<std::size_t>(
-      bench::env_int("DIURNAL_BENCH_CKPT_EVERY", 4));
   const char* keep_env = std::getenv("DIURNAL_BENCH_CKPT_DIR");
   const bool keep_dir = keep_env != nullptr && *keep_env != '\0';
   std::filesystem::path dir3;
@@ -238,7 +235,7 @@ int main() {
     const auto t_full = Clock::now();
     const auto full = core::run_sharded_fleet(big, fc, cap);
     full_secs = seconds_since(t_full);
-    cap_digest = bench::fleet_digest(full.fleet);
+    cap_digest = core::fleet_digest(full.fleet);
     cap_stats = full.stats;
   }
   std::size_t ckpt_bytes = 0;
@@ -254,12 +251,12 @@ int main() {
   const auto restored = core::run_sharded_fleet(big, fc, capr);
   const double cap_resume_secs = seconds_since(t_cap_resume);
   const auto mem = util::read_memory_usage();
-  const bool cap_ok = bench::fleet_digest(restored.fleet) == cap_digest &&
+  const bool cap_ok = core::fleet_digest(restored.fleet) == cap_digest &&
                       restored.stats.resumed_shards == restored.stats.shards;
   const double resume_ratio = cap_resume_secs / full_secs;
 
-  std::printf("\ncapacity @ %zu blocks (%zu shards, manifest every %zu):\n",
-              cap_stats.blocks, cap_stats.shards, cap.checkpoint_every);
+  std::printf("\ncapacity @ %zu blocks (%zu shards):\n", cap_stats.blocks,
+              cap_stats.shards);
   std::printf("  full run %6.2fs, checkpoint files %.1f MB "
               "(%.1f bytes/block)\n",
               full_secs, static_cast<double>(ckpt_bytes) / 1048576.0,
@@ -326,7 +323,7 @@ int main() {
       .add("image_bytes", static_cast<std::int64_t>(image_bytes))
       .add("image_crc32", crc_hex(image_crc))
       .add("bytes_per_block", image_bytes / n_blocks)
-      .add("fleet_digest", bench::digest_hex(ref_digest))
+      .add("fleet_digest", core::digest_hex(ref_digest))
       .add("restore_digest_match", digest_ok);
 
   bench::JsonObject resume;
@@ -342,7 +339,6 @@ int main() {
   capacity.add("blocks", static_cast<std::int64_t>(cap_stats.blocks))
       .add("shard_size", static_cast<std::int64_t>(cap_stats.shard_size))
       .add("shards", static_cast<std::int64_t>(cap_stats.shards))
-      .add("checkpoint_every", static_cast<std::int64_t>(cap.checkpoint_every))
       .add("full_seconds", full_secs)
       .add("resume_seconds", cap_resume_secs)
       .add("resume_ratio", resume_ratio)

@@ -23,6 +23,7 @@
 
 #include "common.h"
 #include "core/datasets.h"
+#include "core/digest.h"
 #include "core/pipeline.h"
 #include "fault/fault_plan.h"
 #include "sim/world.h"
@@ -65,7 +66,7 @@ int main() {
   plain.dataset = fc.dataset;
   plain.threads = 1;
   const std::uint64_t plain_digest =
-      bench::fleet_digest(core::run_fleet(world, plain));
+      core::fleet_digest(core::run_fleet(world, plain));
 
   std::printf("%-9s %7s %5s %6s %8s %6s %7s  %-16s %s\n", "scenario",
               "probed", "cs", "degr", "low-conf", "evid", "low-ev", "digest",
@@ -83,13 +84,13 @@ int main() {
     fc.threads = static_cast<int>(hw);
     const auto fleet_mt = core::run_fleet(world, fc);
 
-    const std::uint64_t digest = bench::fleet_digest(fleet);
-    const bool deterministic = digest == bench::fleet_digest(fleet_mt);
+    const std::uint64_t digest = core::fleet_digest(fleet);
+    const bool deterministic = digest == core::fleet_digest(fleet_mt);
     all_ok = all_ok && deterministic;
     if (name == "none" && digest != plain_digest) {
       std::printf("VIOLATED: empty plan digest %s != no-fault-layer %s\n",
-                  bench::digest_hex(digest).c_str(),
-                  bench::digest_hex(plain_digest).c_str());
+                  core::digest_hex(digest).c_str(),
+                  core::digest_hex(plain_digest).c_str());
       all_ok = false;
     }
 
@@ -102,8 +103,7 @@ int main() {
                 static_cast<long long>(d.degraded_blocks),
                 static_cast<long long>(d.low_confidence_blocks),
                 d.mean_evidence_fraction, static_cast<long long>(low_ev),
-                bench::digest_hex(digest).c_str(),
-                deterministic ? "yes" : "NO");
+                core::digest_hex(digest).c_str(), deterministic ? "yes" : "NO");
 
     bench::JsonObject s;
     s.add("seconds_1t", secs)
@@ -117,7 +117,7 @@ int main() {
         .add("blocks_missing_observers", d.blocks_missing_observers)
         .add("mean_evidence_fraction", d.mean_evidence_fraction)
         .add("low_evidence_changes", low_ev)
-        .add("fleet_digest", bench::digest_hex(digest))
+        .add("fleet_digest", core::digest_hex(digest))
         .add("deterministic", deterministic);
     scenarios.add_object(name, s);
   }

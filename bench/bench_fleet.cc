@@ -18,6 +18,7 @@
 
 #include "common.h"
 #include "core/datasets.h"
+#include "core/digest.h"
 #include "core/pipeline.h"
 #include "probe/prober.h"
 #include "recon/block_recon.h"
@@ -162,8 +163,8 @@ int main() {
   const auto fleet_mt = core::run_fleet(world, fc);
   const double secs_mt = seconds_since(t0);
 
-  const std::uint64_t digest_1t = bench::fleet_digest(fleet_1t);
-  const std::uint64_t digest_mt = bench::fleet_digest(fleet_mt);
+  const std::uint64_t digest_1t = core::fleet_digest(fleet_1t);
+  const std::uint64_t digest_mt = core::fleet_digest(fleet_mt);
   const double n_blocks = static_cast<double>(world.blocks().size());
 
   std::printf("\nfleet threads=1:  %7.2fs  (%.1f blocks/sec)\n", secs_1t,
@@ -220,7 +221,7 @@ int main() {
       .add("fleet_seconds_mt", secs_mt)
       .add("blocks_per_sec_mt", n_blocks / secs_mt)
       .add("deterministic", digest_1t == digest_mt)
-      .add("fleet_digest", bench::digest_hex(digest_1t));
+      .add("fleet_digest", core::digest_hex(digest_1t));
   bench::write_bench_json("BENCH_fleet.json", j);
   return digest_1t == digest_mt ? 0 : 1;
 }

@@ -15,6 +15,8 @@
 #include "sim/world.h"
 #include "util/rng.h"
 
+#include "flags.h"
+
 using namespace diurnal;
 
 namespace {
@@ -131,4 +133,12 @@ BENCHMARK(BM_ReconstructQuarter);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN(), after the DIURNAL_SIMD check every bench makes.
+int main(int argc, char** argv) {
+  tools::check_simd_env();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

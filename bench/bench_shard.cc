@@ -30,6 +30,7 @@
 
 #include "common.h"
 #include "core/datasets.h"
+#include "core/digest.h"
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "fault/fault_plan.h"
@@ -89,10 +90,10 @@ bool check_case(const char* label, const sim::WorldConfig& wc,
                 const core::FleetConfig& fc, const core::ShardConfig& sc,
                 std::uint64_t want) {
   const auto r = core::run_sharded_fleet(wc, fc, sc);
-  const std::uint64_t got = bench::fleet_digest(r.fleet);
+  const std::uint64_t got = core::fleet_digest(r.fleet);
   const bool ok = got == want;
   std::printf("  %-34s digest %s -> %s\n", label,
-              bench::digest_hex(got).c_str(), ok ? "match" : "MISMATCH");
+              core::digest_hex(got).c_str(), ok ? "match" : "MISMATCH");
   return ok;
 }
 
@@ -114,9 +115,9 @@ int main() {
   const auto wc = bench::scaled_world(2000, 1);
   const sim::World world(wc);
   const auto ref = core::run_fleet(world, fc);
-  const std::uint64_t ref_digest = bench::fleet_digest(ref);
+  const std::uint64_t ref_digest = core::fleet_digest(ref);
   std::printf("unsharded reference digest %s\n",
-              bench::digest_hex(ref_digest).c_str());
+              core::digest_hex(ref_digest).c_str());
 
   bool ok = true;
   int cases = 0;
@@ -141,7 +142,7 @@ int main() {
     auto fcf = fc;
     fcf.faults = fault::scenario("dropout", fc.dataset.window());
     const std::uint64_t fault_ref =
-        bench::fleet_digest(core::run_fleet(world, fcf));
+        core::fleet_digest(core::run_fleet(world, fcf));
     for (const std::size_t size : {std::size_t{7}, std::size_t{64}}) {
       core::ShardConfig sc;
       sc.shard_size = size;
@@ -237,7 +238,7 @@ int main() {
       .add("world_seed", static_cast<std::int64_t>(wc.seed))
       .add("cases", cases)
       .add("digests_match", ok)
-      .add("fleet_digest", bench::digest_hex(ref_digest));
+      .add("fleet_digest", core::digest_hex(ref_digest));
 
   bench::JsonObject capacity;
   capacity.add("blocks", static_cast<std::int64_t>(cap.stats.blocks))

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "core/digest.h"
 #include "flags.h"
 
 namespace diurnal::bench {
@@ -20,6 +19,7 @@ int env_int(const char* name, int fallback) {
 
 void header(const std::string& artifact, const std::string& title,
             const std::string& note) {
+  tools::check_simd_env();
   std::printf("================================================================\n");
   std::printf("%s: %s\n", artifact.c_str(), title.c_str());
   if (!note.empty()) std::printf("%s\n", note.c_str());
@@ -137,12 +137,6 @@ void write_bench_json(const std::string& default_path, const JsonObject& obj) {
   out << obj.str() << "\n";
   std::printf("wrote %s\n", path.c_str());
 }
-
-std::uint64_t fleet_digest(const core::FleetResult& r) {
-  return core::fleet_digest(r);
-}
-
-std::string digest_hex(std::uint64_t d) { return core::digest_hex(d); }
 
 std::string bar(double fraction, int width) {
   if (fraction < 0) fraction = 0;

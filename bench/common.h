@@ -27,7 +27,9 @@ namespace diurnal::bench {
 /// (`12x`, `-1`, `abc`) prints one stderr line and exits with status 2.
 int env_int(const char* name, int fallback);
 
-/// Prints the bench banner: artifact id, title, and scale note.
+/// Prints the bench banner: artifact id, title, and scale note.  Every
+/// bench calls it first, so it also checks DIURNAL_SIMD: an unknown
+/// level prints one stderr line and exits with status 2.
 void header(const std::string& artifact, const std::string& title,
             const std::string& note = {});
 
@@ -47,20 +49,6 @@ void print_funnel(const std::string& name, const core::FunnelCounts& f);
 
 /// Renders a small inline bar for text "plots".
 std::string bar(double fraction, int width = 40);
-
-/// FNV-1a digest over the parts of a FleetResult that downstream
-/// consumers read (funnel counts, per-block funnel bits, detected-change
-/// fields; doubles hashed by bit pattern so numeric drift shows up).
-/// Shared by bench_fleet's determinism gate, bench_fault's empty-plan
-/// identity check, and the CI bench-smoke job.  Degraded-mode
-/// annotations (low_confidence, low_evidence, the DegradationReport) are
-/// deliberately NOT hashed: they must never perturb a healthy run's
-/// digest, and a faulty run's digest should change only through the
-/// observations themselves.
-std::uint64_t fleet_digest(const core::FleetResult& r);
-
-/// Formats a digest as 16 lowercase hex digits (the BENCH_*.json form).
-std::string digest_hex(std::uint64_t d);
 
 // ---------------------------------------------------------------------------
 // Machine-readable bench output (the BENCH_*.json perf trajectory).

@@ -15,15 +15,6 @@ IsaLevel probe_cpu() noexcept {
   return IsaLevel::kGeneric;
 }
 
-IsaLevel env_level(IsaLevel detected) noexcept {
-  const char* e = std::getenv("DIURNAL_SIMD");
-  if (e != nullptr &&
-      (std::strcmp(e, "generic") == 0 || std::strcmp(e, "scalar") == 0)) {
-    return IsaLevel::kGeneric;
-  }
-  return detected;
-}
-
 std::atomic<int> g_forced{-1};
 std::atomic<std::uint64_t> g_generic{0};
 std::atomic<std::uint64_t> g_avx2{0};
@@ -35,10 +26,19 @@ IsaLevel detected_level() noexcept {
   return detected;
 }
 
+std::optional<IsaLevel> env_level() noexcept {
+  const char* e = std::getenv("DIURNAL_SIMD");
+  if (e == nullptr || *e == '\0') return detected_level();
+  if (std::strcmp(e, "generic") == 0 || std::strcmp(e, "scalar") == 0) {
+    return IsaLevel::kGeneric;
+  }
+  return std::nullopt;
+}
+
 IsaLevel active_level() noexcept {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<IsaLevel>(forced);
-  static const IsaLevel resolved = env_level(detected_level());
+  static const IsaLevel resolved = env_level().value_or(detected_level());
   return resolved;
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace diurnal::analysis::simd {
 
@@ -30,9 +31,15 @@ enum class IsaLevel : int {
 /// What the CPU supports (one-time probe, ignores overrides).
 IsaLevel detected_level() noexcept;
 
+/// DIURNAL_SIMD's level, the one reading of the variable: unset or empty
+/// is detected_level(), "generic" or "scalar" is kGeneric, and any other
+/// value is std::nullopt, which the tools and benches reject before any
+/// work (tools/flags.h) and active_level() treats as unset.
+std::optional<IsaLevel> env_level() noexcept;
+
 /// The level the next batched kernel call will dispatch to: the forced
-/// level if force_level() is active, else kGeneric when DIURNAL_SIMD is
-/// "generic" or "scalar", else detected_level().
+/// level if force_level() is active, else env_level(), else
+/// detected_level().
 IsaLevel active_level() noexcept;
 
 /// Pins the dispatch level (clamped to detected_level(); a machine

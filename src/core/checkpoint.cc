@@ -11,8 +11,6 @@ namespace diurnal::core {
 
 namespace {
 
-constexpr std::uint32_t kManifestMetaTag = util::state_tag("CMET");
-constexpr std::uint32_t kManifestDoneTag = util::state_tag("CDON");
 constexpr std::uint32_t kShardMetaTag = util::state_tag("SMET");
 constexpr std::uint32_t kShardOutcomesTag = util::state_tag("OUTC");
 constexpr std::uint32_t kShardDegradationTag = util::state_tag("DEGR");
@@ -70,23 +68,6 @@ void fingerprint_dataset(util::StateWriter& w, const DatasetSpec& ds) {
   const auto window = ds.window();
   w.i64(window.start);
   w.i64(window.end);
-}
-
-/// CMET and CDON: the manifest's run and universe, then the ids of the
-/// completed shards.
-template <class IO, class Ids>
-void manifest_fields(IO& io, std::uint64_t fingerprint,
-                     std::uint64_t total_blocks, std::uint64_t shard_size,
-                     Ids& completed) {
-  io.begin_section(kManifestMetaTag);
-  io.expect(fingerprint,
-            "manifest was written under a different configuration");
-  io.expect(total_blocks, "manifest covers a different block universe");
-  io.expect(shard_size, "manifest covers a different block universe");
-  io.end_section();
-  io.begin_section(kManifestDoneTag);
-  io.seq(completed, [&io](auto& k) { io.u64(k); });
-  io.end_section();
 }
 
 /// SMET: the run and slot a shard file belongs to, and its block span.
@@ -241,13 +222,11 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
 CheckpointManager::CheckpointManager(std::string dir,
                                      std::uint64_t fingerprint,
                                      std::size_t total_blocks,
-                                     std::size_t shard_size,
-                                     std::size_t manifest_every)
+                                     std::size_t shard_size)
     : dir_(std::move(dir)),
       fingerprint_(fingerprint),
       total_blocks_(total_blocks),
-      shard_size_(shard_size),
-      manifest_every_(manifest_every == 0 ? 1 : manifest_every) {
+      shard_size_(shard_size) {
   create_checkpoint_dir(dir_);
 }
 
@@ -255,47 +234,38 @@ std::string CheckpointManager::shard_path(std::size_t k) const {
   return dir_ + "/shard-" + std::to_string(k) + ".ckpt";
 }
 
-std::string CheckpointManager::manifest_path() const {
-  return dir_ + "/manifest.ckpt";
-}
-
-std::vector<std::size_t> CheckpointManager::load_manifest() {
-  std::vector<std::uint8_t> image;
-  try {
-    image = util::read_state_file(manifest_path());
-  } catch (const util::StateError&) {
-    return {};  // no manifest yet: a fresh run
+std::vector<std::size_t> CheckpointManager::load_manifest() const {
+  const std::size_t slots =
+      shard_size_ == 0 ? 0 : (total_blocks_ + shard_size_ - 1) / shard_size_;
+  std::vector<std::size_t> present;
+  for (std::size_t k = 0; k < slots; ++k) {
+    std::error_code ec;
+    if (std::filesystem::exists(shard_path(k), ec)) present.push_back(k);
   }
-  util::StateReader r(image);
-  std::vector<std::size_t> done;
-  manifest_fields(r, fingerprint_, total_blocks_, shard_size_, done);
-  return done;
+  return present;
 }
 
-ShardCheckpoint CheckpointManager::load_shard(std::size_t k) {
+ShardCheckpoint CheckpointManager::load_shard(std::size_t k) const {
   const std::vector<std::uint8_t> image =
       util::read_state_file(shard_path(k));
   util::StateReader r(image);
   ShardCheckpoint out;
   shard_meta(r, fingerprint_, k, out.begin, out.end);
-  if (out.end < out.begin || out.end > total_blocks_ ||
-      out.begin != k * shard_size_) {
+  if (out.begin != k * shard_size_ || out.begin >= total_blocks_ ||
+      out.end != std::min(out.begin + shard_size_, total_blocks_)) {
     util::bad_value("shard checkpoint does not match its slot");
   }
   out.outcomes.resize(out.end - out.begin);
   out.degradation.resize(out.end - out.begin);
   shard_rows(r, std::span(out.outcomes), std::span(out.degradation),
              out.aggregate);
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  completed_.insert(k);
   return out;
 }
 
 void CheckpointManager::record_shard(std::size_t k, std::size_t begin,
                                      std::size_t end,
                                      const FleetResult& fleet,
-                                     const ChangeAggregator& agg) {
+                                     const ChangeAggregator& agg) const {
   util::StateWriter w;
   shard_meta(w, fingerprint_, k, begin, end);
   const std::size_t rows = end - begin;
@@ -303,33 +273,6 @@ void CheckpointManager::record_shard(std::size_t k, std::size_t begin,
              std::span(fleet.degradation.blocks).subspan(begin, rows), agg);
 
   util::write_state_file(shard_path(k), w.bytes());
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  completed_.insert(k);
-  dirty_ = true;
-  if (++unflushed_ >= manifest_every_) {
-    write_manifest_locked();
-  }
-}
-
-void CheckpointManager::flush_manifest() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!dirty_) return;
-  write_manifest_locked();
-}
-
-std::size_t CheckpointManager::manifest_writes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return manifest_writes_;
-}
-
-void CheckpointManager::write_manifest_locked() {
-  util::StateWriter w;
-  manifest_fields(w, fingerprint_, total_blocks_, shard_size_, completed_);
-  util::write_state_file(manifest_path(), w.bytes());
-  unflushed_ = 0;
-  dirty_ = false;
-  ++manifest_writes_;
 }
 
 RunCheckpoint::RunCheckpoint(const std::string& dir, const std::string& name,

@@ -1,7 +1,7 @@
-// Externalized pipeline results: per-shard checkpoint files plus the
-// manifest that lets run_sharded_fleet() resume a killed run without
-// recomputing completed shards, and the one file of a resumable
-// streaming run (DESIGN.md section 11).
+// Externalized pipeline results: the per-shard checkpoint files that
+// let run_sharded_fleet() resume a killed run without recomputing
+// completed shards, and the one file of a resumable streaming run
+// (DESIGN.md section 11).
 //
 // A shard checkpoint stores the shard's *outputs* — outcomes,
 // degradation rows, gridcell aggregation — not its in-flight
@@ -18,9 +18,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -153,79 +151,56 @@ struct ShardCheckpoint {
   ChangeAggregator aggregate;  ///< this shard's gridcell/continent series
 };
 
-/// Owns a checkpoint directory: one `shard-<k>.ckpt` per completed
-/// shard plus a `manifest.ckpt` listing which are complete.  Shard
-/// files are written atomically (tmp + rename) and the manifest is
-/// rewritten after the fact, so a crash at any instant leaves only
-/// complete, loadable files — at worst the manifest under-reports and a
-/// finished shard is recomputed.
-///
-/// record_shard() is safe to call from concurrent shard workers; loads
-/// are single-threaded (the resume prologue).
+/// Owns a checkpoint directory of `shard-<k>.ckpt` files, one per
+/// completed shard.  Each is written atomically (tmp + rename) and
+/// describes itself (run fingerprint, slot and block span in SMET, every
+/// section CRC-checked), so the directory is its own ledger: a shard is
+/// complete exactly when its file loads.  The manager holds no mutable
+/// state, so concurrent shard workers record through it without a lock.
 class CheckpointManager {
  public:
-  /// Creates `dir` if needed.  `manifest_every` batches manifest
-  /// rewrites: 1 persists progress after every shard, N trades
-  /// durability granularity for fewer writes (flush_manifest() always
-  /// runs at the end of the run).
+  /// Creates `dir` if needed; throws StateError(kIo) when it cannot.
   CheckpointManager(std::string dir, std::uint64_t fingerprint,
-                    std::size_t total_blocks, std::size_t shard_size,
-                    std::size_t manifest_every = 1);
+                    std::size_t total_blocks, std::size_t shard_size);
 
-  /// Shard ids a previous run recorded complete.  An absent manifest is
-  /// an empty list (first run); a corrupt manifest or one written under
-  /// a different fingerprint/universe throws StateError.
-  std::vector<std::size_t> load_manifest();
-
-  /// Loads shard k's checkpoint file and marks it complete in this
-  /// manager.  Throws StateError when the file is missing, corrupt,
-  /// truncated, or fingerprint-mismatched — callers recompute the shard.
+  /// Loads shard k's checkpoint file.  Throws StateError when the file
+  /// is missing, corrupt, truncated, fingerprint-mismatched, or not
+  /// exactly slot k's block span — callers recompute the shard.
   /// Sections after the outputs are not read.
-  ShardCheckpoint load_shard(std::size_t k);
+  ShardCheckpoint load_shard(std::size_t k) const;
 
   /// Serializes shard k's slice [begin, end) of the already-folded
-  /// global result plus its own aggregator, writes the shard file
-  /// atomically, and rewrites the manifest every `manifest_every`
-  /// completions.  Throws StateError(kIo) when a file cannot be
-  /// written.
+  /// global result plus its own aggregator and writes the shard file
+  /// atomically.  Throws StateError(kIo) when it cannot be written.
   void record_shard(std::size_t k, std::size_t begin, std::size_t end,
-                    const FleetResult& fleet, const ChangeAggregator& agg);
+                    const FleetResult& fleet,
+                    const ChangeAggregator& agg) const;
 
-  /// The same call; the flag is unused.  Kept only for the repository
-  /// benchmark (perfbench/src/batch.cc), which compiles against this
-  /// signature until a benchmark change moves it off.
+  // The three members below are kept only for the repository benchmark
+  // (perfbench/src/batch.cc), which compiles against them until a
+  // benchmark change moves it off.
+
+  /// The same call as record_shard(); the flag is unused.
   void record_shard(std::size_t k, std::size_t begin, std::size_t end,
                     const FleetResult& fleet, const ChangeAggregator& agg,
-                    bool) {
+                    bool) const {
     record_shard(k, begin, end, fleet, agg);
   }
 
-  /// Rewrites the manifest with every shard recorded so far.
-  /// Idempotent: a flush with nothing new since the last write is a
-  /// no-op, so the run-end finalize cannot race (or redundantly repeat)
-  /// a manifest write that `manifest_every` already triggered on the
-  /// final shard.
-  void flush_manifest();
+  /// The slots whose shard file exists, ascending; load_shard() decides
+  /// whether each one is complete.
+  std::vector<std::size_t> load_manifest() const;
 
-  /// Manifest rewrites performed by this manager (regression hook for
-  /// the finalize-idempotence tests).
-  std::size_t manifest_writes() const;
+  /// Does nothing: the shard files are the only record.
+  void flush_manifest() const {}
 
  private:
   std::string shard_path(std::size_t k) const;
-  std::string manifest_path() const;
-  void write_manifest_locked();
 
   std::string dir_;
   std::uint64_t fingerprint_;
   std::uint64_t total_blocks_;
   std::uint64_t shard_size_;
-  std::size_t manifest_every_;
-  mutable std::mutex mu_;
-  std::set<std::size_t> completed_;
-  std::size_t unflushed_ = 0;
-  bool dirty_ = false;  ///< completions not yet persisted in the manifest
-  std::size_t manifest_writes_ = 0;
 };
 
 }  // namespace diurnal::core

@@ -66,10 +66,10 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
   std::atomic<std::size_t> peak_resident_bytes{0};
   std::mutex agg_mu;
 
-  // Checkpoint/resume prologue: fold every loadable completed shard
-  // into the global result before any worker starts; `done` shards are
-  // skipped by the claim loop.  Any StateError (missing file, flipped
-  // byte, truncation, foreign fingerprint) just leaves the shard to be
+  // Checkpoint/resume prologue: fold every shard whose file loads into
+  // the global result before any worker starts; `done` shards are skipped
+  // by the claim loop.  Any StateError (missing file, flipped byte,
+  // truncation, foreign fingerprint) just leaves the shard to be
   // recomputed — a bad checkpoint can cost time, never correctness.
   std::optional<CheckpointManager> ckpt;
   std::vector<char> done(n_shards, 0);
@@ -77,16 +77,9 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
   if (!shards.checkpoint_dir.empty()) {
     ckpt.emplace(shards.checkpoint_dir,
                  checkpoint_fingerprint(generator.config(), config, shard_size),
-                 total, shard_size, shards.checkpoint_every);
+                 total, shard_size);
     if (shards.resume) {
-      std::vector<std::size_t> listed;
-      try {
-        listed = ckpt->load_manifest();
-      } catch (const util::StateError&) {
-        listed.clear();  // corrupt or foreign manifest: fresh run
-      }
-      for (const std::size_t k : listed) {
-        if (k >= n_shards) continue;
+      for (std::size_t k = 0; k < n_shards; ++k) {
         try {
           ShardCheckpoint sc = ckpt->load_shard(k);
           for (std::size_t i = 0; i < sc.outcomes.size(); ++i) {
@@ -97,7 +90,7 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
           done[k] = 1;
           ++resumed;
         } catch (const util::StateError&) {
-          // unreadable shard file: recompute it below
+          // missing or unreadable shard file: recompute it below
         }
       }
     }
@@ -168,8 +161,6 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
     const std::lock_guard<std::mutex> lock(agg_mu);
     out.aggregate.merge_from(local_agg);
   });
-
-  if (ckpt) ckpt->flush_manifest();
 
   out.fleet.funnel = FunnelCounts{};
   for (const auto& o : out.fleet.outcomes) out.fleet.funnel.add(o.cls);

@@ -43,20 +43,16 @@ struct ShardConfig {
 
   /// Directory for shard checkpoint files (core/checkpoint.h); empty
   /// disables checkpointing.  Each completed shard's outputs are written
-  /// atomically as `shard-<k>.ckpt` plus a `manifest.ckpt` of completed
-  /// ids, keyed by a fingerprint of the world/fleet configuration.
+  /// atomically as `shard-<k>.ckpt`, keyed by a fingerprint of the
+  /// world/fleet configuration; the files are the only record of which
+  /// shards are complete.
   std::string checkpoint_dir;
 
-  /// Resume: before computing anything, load every manifest-listed
-  /// shard from checkpoint_dir and fold it into the result; only the
-  /// remaining shards run.  A missing/corrupt/mismatched checkpoint is
-  /// never fatal — that shard is simply recomputed (and re-recorded).
+  /// Resume: before computing anything, load every shard file in
+  /// checkpoint_dir and fold it into the result; only the remaining
+  /// shards run.  A missing/corrupt/mismatched checkpoint is never
+  /// fatal — that shard is simply recomputed (and re-recorded).
   bool resume = false;
-
-  /// Rewrite the manifest every N completed shards (1 = after each; the
-  /// final manifest always flushes).  Larger values trade crash-resume
-  /// granularity for fewer small writes on big worlds.
-  std::size_t checkpoint_every = 1;
 
   /// Stop after computing this many shards this run (0 = no cap).
   /// Already-resumed shards do not count.  This is the deterministic
@@ -97,9 +93,9 @@ struct ShardedFleetResult {
 /// The output contract: fleet_digest(result.fleet) equals the digest of
 /// run_fleet() over the materialized world with the same FleetConfig,
 /// and `aggregate` equals aggregate_changes() on that result.  A
-/// checkpoint directory that cannot be created, or a shard file or
-/// manifest that cannot be written, throws StateError(kIo) on the
-/// calling thread once every shard worker has stopped.
+/// checkpoint directory that cannot be created, or a shard file that
+/// cannot be written, throws StateError(kIo) on the calling thread once
+/// every shard worker has stopped.
 ShardedFleetResult run_sharded_fleet(const sim::WorldConfig& world_config,
                                      const FleetConfig& config,
                                      const ShardConfig& shards = {});

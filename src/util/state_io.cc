@@ -280,22 +280,6 @@ void StateReader::begin_section(std::uint32_t expected_tag) {
   section_open_ = true;
 }
 
-std::uint32_t StateReader::next_tag() const {
-  if (section_open_) {
-    fail(StateErrorKind::kBadSection, "next_tag inside a section");
-  }
-  need(4);
-  std::uint32_t tag;
-  std::memcpy(&tag, image_.data() + pos_, 4);
-  return tag;
-}
-
-void StateReader::skip_section() {
-  begin_section(next_tag());  // framing + CRC validation
-  pos_ = section_end_;
-  section_open_ = false;
-}
-
 void StateReader::end_section() {
   if (!section_open_) {
     fail(StateErrorKind::kBadSection, "end_section without an open section");
@@ -383,10 +367,10 @@ void StateReader::f64_values(std::span<double> out) {
 void write_state_file(const std::string& path,
                       std::span<const std::uint8_t> bytes) {
   // The temp name must be unique per writer: two processes (or threads)
-  // flushing the same manifest concurrently — e.g. a capped run's final
-  // flush racing a freshly launched --resume — must each stage a private
-  // file and rename a complete image into place, never truncate or
-  // rename each other's half-written staging file.
+  // writing the same file concurrently — e.g. a capped run's last shard
+  // racing a freshly launched --resume that recomputes it — must each
+  // stage a private file and rename a complete image into place, never
+  // truncate or rename each other's half-written staging file.
   static std::atomic<std::uint64_t> counter{0};
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +

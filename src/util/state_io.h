@@ -61,8 +61,8 @@ enum class StateErrorKind : std::uint8_t {
 const char* to_string(StateErrorKind kind) noexcept;
 
 /// The one failure type of the state layer.  kind() routes recovery:
-/// kIo on a manifest usually means "no checkpoint yet"; everything else
-/// means "discard and recompute".
+/// kIo on a checkpoint file usually means "no checkpoint yet"; everything
+/// else means "discard and recompute".
 class StateError : public std::runtime_error {
  public:
   StateError(StateErrorKind kind, std::string what)
@@ -274,14 +274,6 @@ class StateReader : public FieldVerbs<StateReader> {
 
   void begin_section(std::uint32_t expected_tag);
   void end_section();
-  /// True when the image has another section to read.
-  bool has_section() const noexcept { return pos_ < image_.size(); }
-  /// The tag of the next section, without opening it.
-  std::uint32_t next_tag() const;
-  /// Validates the next section's framing and payload checksum without
-  /// decoding it, then steps past it — the forward-compatibility path
-  /// for sections this consumer does not understand.
-  void skip_section();
 
   std::uint8_t u8();
   std::uint32_t u32();

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <random>
@@ -40,6 +41,7 @@
 #include "recon/reconstruct.h"
 #include "recon/stream.h"
 #include "sim/world.h"
+#include "sim/world_slice.h"
 #include "util/date.h"
 #include "util/mem.h"
 #include "util/state_io.h"
@@ -131,11 +133,12 @@ TEST(StateIo, PrimitivesRoundTrip) {
   EXPECT_EQ(r.str(), "checkpoint");
   EXPECT_EQ(r.str(), "");
   r.end_section();
-  EXPECT_TRUE(r.has_section());
   r.begin_section(util::state_tag("TST2"));
   EXPECT_EQ(r.u64(), 42u);
   r.end_section();
-  EXPECT_FALSE(r.has_section());
+  // The image ends here: there is no third section to open.
+  EXPECT_EQ(kind_of([&] { r.begin_section(util::state_tag("TST3")); }),
+            StateErrorKind::kTruncated);
 }
 
 TEST(StateIo, F64SpanRoundTripsBitwiseOnBothPaths) {
@@ -281,29 +284,12 @@ TEST(StateIo, HeaderWithoutVarintFlagIsRejected) {
             StateErrorKind::kBadValue);
 }
 
-TEST(StateIo, SkipSectionValidatesFramingWithoutDecoding) {
-  StateWriter w;
-  w.begin_section(util::state_tag("SKP1"));
-  w.str("a section this consumer does not understand");
-  w.end_section();
-  w.begin_section(util::state_tag("SKP2"));
-  w.u64(99);
-  w.end_section();
-  StateReader r(w.bytes());
-  EXPECT_EQ(r.next_tag(), util::state_tag("SKP1"));
-  r.skip_section();  // unknown content skipped, CRC still enforced
-  EXPECT_EQ(r.next_tag(), util::state_tag("SKP2"));
-  r.begin_section(util::state_tag("SKP2"));
-  EXPECT_EQ(r.u64(), 99u);
-  r.end_section();
-  EXPECT_FALSE(r.has_section());
-}
-
 TEST(StateIo, BitFlipFuzzEveryMutationIsATypedError) {
   // Randomized single-bit-flip fuzz over a real engine image: every
   // byte of a state image is covered by either header validation or a
-  // section CRC, so whatever bit flips, walking the image must throw a
-  // typed StateError — never crash, hang, or accept silently.
+  // section CRC, so whatever bit flips, restoring a fresh engine from
+  // the image must throw a typed StateError — never crash, hang, or
+  // accept silently.
   static const sim::World world([] {
     sim::WorldConfig c;
     c.num_blocks = 40;
@@ -320,11 +306,12 @@ TEST(StateIo, BitFlipFuzzEveryMutationIsATypedError) {
   const std::vector<std::uint8_t> clean = w.bytes();
   ASSERT_GT(clean.size(), 64u);
 
-  const auto parse = [](const std::vector<std::uint8_t>& image) {
+  const auto restore = [&](const std::vector<std::uint8_t>& image) {
+    core::StreamingFleet fresh(world, fc);
     StateReader r(image);
-    while (r.has_section()) r.skip_section();
+    fresh.restore(r);
   };
-  parse(clean);  // sanity: the clean image walks
+  restore(clean);  // sanity: the clean image restores
 
   std::mt19937_64 rng(0xD1U);
   std::uniform_int_distribution<std::size_t> pos(0, clean.size() - 1);
@@ -334,7 +321,7 @@ TEST(StateIo, BitFlipFuzzEveryMutationIsATypedError) {
     auto mutated = clean;
     mutated[pos(rng)] ^= static_cast<std::uint8_t>(1 << bit(rng));
     try {
-      parse(mutated);
+      restore(mutated);
     } catch (const StateError&) {
       ++rejected;
       continue;
@@ -344,26 +331,11 @@ TEST(StateIo, BitFlipFuzzEveryMutationIsATypedError) {
                   << " was silently accepted";
   }
   EXPECT_EQ(rejected, 1000u);
-
-  // And the real consumer agrees: a mutated image never restores.
-  std::size_t restore_rejected = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    auto mutated = clean;
-    mutated[pos(rng)] ^= static_cast<std::uint8_t>(1 << bit(rng));
-    core::StreamingFleet fresh(world, fc);
-    try {
-      StateReader r(mutated);
-      fresh.restore(r);
-    } catch (const StateError&) {
-      ++restore_rejected;
-    }
-  }
-  EXPECT_EQ(restore_rejected, 100u);
 }
 
 TEST(StateIo, TruncationFuzzEveryPrefixIsATypedError) {
   // Every strict prefix of a valid image must surface as kTruncated,
-  // kBadCrc or kBadSection — never a crash and never a clean walk.
+  // kBadCrc or kBadSection — never a crash and never a clean decode.
   StateWriter w;
   w.begin_section(util::state_tag("TRNC"));
   for (int i = 0; i < 256; ++i) w.u64(static_cast<std::uint64_t>(i) * 31);
@@ -372,37 +344,28 @@ TEST(StateIo, TruncationFuzzEveryPrefixIsATypedError) {
   w.str("tail section");
   w.end_section();
   const std::vector<std::uint8_t> clean = w.bytes();
+  const auto decode = [](const std::vector<std::uint8_t>& image) {
+    StateReader r(image);
+    r.begin_section(util::state_tag("TRNC"));
+    for (int i = 0; i < 256; ++i) (void)r.u64();
+    r.end_section();
+    r.begin_section(util::state_tag("TAIL"));
+    (void)r.str();
+    r.end_section();
+  };
+  decode(clean);  // sanity: the whole image decodes
 
   std::mt19937_64 rng(0x7CU);
   std::uniform_int_distribution<std::size_t> cut(0, clean.size() - 1);
   for (int trial = 0; trial < 200; ++trial) {
     auto mutated = clean;
     mutated.resize(cut(rng));
-    // The one structurally valid prefix is the bare 20-byte header — an
-    // empty image.  The reader cannot know sections were lost, but any
-    // consumer asking for its expected section still gets kTruncated.
-    bool walked_empty = false;
-    try {
-      StateReader r(mutated);
-      while (r.has_section()) r.skip_section();
-      walked_empty = true;
-    } catch (const StateError& e) {
-      EXPECT_TRUE(e.kind() == StateErrorKind::kTruncated ||
-                  e.kind() == StateErrorKind::kBadCrc ||
-                  e.kind() == StateErrorKind::kBadSection)
-          << "cut " << mutated.size() << " gave kind "
-          << static_cast<int>(e.kind());
-    }
-    if (walked_empty) {
-      EXPECT_FALSE(StateReader(mutated).has_section())
-          << "a section-bearing prefix walked cleanly at cut "
-          << mutated.size();
-      EXPECT_EQ(kind_of([&] {
-                  StateReader r(mutated);
-                  r.begin_section(util::state_tag("TRNC"));
-                }),
-                StateErrorKind::kTruncated);
-    }
+    // kind_of() also fails the test when the prefix decodes cleanly.
+    const StateErrorKind kind = kind_of([&] { decode(mutated); });
+    EXPECT_TRUE(kind == StateErrorKind::kTruncated ||
+                kind == StateErrorKind::kBadCrc ||
+                kind == StateErrorKind::kBadSection)
+        << "cut " << mutated.size() << " gave kind " << util::to_string(kind);
   }
 }
 
@@ -1035,7 +998,7 @@ TEST(RunCheckpoint, UncreatableDirectoryIsAnIoError) {
 }
 
 // ---------------------------------------------------------------------------
-// shard: kill-mid-run resume from the manifest
+// shard: kill-mid-run resume from the shard files
 // ---------------------------------------------------------------------------
 
 sim::WorldConfig shard_world_config() {
@@ -1086,13 +1049,15 @@ TEST(ShardCheckpoint, KillMidRunThenResumeMatchesUninterrupted) {
   sc.checkpoint_dir = dir.string();
 
   // "Kill" after 3 shards: the capped run records exactly 3 checkpoint
-  // files and a manifest, then stops.
+  // files, then stops.
   auto capped = sc;
   capped.max_shards = 3;
   const auto partial = core::run_sharded_fleet(wc, fc, capped);
   EXPECT_EQ(partial.stats.completed_shards, 3u);
   EXPECT_EQ(partial.stats.resumed_shards, 0u);
-  EXPECT_TRUE(std::filesystem::exists(dir / "manifest.ckpt"));
+  const auto files = std::distance(std::filesystem::directory_iterator(dir),
+                                   std::filesystem::directory_iterator{});
+  EXPECT_EQ(files, 3);
 
   // Resume in a "fresh process" (new manager, new scheduler): the three
   // recorded shards load, the rest compute, and the merged result is
@@ -1128,7 +1093,8 @@ TEST(ShardCheckpoint, CorruptShardFileIsRecomputedNotTrusted) {
 
   // Flip one payload byte in one shard file and truncate another: both
   // must be rejected (kBadCrc / kTruncated under the hood) and simply
-  // recomputed.
+  // recomputed.  So must a well-formed file of this run whose block span
+  // stops one block short of its slot's (kBadValue).
   {
     auto image = util::read_state_file((dir / "shard-1.ckpt").string());
     image[image.size() / 2] ^= 0xff;
@@ -1137,65 +1103,55 @@ TEST(ShardCheckpoint, CorruptShardFileIsRecomputedNotTrusted) {
         util::read_state_file((dir / "shard-2.ckpt").string());
     short_image.resize(short_image.size() / 2);
     util::write_state_file((dir / "shard-2.ckpt").string(), short_image);
+    const auto fingerprint =
+        core::checkpoint_fingerprint(sim::BlockGenerator(wc).config(), fc, 64);
+    const core::CheckpointManager mgr(dir.string(), fingerprint,
+                                      first.stats.blocks, 64);
+    mgr.record_shard(3, 3 * 64, 4 * 64 - 1, first.fleet, first.aggregate);
   }
   auto resumed = sc;
   resumed.resume = true;
   const auto full = core::run_sharded_fleet(wc, fc, resumed);
-  EXPECT_EQ(full.stats.resumed_shards, n_shards - 2);
-  EXPECT_EQ(full.stats.completed_shards, 2u);
+  EXPECT_EQ(full.stats.resumed_shards, n_shards - 3);
+  EXPECT_EQ(full.stats.completed_shards, 3u);
   EXPECT_EQ(core::digest_hex(core::fleet_digest(full.fleet)), ref_digest);
-
-  // A mangled manifest degrades to a fresh (but still correct) run.
-  {
-    auto image = util::read_state_file((dir / "manifest.ckpt").string());
-    image.resize(10);
-    util::write_state_file((dir / "manifest.ckpt").string(), image);
-  }
-  const auto fresh = core::run_sharded_fleet(wc, fc, resumed);
-  EXPECT_EQ(fresh.stats.resumed_shards, 0u);
-  EXPECT_EQ(core::digest_hex(core::fleet_digest(fresh.fleet)), ref_digest);
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardCheckpoint, FinalizeManifestWriteIsIdempotent) {
-  // Regression: when manifest_every fires on the FINAL shard, the
-  // run-end flush used to rewrite the manifest a second time — a window
-  // where a concurrently starting --resume could read a mid-rename
-  // manifest.  flush_manifest() with nothing new must now be a no-op.
-  const auto dir = temp_dir("finalize_idempotent");
-  core::FleetResult fleet;
-  fleet.outcomes.resize(8);
-  fleet.degradation.blocks.resize(8);
-  const core::ChangeAggregator agg;
+TEST(ShardCheckpoint, ShardFilesAreTheLedger) {
+  // A shard is complete exactly when its file loads; nothing else in the
+  // directory is consulted, so only the loss of a shard file itself can
+  // cost finished work, and then only that shard's.
+  const auto wc = shard_world_config();
+  const auto fc = shard_fleet_config(2);
+  const auto dir = temp_dir("ledger");
+  core::ShardConfig sc;
+  sc.shard_size = 64;
+  sc.checkpoint_dir = dir.string();
+  const auto first = core::run_sharded_fleet(wc, fc, sc);
+  const std::size_t n_shards = first.stats.shards;
+  const auto digest = core::fleet_digest(first.fleet);
+  auto resumed = sc;
+  resumed.resume = true;
 
-  {
-    // manifest_every=1: the 4th record_shard already persisted shard 3;
-    // the finalize flush has nothing to add.
-    core::CheckpointManager mgr(dir.string(), 0x5eedULL, 8, 2, 1);
-    for (std::size_t k = 0; k < 4; ++k) {
-      mgr.record_shard(k, 2 * k, 2 * k + 2, fleet, agg);
-    }
-    EXPECT_EQ(mgr.manifest_writes(), 4u);
-    mgr.flush_manifest();
-    mgr.flush_manifest();  // and the no-op itself is repeatable
-    EXPECT_EQ(mgr.manifest_writes(), 4u);
-  }
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  {
-    // manifest_every=3 over 4 shards: one batched write mid-run, one
-    // real flush for the unpersisted tail, then nothing.
-    core::CheckpointManager mgr(dir.string(), 0x5eedULL, 8, 2, 3);
-    for (std::size_t k = 0; k < 4; ++k) {
-      mgr.record_shard(k, 2 * k, 2 * k + 2, fleet, agg);
-    }
-    EXPECT_EQ(mgr.manifest_writes(), 1u);
-    mgr.flush_manifest();
-    EXPECT_EQ(mgr.manifest_writes(), 2u);
-    mgr.flush_manifest();
-    EXPECT_EQ(mgr.manifest_writes(), 2u);
-    EXPECT_EQ(mgr.load_manifest(), (std::vector<std::size_t>{0, 1, 2, 3}));
-  }
+  // Runs used to keep a manifest.ckpt of completed ids next to the
+  // shard files; a directory without one resumes every shard.
+  std::filesystem::remove(dir / "manifest.ckpt");
+  const auto all = core::run_sharded_fleet(wc, fc, resumed);
+  EXPECT_EQ(all.stats.resumed_shards, n_shards);
+  EXPECT_EQ(all.stats.completed_shards, 0u);
+  EXPECT_EQ(core::fleet_digest(all.fleet), digest);
+
+  // Losing a middle shard file recomputes exactly that shard, which is
+  // recorded again.
+  const auto middle = dir / ("shard-" + std::to_string(n_shards / 2) + ".ckpt");
+  ASSERT_TRUE(std::filesystem::remove(middle));
+  const auto one = core::run_sharded_fleet(wc, fc, resumed);
+  EXPECT_EQ(one.stats.resumed_shards, n_shards - 1);
+  EXPECT_EQ(one.stats.completed_shards, 1u);
+  EXPECT_EQ(core::fleet_digest(one.fleet), digest);
+  expect_same_aggregate(first.aggregate, one.aggregate);
+  EXPECT_TRUE(std::filesystem::exists(middle));
   std::filesystem::remove_all(dir);
 }
 
@@ -1295,8 +1251,6 @@ TEST(ShardCheckpoint, ShardAndManifestFilesArePinned) {
   EXPECT_EQ(crcs,
             "87f2bcaf c0977e43 59228c3b 87c58fb4 c5319e28 2d1cf093 c851b8ac "
             "78d76381");
-  EXPECT_EQ(pin_of(util::read_state_file((dir / "manifest.ckpt").string())),
-            (ImagePin{73, 0xf7806d21}));
   std::filesystem::remove_all(dir);
   EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 64), 0x252ce201a6a07089ULL);
   EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 0), 0xfe8ca450af9e5048ULL);
@@ -1611,24 +1565,6 @@ TEST(CraftedImage, OutcomeChangeCountMustFitTheSection) {
               core::fields(r, o);
             }),
             StateErrorKind::kTruncated);
-}
-
-TEST(CraftedImage, ManifestIdCountMustFitTheSection) {
-  const auto dir = temp_dir("crafted_manifest");
-  StateWriter w;
-  w.begin_section(util::state_tag("CMET"));
-  w.u64(0x5eedULL);  // fingerprint
-  w.u64(8);          // total blocks
-  w.u64(2);          // shard size
-  w.end_section();
-  w.begin_section(util::state_tag("CDON"));
-  w.u64(1ULL << 61);  // completed ids
-  w.end_section();
-  util::write_state_file((dir / "manifest.ckpt").string(), w.bytes());
-  core::CheckpointManager mgr(dir.string(), 0x5eedULL, 8, 2);
-  EXPECT_EQ(kind_of([&] { (void)mgr.load_manifest(); }),
-            StateErrorKind::kTruncated);
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //                        [--stream] [--epoch=DUR]
 //                        [--shards N | --shard-size S] [--max-resident M]
 //                        [--checkpoint-dir DIR] [--resume]
-//                        [--checkpoint-every N] [--max-shards K]
+//                        [--max-shards K]
 //   diurnal_cli block    [--dataset D] [--id A.B.C.0/24 | --usc | --vpn]
 //                        [--fault SCENARIO]
 //   diurnal_cli datasets
@@ -28,7 +28,7 @@
 // at most --max-resident shards alive; results bit-identical to the
 // unsharded run) and print residency stats plus peak RSS.
 // `--checkpoint-dir` externalizes progress: the sharded drive records
-// each completed shard (plus a manifest) there, the streaming drive
+// each completed shard as its own file there, the streaming drive
 // snapshots the engine after every epoch; `--resume` picks either back
 // up, skipping completed work, with a final result bit-identical to an
 // uninterrupted run; a checkpoint that cannot be written is one stderr
@@ -86,8 +86,7 @@ struct Args {
   // Checkpoint/restore (core/checkpoint.h).
   std::optional<std::string> checkpoint_dir;
   bool resume = false;
-  std::size_t checkpoint_every = 1;  ///< manifest rewrite cadence
-  std::size_t max_shards = 0;        ///< stop after K computed shards
+  std::size_t max_shards = 0;  ///< stop after K computed shards
 };
 
 [[noreturn]] void usage() {
@@ -100,7 +99,6 @@ struct Args {
                "                       [--shards N | --shard-size S]\n"
                "                       [--max-resident M]\n"
                "                       [--checkpoint-dir DIR] [--resume]\n"
-               "                       [--checkpoint-every N]\n"
                "                       [--max-shards K]\n"
                "       diurnal_cli block [--dataset D] [--id A.B.C.0/24|--usc|--vpn]\n"
                "                       [--fault SCENARIO]\n"
@@ -148,8 +146,6 @@ Args parse(int argc, char** argv) {
       a.max_resident = tools::flag_uint(flag, value());
     else if (flag == "--checkpoint-dir") a.checkpoint_dir = value();
     else if (flag == "--resume") a.resume = true;
-    else if (flag == "--checkpoint-every")
-      a.checkpoint_every = tools::flag_uint(flag, value());
     else if (flag == "--max-shards")
       a.max_shards = tools::flag_uint(flag, value());
     else if (flag == "--epoch")
@@ -192,7 +188,6 @@ int cmd_run_sharded(const Args& a, const sim::WorldConfig& wc,
   if (a.max_resident > 0) sc.max_resident = a.max_resident;
   if (a.checkpoint_dir) sc.checkpoint_dir = *a.checkpoint_dir;
   sc.resume = a.resume;
-  if (a.checkpoint_every > 0) sc.checkpoint_every = a.checkpoint_every;
   sc.max_shards = a.max_shards;
 
   const auto r = core::run_sharded_fleet(gen, fc, sc);
@@ -471,6 +466,7 @@ int cmd_explain_country(const std::string& code) {
 }
 
 int main(int argc, char** argv) {
+  tools::check_simd_env();
   if (argc >= 2) {
     const std::string cmd = argv[1];
     if (cmd == "--list-countries" || cmd == "countries") {

@@ -299,6 +299,7 @@ int serve(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::check_simd_env();
   const Args a = parse(argc, argv);
   try {
     return serve(a);

@@ -92,6 +92,7 @@ std::string fmt_latency(std::optional<double> days) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::check_simd_env();
   const Args a = parse(argc, argv);
 
   if (a.list) {

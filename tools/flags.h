@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/simd.h"
 #include "core/datasets.h"
 #include "fault/fault_plan.h"
 
@@ -69,6 +70,15 @@ inline core::DatasetSpec flag_dataset(const std::string& flag,
     ds.observers();
     return ds;
   });
+}
+
+/// Exits 2 unless the DIURNAL_SIMD environment variable names a level
+/// (analysis::simd::env_level()); called before any work.
+inline void check_simd_env() {
+  if (!analysis::simd::env_level()) {
+    bad_flag("DIURNAL_SIMD", std::getenv("DIURNAL_SIMD"),
+             "expected generic or scalar, or unset");
+  }
 }
 
 /// A fault scenario name (fault::scenario_names()).

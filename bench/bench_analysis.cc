@@ -20,16 +20,14 @@
 // BENCH_analysis.json).
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "analysis/batch.h"
 #include "analysis/block_analyzer.h"
 #include "analysis/simd.h"
@@ -40,52 +38,6 @@
 #include "core/pipeline.h"
 #include "flags.h"
 #include "sim/world.h"
-
-namespace {
-
-// Global allocation counter: every path into the heap bumps it.  The
-// counts are what the bench is about — the span chain's steady state
-// must not touch any of these.
-std::atomic<std::size_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 using namespace diurnal;
 
@@ -398,18 +350,18 @@ int main(int argc, char** argv) {
   span_pass();  // warm the analyzer's workspace and machine buffers
   const std::size_t misses_before = az.workspace().pool_misses();
 
-  std::size_t c0 = g_allocs.load();
+  std::size_t c0 = bench::heap_allocations();
   span_pass();
-  const std::size_t span_allocs = g_allocs.load() - c0;
+  const std::size_t span_allocs = bench::heap_allocations() - c0;
   const std::size_t pool_miss_delta =
       az.workspace().pool_misses() - misses_before;
 
   if (!scalar_only) {
     batch_pass();  // warm the batched workspace
     const std::size_t bmisses_before = bws.pool_misses();
-    c0 = g_allocs.load();
+    c0 = bench::heap_allocations();
     batch_pass();
-    batch_allocs = g_allocs.load() - c0;
+    batch_allocs = bench::heap_allocations() - c0;
     batch_pool_miss = bws.pool_misses() - bmisses_before;
   }
 

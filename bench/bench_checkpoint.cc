@@ -13,9 +13,10 @@
 //              with per-shard checkpoints, then fully resumed from its
 //              shard files: the resume must cost < 10% of the full run's
 //              wall-clock and stay under a pinned peak-RSS budget;
-//  rejection   a deliberately corrupted shard file must be refused by
-//              the typed StateError path (recorded as a receipt key the
-//              CI bench-smoke gate checks).
+//  rejection   an intact copy of a shard file must load, and the same
+//              copy with one byte flipped must be refused by the typed
+//              StateError path (recorded as a receipt key the CI
+//              bench-smoke gate checks).
 //
 // Peak RSS is read from /proc/self/status (VmHWM) with the high-water
 // mark reset between phases where the kernel allows; the JSON records
@@ -283,33 +284,48 @@ int main() {
   // ------------------------------------------------------------------
   // Phase 4: corruption must be refused, not read.
   // ------------------------------------------------------------------
+  bool intact_loads = false;
   bool corrupt_rejected = false;
   std::string reject_kind = "none";
   {
-    // Corrupt a copy in a scratch directory so a kept capacity
-    // directory (DIURNAL_BENCH_CKPT_DIR) stays intact.
+    // Probe a copy in a scratch directory so a kept capacity directory
+    // (DIURNAL_BENCH_CKPT_DIR) stays intact.  The manager is keyed the
+    // way run_sharded_fleet keys the shard files (the generator's config,
+    // with the calendar filled in), and the intact copy must load first:
+    // only then does refusing the corrupted copy show the corruption
+    // was caught, rather than a fingerprint mismatch.
     const auto probe = fresh_dir("corrupt_probe");
+    const std::string file = (probe / "shard-0.ckpt").string();
     auto bytes = util::read_state_file((dir3 / "shard-0.ckpt").string());
-    bytes[bytes.size() / 2] ^= 0xff;
-    util::write_state_file((probe / "shard-0.ckpt").string(), bytes);
-    core::CheckpointManager mgr(
-        probe.string(), core::checkpoint_fingerprint(big, fc, cap.shard_size),
+    const core::CheckpointManager mgr(
+        probe.string(),
+        core::checkpoint_fingerprint(sim::BlockGenerator(big).config(), fc,
+                                     cap.shard_size),
         cap_stats.blocks, cap_stats.shard_size);
+    util::write_state_file(file, bytes);
+    try {
+      (void)mgr.load_shard(0);
+      intact_loads = true;
+    } catch (const util::StateError& e) {
+      std::printf("\nintact shard file refused (%s)\n",
+                  util::to_string(e.kind()));
+    }
+    bytes[bytes.size() / 2] ^= 0xff;
+    util::write_state_file(file, bytes);
     try {
       (void)mgr.load_shard(0);
     } catch (const util::StateError& e) {
       // Any typed kind counts as a rejection: which one fires depends on
-      // where in the image the flipped byte lands (a range-checked value
-      // -> bad-value before the section checksum is even reached, raw
-      // payload -> bad-crc, a section header -> bad-section/truncated).
-      corrupt_rejected = true;
+      // where in the image the flipped byte lands (a section payload ->
+      // bad-crc, a section's tag or length -> bad-section/truncated).
+      corrupt_rejected = intact_loads;
       reject_kind = util::to_string(e.kind());
     }
     std::filesystem::remove_all(probe);
   }
-  std::printf("\ncorrupt shard file -> %s (%s)\n",
+  std::printf("\ncorrupt shard file -> %s (%s; intact copy %s)\n",
               corrupt_rejected ? "rejected" : "NOT REJECTED",
-              reject_kind.c_str());
+              reject_kind.c_str(), intact_loads ? "loads" : "REFUSED");
   if (keep_dir) {
     std::printf("checkpoint directory kept at %s\n", dir3.string().c_str());
   } else {

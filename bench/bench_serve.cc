@@ -14,7 +14,6 @@
 // (default 4), DIURNAL_BENCH_SERVE_P99_BUDGET_US (default 250000), and
 // DIURNAL_BENCH_JSON (output path, default BENCH_serve.json).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "core/digest.h"
 #include "core/pipeline.h"
 #include "core/snapshot_server.h"
+#include "query_readers.h"
 #include "sim/world.h"
 #include "util/date.h"
 
@@ -33,13 +33,6 @@ using namespace diurnal;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double quantile_us(std::vector<double>& v, double q) {
-  if (v.empty()) return 0.0;
-  const auto i = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(i, v.size() - 1)];
-}
 
 }  // namespace
 
@@ -70,63 +63,7 @@ int main() {
   sc.epoch_duration = epoch_seconds;
   core::SnapshotServer server(world, fc, sc);
 
-  std::atomic<bool> done{false};
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(n_readers));
-  std::vector<std::thread> readers;
-  readers.reserve(static_cast<std::size_t>(n_readers));
-  const auto& blocks = world.blocks();
-  for (int t = 0; t < n_readers; ++t) {
-    readers.emplace_back([&, t] {
-      auto& lat = latencies[static_cast<std::size_t>(t)];
-      lat.reserve(1 << 16);
-      // Per-reader xorshift so readers don't walk the same blocks.
-      std::uint64_t rng = 0x9E3779B97F4A7C15ULL * (t + 1);
-      std::uint64_t sink = 0;
-      while (!done.load(std::memory_order_relaxed)) {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        const auto& b = blocks[rng % blocks.size()];
-        const auto q0 = Clock::now();
-        const auto snap = server.snapshot();
-        if (snap == nullptr) {
-          std::this_thread::yield();
-          continue;
-        }
-        switch (rng % 5) {
-          case 0: {
-            const auto* row = snap->block(b.id);
-            if (row != nullptr) sink += row->delivered;
-            break;
-          }
-          case 1: {
-            const auto tr = snap->trend(b.id);
-            if (!tr.empty()) sink += static_cast<std::uint64_t>(tr.back());
-            break;
-          }
-          case 2:
-            sink += snap->alarms_for(b.id).size();
-            break;
-          case 3: {
-            const auto* cs = snap->cell(b.cell());
-            if (cs != nullptr) {
-              sink += static_cast<std::uint64_t>(cs->alarms_down);
-            }
-            break;
-          }
-          default:
-            sink += snap->scorecard().blocks_classified;
-            break;
-        }
-        lat.push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - q0)
-                .count());
-      }
-      // Keep the side effects alive without printing per reader.
-      if (sink == 0xFFFFFFFFFFFFFFFFULL) std::puts("");
-    });
-  }
+  tools::QueryReaders readers(server, world.blocks(), n_readers);
 
   const auto t0 = Clock::now();
   server.start();
@@ -134,21 +71,15 @@ int main() {
   const auto streamed = server.drain();
   const double serve_secs =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  done.store(true);
-  for (auto& r : readers) r.join();
+  const std::vector<double> all = readers.stop();
 
   const std::uint64_t serve_digest = core::fleet_digest(streamed);
   const core::ServeStats stats = server.stats();
   const auto final_snap = server.snapshot();
 
-  std::vector<double> all;
-  for (const auto& lat : latencies) {
-    all.insert(all.end(), lat.begin(), lat.end());
-  }
-  std::sort(all.begin(), all.end());
-  const double p50 = quantile_us(all, 0.5);
-  const double p90 = quantile_us(all, 0.9);
-  const double p99 = quantile_us(all, 0.99);
+  const double p50 = tools::quantile_us(all, 0.5);
+  const double p90 = tools::quantile_us(all, 0.9);
+  const double p99 = tools::quantile_us(all, 0.99);
   const double pmax = all.empty() ? 0.0 : all.back();
 
   std::printf("serve:  %7.2fs | %llu epochs, %llu observations\n", serve_secs,

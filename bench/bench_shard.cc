@@ -12,22 +12,21 @@
 //
 // Peak RSS is read from /proc/self/status (VmHWM), with the kernel
 // high-water mark reset via /proc/self/clear_refs between phases so the
-// capacity phase is measured on its own.  A global operator-new
-// override counts heap allocations (the bench_analysis idiom) to keep
-// the scheduler's steady-state allocation story honest.
+// capacity phase is measured on its own.  The replaced global
+// operator new (alloc_count.h, shared with bench_analysis) counts heap
+// allocations to keep the scheduler's steady-state allocation story
+// honest.
 //
 // Scale knobs: DIURNAL_BENCH_BLOCKS (equivalence world),
 // DIURNAL_BENCH_SHARD_BLOCKS, DIURNAL_BENCH_SHARD_SIZE,
 // DIURNAL_BENCH_SHARD_RESIDENT, DIURNAL_BENCH_RSS_BUDGET_KB,
 // DIURNAL_BENCH_SEED, DIURNAL_BENCH_JSON.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 
+#include "alloc_count.h"
 #include "common.h"
 #include "core/datasets.h"
 #include "core/digest.h"
@@ -38,44 +37,6 @@
 #include "util/mem.h"
 
 using namespace diurnal;
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: every path into the heap bumps it.
-// ---------------------------------------------------------------------------
-std::atomic<std::size_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -196,11 +157,11 @@ int main() {
 
   const bool hwm_reset = util::reset_peak_rss();
   const auto before = util::read_memory_usage();
-  const std::size_t allocs_before = g_allocs.load();
+  const std::size_t allocs_before = bench::heap_allocations();
   const auto t0 = Clock::now();
   const auto cap = core::run_sharded_fleet(big, fc, sc);
   const double secs = seconds_since(t0);
-  const std::size_t allocs = g_allocs.load() - allocs_before;
+  const std::size_t allocs = bench::heap_allocations() - allocs_before;
   const auto after = util::read_memory_usage();
 
   const double n_blocks = static_cast<double>(cap.stats.blocks);

@@ -67,13 +67,16 @@ constexpr std::size_t kTrailPeriods = 5;
 // queue as soon as its classification series and stats are final; a
 // full queue, or the worker's ragged tail, gets its verdicts from one
 // classify_blocks_batch call.  Then every queued block is handed to the
-// drive's `detect_series` step, the only part that differs by drive: it
-// makes a change-sensitive block's detection series final in its store
-// row and says whether to detect.  Those blocks run through the batched
-// detector, and the low-evidence annotation follows its flush.  Slots
-// reuse their high-water capacity, so the steady state allocates
-// nothing per block.  The incremental drive's provisional watch queues
-// its trailing STL refits here as well, fitted as shape batches.
+// caller's `on_verdict` step, the only part that differs by call site:
+// finalize() says to detect a change-sensitive block, first making its
+// detection series final in its store row on split windows (on a single
+// window that series was the classification series); an advance records
+// a split-window verdict and detects nothing.  Those blocks run through
+// the batched detector, and the low-evidence annotation follows its
+// flush.  Slots reuse their high-water capacity, so the steady state
+// allocates nothing per block.  The incremental drive's provisional
+// watch queues its trailing STL refits here as well, fitted as shape
+// batches.
 struct StreamingFleet::Worker {
   struct Slot {
     std::size_t index = 0;
@@ -96,7 +99,7 @@ struct StreamingFleet::Worker {
       : fleet(f),
         width(batch_width(f.config_.analysis_batch_width)),
         det(f.config_.detector, width) {
-    if (f.mode_ == Mode::kSame) return;
+    if (!f.split_) return;
     const recon::BlockObservationConfig& oc = f.classify_oc_;
     classify_rows.reset(width, recon::sample_count(oc.window, oc.recon),
                         oc.window.start, oc.recon.sample_step);
@@ -110,18 +113,32 @@ struct StreamingFleet::Worker {
   }
   bool full() const noexcept { return n == width; }
 
-  /// Finalizes `stream`, bound to the slot block's store row.
-  void drain(Slot& s, recon::BlockStream& stream) {
-    stream.finalize_stats(s.sr);
-    fleet.store_.set_len(s.index, s.sr.recon.len);
-    s.counts = fleet.store_.series(s.index);
+  /// Queues block i with its classification series final: a dedicated
+  /// classification-window pass on split windows, else the detection
+  /// series.
+  void queue(std::size_t i) {
+    Slot& s = push(i);
+    if (fleet.split_) {
+      classify_pass(s);
+    } else {
+      drain_detection(s);
+    }
   }
 
-  /// Dedicated detection-window pass into the block's store row.
-  void detect_pass(Slot& s) {
-    pass.begin(fleet.blocks_[s.index], fleet.detect_oc_, scratch);
-    pass.bind_series(fleet.store_.row(s.index));
-    drain(s, pass);
+  /// Makes the slot block's detection-window series final in its store
+  /// row: the cell's stream once the engine advanced, else a pass of the
+  /// worker's own stream (an engine that never advanced keeps no cells).
+  void drain_detection(Slot& s) {
+    recon::BlockStream* stream = &pass;
+    if (fleet.cells_.empty()) {
+      pass.begin(fleet.blocks_[s.index], fleet.detect_oc_, scratch);
+      pass.bind_series(fleet.store_.row(s.index));
+    } else {
+      stream = &fleet.cells_[s.index].stream;
+    }
+    stream->finalize_stats(s.sr);
+    fleet.store_.set_len(s.index, s.sr.recon.len);
+    s.counts = fleet.store_.series(s.index);
   }
 
   /// Dedicated classification-window pass into the slot's row of the
@@ -134,29 +151,8 @@ struct StreamingFleet::Worker {
     s.counts = classify_rows.row(k).first(s.sr.recon.len);
   }
 
-  /// Incremental drive: makes cell i's classification series final —
-  /// its stream on a single window, the union fork, or a dedicated
-  /// pass — and queues the block.
-  void queue_cell(std::size_t i) {
-    Cell& c = fleet.cells_[i];
-    Slot& s = push(i);
-    switch (fleet.mode_) {
-      case Mode::kSame:
-        drain(s, c.stream);
-        break;
-      case Mode::kUnion:
-        c.stream.advance_to(fleet.classify_window_.end);
-        c.stream.finalize_classify_stats(s.sr);
-        s.counts = c.stream.classify_series();
-        break;
-      case Mode::kSeparate:
-        classify_pass(s);
-        break;
-    }
-  }
-
-  template <typename DetectSeries>
-  void flush(DetectSeries&& detect_series) {
+  template <typename OnVerdict>
+  void flush(OnVerdict&& on_verdict) {
     FleetResult& result = fleet.result_;
     std::array<BatchClassifyJob, analysis::BatchAnalyzer::kMaxLanes> jobs;
     std::size_t n_jobs = 0;
@@ -175,7 +171,7 @@ struct StreamingFleet::Worker {
                           fleet.config_.classifier, baz);
     for (std::size_t k = 0; k < n; ++k) {
       Slot& s = slots[k];
-      if (!detect_series(s)) continue;
+      if (!on_verdict(s)) continue;
       det.enqueue(fleet.store_.series(s.index), s.sr.recon.start,
                   s.sr.recon.step, &result.outcomes[s.index].changes);
     }
@@ -247,7 +243,7 @@ struct StreamingFleet::Worker {
     for (; c.reported < confirmed.size(); ++c.reported) {
       const auto& cp = confirmed[c.reported];
       ProvisionalChange pc;
-      pc.id = fleet.result_.outcomes[f.cell].id;
+      pc.id = fleet.blocks_[f.cell].id;
       pc.start = time_of(cp.start);
       pc.alarm = time_of(cp.alarm);
       pc.end = time_of(cp.end);
@@ -260,7 +256,7 @@ struct StreamingFleet::Worker {
   StreamingFleet& fleet;
   const std::size_t width;
   probe::ProbeScratch scratch;
-  recon::BlockStream pass;    ///< per-block passes (batch drive, kSeparate)
+  recon::BlockStream pass;    ///< per-block passes (no cells, split windows)
   SeriesStore classify_rows;  ///< one row per slot (split windows)
   std::array<Slot, analysis::BatchAnalyzer::kMaxLanes> slots;
   std::size_t n = 0;
@@ -279,21 +275,13 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
       config.classify_dataset ? *config.classify_dataset : config.dataset;
   window_ = config.dataset.window();
   classify_window_ = classify_ds.window();
-  // The union fork requires the classification stream to be a prefix
-  // slice of the detection stream: same start and observers so the
-  // rounds coincide, and no skew faults because retiming drops depend
-  // on the window span.
-  const bool prefix = classify_window_.start == window_.start &&
-                      classify_window_.end <= window_.end &&
-                      classify_ds.sites == config.dataset.sites &&
-                      classify_ds.survey == config.dataset.survey;
-  if (!config.classify_dataset ||
-      (prefix && classify_window_.end == window_.end)) {
-    mode_ = Mode::kSame;
-  } else {
-    mode_ = prefix && config.faults.skews.empty() ? Mode::kUnion
-                                                  : Mode::kSeparate;
-  }
+  // The detection pass serves classification too unless classification
+  // names another window or observer set.
+  split_ = config.classify_dataset &&
+           (classify_window_.start != window_.start ||
+            classify_window_.end != window_.end ||
+            classify_ds.sites != config.dataset.sites ||
+            classify_ds.survey != config.dataset.survey);
   classify_oc_ = config.observation(classify_ds);
   detect_oc_ = config.observation(config.dataset);
   evidence_floor_ = config.classifier.min_evidence_fraction;
@@ -320,34 +308,6 @@ void StreamingFleet::finish_result() {
   finished_ = true;
 }
 
-FleetResult StreamingFleet::run_to_completion() {
-  assert(!finished_ && cells_.empty());
-  run_pool(threads_, [&](std::atomic<std::size_t>& next) {
-    Worker w(*this);
-    // Split windows: a detection-window pass for change-sensitive
-    // blocks only, into the block's store row.
-    auto detect_series = [&](Worker::Slot& s) {
-      if (!detects(s.index)) return false;
-      if (mode_ != Mode::kSame) w.detect_pass(s);
-      return true;
-    };
-    for_each_block(next, blocks_.size(), [&](std::size_t i) {
-      result_.outcomes[i].id = blocks_[i].id;
-      if (blocks_[i].eb_count == 0) return;  // never responds
-      Worker::Slot& s = w.push(i);
-      if (mode_ == Mode::kSame) {
-        w.detect_pass(s);
-      } else {
-        w.classify_pass(s);
-      }
-      if (w.full()) w.flush(detect_series);
-    });
-    w.flush(detect_series);
-  });
-  finish_result();
-  return std::move(result_);
-}
-
 void StreamingFleet::begin_cell(std::size_t i, probe::ProbeScratch& scratch) {
   Cell& c = cells_[i];
   c.begun = true;
@@ -362,11 +322,9 @@ void StreamingFleet::begin_cell(std::size_t i, probe::ProbeScratch& scratch) {
 
 void StreamingFleet::bind_cell(std::size_t i, probe::ProbeScratch& scratch) {
   const auto& block = blocks_[i];
-  result_.outcomes[i].id = block.id;
   if (block.eb_count == 0) return;
   Cell& c = cells_[i];
-  c.stream.begin(block, detect_oc_, scratch,
-                 mode_ == Mode::kUnion ? classify_window_.end : 0);
+  c.stream.begin(block, detect_oc_, scratch);
   c.stream.bind_series(store_.row(i));
 }
 
@@ -428,8 +386,7 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
   rep.epoch_end = until;
   // Split windows: this epoch completes the classification window, so
   // every verdict still pending lands now.
-  const bool verdicts_due =
-      mode_ != Mode::kSame && until >= classify_window_.end;
+  const bool verdicts_due = split_ && until >= classify_window_.end;
 
   std::mutex mu;
   run_pool(threads_, [&](std::atomic<std::size_t>& next) {
@@ -442,22 +399,17 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
       const std::size_t d = c.stream.delivered_observations();
       delivered += d - c.delivered;
       c.delivered = d;
-      if (mode_ == Mode::kSame && !c.screened) screen_cell(i, w);
+      if (!split_ && !c.screened) screen_cell(i, w);
       if (c.watched) update_provisional(i, w);
     };
-    // A split-window verdict decides the watch; a union-fork cell ingests
-    // past the classification boundary only when watched.  Detection
-    // itself waits for finalize().
+    // A split-window verdict decides the watch.  Detection itself waits
+    // for finalize().
     auto after_verdict = [&](Worker::Slot& s) {
       Cell& c = cells_[s.index];
       c.classified = true;
       c.screened = true;
       c.watched = detects(s.index);
-      if (!c.watched) {
-        c.active = false;  // verdict final, no detection to feed
-      } else if (mode_ == Mode::kUnion) {
-        c.stream.advance_to(until);
-      }
+      if (!c.watched) c.active = false;  // verdict final, no detection to feed
       settle(s.index);
       return false;
     };
@@ -466,14 +418,12 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
       if (!c.begun) begin_cell(i, w.scratch);
       if (!c.active) return;
       c.stream.set_scratch(w.scratch);
+      c.stream.advance_to(until);
       if (verdicts_due && !c.classified) {
-        // The union fork stops at the classification boundary itself.
-        if (mode_ == Mode::kSeparate) c.stream.advance_to(until);
-        w.queue_cell(i);
+        w.queue(i);
         if (w.full()) w.flush(after_verdict);
         return;
       }
-      c.stream.advance_to(until);
       settle(i);
     });
     w.flush(after_verdict);
@@ -499,25 +449,29 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
 
 FleetResult StreamingFleet::finalize() {
   assert(!finished_);
-  cells_.resize(blocks_.size());
   run_pool(threads_, [&](std::atomic<std::size_t>& next) {
     Worker w(*this);
-    // Split windows: the cell's detection stream drains now.
+    // Split windows: a detection series for change-sensitive blocks only.
     auto detect_series = [&](Worker::Slot& s) {
       if (!detects(s.index)) return false;
-      if (mode_ != Mode::kSame) w.drain(s, cells_[s.index].stream);
+      if (split_) w.drain_detection(s);
       return true;
     };
     for_each_block(next, blocks_.size(), [&](std::size_t i) {
-      Cell& c = cells_[i];
-      if (!c.begun) begin_cell(i, w.scratch);
-      // Never responds, or an epoch's verdict left nothing to detect.
-      if (c.classified && !c.active) return;
-      c.stream.set_scratch(w.scratch);
-      if (c.classified) {
-        w.push(i, /*classify=*/false);
+      result_.outcomes[i].id = blocks_[i].id;
+      if (cells_.empty()) {
+        if (blocks_[i].eb_count == 0) return;  // never responds
+        w.queue(i);
       } else {
-        w.queue_cell(i);
+        Cell& c = cells_[i];
+        // Never responds, or an epoch's verdict left nothing to detect.
+        if (c.classified && !c.active) return;
+        c.stream.set_scratch(w.scratch);
+        if (c.classified) {
+          w.push(i, /*classify=*/false);
+        } else {
+          w.queue(i);
+        }
       }
       if (w.full()) w.flush(detect_series);
     });
@@ -576,7 +530,10 @@ void StreamingFleet::fields(Self& self, IO& io, probe::ProbeScratch* scratch) {
   io.expect(self.window_.end, foreign);
   io.expect(self.classify_window_.start, foreign);
   io.expect(self.classify_window_.end, foreign);
-  io.expect(static_cast<std::uint8_t>(self.mode_), foreign);
+  // 0 one window, 2 split windows.  1 was a retired union-window mode
+  // whose cells forked their classification from the detection pass;
+  // its images are foreign, and the tools start fresh.
+  io.expect(static_cast<std::uint8_t>(self.split_ ? 2 : 0), foreign);
   io.i64(self.clock_);
   io.u64(self.epoch_index_);
   io.u64(n_cells);
@@ -595,16 +552,15 @@ void StreamingFleet::fields(Self& self, IO& io, probe::ProbeScratch* scratch) {
     const bool probed = self.blocks_[i].eb_count > 0;
     io.flags(c.begun, c.active, c.classified, c.screened, c.watched);
     if constexpr (IO::kReading) {
-      // Only a begun cell carries state, and only a probed one a stream.
-      const bool any = c.active || c.classified || c.screened || c.watched;
-      if ((!c.begun && any) || (c.active && !probed)) {
+      // The first advance begins every cell; a never-responding block's
+      // cell is classified then and carries no stream.
+      if (!c.begun || (!probed && (c.active || !c.classified))) {
         util::bad_value("inconsistent cell flags in fleet snapshot");
       }
       // Rebuild the config-derived skeleton exactly as the first advance
       // did, then overwrite the mutable state.
-      if (c.begun) self.bind_cell(i, *scratch);
+      self.bind_cell(i, *scratch);
     }
-    if (!c.begun) continue;
     io.u64(c.delivered);
     // The watch maps its CUSUM's index k to sample trend_base + k.
     io.index(c.trend_fed, 0, self.store_.stride() + 1);
@@ -615,7 +571,7 @@ void StreamingFleet::fields(Self& self, IO& io, probe::ProbeScratch* scratch) {
     io.u64(c.reported);
     // The provisional CUSUM exists once the watch fed it (tn > 0); the
     // stream only while the cell still ingests rounds; a mid-run verdict
-    // (kUnion/kSeparate) only for probed blocks — eb_count == 0 cells
+    // (split windows) only for probed blocks — eb_count == 0 cells
     // classify trivially and carry the default verdict.
     if (c.tn > 0) io.nested(c.cusum);
     if (c.active) io.nested(c.stream);

@@ -1,27 +1,26 @@
 // Streaming fleet engine: the staged, round-by-round pipeline over a
 // whole world.  One implementation serves both drives:
 //
-//   * run_to_completion() — the batch drive.  Each worker runs one
-//     block's BlockStream start-to-finish; run_fleet() is a thin
-//     wrapper over this.  When classification has its own window, every
-//     block is observed over it, and only change-sensitive blocks are
-//     observed again over the detection window.
-//
 //   * advance_to()/finalize() — the incremental drive.  Rounds are
 //     ingested epoch by epoch across every block; each advance returns
 //     an EpochReport with delivery counts, classification progress, and
 //     *provisional* change alarms (trailing-window STL + online CUSUM
 //     over the stable emitted-sample prefix).  finalize() then produces
-//     the authoritative FleetResult, bit-identical to the batch drive —
-//     the per-block state machines guarantee that any advance schedule
-//     finalizes to the same bytes.  When the classification window is a
-//     prefix of the detection window (same start and observers, no skew
-//     faults), each block's stream forks a second reconstruction at the
-//     classification boundary instead of re-observing the overlap.
+//     the authoritative FleetResult — the per-block state machines
+//     guarantee that any advance schedule finalizes to the same bytes.
 //
-// Both drives reach their verdicts through one per-worker finish queue:
-// batched classification, then batched detection of change-sensitive
-// blocks.
+//   * run_to_completion() — the batch drive, which is finalize() on an
+//     engine that never advanced: each worker runs one block's pass
+//     start-to-finish and keeps no per-block state.  run_fleet() is a
+//     thin wrapper over this.
+//
+// When classification has its own window (split windows), every block
+// is classified by a dedicated classification-window pass: the batch
+// drive's as it reaches the block, the incremental drive's in the epoch
+// that completes that window.  Only change-sensitive blocks then get a
+// detection-window series.  Both drives reach their verdicts through
+// one per-worker finish queue: batched classification, then batched
+// detection of change-sensitive blocks.
 //
 // Provisional vs authoritative: epoch alarms are early warnings, not
 // detections.  They z-normalize with running statistics and freeze the
@@ -87,8 +86,8 @@ class StreamingFleet {
     /// snapshot_stats); meaningful when emitted > 0.
     double evidence_fraction = 0.0;
     double max_gap_hours = 0.0;
-    /// Mid-run verdicts: the split-window modes publish them as soon as
-    /// the classification window is ingested; kSame classifies at
+    /// Mid-run verdicts: split windows publish them as soon as the
+    /// classification window is ingested; a single window classifies at
     /// finalize, so these stay default until drain.
     BlockClassification cls{};
     fault::BlockDegradation degradation{};
@@ -107,10 +106,10 @@ class StreamingFleet {
   util::SimTime window_start() const noexcept { return window_.start; }
   util::SimTime window_end() const noexcept { return window_.end; }
 
-  /// Batch drive: processes every block start-to-finish in parallel and
-  /// returns the result.  Use either this or the incremental drive on
-  /// one engine instance, not both.
-  FleetResult run_to_completion();
+  /// Batch drive: finalize().  On an engine that never advanced, every
+  /// block runs start-to-finish in parallel; after advances, the rest of
+  /// the window is drained.
+  FleetResult run_to_completion() { return finalize(); }
 
   /// Incremental drive: ingests every round starting before `until`
   /// (clamped to the detection window) across all blocks.  Monotone in
@@ -118,8 +117,8 @@ class StreamingFleet {
   EpochReport advance_to(util::SimTime until);
 
   /// Drains all remaining state and returns the authoritative result,
-  /// bit-identical to run_to_completion() regardless of how the window
-  /// was chopped into epochs.
+  /// bit-identical regardless of how the window was chopped into epochs
+  /// (none at all included).
   FleetResult finalize();
 
   /// High-water mark of the incremental drive (the next advance/resume
@@ -134,9 +133,10 @@ class StreamingFleet {
   /// it re-begins each cell's stream internally, then overwrites the
   /// mutable state, so advance/finalize after restore are bit-identical
   /// to an uninterrupted run (tests/test_checkpoint.cc gates this at
-  /// every epoch boundary).  A mismatched window, mode, or block count
-  /// throws StateError(kBadValue); any failed restore leaves the engine
-  /// as constructed, so the caller may fall back to a fresh run.
+  /// every epoch boundary).  A mismatched window, window split, or
+  /// block count throws StateError(kBadValue); any failed restore
+  /// leaves the engine as constructed, so the caller may fall back to a
+  /// fresh run.
   void save(util::StateWriter& w) const;
   void restore(util::StateReader& r);
 
@@ -153,16 +153,8 @@ class StreamingFleet {
   std::span<const double> emitted_series(std::size_t i) const;
 
  private:
-  /// How the classification pass relates to the detection pass.  The
-  /// batch drive runs both split modes as two passes; the fork is the
-  /// incremental drive's.
-  enum class Mode {
-    kSame,      ///< one window serves both (one pass, one recon)
-    kUnion,     ///< classification is a prefix: one pass, forked recon
-    kSeparate,  ///< unrelated windows: dedicated classification pass
-  };
-
-  /// Per-block incremental state (lazily built by the first advance).
+  /// Per-block incremental state (built by the first advance, which
+  /// begins every cell).
   struct Cell {
     recon::BlockStream stream;
     bool begun = false;
@@ -188,8 +180,8 @@ class StreamingFleet {
   /// Block i is change-sensitive and detection is on.
   bool detects(std::size_t i) const noexcept;
   void begin_cell(std::size_t i, probe::ProbeScratch& scratch);
-  /// The config-derived part of a begun cell: its outcome id, and for a
-  /// probed block the stream begun and bound to the block's store row.
+  /// The config-derived part of a begun cell: for a probed block, the
+  /// stream begun and bound to the block's store row.
   void bind_cell(std::size_t i, probe::ProbeScratch& scratch);
   /// The snapshot layout (FLTM, then CELL), in wire order
   /// (util/state_io.h field lists).  `scratch` serves the reader only.
@@ -202,7 +194,9 @@ class StreamingFleet {
 
   std::span<const sim::BlockProfile> blocks_;
   const FleetConfig& config_;
-  Mode mode_ = Mode::kSame;
+  /// Classification has its own window or observers: a dedicated
+  /// classification pass per block, else the detection pass serves both.
+  bool split_ = false;
   probe::ProbeWindow window_{};           ///< detection window
   probe::ProbeWindow classify_window_{};  ///< classification window
   recon::BlockObservationConfig classify_oc_{};

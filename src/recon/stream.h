@@ -43,18 +43,25 @@ struct StreamHealth {
   int observers = 0;             ///< observer streams in the pass
 };
 
+// Union-window mode (begin()'s classify_end, classify_series(),
+// finalize_classify_stats()) is kept only for the repository benchmark:
+// perfbench/src/batch.cc's traced drive calls it until a benchmark
+// change moves that drive off it.  The engine (core::StreamingFleet)
+// never selects it; it classifies split windows with a dedicated
+// classification-window pass, and every stream image it writes carries
+// no classification fork.
 class BlockStream {
  public:
   /// Re-initializes for one block, reusing internal buffers.  `config`
   /// and `scratch` are borrowed for the lifetime of this pass.
   ///
-  /// classify_end != 0 selects union-window mode: one observation pass
-  /// over config.window also maintains a second reconstruction over
-  /// [window.start, classify_end), finalized by finalize_classify_stats().
-  /// Requires window.start < classify_end <= window.end and a fault
-  /// plan without skew specs (retiming drops depend on the window
-  /// span, so a sliced stream would diverge from a dedicated
-  /// classification pass).
+  /// classify_end != 0 selects union-window mode (kept for the
+  /// benchmark, above): one observation pass over config.window also
+  /// maintains a second reconstruction over [window.start,
+  /// classify_end), finalized by finalize_classify_stats().  Requires
+  /// window.start < classify_end <= window.end and a fault plan without
+  /// skew specs (retiming drops depend on the window span, so a sliced
+  /// stream would diverge from a dedicated classification pass).
   void begin(const sim::BlockProfile& block,
              const BlockObservationConfig& config, probe::ProbeScratch& scratch,
              util::SimTime classify_end = 0);
@@ -69,7 +76,8 @@ class BlockStream {
   std::span<const double> series() const noexcept {
     return recon_.series_view();
   }
-  /// Union-window mode: the classification-window sample buffer.
+  /// Union-window mode (kept for the benchmark): the
+  /// classification-window sample buffer.
   std::span<const double> classify_series() const noexcept {
     return classify_recon_.series_view();
   }
@@ -87,14 +95,15 @@ class BlockStream {
     scratch_ = &scratch;
   }
 
-  /// Union-window mode only: produces the classification-window
-  /// statistics, byte-identical to a dedicated batch pass over
-  /// [window.start, classify_end); the samples stay readable via
-  /// classify_series().  Must be called when advance_to(classify_end)
-  /// has run and before any later advance (so the ingested rounds are
-  /// exactly the classification window's).  Held/pending observations
-  /// are drained into the classification recon as end-of-stream — the
-  /// hold-until-rescanned carryover the detection stream keeps pending.
+  /// Union-window mode only (kept for the benchmark): produces the
+  /// classification-window statistics, byte-identical to a dedicated
+  /// batch pass over [window.start, classify_end); the samples stay
+  /// readable via classify_series().  Must be called when
+  /// advance_to(classify_end) has run and before any later advance (so
+  /// the ingested rounds are exactly the classification window's).
+  /// Held/pending observations are drained into the classification
+  /// recon as end-of-stream — the hold-until-rescanned carryover the
+  /// detection stream keeps pending.
   void finalize_classify_stats(DegradedReconStats& out);
 
   /// Drains everything (remaining rounds, held repairs, pending merge

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -749,17 +750,19 @@ TEST(FleetCheckpoint, FaultPlanRunRestoresBitIdentically) {
 }
 
 TEST(FleetCheckpoint, SplitWindowModesRestoreAroundTheClassifyBoundary) {
-  // kUnion (classification forked from the detection pass) and, under
-  // skew faults, kSeparate (dedicated classification pass): cut once
-  // before the classification boundary (forked recon / verdict pending
-  // in the snapshot) and once after (mid-run verdicts in the snapshot).
+  // Split windows (a dedicated classification pass), healthy and under
+  // skew faults: cut once before the classification boundary (verdicts
+  // pending in the snapshot) and once after (mid-run verdicts in the
+  // snapshot).
   static const sim::World world([] {
     sim::WorldConfig c;
     c.num_blocks = 250;
     c.seed = 3;
     return c;
   }());
-  // `before` and `after` pin the images at the two cuts.
+  // `before` and `after` pin the images at the two cuts.  The cut at 0.6
+  // reaches past the boundary in one epoch, so a cell left unwatched by
+  // its verdict has counted that epoch's rounds to its end.
   const auto check = [](const char* plan, ImagePin before, ImagePin after) {
     core::FleetConfig fc;
     fc.dataset = core::dataset("2020m1-ejnw");
@@ -775,8 +778,100 @@ TEST(FleetCheckpoint, SplitWindowModesRestoreAroundTheClassifyBoundary) {
       EXPECT_EQ(image, cut < 0.25 ? before : after) << plan << " cut " << cut;
     }
   };
-  check("none", {1069568, 0x5f767909}, {363859, 0xee47dbaa});
+  check("none", {872221, 0xbbc722ac}, {363890, 0x8e445c04});
   check("skew", {870774, 0xe49c7366}, {375942, 0xbd7be6cf});
+}
+
+TEST(FleetCheckpoint, RetiredUnionForkImageIsForeign) {
+  // FLTM mode byte 1 was a retired split-window mode whose cells forked
+  // their classification from the detection pass.  A nested-window
+  // engine writes 2 and refuses such an image as foreign; the tools then
+  // start fresh with the same engine.
+  static const sim::World world([] {
+    sim::WorldConfig c;
+    c.num_blocks = 120;
+    c.seed = 3;
+    return c;
+  }());
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020m1-ejnw");
+  fc.classify_dataset = core::dataset("2020w1-ejnw");  // 1-week prefix
+  fc.threads = 2;
+  const auto want =
+      core::digest_hex(core::fleet_digest(core::run_fleet(world, fc)));
+
+  const probe::ProbeWindow dw = fc.dataset.window();
+  const probe::ProbeWindow cw = fc.classify_dataset->window();
+  // The FLTM section of an engine saved before its first advance.
+  const auto image = [&](std::uint8_t mode) {
+    StateWriter w;
+    w.begin_section(util::state_tag("FLTM"));
+    w.u64(world.blocks().size());
+    w.i64(dw.start);
+    w.i64(dw.end);
+    w.i64(cw.start);
+    w.i64(cw.end);
+    w.u8(mode);
+    w.i64(dw.start);  // clock
+    w.u64(0);         // epoch index
+    w.u64(0);         // cells
+    w.end_section();
+    return w.take();
+  };
+  core::StreamingFleet engine(world, fc);
+  StateWriter own;
+  engine.save(own);
+  EXPECT_EQ(own.take(), image(2));  // the crafted layout is the engine's
+  const auto retired = image(1);
+  EXPECT_EQ(kind_of([&] {
+              StateReader r(retired);
+              engine.restore(r);
+            }),
+            StateErrorKind::kBadValue);
+  EXPECT_EQ(engine.clock(), engine.window_start());
+  EXPECT_EQ(core::digest_hex(core::fleet_digest(engine.run_to_completion())),
+            want);
+}
+
+TEST(CraftedImage, NeverRespondingCellMustBeClassified) {
+  // A block that never responds is classified when its cell begins and
+  // never carries a stream, so a snapshot saying otherwise is refused:
+  // finalize() would otherwise drain a stream that was never begun.
+  const auto& all = golden_world().blocks();
+  const auto silent = std::find_if(all.begin(), all.end(), [](const auto& b) {
+    return b.eb_count == 0;
+  });
+  ASSERT_NE(silent, all.end());
+  const std::span<const sim::BlockProfile> blocks(&*silent, 1);
+  core::FleetConfig fc;
+  fc.dataset = core::dataset("2020w2-ejnw");
+  fc.threads = 1;
+  core::StreamingFleet first(blocks, fc);
+  first.advance_to(first.window_start() + util::kSecondsPerDay);
+  StateWriter w;
+  first.save(w);
+  std::vector<std::uint8_t> image = w.take();
+  // A 20-byte header, the FLTM frame (tag, length, CRC: 16 bytes) and
+  // payload, then CELL's frame; the cell's flags byte opens its payload.
+  std::uint64_t fltm = 0;
+  std::memcpy(&fltm, image.data() + 24, 8);
+  const std::size_t cell = 20 + 16 + static_cast<std::size_t>(fltm);
+  std::uint64_t len = 0;
+  std::memcpy(&len, image.data() + cell + 4, 8);
+  // Flags in bit order: begun, active, classified, screened, watched.
+  ASSERT_EQ(image[cell + 16], 0b01101);
+  image[cell + 16] = 0b00001;  // begun, never classified
+  const std::uint32_t crc =
+      util::crc32({image.data() + cell + 16, static_cast<std::size_t>(len)});
+  std::memcpy(image.data() + cell + 12, &crc, 4);
+
+  core::StreamingFleet second(blocks, fc);
+  EXPECT_EQ(kind_of([&] {
+              StateReader r(image);
+              second.restore(r);
+            }),
+            StateErrorKind::kBadValue);
+  EXPECT_EQ(second.finalize().funnel.routed, 1);
 }
 
 TEST(FleetCheckpoint, ForeignSnapshotIsRejected) {

@@ -391,6 +391,9 @@ TEST(BlockStreamTest, EpochAdvanceMatchesBatchOracle) {
   }
 }
 
+// The union-window fork is kept for the repository benchmark's traced
+// drive (perfbench/src/batch.cc); the engine classifies split windows
+// with a dedicated pass.
 TEST(BlockStreamTest, UnionForkMatchesDedicatedClassifyPass) {
   const auto detect_ds = core::dataset("2020m1-ejnw");
   const ProbeWindow dw = detect_ds.window();
@@ -473,8 +476,9 @@ TEST(StreamingFleetTest, EpochDriveMatchesBatch) {
 TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
   // Nested windows: the batch drive observes the classification window,
   // then the detection window for change-sensitive blocks only (two
-  // passes); the incremental drive forks the classification
-  // reconstruction off its one detection pass.  Same digest.
+  // passes); the incremental drive observes every block over the
+  // detection window and classifies it with a dedicated pass in the
+  // epoch that completes the classification window.  Same digest.
   core::FleetConfig fc;
   fc.dataset = core::dataset("2020q1-ejnw");
   fc.classify_dataset = core::dataset("2020m1-ejnw");
@@ -496,6 +500,32 @@ TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
   EXPECT_TRUE(complete_seen);
   const auto fused = fleet.finalize();
   EXPECT_EQ(core::fleet_digest(fused), core::fleet_digest(two_pass));
+}
+
+TEST(StreamingFleetTest, FinalizeWithoutAdvanceIsTheBatchDrive) {
+  // finalize() on an engine that never advanced runs every block start
+  // to finish, and run_to_completion() after advances drains the rest:
+  // both equal run_fleet, on one window and on nested windows.
+  core::FleetConfig one;
+  one.dataset = core::dataset("2020m1-ejnw");
+  core::FleetConfig nested;
+  nested.dataset = core::dataset("2020q1-ejnw");
+  nested.classify_dataset = core::dataset("2020m1-ejnw");
+  for (core::FleetConfig* fc : {&one, &nested}) {
+    fc->threads = 2;
+    const auto want = core::fleet_digest(core::run_fleet(fleet_world(), *fc));
+    const std::string name = fc->dataset.abbr;
+
+    core::StreamingFleet fresh(fleet_world(), *fc);
+    EXPECT_EQ(core::fleet_digest(fresh.finalize()), want) << name;
+
+    core::StreamingFleet advanced(fleet_world(), *fc);
+    for (int day = 1; day <= 30; ++day) {
+      advanced.advance_to(advanced.window_start() +
+                          day * util::kSecondsPerDay);
+    }
+    EXPECT_EQ(core::fleet_digest(advanced.run_to_completion()), want) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +572,9 @@ struct SplitWindowPin {
 // Detect over 2020q1, classify over its 4-week prefix 2020m1 (the
 // paper's section 3.4 split at fleet_world() scale).  The batch drive
 // runs at a one-lane, a ragged and the full width; the incremental
-// drive crosses the classification boundary at epoch 27 (28 days).
+// drive crosses the classification boundary at epoch 27 (28 days), whose
+// end is the boundary itself, and classifies every block there with a
+// dedicated pass.
 void expect_split_window_pin(const SplitWindowPin& pin) {
   core::FleetConfig fc;
   fc.dataset = core::dataset("2020q1-ejnw");
@@ -575,7 +607,8 @@ TEST(DrivePin, NestedWindowsFlapping) {
 
 TEST(DrivePin, SkewForcesSeparatePasses) {
   // Skew faults retime by the window span, so the classification
-  // stream is no prefix of the detection stream: dedicated passes.
+  // stream is no prefix of the detection stream; the dedicated
+  // classification pass retimes over the classification window.
   expect_split_window_pin({"skew", "d2d8aaef2f4c5c00", 6844202, 147});
 }
 

@@ -16,10 +16,12 @@
 // `run` executes probe -> reconstruct -> classify -> detect -> aggregate
 // over a synthetic world, optionally exporting CSVs (--out), discovering
 // regional events (--discover), and scoring against ground truth
-// (--validate).  `block` judges one /24 on the fleet's own finish path
-// (core::analyze_block) and prints the Figure-1-style story, with the
-// tags the engine sets on each change.  `--fault` injects a named observer
-// fault scenario (see `faults`) and reports the degradation summary.
+// (--validate); it prints the detection funnel and the fleet digest,
+// which every drive below reproduces.  `block` judges one /24 on the
+// fleet's own finish path (core::analyze_block) and prints the
+// Figure-1-style story, with the tags the engine sets on each change.
+// `--fault` injects a named observer fault scenario (see `faults`) and
+// reports the degradation summary.
 // `--stream` drives the fleet incrementally, one epoch (--epoch=1d, 6h,
 // 660s, ...) at a time, printing per-epoch delivery counts and
 // provisional change alarms before the authoritative final result —
@@ -43,6 +45,7 @@
 #include <string>
 
 #include "core/checkpoint.h"
+#include "core/digest.h"
 #include "core/discovery.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
@@ -158,7 +161,10 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-void print_funnel_line(const core::FunnelCounts& f) {
+/// The funnel line, then the fleet digest, which every drive (batch,
+/// --stream, --shards) must reproduce.
+void print_funnel_lines(const core::FleetResult& fleet) {
+  const core::FunnelCounts& f = fleet.funnel;
   std::printf("funnel: routed %lld | responsive %lld | diurnal %lld | "
               "wide %lld | change-sensitive %lld\n",
               static_cast<long long>(f.routed),
@@ -166,6 +172,8 @@ void print_funnel_line(const core::FunnelCounts& f) {
               static_cast<long long>(f.diurnal),
               static_cast<long long>(f.wide_swing),
               static_cast<long long>(f.change_sensitive));
+  std::printf("fleet digest %s\n",
+              core::digest_hex(core::fleet_digest(fleet)).c_str());
 }
 
 /// The bounded-memory drive: the world is never materialized whole, so
@@ -202,7 +210,7 @@ int cmd_run_sharded(const Args& a, const sim::WorldConfig& wc,
     }
     std::printf("\n");
   }
-  print_funnel_line(r.fleet.funnel);
+  print_funnel_lines(r.fleet);
   if (a.fault_scenario) {
     const auto& d = r.fleet.degradation;
     std::printf("degraded fleet (--fault %s): %lld/%lld blocks degraded, "
@@ -292,7 +300,7 @@ int cmd_run(const Args& a) {
   } else {
     fleet = core::run_fleet(world, fc);
   }
-  print_funnel_line(fleet.funnel);
+  print_funnel_lines(fleet);
   if (a.fault_scenario) {
     const auto& d = fleet.degradation;
     std::printf("degraded fleet (--fault %s): %lld/%lld blocks degraded, "

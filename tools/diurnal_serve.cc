@@ -24,14 +24,12 @@
 // 1, after the reader threads have joined.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -43,6 +41,7 @@
 #include "util/date.h"
 
 #include "flags.h"
+#include "query_readers.h"
 
 using namespace diurnal;
 
@@ -110,13 +109,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-double quantile_us(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto i = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(i, sorted.size() - 1)];
-}
-
 int serve(const Args& a) {
   sim::WorldConfig wc;
   wc.num_blocks = a.blocks;
@@ -152,60 +144,7 @@ int serve(const Args& a) {
 
   // Reader pool: each thread pins the current snapshot and cycles
   // through the query mix, recording per-query latency.
-  using Clock = std::chrono::steady_clock;
-  std::atomic<bool> done{false};
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(a.readers));
-  std::vector<std::thread> readers;
-  const auto& blocks = world.blocks();
-  for (int t = 0; t < a.readers; ++t) {
-    readers.emplace_back([&, t] {
-      auto& lat = latencies[static_cast<std::size_t>(t)];
-      std::uint64_t rng = 0x9E3779B97F4A7C15ULL * (t + 1);
-      std::uint64_t sink = 0;
-      while (!done.load(std::memory_order_relaxed)) {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        const auto& b = blocks[rng % blocks.size()];
-        const auto q0 = Clock::now();
-        const auto snap = server.snapshot();
-        if (snap == nullptr) {
-          std::this_thread::yield();
-          continue;
-        }
-        switch (rng % 5) {
-          case 0: {
-            const auto* row = snap->block(b.id);
-            if (row != nullptr) sink += row->delivered;
-            break;
-          }
-          case 1: {
-            const auto tr = snap->trend(b.id);
-            if (!tr.empty()) sink += static_cast<std::uint64_t>(tr.back());
-            break;
-          }
-          case 2:
-            sink += snap->alarms_for(b.id).size();
-            break;
-          case 3: {
-            const auto* cs = snap->cell(b.cell());
-            if (cs != nullptr) {
-              sink += static_cast<std::uint64_t>(cs->alarms_up);
-            }
-            break;
-          }
-          default:
-            sink += snap->scorecard().blocks_classified;
-            break;
-        }
-        lat.push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - q0)
-                .count());
-      }
-      if (sink == 0xFFFFFFFFFFFFFFFFULL) std::puts("");
-    });
-  }
+  tools::QueryReaders readers(server, world.blocks(), a.readers);
 
   // Resume-aware ticker origin: epochs already ingested by a restored
   // image must not be re-fed.  Read before start() — afterwards the
@@ -246,8 +185,7 @@ int serve(const Args& a) {
   if (stopped && ckpt) {
     // Stop in place and save the stopped engine.
     server.stop();
-    done.store(true);
-    for (auto& r : readers) r.join();
+    readers.stop();
     ckpt->save(server);
     std::printf("checkpointed %s to %s (resume with --resume)\n",
                 util::to_string(util::date_of(server.clock())).c_str(),
@@ -256,16 +194,10 @@ int serve(const Args& a) {
   }
 
   const auto fleet = server.drain();
-  done.store(true);
-  for (auto& r : readers) r.join();
+  const std::vector<double> all = readers.stop();
   if (ckpt) ckpt->discard();
 
   const core::ServeStats stats = server.stats();
-  std::vector<double> all;
-  for (const auto& lat : latencies) {
-    all.insert(all.end(), lat.begin(), lat.end());
-  }
-  std::sort(all.begin(), all.end());
 
   const auto epochs = static_cast<double>(stats.epochs_published);
   const double mean_ms = epochs > 0 ? 1e3 / epochs : 0.0;  // per epoch
@@ -288,8 +220,8 @@ int serve(const Args& a) {
       static_cast<long long>(f.change_sensitive));
   if (a.readers > 0) {
     std::printf("queries: %zu from %d readers | p50 %.1fus p99 %.1fus\n",
-                all.size(), a.readers, quantile_us(all, 0.5),
-                quantile_us(all, 0.99));
+                all.size(), a.readers, tools::quantile_us(all, 0.5),
+                tools::quantile_us(all, 0.99));
   }
   std::printf("fleet digest %s\n",
               core::digest_hex(core::fleet_digest(fleet)).c_str());

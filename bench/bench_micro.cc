@@ -7,7 +7,6 @@
 
 #include "analysis/cusum.h"
 #include "analysis/diurnal_test.h"
-#include "analysis/fft.h"
 #include "analysis/loess.h"
 #include "analysis/stl.h"
 #include "probe/prober.h"
@@ -30,15 +29,6 @@ std::vector<double> synthetic_series(std::size_t n, std::uint64_t seed) {
   }
   return x;
 }
-
-void BM_FftPow2(benchmark::State& state) {
-  const auto x = synthetic_series(static_cast<std::size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::fft_real(x));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FftPow2)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_GoertzelDiurnalTest(benchmark::State& state) {
   const auto x = synthetic_series(static_cast<std::size_t>(state.range(0)), 2);

@@ -11,7 +11,8 @@
 //
 // Scale knobs: DIURNAL_BENCH_BLOCKS, DIURNAL_BENCH_SEED,
 // DIURNAL_BENCH_EPOCH_SECONDS (default 86400), DIURNAL_BENCH_READERS
-// (default 4), DIURNAL_BENCH_SERVE_P99_BUDGET_US (default 250000), and
+// (default 4, at most 64), DIURNAL_BENCH_SERVE_P99_BUDGET_US (default
+// 250000), and
 // DIURNAL_BENCH_JSON (output path, default BENCH_serve.json).
 #include <algorithm>
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "core/digest.h"
 #include "core/pipeline.h"
 #include "core/snapshot_server.h"
+#include "core/worker_pool.h"
 #include "query_readers.h"
 #include "sim/world.h"
 #include "util/date.h"
@@ -51,7 +53,8 @@ int main() {
   const std::int64_t epoch_seconds = std::max(
       1, bench::env_int("DIURNAL_BENCH_EPOCH_SECONDS",
                         static_cast<int>(util::kSecondsPerDay)));
-  const int n_readers = std::max(4, bench::env_int("DIURNAL_BENCH_READERS", 4));
+  const int n_readers = std::max(
+      4, bench::env_int("DIURNAL_BENCH_READERS", 4, core::kMaxThreads));
   const double p99_budget_us = static_cast<double>(
       bench::env_int("DIURNAL_BENCH_SERVE_P99_BUDGET_US", 250000));
 

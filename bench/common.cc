@@ -11,10 +11,10 @@
 
 namespace diurnal::bench {
 
-int env_int(const char* name, int fallback) {
+int env_int(const char* name, int fallback, int hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return tools::flag_int(name, v, 0);
+  return tools::flag_int(name, v, 0, hi);
 }
 
 void header(const std::string& artifact, const std::string& title,

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -23,9 +24,11 @@
 
 namespace diurnal::bench {
 
-/// Reads a non-negative integer environment override; a malformed value
-/// (`12x`, `-1`, `abc`) prints one stderr line and exits with status 2.
-int env_int(const char* name, int fallback);
+/// Reads an integer environment override in [0, hi]; a malformed or
+/// out-of-range value (`12x`, `-1`, `abc`) prints one stderr line and
+/// exits with status 2.
+int env_int(const char* name, int fallback,
+            int hi = std::numeric_limits<int>::max());
 
 /// Prints the bench banner: artifact id, title, and scale note.  Every
 /// bench calls it first, so it also checks DIURNAL_SIMD: an unknown

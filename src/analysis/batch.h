@@ -48,6 +48,10 @@ void soa_gather(std::span<const std::span<const double>> series,
 void soa_scatter_lane(const double* soa, std::size_t lanes, std::size_t n,
                       std::size_t lane, double* out);
 
+// Test seams: no program calls the next four (the fused chain calls
+// their kernels directly); test_batch_kernels pins each one bitwise to
+// its scalar kernel at every width.
+
 /// Batched loess_smooth(): out_soa holds n rows.  rho_soa is nullptr
 /// (non-robust) or an n-row SoA of per-lane robustness weights.
 void loess_smooth_batch(const double* y_soa, std::size_t lanes, std::size_t n,

@@ -42,7 +42,7 @@ class BlockAnalyzer {
   /// The arena backing this analyzer (for kernels not wrapped here).
   Workspace& workspace() noexcept { return ws_; }
 
-  /// FFT/Goertzel diurnality test (scratch from the workspace).
+  /// Goertzel diurnality test (scratch from the workspace).
   DiurnalResult diurnal(std::span<const double> counts, double samples_per_day,
                         const DiurnalOptions& opt = {});
 

@@ -1,4 +1,4 @@
-// FFT-based diurnality test (paper section 2.4, following Quan et al. 2014).
+// Spectral diurnality test (paper section 2.4, following Quan et al. 2014).
 //
 // A block is diurnal when a substantial share of the variance of its
 // active-address series concentrates at the 24-hour frequency or its

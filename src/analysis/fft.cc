@@ -1,88 +1,10 @@
 #include "analysis/fft.h"
 
 #include <cmath>
+#include <cstddef>
 #include <numbers>
-#include <stdexcept>
 
 namespace diurnal::analysis {
-
-std::size_t next_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
-  fft_inplace(std::span<std::complex<double>>(data), inverse);
-}
-
-void fft_inplace(std::span<std::complex<double>> data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  if ((n & (n - 1)) != 0) {
-    throw std::invalid_argument("fft_inplace: size must be a power of two");
-  }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = data[i + k];
-        const std::complex<double> v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    for (auto& c : data) c /= static_cast<double>(n);
-  }
-}
-
-std::vector<std::complex<double>> fft_real(std::span<const double> x) {
-  const std::size_t n = next_pow2(std::max<std::size_t>(x.size(), 1));
-  std::vector<std::complex<double>> data(n);
-  for (std::size_t i = 0; i < x.size(); ++i) data[i] = x[i];
-  fft_inplace(data);
-  return data;
-}
-
-std::span<std::complex<double>> fft_real(std::span<const double> x,
-                                         Workspace& ws) {
-  const std::size_t n = next_pow2(std::max<std::size_t>(x.size(), 1));
-  auto data = ws.complex_scratch(n);
-  for (std::size_t i = 0; i < x.size(); ++i) data[i] = x[i];
-  for (std::size_t i = x.size(); i < n; ++i) data[i] = 0.0;
-  fft_inplace(data);
-  return data;
-}
-
-std::size_t power_spectrum_size(std::size_t n) noexcept {
-  return next_pow2(std::max<std::size_t>(n, 1)) / 2 + 1;
-}
-
-std::vector<double> power_spectrum(std::span<const double> x) {
-  std::vector<double> out(power_spectrum_size(x.size()));
-  Workspace ws;
-  power_spectrum(x, out, ws);
-  return out;
-}
-
-void power_spectrum(std::span<const double> x, std::span<double> out,
-                    Workspace& ws) {
-  const auto spec = fft_real(x, ws);
-  for (std::size_t k = 0; k < out.size(); ++k) out[k] = std::norm(spec[k]);
-}
 
 double goertzel_power(std::span<const double> x, double cycles) noexcept {
   const std::size_t n = x.size();

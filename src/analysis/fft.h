@@ -1,52 +1,17 @@
-// Spectral tools for the diurnality test (paper section 2.4).
+// Spectral tool for the diurnality test (paper section 2.4).
 //
-// Two complementary paths:
-//  * a radix-2 iterative FFT for power-of-two lengths (used where the
-//    caller controls padding, and by the micro benches), and
-//  * Goertzel evaluation of the DFT at an arbitrary real frequency,
-//    which lets the diurnality test place bins exactly at the 24-hour
-//    frequency and its harmonics for any series length.
+// Goertzel evaluation of the DFT at an arbitrary real frequency, which
+// lets the diurnality test place bins exactly at the 24-hour frequency
+// and its harmonics for any series length (no power-of-two padding).
 #pragma once
 
-#include <complex>
-#include <cstddef>
 #include <span>
-#include <vector>
-
-#include "analysis/workspace.h"
 
 namespace diurnal::analysis {
-
-/// In-place iterative radix-2 Cooley-Tukey FFT. `data.size()` must be a
-/// power of two (throws std::invalid_argument otherwise).
-void fft_inplace(std::span<std::complex<double>> data, bool inverse = false);
-void fft_inplace(std::vector<std::complex<double>>& data, bool inverse = false);
-
-/// FFT of a real series zero-padded to the next power of two.
-std::vector<std::complex<double>> fft_real(std::span<const double> x);
-
-/// FFT of a real series into the workspace's complex slot (valid until
-/// the next complex_scratch() use on `ws`).
-std::span<std::complex<double>> fft_real(std::span<const double> x,
-                                         Workspace& ws);
-
-/// Number of power-spectrum bins for a series of length n.
-std::size_t power_spectrum_size(std::size_t n) noexcept;
-
-/// |X[k]|^2 for k = 0 .. n/2 of the (zero-padded) FFT of x.
-std::vector<double> power_spectrum(std::span<const double> x);
-
-/// Same, writing into caller storage; out.size() must equal
-/// power_spectrum_size(x.size()).  `out` must not alias `x`.
-void power_spectrum(std::span<const double> x, std::span<double> out,
-                    Workspace& ws);
 
 /// Goertzel: squared magnitude of the DFT of x at `cycles` full periods
 /// per series length (need not be integral, but bins are exact when it
 /// is). DC is removed by the caller if desired.
 double goertzel_power(std::span<const double> x, double cycles) noexcept;
-
-/// Next power of two >= n (n >= 1).
-std::size_t next_pow2(std::size_t n) noexcept;
 
 }  // namespace diurnal::analysis

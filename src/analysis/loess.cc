@@ -117,14 +117,6 @@ void loess_smooth(std::span<const double> y, const LoessOptions& opt,
   smooth_range(y, opt, robustness, 0, n - 1, out, 0);
 }
 
-std::vector<double> loess_smooth_extended(std::span<const double> y,
-                                          const LoessOptions& opt,
-                                          std::span<const double> robustness) {
-  std::vector<double> out(y.size() + 2, 0.0);
-  loess_smooth_extended(y, opt, robustness, out);
-  return out;
-}
-
 void loess_smooth_extended(std::span<const double> y, const LoessOptions& opt,
                            std::span<const double> robustness,
                            std::span<double> out) {

@@ -63,14 +63,9 @@ void loess_smooth(std::span<const double> y, const LoessOptions& opt,
                   std::span<const double> robustness, std::span<double> out);
 
 /// Smooths and also extrapolates one position before the first point and
-/// one after the last (returns n + 2 values for positions -1 .. n).
-/// Used by STL's cycle-subseries step.
-std::vector<double> loess_smooth_extended(std::span<const double> y,
-                                          const LoessOptions& opt,
-                                          std::span<const double> robustness = {});
-
-/// Same into caller storage; out.size() must equal y.size() + 2, with
-/// the no-alias rule above.
+/// one after the last: out.size() must equal y.size() + 2 (positions
+/// -1 .. n), with the no-alias rule above.  Used by STL's cycle-subseries
+/// step.
 void loess_smooth_extended(std::span<const double> y, const LoessOptions& opt,
                            std::span<const double> robustness,
                            std::span<double> out);

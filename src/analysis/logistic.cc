@@ -100,21 +100,6 @@ bool LogisticModel::predict(std::span<const double> x, double cutoff) const {
   return predict_proba(x) >= cutoff;
 }
 
-BinaryMetrics evaluate(const LogisticModel& model, FeatureMatrix features,
-                       std::span<const int> labels, double cutoff) {
-  BinaryMetrics m;
-  const std::size_t n = features.rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool pred = model.predict(features.row(i), cutoff);
-    const bool truth = labels[i] != 0;
-    if (pred && truth) ++m.tp;
-    else if (pred && !truth) ++m.fp;
-    else if (!pred && truth) ++m.fn;
-    else ++m.tn;
-  }
-  return m;
-}
-
 BinaryMetrics evaluate(const LogisticModel& model,
                        const std::vector<std::vector<double>>& features,
                        const std::vector<int>& labels, double cutoff) {

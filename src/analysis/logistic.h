@@ -88,11 +88,7 @@ struct BinaryMetrics {
   }
 };
 
-/// Evaluates a fitted model against labeled data (flat row-major).
-BinaryMetrics evaluate(const LogisticModel& model, FeatureMatrix features,
-                       std::span<const int> labels, double cutoff = 0.5);
-
-/// Nested-vector convenience overload.
+/// Evaluates a fitted model against labeled data.
 BinaryMetrics evaluate(const LogisticModel& model,
                        const std::vector<std::vector<double>>& features,
                        const std::vector<int>& labels, double cutoff = 0.5);

@@ -43,11 +43,12 @@ std::optional<IsaLevel> env_level() noexcept;
 IsaLevel active_level() noexcept;
 
 /// Pins the dispatch level (clamped to detected_level(); a machine
-/// without AVX2 cannot be forced onto the AVX2 clone).  Test hook and
-/// the bench's scalar-frontier mode.
+/// without AVX2 cannot be forced onto the AVX2 clone).  Test seam: no
+/// program calls it; BatchKernels pins the generic clone bitwise to the
+/// active one through it.
 void force_level(IsaLevel level) noexcept;
 
-/// Clears a force_level() pin.
+/// Clears a force_level() pin.  Test seam, with force_level().
 void clear_forced_level() noexcept;
 
 const char* level_name(IsaLevel level) noexcept;

@@ -98,21 +98,4 @@ void ecdf_at(std::span<const double> x, std::span<const double> thresholds,
   }
 }
 
-std::vector<CdfPoint> ecdf(std::span<const double> x, std::size_t max_points) {
-  std::vector<double> sorted(x.begin(), x.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> out;
-  if (sorted.empty() || max_points == 0) return out;
-  const std::size_t n = sorted.size();
-  const std::size_t points = std::min(max_points, n);
-  out.reserve(points);
-  for (std::size_t k = 0; k < points; ++k) {
-    // Sample evenly through the sorted values, always including the last.
-    const std::size_t i = (points == 1) ? n - 1 : k * (n - 1) / (points - 1);
-    out.push_back(CdfPoint{sorted[i],
-                           static_cast<double>(i + 1) / static_cast<double>(n)});
-  }
-  return out;
-}
-
 }  // namespace diurnal::analysis

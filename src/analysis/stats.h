@@ -47,14 +47,4 @@ std::vector<double> ecdf_at(std::span<const double> x,
 void ecdf_at(std::span<const double> x, std::span<const double> thresholds,
              std::span<double> out, Workspace& ws);
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;
-  double fraction = 0.0;
-};
-
-/// Full empirical CDF (sorted values vs cumulative fraction), thinned to
-/// at most `max_points` evenly spaced points.
-std::vector<CdfPoint> ecdf(std::span<const double> x, std::size_t max_points = 200);
-
 }  // namespace diurnal::analysis

@@ -29,12 +29,6 @@ Workspace::Lease Workspace::acquire_zero(std::size_t n) {
   return lease;
 }
 
-std::span<std::complex<double>> Workspace::complex_scratch(std::size_t n) {
-  if (n > complex_.capacity()) ++pool_misses_;
-  complex_.resize(n);
-  return {complex_.data(), n};
-}
-
 void Workspace::release(Vec* vec) noexcept {
   free_.push_back(vec);
   --outstanding_;

@@ -1,6 +1,6 @@
 // Reusable scratch arena for the span-based analysis kernels.
 //
-// The per-block analysis chain (FFT diurnality test -> swing gate ->
+// The per-block analysis chain (Goertzel diurnality test -> swing gate ->
 // STL trend -> z-score -> CUSUM) needs a dozen scratch buffers per
 // call.  Allocating them per block made the analysis stage the
 // allocation-bound hot path of the fleet drive, so every kernel now
@@ -21,11 +21,8 @@
 //  * Leases must not outlive their Workspace.
 //  * Releases may happen in any order; kernels nest freely (STL leases
 //    around inner LOESS leases).
-//  * complex_scratch() is a single slot: at most one live use at a
-//    time (the FFT does not recurse).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -94,10 +91,6 @@ class Workspace {
   /// Leases a buffer of n zeros.
   Lease acquire_zero(std::size_t n);
 
-  /// The single complex FFT slot, resized to n (contents overwritten by
-  /// the caller).  Not nestable; see the header contract.
-  std::span<std::complex<double>> complex_scratch(std::size_t n);
-
   /// Leases currently held (tests assert this returns to zero).
   std::size_t outstanding() const noexcept { return outstanding_; }
 
@@ -110,7 +103,6 @@ class Workspace {
 
   std::vector<std::unique_ptr<Vec>> slabs_;  ///< every buffer ever created
   std::vector<Vec*> free_;                   ///< buffers awaiting reuse
-  std::vector<std::complex<double>> complex_;
   std::size_t outstanding_ = 0;
   std::size_t pool_misses_ = 0;
 };

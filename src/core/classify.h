@@ -1,6 +1,6 @@
 // Change-sensitive block discovery (paper section 2.4, the Table 2
 // funnel): a block is change-sensitive when it is responsive, shows a
-// diurnal pattern (FFT energy at 24h and harmonics), and sustains a
+// diurnal pattern (spectral energy at 24h and harmonics), and sustains a
 // persistent wide daily swing (>= 5 addresses, >= 4 of 7 consecutive
 // days for at least one week).
 #pragma once

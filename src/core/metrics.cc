@@ -55,10 +55,6 @@ SampledBlock score_block(const sim::BlockProfile& block,
   // blocks under WFH, whose signal is an *increase*, and vacated blocks
   // like the USC VPN, which are genuine downward changes.
   std::vector<util::SimTime> truth_times;
-  auto occupied_at = [&](util::SimTime t) {
-    return sim::humans_present(block, t) &&
-           !(block.vacate_at >= 0 && t >= block.vacate_at);
-  };
   for (const auto& sup : block.suppressions) {
     if (sup.kind == sim::EventKind::kWorkFromHome &&
         block.category == sim::BlockCategory::kHomeDynamic) {
@@ -66,7 +62,7 @@ SampledBlock score_block(const sim::BlockProfile& block,
     }
     // A suppression is only observable truth if people were still using
     // the block when it started.
-    if (!occupied_at(sup.start)) continue;
+    if (!sim::occupied_at(block, sup.start)) continue;
     if (std::abs(sup.start - *news_date) <= cfg.match_window) {
       truth_times.push_back(sup.start);
     }

@@ -64,12 +64,6 @@ std::span<const double> EpochSnapshot::trend(net::BlockId id) const {
   return {trend_data_.data() + t.offset, t.len};
 }
 
-util::SimTime EpochSnapshot::trend_start(net::BlockId id) const {
-  const auto it = index_->find(id.id());
-  if (it == index_->end()) return 0;
-  return trend_refs_[it->second].start;
-}
-
 std::span<const ProvisionalChange> EpochSnapshot::alarms_for(
     net::BlockId id) const {
   const auto lo = std::lower_bound(

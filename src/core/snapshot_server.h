@@ -109,10 +109,8 @@ class EpochSnapshot {
   const Row* block(net::BlockId id) const;
 
   /// The trailing reconstructed active-address series of one block (the
-  /// trend query; ServeConfig::trend_tail bounds its length), and the
-  /// absolute time of its first sample.
+  /// trend query; ServeConfig::trend_tail bounds its length).
   std::span<const double> trend(net::BlockId id) const;
-  util::SimTime trend_start(net::BlockId id) const;
 
   /// Cumulative provisional alarms, ordered by (alarm time, block id).
   std::span<const ProvisionalChange> alarms() const noexcept {
@@ -135,7 +133,8 @@ class EpochSnapshot {
   /// FNV-1a over the whole query surface (rows, trends, alarms, cells,
   /// scorecard).  Two calls on the same snapshot — however far the
   /// writer has advanced in between — must return the same value; the
-  /// pinned-reader property tests gate exactly that.
+  /// pinned-reader property tests gate exactly that.  Test seam: no
+  /// program calls it; SnapshotServerGolden pins its value.
   std::uint64_t answers_digest() const;
 
   /// Heap footprint (ServeStats::snapshot_bytes).

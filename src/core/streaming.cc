@@ -310,7 +310,6 @@ void StreamingFleet::finish_result() {
 
 void StreamingFleet::begin_cell(std::size_t i, probe::ProbeScratch& scratch) {
   Cell& c = cells_[i];
-  c.begun = true;
   if (blocks_[i].eb_count == 0) {
     c.classified = true;  // trivially: never responds
     c.screened = true;
@@ -376,6 +375,7 @@ void StreamingFleet::update_provisional(std::size_t i, Worker& w) {
 
 EpochReport StreamingFleet::advance_to(util::SimTime until) {
   assert(!finished_);
+  const bool first = cells_.empty();  // the first advance begins every cell
   cells_.resize(blocks_.size());
   until = std::clamp(until, window_.start, window_.end);
   until = std::max(until, clock_);
@@ -415,7 +415,7 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
     };
     for_each_block(next, blocks_.size(), [&](std::size_t i) {
       Cell& c = cells_[i];
-      if (!c.begun) begin_cell(i, w.scratch);
+      if (first) begin_cell(i, w.scratch);
       if (!c.active) return;
       c.stream.set_scratch(w.scratch);
       c.stream.advance_to(until);
@@ -490,14 +490,14 @@ void StreamingFleet::extract_rows(std::vector<BlockSnapshotRow>& rows) const {
     BlockSnapshotRow& row = rows[i];
     row = BlockSnapshotRow{};
     row.id = blocks_[i].id;
-    if (cells_.empty()) continue;  // before the first advance
+    row.begun = !cells_.empty();  // the first advance begins every cell
+    if (!row.begun) continue;
     const Cell& c = cells_[i];
-    row.begun = c.begun;
     row.active = c.active;
     row.classified = c.classified;
     row.watched = c.watched;
     row.delivered = c.delivered;
-    if (c.begun && blocks_[i].eb_count > 0) {
+    if (blocks_[i].eb_count > 0) {
       row.emitted = c.stream.health().emitted;
       if (row.emitted > 0) {
         c.stream.recon_state().snapshot_stats(stats);
@@ -515,7 +515,7 @@ void StreamingFleet::extract_rows(std::vector<BlockSnapshotRow>& rows) const {
 std::span<const double> StreamingFleet::emitted_series(std::size_t i) const {
   if (cells_.empty()) return {};
   const Cell& c = cells_[i];
-  if (!c.begun || blocks_[i].eb_count == 0) return {};
+  if (blocks_[i].eb_count == 0) return {};
   return c.stream.series().first(c.stream.recon_state().emitted());
 }
 
@@ -550,11 +550,12 @@ void StreamingFleet::fields(Self& self, IO& io, probe::ProbeScratch* scratch) {
   for (std::size_t i = 0; i < self.cells_.size(); ++i) {
     auto& c = self.cells_[i];
     const bool probed = self.blocks_[i].eb_count > 0;
-    io.flags(c.begun, c.active, c.classified, c.screened, c.watched);
+    bool begun = true;  // the wire bit: every saved cell was begun
+    io.flags(begun, c.active, c.classified, c.screened, c.watched);
     if constexpr (IO::kReading) {
       // The first advance begins every cell; a never-responding block's
       // cell is classified then and carries no stream.
-      if (!c.begun || (!probed && (c.active || !c.classified))) {
+      if (!begun || (!probed && (c.active || !c.classified))) {
         util::bad_value("inconsistent cell flags in fleet snapshot");
       }
       // Rebuild the config-derived skeleton exactly as the first advance

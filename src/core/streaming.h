@@ -157,7 +157,6 @@ class StreamingFleet {
   /// begins every cell).
   struct Cell {
     recon::BlockStream stream;
-    bool begun = false;
     bool active = false;      ///< still ingesting rounds
     bool classified = false;  ///< authoritative verdict recorded
     bool screened = false;    ///< provisional watch decision made

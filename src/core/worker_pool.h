@@ -13,13 +13,17 @@
 
 namespace diurnal::core {
 
+/// Most threads the engine runs in one pool.  The tools' query readers
+/// (diurnal_serve --readers, bench_serve) are bounded by it too.
+inline constexpr int kMaxThreads = 64;
+
 /// Worker threads for a configured count: 0 or less means hardware
-/// concurrency (at least 1); capped at 64.
+/// concurrency (at least 1); capped at kMaxThreads.
 inline unsigned resolve_threads(int requested) {
   const unsigned n = requested > 0
                          ? static_cast<unsigned>(requested)
                          : std::max(1u, std::thread::hardware_concurrency());
-  return std::min<unsigned>(n, 64);
+  return std::min<unsigned>(n, kMaxThreads);
 }
 
 /// Runs work(next) on each of n_threads workers (each builds its own

@@ -6,14 +6,6 @@ namespace diurnal::fault {
 
 using util::SimTime;
 
-FaultPlan FaultPlan::single_observer_dropout(char observer, SimTime start,
-                                             SimTime end) {
-  FaultPlan plan;
-  plan.outages.push_back(
-      OutageSpec{observer, OutageKind::kHardDown, start, end});
-  return plan;
-}
-
 const std::vector<std::string>& scenario_names() {
   static const std::vector<std::string> names = {
       "none",     "dropout", "flapping", "reboots",

@@ -103,10 +103,6 @@ struct FaultPlan {
     return outages.empty() && skews.empty() && bursts.empty() &&
            truncations.empty();
   }
-
-  /// Convenience: one observer hard down over [start, end).
-  static FaultPlan single_observer_dropout(char observer, util::SimTime start,
-                                           util::SimTime end);
 };
 
 /// Names accepted by scenario(), in sweep order ("none" first).

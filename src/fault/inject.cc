@@ -83,13 +83,6 @@ SkewResolution resolve_skew(const FaultPlan& plan, char observer) {
   return r;
 }
 
-StreamFaultStats apply_faults(const FaultPlan& plan, char observer,
-                              probe::ProbeWindow window,
-                              probe::ObservationVec& stream) {
-  FaultCarry carry;
-  return apply_faults_chunk(plan, observer, window, stream, 0, carry);
-}
-
 StreamFaultStats apply_faults_chunk(const FaultPlan& plan, char observer,
                                     probe::ProbeWindow window,
                                     probe::ObservationVec& stream,

@@ -68,20 +68,14 @@ struct FaultCarry {
   bool trunc_kept_first = false;
 };
 
-/// Applies the plan to one observer's time-ordered stream in place.
-/// A plan with no spec matching `observer` is a no-op; the stream stays
-/// time-ordered (skew/drift is a monotone transform and survivors keep
-/// their relative order).
-StreamFaultStats apply_faults(const FaultPlan& plan, char observer,
-                              probe::ProbeWindow window,
-                              probe::ObservationVec& stream);
-
-/// Chunked variant for the streaming pipeline: processes only
-/// stream[from..) in place (survivors compacted into that tail),
-/// carrying truncation state across calls.  Feeding one full stream
-/// through successive chunks at any round-aligned-or-not boundaries
-/// yields the same survivors as one apply_faults pass; per-chunk stats
-/// are additive.
+/// Applies the plan to stream[from..) of one observer's time-ordered
+/// stream in place (survivors compacted into that tail), carrying
+/// truncation state across calls.  A plan with no spec matching
+/// `observer` is a no-op; the stream stays time-ordered (skew/drift is a
+/// monotone transform and survivors keep their relative order).  Feeding
+/// one full stream through successive chunks at any boundaries yields
+/// the same survivors as one call from 0 with a fresh carry; per-chunk
+/// stats are additive.
 StreamFaultStats apply_faults_chunk(const FaultPlan& plan, char observer,
                                     probe::ProbeWindow window,
                                     probe::ObservationVec& stream,

@@ -175,10 +175,6 @@ const std::vector<CountryProfile>& countries() {
   return registry;
 }
 
-const CountryProfile& country(std::string_view code) {
-  return countries()[country_index(code)];
-}
-
 std::size_t country_index(std::string_view code) {
   const auto& all = countries();
   for (std::size_t i = 0; i < all.size(); ++i) {

@@ -136,14 +136,8 @@ struct CountryProfile {
   int utc_offset_hours() const noexcept { return time_rules.utc_offset_hours; }
 };
 
-/// Back-compat alias: most call sites only need the profile type.
-using CountryInfo = CountryProfile;
-
 /// The full registry (stable order; index is a compact country id).
 const std::vector<CountryProfile>& countries();
-
-/// Looks up by code; throws std::out_of_range for unknown codes.
-const CountryProfile& country(std::string_view code);
 
 /// Index of a country code within countries(); throws if unknown.
 std::size_t country_index(std::string_view code);

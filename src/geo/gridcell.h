@@ -22,9 +22,8 @@ struct GridCell {
   double lat() const noexcept { return 2.0 * lat_idx; }
   double lon() const noexcept { return 2.0 * lon_idx; }
 
-  /// Center of the cell.
+  /// Latitude of the cell's center.
   double center_lat() const noexcept { return lat() + 1.0; }
-  double center_lon() const noexcept { return lon() + 1.0; }
 
   /// Paper-style label, e.g. "(30N,114E)".
   std::string to_string() const;

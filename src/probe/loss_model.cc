@@ -20,23 +20,4 @@ bool LossModel::path_congested(const ObserverSpec& obs,
          config_.congested_destination_fraction;
 }
 
-double LossModel::loss_rate_on_path(bool congested,
-                                    std::int16_t tz_offset_hours,
-                                    util::SimTime t) const noexcept {
-  if (!congested) return config_.base_loss;
-  // Congestion follows the destination's local busy hours.
-  const util::SimTime local =
-      t + static_cast<util::SimTime>(tz_offset_hours) * 3600;
-  std::int64_t sec = local % util::kSecondsPerDay;
-  if (sec < 0) sec += util::kSecondsPerDay;
-  return congested_loss_at_hour(static_cast<int>(sec / 3600));
-}
-
-double LossModel::loss_rate(const ObserverSpec& obs,
-                            const sim::BlockProfile& block,
-                            util::SimTime t) const noexcept {
-  return loss_rate_on_path(path_congested(obs, block), block.tz_offset_hours,
-                           t);
-}
-
 }  // namespace diurnal::probe

@@ -31,23 +31,16 @@ class LossModel {
  public:
   explicit LossModel(LossModelConfig config = {}) noexcept;
 
-  /// Probability that a probe (or its reply) is lost.
-  double loss_rate(const ObserverSpec& obs, const sim::BlockProfile& block,
-                   util::SimTime t) const noexcept;
-
   /// True when this observer reaches this block over the congested link.
   bool path_congested(const ObserverSpec& obs,
                       const sim::BlockProfile& block) const noexcept;
 
-  /// loss_rate() with the (time-independent) path_congested bit already
-  /// resolved; probe loops hoist that lookup out of their round loop.
-  double loss_rate_on_path(bool congested, std::int16_t tz_offset_hours,
-                           util::SimTime t) const noexcept;
-
-  /// Loss rate on a congested path at a destination-local hour (the
-  /// diurnal congestion curve of section 3.3).  The rate depends on time
-  /// only through the local hour, so probe loops can tabulate all 24
-  /// values once per pass instead of evaluating the curve per probe.
+  /// Probability that a probe (or its reply) is lost on a congested path
+  /// at a destination-local hour (the diurnal congestion curve of section
+  /// 3.3); an uncongested path loses config().base_loss.  The rate
+  /// depends on time only through the local hour, so probe loops can
+  /// tabulate all 24 values once per pass instead of evaluating the curve
+  /// per probe.
   double congested_loss_at_hour(int local_hour) const noexcept {
     double busy = 0.15;
     if (local_hour >= 19) busy = 1.0;

@@ -582,10 +582,4 @@ void merge_observations_into(const std::vector<ObservationVec>& streams,
   if (k == 1) out.insert(out.end(), heads[0].it, heads[0].end);
 }
 
-ObservationVec merge_observations(std::vector<ObservationVec> streams) {
-  ObservationVec out;
-  merge_observations_into(streams, out);
-  return out;
-}
-
 }  // namespace diurnal::probe

@@ -154,9 +154,6 @@ ObservationVec probe_block(const sim::BlockProfile& block,
 void merge_observations_into(const std::vector<ObservationVec>& streams,
                              ObservationVec& out);
 
-/// Convenience wrapper over merge_observations_into.
-ObservationVec merge_observations(std::vector<ObservationVec> streams);
-
 /// Number of probes per round the additional-observations prober sends
 /// for a given target-list size (section 3.2.3: |E(b)|/(6*60/11), capped
 /// at 8 = one probe per 88 seconds).

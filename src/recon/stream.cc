@@ -267,12 +267,4 @@ void BlockStream::restore(util::StateReader& r) {
   }
 }
 
-std::size_t BlockStream::memory_bytes() const noexcept {
-  std::size_t bytes = streams_.capacity() * sizeof(Stream);
-  for (const auto& s : streams_) {
-    bytes += s.buf.capacity() * sizeof(probe::Observation);
-  }
-  return bytes + recon_.memory_bytes() + classify_recon_.memory_bytes();
-}
-
 }  // namespace diurnal::recon

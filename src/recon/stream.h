@@ -128,11 +128,6 @@ class BlockStream {
   /// restored cursor outside the buffer or probe order it addresses.
   void restore(util::StateReader& r);
 
-  /// Heap bytes this stream holds beyond sizeof(*this): per-observer
-  /// observation buffers plus both reconstructions' buffers.  A shard
-  /// worker's steady-state footprint is this plus its ProbeScratch —
-  /// the number bench_shard reports per resident stream.
-  std::size_t memory_bytes() const noexcept;
   /// The detection-window reconstruction state (stable emitted-sample
   /// prefix; provisional epoch analyses read this).
   const BlockReconState& recon_state() const noexcept { return recon_; }

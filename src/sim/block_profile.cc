@@ -219,15 +219,4 @@ int active_count(const BlockProfile& b, SimTime t) noexcept {
   return n;
 }
 
-std::optional<SimTime> wfh_start(const BlockProfile& b) noexcept {
-  // Home blocks respond to WFH with *more* daytime activity (people are
-  // home), not with the downward loss-of-diurnality signal the detector
-  // matches, so they carry no downward ground truth.
-  if (b.category == BlockCategory::kHomeDynamic) return std::nullopt;
-  for (const auto& s : b.suppressions) {
-    if (s.kind == EventKind::kWorkFromHome) return s.start;
-  }
-  return std::nullopt;
-}
-
 }  // namespace diurnal::sim

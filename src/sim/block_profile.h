@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -123,11 +122,19 @@ struct BlockProfile {
 /// True while the block's human population can be present at t: inside
 /// its occupancy window and before any CGNAT absorption.  Infrastructure
 /// (the always-on hosts) answers regardless.  A vacate is not part of the
-/// rule; the truth scorers test it on top.
+/// rule; occupied_at() adds it for the truth scorers.
 inline bool humans_present(const BlockProfile& b, util::SimTime t) noexcept {
   return !(b.occupied_from >= 0 && t < b.occupied_from) &&
          !(b.occupied_until >= 0 && t >= b.occupied_until) &&
          !(b.cgnat_at >= 0 && t >= b.cgnat_at);
+}
+
+/// True while people still use the block at t: humans present and the
+/// block not yet vacated.  A suppression starting at t is observable
+/// truth only then; both truth scorers (core::validate_sample and
+/// validate::planted_truth) apply this one rule.
+inline bool occupied_at(const BlockProfile& b, util::SimTime t) noexcept {
+  return humans_present(b, t) && !(b.vacate_at >= 0 && t >= b.vacate_at);
 }
 
 /// True when target index `addr` of `block` answers a probe at time t.
@@ -137,8 +144,5 @@ bool address_active(const BlockProfile& block, int addr,
 
 /// Ground-truth count of active target addresses at time t (O(|E(b)|)).
 int active_count(const BlockProfile& block, util::SimTime t) noexcept;
-
-/// The block's work-from-home onset, if one of its suppressions is WFH.
-std::optional<util::SimTime> wfh_start(const BlockProfile& block) noexcept;
 
 }  // namespace diurnal::sim

@@ -8,15 +8,6 @@ using util::Date;
 using util::SimTime;
 using util::time_of;
 
-std::string_view to_string(EventKind k) noexcept {
-  switch (k) {
-    case EventKind::kWorkFromHome: return "work-from-home";
-    case EventKind::kHoliday: return "holiday";
-    case EventKind::kCurfewUnrest: return "curfew/unrest";
-  }
-  return "?";
-}
-
 bool EventScope::matches(std::string_view block_country,
                          geo::GridCell block_cell) const {
   if (country_code && *country_code != block_country) return false;

@@ -25,8 +25,6 @@ enum class EventKind {
   kCurfewUnrest,  ///< regional stay-home period (riots, curfews, shutdowns)
 };
 
-std::string_view to_string(EventKind k) noexcept;
-
 /// Geographic scope of an event: a whole country or a single gridcell.
 struct EventScope {
   std::optional<std::string> country_code;  ///< ISO code, or nullopt

@@ -47,10 +47,4 @@ util::TimeSeries World::truth_series(const BlockProfile& block, SimTime t0,
   return util::TimeSeries(t0, step, std::move(values));
 }
 
-std::unordered_map<BlockCategory, int> World::category_counts() const {
-  std::unordered_map<BlockCategory, int> out;
-  for (const auto& b : blocks_) ++out[b.category];
-  return out;
-}
-
 }  // namespace diurnal::sim

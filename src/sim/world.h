@@ -114,9 +114,6 @@ class World {
   net::BlockId uae_case_block() const noexcept { return uae_case_; }
   net::BlockId renumber_case_block() const noexcept { return renumber_case_; }
 
-  /// Count of blocks per category (ground truth, for funnel sanity).
-  std::unordered_map<BlockCategory, int> category_counts() const;
-
  private:
   void generate();
 

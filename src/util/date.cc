@@ -39,24 +39,10 @@ int weekday(const Date& d) noexcept {
   return static_cast<int>(z >= -4 ? (z + 4) % 7 : (z + 5) % 7 + 6);
 }
 
-bool is_weekend(const Date& d) noexcept {
-  const int wd = weekday(d);
-  return wd == 0 || wd == 6;
-}
-
 std::string to_string(const Date& d) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", d.year, d.month, d.day);
   return buf;
-}
-
-Date parse_date(const std::string& s) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(s.c_str(), "%d-%d-%d", &y, &m, &d) != 3 || m < 1 || m > 12 ||
-      d < 1 || d > 31) {
-    throw std::invalid_argument("parse_date: malformed date '" + s + "'");
-  }
-  return Date{y, m, d};
 }
 
 std::int64_t parse_duration(const std::string& s) {

@@ -29,14 +29,8 @@ Date civil_from_days(std::int64_t z) noexcept;
 /// Day of week for a civil date: 0 = Sunday .. 6 = Saturday.
 int weekday(const Date& d) noexcept;
 
-/// True for Saturday or Sunday.
-bool is_weekend(const Date& d) noexcept;
-
 /// Formats as "YYYY-MM-DD".
 std::string to_string(const Date& d);
-
-/// Parses "YYYY-MM-DD"; throws std::invalid_argument on malformed input.
-Date parse_date(const std::string& s);
 
 // ---------------------------------------------------------------------------
 // Simulation timeline.

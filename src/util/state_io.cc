@@ -323,15 +323,6 @@ bool StateReader::boolean() {
   return v != 0;
 }
 
-std::string StateReader::str() {
-  const std::uint64_t n = u64();
-  need(static_cast<std::size_t>(n));
-  std::string s(reinterpret_cast<const char*>(image_.data() + pos_),
-                static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return s;
-}
-
 void StateReader::f64_span(std::vector<double>& out) {
   std::size_t n = 0;
   count(n);

@@ -222,6 +222,8 @@ class StateWriter : public FieldVerbs<StateWriter> {
   }
   void f64(double v) { raw64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Length, then the bytes.  No image layout holds a string, so there
+  /// is no reader: checkpoint_fingerprint hashes names this way.
   void str(std::string_view s);
 
   /// A double array with a transparent packing decision: when every
@@ -281,7 +283,6 @@ class StateReader : public FieldVerbs<StateReader> {
   std::int64_t i64();
   double f64();
   bool boolean();
-  std::string str();
   void f64_span(std::vector<double>& out);
   /// Reads a span serialized by f64_span into the front of caller
   /// storage and returns its length; a span longer than `out` fails

@@ -13,43 +13,6 @@ TimeSeries::TimeSeries(SimTime start, std::int64_t step_seconds,
   if (step_ <= 0) throw std::invalid_argument("TimeSeries: step must be > 0");
 }
 
-TimeSeries TimeSeries::zeros(SimTime start, std::int64_t step_seconds,
-                             std::size_t n) {
-  return TimeSeries(start, step_seconds, std::vector<double>(n, 0.0));
-}
-
-std::size_t TimeSeries::index_at(SimTime t) const noexcept {
-  if (values_.empty() || t <= start_) return 0;
-  const std::int64_t i = (t - start_) / step_;
-  return std::min<std::size_t>(static_cast<std::size_t>(i), values_.size() - 1);
-}
-
-TimeSeries TimeSeries::slice(SimTime t0, SimTime t1) const {
-  if (values_.empty() || t1 <= t0) return TimeSeries(t0, step_, {});
-  std::int64_t i0 = (t0 - start_) / step_;
-  if (t0 < start_) i0 = 0;
-  std::int64_t i1 = (t1 - start_ + step_ - 1) / step_;
-  i0 = std::clamp<std::int64_t>(i0, 0, static_cast<std::int64_t>(values_.size()));
-  i1 = std::clamp<std::int64_t>(i1, i0, static_cast<std::int64_t>(values_.size()));
-  return TimeSeries(time_at(static_cast<std::size_t>(i0)), step_,
-                    std::vector<double>(values_.begin() + i0, values_.begin() + i1));
-}
-
-TimeSeries TimeSeries::downsample_mean(std::size_t factor) const {
-  if (factor == 0) throw std::invalid_argument("downsample_mean: factor 0");
-  if (factor == 1) return *this;
-  std::vector<double> out;
-  out.reserve((values_.size() + factor - 1) / factor);
-  for (std::size_t i = 0; i < values_.size(); i += factor) {
-    const std::size_t end = std::min(i + factor, values_.size());
-    double sum = 0.0;
-    for (std::size_t j = i; j < end; ++j) sum += values_[j];
-    out.push_back(sum / static_cast<double>(end - i));
-  }
-  return TimeSeries(start_, step_ * static_cast<std::int64_t>(factor),
-                    std::move(out));
-}
-
 std::vector<DayStats> TimeSeries::daily_stats() const {
   std::vector<DayStats> out;
   for (std::size_t i = 0; i < values_.size(); ++i) {
@@ -82,11 +45,6 @@ double TimeSeries::stddev() const noexcept {
   double ss = 0.0;
   for (const double v : values_) ss += (v - m) * (v - m);
   return std::sqrt(ss / static_cast<double>(values_.size()));
-}
-
-double TimeSeries::min() const noexcept {
-  if (values_.empty()) return 0.0;
-  return *std::min_element(values_.begin(), values_.end());
 }
 
 double TimeSeries::max() const noexcept {

@@ -28,9 +28,6 @@ class TimeSeries {
   TimeSeries() = default;
   TimeSeries(SimTime start, std::int64_t step_seconds, std::vector<double> values);
 
-  /// An empty series with `n` zero samples.
-  static TimeSeries zeros(SimTime start, std::int64_t step_seconds, std::size_t n);
-
   SimTime start() const noexcept { return start_; }
   std::int64_t step() const noexcept { return step_; }
   std::size_t size() const noexcept { return values_.size(); }
@@ -51,22 +48,11 @@ class TimeSeries {
   /// Timestamp one past the last sample.
   SimTime end_time() const noexcept { return time_at(size()); }
 
-  /// Index of the sample containing time t, clamped to [0, size()-1].
-  std::size_t index_at(SimTime t) const noexcept;
-
-  /// Sub-series covering [t0, t1); clamps to the available range.
-  TimeSeries slice(SimTime t0, SimTime t1) const;
-
-  /// Downsample by integer factor using the mean of each group
-  /// (trailing partial group averaged over its actual samples).
-  TimeSeries downsample_mean(std::size_t factor) const;
-
   /// Per-UTC-day min/max/mean; days with no samples are omitted.
   std::vector<DayStats> daily_stats() const;
 
   double mean() const noexcept;
   double stddev() const noexcept;  ///< population standard deviation
-  double min() const noexcept;
   double max() const noexcept;
 
   /// Returns a z-score-normalized copy ((x - mean)/stddev); if the

@@ -9,10 +9,6 @@
 
 namespace diurnal::validate {
 
-std::string_view to_string(Drive d) noexcept {
-  return d == Drive::kBatch ? "batch" : "streaming";
-}
-
 namespace {
 
 core::FleetConfig fleet_config(const Scenario& s, int threads) {
@@ -59,11 +55,6 @@ ScenarioRun run_scenario(const Scenario& s, const sim::World& world,
   run.funnel = fleet.funnel;
   run.score = score_fleet(world, fleet, fc.dataset.window(), s.match, explain);
   return run;
-}
-
-ScenarioRun run_scenario(const Scenario& s, Drive drive, int threads) {
-  const sim::World world(s.world);
-  return run_scenario(s, world, drive, threads);
 }
 
 std::vector<std::string> check_expectations(const Scenario& s,

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -21,8 +20,6 @@
 namespace diurnal::validate {
 
 enum class Drive { kBatch, kStreaming };
-
-std::string_view to_string(Drive d) noexcept;
 
 /// What one scenario run produced.
 struct ScenarioRun {
@@ -37,9 +34,6 @@ struct ScenarioRun {
 ScenarioRun run_scenario(const Scenario& s, const sim::World& world,
                          Drive drive, int threads = 0,
                          std::vector<ExplainEntry>* explain = nullptr);
-
-/// Convenience: builds the world from s.world, then runs.
-ScenarioRun run_scenario(const Scenario& s, Drive drive, int threads = 0);
 
 /// Violations of the scenario's own expectations (zero-truth /
 /// zero-confirmed controls, precision/recall floors).  Empty = pass.

@@ -19,14 +19,6 @@ std::string_view to_string(TruthClass c) noexcept {
   return "?";
 }
 
-namespace {
-
-bool occupied_at(const sim::BlockProfile& b, SimTime t) {
-  return sim::humans_present(b, t) && !(b.vacate_at >= 0 && t >= b.vacate_at);
-}
-
-}  // namespace
-
 std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
                                          probe::ProbeWindow window,
                                          const MatchOptions& opt) {
@@ -56,13 +48,13 @@ std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
     const ChangeDirection onset_dir =
         home_wfh ? ChangeDirection::kUp : ChangeDirection::kDown;
     // A suppression is observable truth only if people still used the
-    // block when it started (same rule as core::validate_sample).
-    if (eligible(sup.start) && occupied_at(block, sup.start)) {
+    // block when it started.
+    if (eligible(sup.start) && sim::occupied_at(block, sup.start)) {
       out.push_back({sup.start, onset_dir, cls});
     }
     if (opt.match_recovery &&
         sup.end - sup.start >= opt.recovery_min_duration &&
-        eligible(sup.end) && occupied_at(block, sup.end)) {
+        eligible(sup.end) && sim::occupied_at(block, sup.end)) {
       const ChangeDirection recovery_dir = home_wfh ? ChangeDirection::kDown
                                                     : ChangeDirection::kUp;
       out.push_back({sup.end, recovery_dir, cls});
@@ -74,7 +66,7 @@ std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
         {block.vacate_at, ChangeDirection::kDown, TruthClass::kOccupancy});
   }
   if (block.occupied_until >= 0 && eligible(block.occupied_until) &&
-      occupied_at(block, block.occupied_until - 1)) {
+      sim::occupied_at(block, block.occupied_until - 1)) {
     out.push_back({block.occupied_until, ChangeDirection::kDown,
                    TruthClass::kOccupancy});
   }
@@ -86,7 +78,7 @@ std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
   // the same downward occupancy-loss signature as a vacate, so it
   // shares the occupancy truth class (and its scorecard tally).
   if (block.cgnat_at >= 0 && eligible(block.cgnat_at) &&
-      occupied_at(block, block.cgnat_at - 1)) {
+      sim::occupied_at(block, block.cgnat_at - 1)) {
     out.push_back(
         {block.cgnat_at, ChangeDirection::kDown, TruthClass::kOccupancy});
   }

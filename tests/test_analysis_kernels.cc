@@ -293,8 +293,7 @@ TEST(AnalysisKernels, LogisticFlatMatchesNested) {
   expect_same_bits(m1.weights(), m2.weights(), "weights");
   EXPECT_EQ(bits_of(m1.bias()), bits_of(m2.bias()));
   const auto e1 = analysis::evaluate(m1, nested, labels);
-  const auto e2 = analysis::evaluate(m2, analysis::FeatureMatrix(flat, 2),
-                                     labels);
+  const auto e2 = analysis::evaluate(m2, nested, labels);
   EXPECT_EQ(e1.tp, e2.tp);
   EXPECT_EQ(e1.fp, e2.fp);
   EXPECT_EQ(e1.tn, e2.tn);

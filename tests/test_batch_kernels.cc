@@ -174,12 +174,12 @@ TEST(BatchKernels, LoessSmoothExtendedBitwise) {
                                           plain.data());
     analysis::loess_smooth_extended_batch(y_soa.data(), w, n, opt,
                                           rho_soa.data(), robust.data());
+    std::vector<double> ext(n + 2);
     for (std::size_t j = 0; j < w; ++j) {
-      expect_same_bits(lane_of(plain, w, n + 2, j),
-                       analysis::loess_smooth_extended(lanes[j], opt),
-                       "extended loess");
-      expect_same_bits(lane_of(robust, w, n + 2, j),
-                       analysis::loess_smooth_extended(lanes[j], opt, rhos[j]),
+      analysis::loess_smooth_extended(lanes[j], opt, {}, ext);
+      expect_same_bits(lane_of(plain, w, n + 2, j), ext, "extended loess");
+      analysis::loess_smooth_extended(lanes[j], opt, rhos[j], ext);
+      expect_same_bits(lane_of(robust, w, n + 2, j), ext,
                        "robust extended loess");
     }
   }

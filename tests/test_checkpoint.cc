@@ -27,6 +27,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -131,8 +132,12 @@ TEST(StateIo, PrimitivesRoundTrip) {
   EXPECT_EQ(r.f64(), -0.1);
   EXPECT_TRUE(r.boolean());
   EXPECT_FALSE(r.boolean());
-  EXPECT_EQ(r.str(), "checkpoint");
-  EXPECT_EQ(r.str(), "");
+  // A string is its length, then its bytes.
+  EXPECT_EQ(r.u64(), 10u);
+  for (const char ch : std::string_view("checkpoint")) {
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(ch));
+  }
+  EXPECT_EQ(r.u64(), 0u);
   r.end_section();
   r.begin_section(util::state_tag("TST2"));
   EXPECT_EQ(r.u64(), 42u);
@@ -351,7 +356,7 @@ TEST(StateIo, TruncationFuzzEveryPrefixIsATypedError) {
     for (int i = 0; i < 256; ++i) (void)r.u64();
     r.end_section();
     r.begin_section(util::state_tag("TAIL"));
-    (void)r.str();
+    for (std::uint64_t n = r.u64(); n > 0; --n) (void)r.u8();  // the string
     r.end_section();
   };
   decode(clean);  // sanity: the whole image decodes
@@ -422,7 +427,10 @@ TEST(StateIo, AtomicFileWriteRoundTripsAndMissingFileIsIo) {
   const auto image = util::read_state_file(path);
   StateReader r(image);
   r.begin_section(util::state_tag("FILE"));
-  EXPECT_EQ(r.str(), "payload");
+  EXPECT_EQ(r.u64(), 7u);  // the string's length, then its bytes
+  for (const char ch : std::string_view("payload")) {
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(ch));
+  }
   r.end_section();
   EXPECT_EQ(kind_of([&] {
               (void)util::read_state_file((dir / "absent.ckpt").string());
@@ -1346,6 +1354,18 @@ TEST(ShardCheckpoint, ShardAndManifestFilesArePinned) {
   EXPECT_EQ(crcs,
             "87f2bcaf c0977e43 59228c3b 87c58fb4 c5319e28 2d1cf093 c851b8ac "
             "78d76381");
+  // The files carry the fingerprint of the generator's config (its
+  // calendar filled in), not the raw WorldConfig's pinned below: only a
+  // manager keyed with the former loads them.
+  const std::uint64_t carried =
+      core::checkpoint_fingerprint(sim::BlockGenerator(wc).config(), fc, 64);
+  EXPECT_EQ(carried, 0x6615d6a3ec6137fbULL);
+  const std::size_t total = got.fleet.outcomes.size();
+  const core::CheckpointManager keyed(dir.string(), carried, total, 64);
+  EXPECT_EQ(keyed.load_shard(0).end, 64u);
+  const core::CheckpointManager raw(dir.string(), 0x252ce201a6a07089ULL,
+                                    total, 64);
+  EXPECT_EQ(kind_of([&] { raw.load_shard(0); }), StateErrorKind::kBadValue);
   std::filesystem::remove_all(dir);
   EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 64), 0x252ce201a6a07089ULL);
   EXPECT_EQ(core::checkpoint_fingerprint(wc, fc, 0), 0xfe8ca450af9e5048ULL);

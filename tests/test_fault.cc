@@ -54,7 +54,8 @@ TEST(FaultPlan, ScenarioRegistry) {
 }
 
 TEST(FaultPlan, SingleObserverDropout) {
-  const auto plan = FaultPlan::single_observer_dropout('e', 100, 200);
+  FaultPlan plan;
+  plan.outages.push_back({'e', OutageKind::kHardDown, 100, 200});
   ASSERT_EQ(plan.outages.size(), 1u);
   EXPECT_EQ(plan.outages[0].observer, 'e');
   EXPECT_EQ(plan.outages[0].kind, OutageKind::kHardDown);
@@ -68,7 +69,8 @@ TEST(Inject, EmptyPlanIsNoOp) {
   const ProbeWindow w{0, kSecondsPerDay};
   auto stream = dense_stream(w);
   const auto reference = stream;
-  const auto st = apply_faults(FaultPlan{}, 'e', w, stream);
+  FaultCarry carry;
+  const auto st = apply_faults_chunk(FaultPlan{}, 'e', w, stream, 0, carry);
   EXPECT_EQ(st.input, reference.size());
   EXPECT_FALSE(st.touched());
   ASSERT_EQ(stream.size(), reference.size());
@@ -83,11 +85,13 @@ TEST(Inject, HardDownDropsOnlyDarkWindow) {
   const ProbeWindow w{1000, 1000 + kSecondsPerDay};
   const SimTime dark_start = w.start + 6 * kSecondsPerHour;
   const SimTime dark_end = w.start + 10 * kSecondsPerHour;
-  auto plan = FaultPlan::single_observer_dropout('e', dark_start, dark_end);
+  FaultPlan plan;
+  plan.outages.push_back({'e', OutageKind::kHardDown, dark_start, dark_end});
 
   auto stream = dense_stream(w);
   const std::size_t before = stream.size();
-  const auto st = apply_faults(plan, 'e', w, stream);
+  FaultCarry carry;
+  const auto st = apply_faults_chunk(plan, 'e', w, stream, 0, carry);
   EXPECT_GT(st.dropped, 0u);
   EXPECT_EQ(stream.size() + st.dropped, before);
   for (const auto& o : stream) {
@@ -97,13 +101,16 @@ TEST(Inject, HardDownDropsOnlyDarkWindow) {
 
   // A different observer is untouched.
   auto other = dense_stream(w);
-  EXPECT_FALSE(apply_faults(plan, 'w', w, other).touched());
+  FaultCarry other_carry;
+  EXPECT_FALSE(
+      apply_faults_chunk(plan, 'w', w, other, 0, other_carry).touched());
   EXPECT_EQ(other.size(), before);
 
   // The wildcard matches every observer.
   plan.outages[0].observer = kAllObservers;
   auto any = dense_stream(w);
-  EXPECT_GT(apply_faults(plan, 'w', w, any).dropped, 0u);
+  FaultCarry any_carry;
+  EXPECT_GT(apply_faults_chunk(plan, 'w', w, any, 0, any_carry).dropped, 0u);
 }
 
 TEST(Inject, FlappingIsIrregularAndDeterministic) {
@@ -119,8 +126,9 @@ TEST(Inject, FlappingIsIrregularAndDeterministic) {
 
   auto a = dense_stream(w);
   auto b = dense_stream(w);
-  const auto st_a = apply_faults(plan, 'j', w, a);
-  const auto st_b = apply_faults(plan, 'j', w, b);
+  FaultCarry carry_a, carry_b;
+  const auto st_a = apply_faults_chunk(plan, 'j', w, a, 0, carry_a);
+  const auto st_b = apply_faults_chunk(plan, 'j', w, b, 0, carry_b);
   // Roughly half the slots are dark (binomial over ~84 slots).
   EXPECT_GT(st_a.dropped, st_a.input / 5);
   EXPECT_LT(st_a.dropped, st_a.input * 4 / 5);
@@ -134,7 +142,8 @@ TEST(Inject, FlappingIsIrregularAndDeterministic) {
   FaultPlan reseeded = plan;
   reseeded.seed ^= 0x5EEDULL;
   auto c = dense_stream(w);
-  apply_faults(reseeded, 'j', w, c);
+  FaultCarry carry_c;
+  apply_faults_chunk(reseeded, 'j', w, c, 0, carry_c);
   EXPECT_NE(a.size(), c.size());
 }
 
@@ -151,7 +160,8 @@ TEST(Inject, ScheduledRebootIsPeriodic) {
   plan.outages.push_back(o);
 
   auto stream = dense_stream(w);
-  apply_faults(plan, 'n', w, stream);
+  FaultCarry carry;
+  apply_faults_chunk(plan, 'n', w, stream, 0, carry);
   for (const auto& obs : stream) {
     EXPECT_GE(static_cast<SimTime>(obs.rel_time) % kSecondsPerDay, 30 * 60);
   }
@@ -168,7 +178,8 @@ TEST(Inject, SkewShiftsAndDriftStaysMonotone) {
 
   auto stream = dense_stream(w);
   const auto original = stream;
-  const auto st = apply_faults(plan, 'n', w, stream);
+  FaultCarry carry;
+  const auto st = apply_faults_chunk(plan, 'n', w, stream, 0, carry);
   EXPECT_EQ(st.retimed, stream.size());
   // +90s shift; the last round (rel 86400-660+90 < 86400) survives, so
   // nothing is dropped and every timestamp moves by exactly the skew.
@@ -182,7 +193,8 @@ TEST(Inject, SkewShiftsAndDriftStaysMonotone) {
   FaultPlan drift;
   drift.skews.push_back(ClockSkewSpec{'n', 0, 50'000.0});  // +5%
   auto drifted = dense_stream(w);
-  const auto st2 = apply_faults(drift, 'n', w, drifted);
+  FaultCarry drift_carry;
+  const auto st2 = apply_faults_chunk(drift, 'n', w, drifted, 0, drift_carry);
   EXPECT_GT(st2.dropped, 0u);
   EXPECT_TRUE(std::is_sorted(
       drifted.begin(), drifted.end(),
@@ -202,7 +214,8 @@ TEST(Inject, BurstLossFlipsOnlyPositives) {
 
   auto stream = dense_stream(w);
   const std::size_t before = stream.size();
-  const auto st = apply_faults(plan, 'w', w, stream);
+  FaultCarry carry;
+  const auto st = apply_faults_chunk(plan, 'w', w, stream, 0, carry);
   EXPECT_GT(st.corrupted, 0u);
   EXPECT_EQ(st.dropped, 0u);
   EXPECT_EQ(stream.size(), before);  // corruption never deletes
@@ -232,7 +245,8 @@ TEST(Inject, TruncationKeepsFirstProbeOfRound) {
   FaultPlan plan;
   plan.truncations.push_back(TruncationSpec{kAllObservers, 1.0, 0, 0});
   const std::size_t rounds = stream.size() / 3;
-  apply_faults(plan, 'g', w, stream);
+  FaultCarry carry;
+  apply_faults_chunk(plan, 'g', w, stream, 0, carry);
   // prob=1: every round is cut to its first probe.
   ASSERT_EQ(stream.size(), rounds);
   for (const auto& o : stream) {
@@ -379,8 +393,9 @@ TEST(DegradedFleet, MergeToleratesDroppedObserver) {
   // section 2.7 merge is the redundancy) and no verdict loses confidence.
   auto fc = month_config();
   const auto w = fc.dataset.window();
-  fc.faults = FaultPlan::single_observer_dropout(
-      'e', w.start + 7 * kSecondsPerDay, w.start + 21 * kSecondsPerDay);
+  fc.faults.outages.push_back({'e', OutageKind::kHardDown,
+                               w.start + 7 * kSecondsPerDay,
+                               w.start + 21 * kSecondsPerDay});
   const auto fleet = core::run_fleet(fault_world(), fc);
   EXPECT_GT(fleet.degradation.degraded_blocks, 0);
   EXPECT_EQ(fleet.degradation.low_confidence_blocks, 0);
@@ -393,9 +408,9 @@ TEST(DegradedFleet, WholeFleetOutageLosesConfidenceNotCorrectness) {
   // pipeline must say so on every responsive block.
   auto fc = month_config();
   const auto w = fc.dataset.window();
-  fc.faults = FaultPlan::single_observer_dropout(
-      kAllObservers, w.start + 7 * kSecondsPerDay,
-      w.start + 25 * kSecondsPerDay);
+  fc.faults.outages.push_back({kAllObservers, OutageKind::kHardDown,
+                               w.start + 7 * kSecondsPerDay,
+                               w.start + 25 * kSecondsPerDay});
   const auto fleet = core::run_fleet(fault_world(), fc);
   EXPECT_GT(fleet.degradation.low_confidence_blocks, 0);
   EXPECT_LT(fleet.degradation.mean_evidence_fraction, 0.5);
@@ -430,7 +445,8 @@ TEST(DegradedFleet, DropoutNeverMisreadAsWfhOnset) {
   const auto w = fc.dataset.window();
   const SimTime dark_start = w.start + 10 * kSecondsPerDay;
   const SimTime dark_end = w.start + 17 * kSecondsPerDay;
-  fc.faults = FaultPlan::single_observer_dropout('w', dark_start, dark_end);
+  fc.faults.outages.push_back(
+      {'w', OutageKind::kHardDown, dark_start, dark_end});
 
   const auto fleet = core::run_fleet(world, fc);
   // The fault must actually bite: the only observer went dark for a

@@ -239,7 +239,8 @@ TEST(FleetDigest, ValidationGoldenMixScenarioReproducesGoldenDigest) {
   // behavior fails here.
   const auto* s = validate::find_scenario("golden_mix");
   ASSERT_NE(s, nullptr);
-  const auto run = validate::run_scenario(*s, validate::Drive::kBatch, 4);
+  const auto run = validate::run_scenario(*s, sim::World(s->world),
+                                          validate::Drive::kBatch, 4);
   EXPECT_EQ(core::digest_hex(run.digest), kGoldenDigest);
   EXPECT_TRUE(validate::check_expectations(*s, run).empty());
 }

@@ -272,29 +272,31 @@ TEST(LossModel, DiurnalLossShape) {
   }
   ASSERT_NE(cn_block, nullptr);
   // Evening local busy-hour loss far exceeds the overnight rate.
-  const SimTime evening_local_21 =
-      time_of(2020, 1, 10) + (21 - cn_block->tz_offset_hours) * 3600;
-  const SimTime night_local_4 =
-      time_of(2020, 1, 10) + (28 - cn_block->tz_offset_hours) * 3600;
-  const double busy = model.loss_rate(site('w'), *cn_block, evening_local_21);
-  const double quiet = model.loss_rate(site('w'), *cn_block, night_local_4);
+  const double busy = model.congested_loss_at_hour(21);
+  const double quiet = model.congested_loss_at_hour(4);
   EXPECT_GT(busy, 0.10);
   EXPECT_LT(quiet, 0.05);
-  EXPECT_NEAR(model.loss_rate(site('e'), *cn_block, evening_local_21),
-              model.config().base_loss, 1e-9);
+  // Another observer reaches the block over a healthy path, which the
+  // prober charges only the flat base loss.
+  EXPECT_FALSE(model.path_congested(site('e'), *cn_block));
 }
 
 TEST(Merge, OrdersByTime) {
   ObservationVec a{{10, 1, true}, {30, 2, false}};
   ObservationVec b{{5, 3, true}, {20, 4, true}, {40, 5, false}};
   ObservationVec c{{25, 6, true}};
-  const auto merged = merge_observations({a, b, c});
+  ObservationVec merged;
+  merge_observations_into({a, b, c}, merged);
   ASSERT_EQ(merged.size(), 6u);
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].rel_time, merged[i].rel_time);
   }
-  EXPECT_TRUE(merge_observations({}).empty());
-  EXPECT_TRUE(merge_observations({ObservationVec{}, ObservationVec{}}).empty());
+  // The output is replaced, not appended to.
+  merge_observations_into({}, merged);
+  EXPECT_TRUE(merged.empty());
+  merged.push_back({1, 1, true});
+  merge_observations_into({ObservationVec{}, ObservationVec{}}, merged);
+  EXPECT_TRUE(merged.empty());
 }
 
 TEST(Merge, CollidingTimestampsKeepStreamOrder) {
@@ -305,7 +307,8 @@ TEST(Merge, CollidingTimestampsKeepStreamOrder) {
   ObservationVec a{{10, 1, true}, {20, 1, false}, {20, 2, true}};
   ObservationVec b{{10, 7, false}, {20, 7, true}};
   ObservationVec c{{10, 9, true}, {20, 9, false}, {30, 9, true}};
-  const auto merged = merge_observations({a, b, c});
+  ObservationVec merged;
+  merge_observations_into({a, b, c}, merged);
   ASSERT_EQ(merged.size(), 8u);
   // rel_time 10: streams 0, 1, 2; rel_time 20: stream 0 twice (its own
   // internal order preserved), then 1, then 2; rel_time 30: stream 2.
@@ -319,12 +322,15 @@ TEST(Merge, CollidingTimestampsKeepStreamOrder) {
 
 TEST(Merge, ZeroAndSingleStreamEdges) {
   // No streams and no observations: both legal, both empty.
-  EXPECT_TRUE(merge_observations({}).empty());
-  EXPECT_TRUE(merge_observations({ObservationVec{}}).empty());
+  ObservationVec merged;
+  merge_observations_into({}, merged);
+  EXPECT_TRUE(merged.empty());
+  merge_observations_into({ObservationVec{}}, merged);
+  EXPECT_TRUE(merged.empty());
   // A single stream merges to itself verbatim (the k-way merge's k=1
   // fast path must not reorder or drop).
   ObservationVec only{{5, 1, true}, {5, 2, false}, {17, 3, true}};
-  const auto merged = merge_observations({only});
+  merge_observations_into({only}, merged);
   ASSERT_EQ(merged.size(), only.size());
   for (std::size_t i = 0; i < only.size(); ++i) {
     EXPECT_EQ(merged[i].rel_time, only[i].rel_time);
@@ -341,7 +347,8 @@ TEST(Merge, SameObserverListedTwiceKeepsStreamOrder) {
   // arbitrarily — so reconstruction sees a deterministic sequence.
   ObservationVec first{{100, 1, true}, {200, 1, false}};
   ObservationVec second{{100, 1, false}, {200, 1, true}};
-  const auto merged = merge_observations({first, second});
+  ObservationVec merged;
+  merge_observations_into({first, second}, merged);
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].rel_time, 100u);
   EXPECT_TRUE(merged[0].up);    // stream 0 first
@@ -381,7 +388,8 @@ TEST(Merge, ManyStreamsAgainstReferenceStableSort) {
                      }
                      return x.stream < y.stream;
                    });
-  const auto merged = merge_observations(streams);
+  ObservationVec merged;
+  merge_observations_into(streams, merged);
   ASSERT_EQ(merged.size(), reference.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(merged[i].rel_time, reference[i].o.rel_time) << "index " << i;

@@ -108,7 +108,8 @@ TEST_P(BlockSweep, MergePreservesAndOrders) {
                                          ProbeWindow{0, 3 * util::kSecondsPerDay}));
     total += streams.back().size();
   }
-  const auto merged = probe::merge_observations(std::move(streams));
+  ObservationVec merged;
+  probe::merge_observations_into(streams, merged);
   EXPECT_EQ(merged.size(), total);
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].rel_time, merged[i].rel_time);

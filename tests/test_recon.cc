@@ -332,8 +332,9 @@ TEST(BlockRecon, StreamEndingBeforeWindowOpens) {
   BlockObservationConfig oc;
   oc.observers = probe::sites_from_string("w");
   oc.window = ProbeWindow{time_of(2020, 1, 1), time_of(2020, 1, 15)};
-  const auto plan = fault::FaultPlan::single_observer_dropout(
-      'w', oc.window.start, oc.window.end);
+  fault::FaultPlan plan;
+  plan.outages.push_back(
+      {'w', fault::OutageKind::kHardDown, oc.window.start, oc.window.end});
   oc.faults = &plan;
   for (const auto& block : world.blocks()) {
     if (block.eb_count == 0) continue;

@@ -69,14 +69,14 @@ TEST(World, FindAndGeoDb) {
 
 TEST(World, CategoryMixPlausible) {
   World w(small_config(8000));
-  const auto counts = w.category_counts();
   int responsive = 0, diurnal_cat = 0, total = 0;
-  for (const auto& [cat, n] : counts) {
-    total += n;
-    if (cat != BlockCategory::kUnused && cat != BlockCategory::kFirewalled) {
-      responsive += n;
+  for (const auto& b : w.blocks()) {
+    ++total;
+    if (b.category != BlockCategory::kUnused &&
+        b.category != BlockCategory::kFirewalled) {
+      ++responsive;
     }
-    if (is_diurnal_category(cat)) diurnal_cat += n;
+    if (is_diurnal_category(b.category)) ++diurnal_cat;
   }
   // Paper scale: ~46.5% responsive; diurnal categories a few percent.
   EXPECT_NEAR(static_cast<double>(responsive) / total, 0.465, 0.05);
@@ -107,8 +107,13 @@ TEST(Activity, WfhSuppresssesOfficeActivity) {
   const SimTime after = time_of(2020, 3, 25) + 20 * 3600;
   EXPECT_GT(active_count(*office, before), 8);
   EXPECT_LT(active_count(*office, after), 5);
-  EXPECT_TRUE(wfh_start(*office).has_value());
-  EXPECT_EQ(util::to_string(util::date_of(*wfh_start(*office))), "2020-03-15");
+  const auto wfh =
+      std::find_if(office->suppressions.begin(), office->suppressions.end(),
+                   [](const Suppression& s) {
+                     return s.kind == EventKind::kWorkFromHome;
+                   });
+  ASSERT_NE(wfh, office->suppressions.end());
+  EXPECT_EQ(util::to_string(util::date_of(wfh->start)), "2020-03-15");
 }
 
 TEST(Activity, HolidayDipsAttendance) {
@@ -250,15 +255,22 @@ TEST(Events, WfhAdoptionJitterWithinBounds) {
   const SimTime horizon = time_of(2020, 7, 1);
   int adopted = 0;
   for (const auto& b : w.blocks()) {
-    const auto start = wfh_start(b);
-    if (!start) continue;
+    // Home blocks respond to WFH with more daytime activity; the office
+    // and campus onsets are the ones the detector is scored against.
+    if (b.category == BlockCategory::kHomeDynamic) continue;
+    const auto wfh =
+        std::find_if(b.suppressions.begin(), b.suppressions.end(),
+                     [](const Suppression& s) {
+                       return s.kind == EventKind::kWorkFromHome;
+                     });
+    if (wfh == b.suppressions.end()) continue;
     ++adopted;
     const auto& country = geo::countries()[b.country];
     ASSERT_TRUE(country.wfh_2020.has_value());
     const SimTime official = time_of(*country.wfh_2020);
-    EXPECT_GE(*start, official - 2 * util::kSecondsPerDay);
-    EXPECT_LE(*start, official + 3 * util::kSecondsPerDay);
-    EXPECT_LT(*start, horizon);
+    EXPECT_GE(wfh->start, official - 2 * util::kSecondsPerDay);
+    EXPECT_LE(wfh->start, official + 3 * util::kSecondsPerDay);
+    EXPECT_LT(wfh->start, horizon);
   }
   EXPECT_GT(adopted, 50);
 }

@@ -69,7 +69,9 @@ OracleResult batch_oracle(
                             streams[i]);
     fault::StreamFaultStats stats;
     if (inject) {
-      stats = fault::apply_faults(*oc.faults, spec.code, oc.window, streams[i]);
+      fault::FaultCarry carry;
+      stats = fault::apply_faults_chunk(*oc.faults, spec.code, oc.window,
+                                        streams[i], 0, carry);
     }
     auto& si = out.observers[i];
     si.code = spec.code;
@@ -81,7 +83,8 @@ OracleResult batch_oracle(
     }
     if (oc.one_loss_repair) recon::one_loss_repair(streams[i]);
   }
-  const auto merged = probe::merge_observations(std::move(streams));
+  ObservationVec merged;
+  probe::merge_observations_into(streams, merged);
   out.recon =
       recon::reconstruct(merged, block.eb_count, oc.window, oc.recon);
   return out;
@@ -197,7 +200,9 @@ TEST(StreamFaults, ChunkedApplyMatchesBatch) {
       ObservationVec batch;
       probe::probe_block_into(block, spec, oc.loss, w, oc.prober, scratch,
                               batch);
-      const auto batch_stats = fault::apply_faults(plan, spec.code, w, batch);
+      fault::FaultCarry batch_carry;
+      const auto batch_stats =
+          fault::apply_faults_chunk(plan, spec.code, w, batch, 0, batch_carry);
 
       // Re-probe in chunks, injecting after each append: the streaming
       // composition.  Truncation state crosses chunks via the carry.

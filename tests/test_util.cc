@@ -42,15 +42,12 @@ TEST(Date, Weekday) {
   EXPECT_EQ(weekday(Date{2019, 10, 1}), 2);   // Tuesday
   EXPECT_EQ(weekday(Date{2020, 3, 15}), 0);   // Sunday (USC WFH began)
   EXPECT_EQ(weekday(Date{2020, 1, 20}), 1);   // Monday (MLK day)
-  EXPECT_TRUE(is_weekend(Date{2020, 3, 14}));  // Saturday
-  EXPECT_FALSE(is_weekend(Date{2020, 3, 16}));
+  EXPECT_EQ(weekday(Date{2020, 3, 14}), 6);   // Saturday
 }
 
 TEST(Date, FormatParse) {
   EXPECT_EQ(to_string(Date{2020, 3, 5}), "2020-03-05");
-  EXPECT_EQ(parse_date("2020-03-05"), (Date{2020, 3, 5}));
-  EXPECT_THROW(parse_date("not-a-date"), std::invalid_argument);
-  EXPECT_THROW(parse_date("2020-13-05"), std::invalid_argument);
+  EXPECT_EQ(to_string(Date{987, 11, 30}), "0987-11-30");
 }
 
 TEST(Date, ParseDuration) {
@@ -156,30 +153,7 @@ TEST(TimeSeries, BasicAccessors) {
   EXPECT_EQ(s.size(), 3u);
   EXPECT_EQ(s.time_at(2), 220);
   EXPECT_EQ(s.end_time(), 280);
-  EXPECT_EQ(s.index_at(100), 0u);
-  EXPECT_EQ(s.index_at(161), 1u);
-  EXPECT_EQ(s.index_at(10'000), 2u);  // clamped
   EXPECT_THROW(TimeSeries(0, 0, {}), std::invalid_argument);
-}
-
-TEST(TimeSeries, Slice) {
-  TimeSeries s(0, 10, {0, 1, 2, 3, 4, 5});
-  const auto mid = s.slice(15, 45);
-  ASSERT_EQ(mid.size(), 4u);  // samples covering [10,50)
-  EXPECT_EQ(mid[0], 1);
-  EXPECT_EQ(mid[3], 4);
-  EXPECT_EQ(s.slice(100, 200).size(), 0u);
-  EXPECT_EQ(s.slice(-50, 1000).size(), 6u);
-}
-
-TEST(TimeSeries, DownsampleMean) {
-  TimeSeries s(0, 1, {1, 3, 5, 7, 9});
-  const auto d = s.downsample_mean(2);
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_DOUBLE_EQ(d[0], 2.0);
-  EXPECT_DOUBLE_EQ(d[1], 6.0);
-  EXPECT_DOUBLE_EQ(d[2], 9.0);  // trailing partial group
-  EXPECT_EQ(d.step(), 2);
 }
 
 TEST(TimeSeries, DailyStats) {

@@ -5,6 +5,7 @@
 // thread-count metamorphic gates the paper-facing numbers rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <random>
@@ -409,9 +410,16 @@ TEST(TruthRule, WfhAfterCgnatAbsorptionIsNoTruth) {
   std::size_t pick = 0;
   while (pick < blocks.size()) {
     const auto& b = blocks[pick];
-    const auto onset = sim::wfh_start(b);
-    if (onset && std::abs(*onset - wfh.start) <= 4 * kDay && b.cgnat_at >= 0 &&
-        b.cgnat_at < *onset && b.vacate_at < 0) {
+    // A downward WFH onset: home blocks answer WFH with more activity.
+    const auto onset =
+        std::find_if(b.suppressions.begin(), b.suppressions.end(),
+                     [](const sim::Suppression& sup) {
+                       return sup.kind == sim::EventKind::kWorkFromHome;
+                     });
+    if (b.category != sim::BlockCategory::kHomeDynamic &&
+        onset != b.suppressions.end() &&
+        std::abs(onset->start - wfh.start) <= 4 * kDay && b.cgnat_at >= 0 &&
+        b.cgnat_at < onset->start && b.vacate_at < 0) {
       break;
     }
     ++pick;
@@ -445,13 +453,12 @@ TEST(ValidateEndToEnd, QuietCalendarStaysSilentOnBothDrives) {
   for (const auto drive :
        {validate::Drive::kBatch, validate::Drive::kStreaming}) {
     const auto run = validate::run_scenario(*s, world, drive, 2);
-    EXPECT_EQ(run.score.truth_total(), 0) << validate::to_string(drive);
-    EXPECT_EQ(run.score.true_positive(), 0) << validate::to_string(drive);
-    EXPECT_EQ(run.score.false_positive, 0) << validate::to_string(drive);
-    EXPECT_EQ(run.score.low_evidence_excluded, 0)
-        << validate::to_string(drive);
-    EXPECT_TRUE(validate::check_expectations(*s, run).empty())
-        << validate::to_string(drive);
+    const char* name = drive == validate::Drive::kBatch ? "batch" : "streaming";
+    EXPECT_EQ(run.score.truth_total(), 0) << name;
+    EXPECT_EQ(run.score.true_positive(), 0) << name;
+    EXPECT_EQ(run.score.false_positive, 0) << name;
+    EXPECT_EQ(run.score.low_evidence_excluded, 0) << name;
+    EXPECT_TRUE(validate::check_expectations(*s, run).empty()) << name;
   }
 }
 
@@ -466,11 +473,11 @@ TEST(ValidateEndToEnd, DstTransitionStaysSilentOnBothDrives) {
   for (const auto drive :
        {validate::Drive::kBatch, validate::Drive::kStreaming}) {
     const auto run = validate::run_scenario(*s, world, drive, 2);
-    EXPECT_EQ(run.score.truth_total(), 0) << validate::to_string(drive);
-    EXPECT_EQ(run.score.true_positive(), 0) << validate::to_string(drive);
-    EXPECT_EQ(run.score.false_positive, 0) << validate::to_string(drive);
-    EXPECT_TRUE(validate::check_expectations(*s, run).empty())
-        << validate::to_string(drive);
+    const char* name = drive == validate::Drive::kBatch ? "batch" : "streaming";
+    EXPECT_EQ(run.score.truth_total(), 0) << name;
+    EXPECT_EQ(run.score.true_positive(), 0) << name;
+    EXPECT_EQ(run.score.false_positive, 0) << name;
+    EXPECT_TRUE(validate::check_expectations(*s, run).empty()) << name;
   }
 }
 
@@ -481,7 +488,8 @@ TEST(ValidateEndToEnd, CgnatFadeMasksConversionsWithoutFalseAlarms) {
   // that survives classification may raise a confirmed change.
   const auto* s = validate::find_scenario("cgnat_fade");
   ASSERT_NE(s, nullptr);
-  const auto run = validate::run_scenario(*s, validate::Drive::kBatch, 2);
+  const auto run = validate::run_scenario(*s, sim::World(s->world),
+                                          validate::Drive::kBatch, 2);
   EXPECT_GE(run.score.truth_outside_detection, s->truth_outside_floor);
   EXPECT_EQ(run.score.truth_total(), 0);
   EXPECT_EQ(run.score.true_positive(), 0);
@@ -492,7 +500,8 @@ TEST(ValidateEndToEnd, CgnatFadeMasksConversionsWithoutFalseAlarms) {
 TEST(ValidateEndToEnd, CleanDiurnalNegativeControlPasses) {
   const auto* s = validate::find_scenario("clean_diurnal");
   ASSERT_NE(s, nullptr);
-  const auto run = validate::run_scenario(*s, validate::Drive::kBatch, 2);
+  const auto run = validate::run_scenario(*s, sim::World(s->world),
+                                          validate::Drive::kBatch, 2);
   EXPECT_TRUE(validate::check_expectations(*s, run).empty());
   EXPECT_EQ(run.score.false_positive, 0);
 }
@@ -525,10 +534,10 @@ TEST(ValidateEndToEnd, FaultInvariantsHoldForDropout) {
   const auto* faulted = validate::find_scenario("wfh_dropout");
   ASSERT_NE(clean, nullptr);
   ASSERT_NE(faulted, nullptr);
-  const auto clean_run =
-      validate::run_scenario(*clean, validate::Drive::kBatch, 2);
-  const auto faulted_run =
-      validate::run_scenario(*faulted, validate::Drive::kBatch, 2);
+  const auto clean_run = validate::run_scenario(
+      *clean, sim::World(clean->world), validate::Drive::kBatch, 2);
+  const auto faulted_run = validate::run_scenario(
+      *faulted, sim::World(faulted->world), validate::Drive::kBatch, 2);
   EXPECT_TRUE(
       validate::check_fault_invariants(*faulted, faulted_run, clean_run)
           .empty());

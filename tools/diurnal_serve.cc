@@ -8,12 +8,12 @@
 //
 // Runs core::SnapshotServer: a single writer ingests the world epoch by
 // epoch (--epoch=1d, 6h, ...) and publishes an immutable snapshot per
-// epoch while --readers threads concurrently answer a rotating mix of
-// block/trend/alarm/gridcell/scorecard queries against their pinned
-// snapshot.  Each epoch prints the scorecard line an analyst would
-// watch; on completion the feed drains, the engine finalizes (bit-
-// identical to the batch drive) and the funnel, fleet digest and
-// reader latency distribution are reported.
+// epoch while --readers threads (at most 64) concurrently answer a
+// rotating mix of block/trend/alarm/gridcell/scorecard queries against
+// their pinned snapshot.  Each epoch prints the scorecard line an
+// analyst would watch; on completion the feed drains, the engine
+// finalizes (bit-identical to the batch drive) and the funnel, fleet
+// digest and reader latency distribution are reported.
 //
 // Shutdown semantics: SIGINT (or --stop-after K epochs) stops the
 // writer in place; with --checkpoint-dir the stopped engine is saved to
@@ -36,6 +36,7 @@
 #include "core/datasets.h"
 #include "core/digest.h"
 #include "core/snapshot_server.h"
+#include "core/worker_pool.h"
 #include "fault/fault_plan.h"
 #include "sim/world.h"
 #include "util/date.h"
@@ -93,8 +94,8 @@ Args parse(int argc, char** argv) {
       a.fault_scenario = tools::flag_scenario(flag, value());
     else if (flag == "--epoch")
       a.epoch = tools::flag_value(flag, value(), util::parse_duration);
-    else if (flag == "--readers")
-      a.readers = tools::flag_int(flag, value(), 0);
+    else if (flag == "--readers")  // each reader is one thread
+      a.readers = tools::flag_int(flag, value(), 0, core::kMaxThreads);
     else if (flag == "--feed-capacity")
       a.feed_capacity = tools::flag_uint(flag, value());
     else if (flag == "--threads")

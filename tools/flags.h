@@ -43,11 +43,11 @@ inline std::uint64_t flag_uint(
   return n;
 }
 
-/// An int of at least `lo` (--blocks 1, --threads 0).
-inline int flag_int(const std::string& flag, const std::string& value,
-                    int lo) {
+/// An int in [lo, hi] (--blocks 1, --threads 0).
+inline int flag_int(const std::string& flag, const std::string& value, int lo,
+                    int hi = std::numeric_limits<int>::max()) {
   return static_cast<int>(flag_uint(flag, value, static_cast<std::uint64_t>(lo),
-                                    std::numeric_limits<int>::max()));
+                                    static_cast<std::uint64_t>(hi)));
 }
 
 /// resolve(value), where a std::logic_error (the library's rejection of

@@ -20,7 +20,6 @@
 // BENCH_analysis.json).
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -42,12 +41,6 @@
 using namespace diurnal;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Sink so the timed kernel calls cannot be dead-code-eliminated.
 volatile double g_sink = 0.0;
@@ -98,9 +91,9 @@ int main(int argc, char** argv) {
 
   // One fleet pass supplies both the digest cross-check and the series
   // store the kernel stages below run over.
-  auto t0 = Clock::now();
+  auto t0 = bench::Clock::now();
   const auto fleet = core::run_fleet(world, fc);
-  const double fleet_seconds = seconds_since(t0);
+  const double fleet_seconds = bench::seconds_since(t0);
   const std::uint64_t digest = core::fleet_digest(fleet);
   std::printf("fleet pass: %.2fs, digest %s\n", fleet_seconds,
               core::digest_hex(digest).c_str());
@@ -144,26 +137,26 @@ int main(int argc, char** argv) {
   // warm scalar analyzer.
   double fft_best = 0, stl_best = 0, cusum_best = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    auto t = Clock::now();
+    auto t = bench::Clock::now();
     for (const std::size_t i : rows) {
       const auto d = az.diurnal(fleet.series.series(i), samples_per_day);
       g_sink = g_sink + d.power_ratio;
     }
-    const double fft_s = seconds_since(t);
+    const double fft_s = bench::seconds_since(t);
 
-    t = Clock::now();
+    t = bench::Clock::now();
     for (const std::size_t i : rows) {
       const auto dec = az.decompose_stl(fleet.series.series(i), stl_opt);
       g_sink = g_sink + dec.trend[dec.trend.size() / 2];
     }
-    const double stl_s = seconds_since(t);
+    const double stl_s = bench::seconds_since(t);
 
-    t = Clock::now();
+    t = bench::Clock::now();
     for (const auto& z : zrows) {
       const auto cus = az.cusum(z);
       g_sink = g_sink + static_cast<double>(cus.changes.size());
     }
-    const double cusum_s = seconds_since(t);
+    const double cusum_s = bench::seconds_since(t);
 
     if (rep == 0 || fft_s < fft_best) fft_best = fft_s;
     if (rep == 0 || stl_s < stl_best) stl_best = stl_s;
@@ -281,16 +274,16 @@ int main(int argc, char** argv) {
     // ISA clone actually ran.
     simd::reset_dispatch_counts();
     for (int rep = 0; rep < reps; ++rep) {
-      auto t = Clock::now();
+      auto t = bench::Clock::now();
       for (const auto& g : groups) {
         gather(g);
         analysis::test_diurnal_batch(y_soa.data(), g.width, g.n,
                                      samples_per_day, {}, bws, dres.data());
         g_sink = g_sink + dres[0].power_ratio;
       }
-      const double fft_s = seconds_since(t);
+      const double fft_s = bench::seconds_since(t);
 
-      t = Clock::now();
+      t = bench::Clock::now();
       for (const auto& g : groups) {
         gather(g);
         analysis::stl_decompose_batch(y_soa.data(), g.width, g.n, stl_opt, bws,
@@ -298,7 +291,7 @@ int main(int argc, char** argv) {
                                       residual_soa.data());
         g_sink = g_sink + trend_soa[(g.n / 2) * g.width];
       }
-      const double stl_s = seconds_since(t);
+      const double stl_s = bench::seconds_since(t);
 
       if (rep == 0 || fft_s < fft_batch_best) fft_batch_best = fft_s;
       if (rep == 0 || stl_s < stl_batch_best) stl_batch_best = stl_s;

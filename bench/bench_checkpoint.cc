@@ -32,7 +32,6 @@
 // DIURNAL_BENCH_CKPT_DIR keeps the capacity run's checkpoint directory
 // (its shard files) on disk instead of a scratch path — the weekly
 // large-world job uploads its file listing as an artifact.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -60,12 +59,6 @@
 using namespace diurnal;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::filesystem::path fresh_dir(const char* name) {
   const auto dir = std::filesystem::temp_directory_path() /
@@ -131,9 +124,9 @@ int main() {
     std::vector<std::uint8_t> image;
     for (int rep = 0; rep < kReps; ++rep) {
       util::StateWriter w;
-      const auto t0 = Clock::now();
+      const auto t0 = bench::Clock::now();
       engine.save(w);
-      save_secs += seconds_since(t0) / kReps;
+      save_secs += bench::seconds_since(t0) / kReps;
       image = w.take();
     }
     image_bytes = image.size();
@@ -148,12 +141,12 @@ int main() {
     // Restore latency, then the non-negotiable: the restored engine
     // must finish to the reference digest.
     core::StreamingFleet resumed(world, fc);
-    const auto t_restore = Clock::now();
+    const auto t_restore = bench::Clock::now();
     {
       util::StateReader r(image);
       resumed.restore(r);
     }
-    restore_secs = seconds_since(t_restore);
+    restore_secs = bench::seconds_since(t_restore);
     resumed.advance_to(resumed.window_end());
     const std::uint64_t resumed_digest = core::fleet_digest(resumed.finalize());
     digest_ok = resumed_digest == ref_digest;
@@ -178,9 +171,9 @@ int main() {
     const auto dir = fresh_dir("resume10k");
     sc.checkpoint_dir = dir.string();
 
-    const auto t_replay = Clock::now();
+    const auto t_replay = bench::Clock::now();
     const auto whole = core::run_sharded_fleet(mid, fc, sc);
-    replay_secs = seconds_since(t_replay);
+    replay_secs = bench::seconds_since(t_replay);
     const std::uint64_t mid_digest = core::fleet_digest(whole.fleet);
 
     std::filesystem::remove_all(dir);
@@ -188,14 +181,14 @@ int main() {
     auto killed = sc;
     killed.max_shards = whole.stats.shards / 2;
     killed_after = killed.max_shards;
-    const auto t_first = Clock::now();
+    const auto t_first = bench::Clock::now();
     (void)core::run_sharded_fleet(mid, fc, killed);
-    first_secs = seconds_since(t_first);
+    first_secs = bench::seconds_since(t_first);
     auto cont = sc;
     cont.resume = true;
-    const auto t_resume = Clock::now();
+    const auto t_resume = bench::Clock::now();
     const auto finished = core::run_sharded_fleet(mid, fc, cont);
-    resume_secs = seconds_since(t_resume);
+    resume_secs = bench::seconds_since(t_resume);
     mid_ok = core::fleet_digest(finished.fleet) == mid_digest;
     mid_stats = finished.stats;
     std::printf(
@@ -233,9 +226,9 @@ int main() {
   std::uint64_t cap_digest = 0;
   core::ShardStats cap_stats;
   {
-    const auto t_full = Clock::now();
+    const auto t_full = bench::Clock::now();
     const auto full = core::run_sharded_fleet(big, fc, cap);
-    full_secs = seconds_since(t_full);
+    full_secs = bench::seconds_since(t_full);
     cap_digest = core::fleet_digest(full.fleet);
     cap_stats = full.stats;
   }
@@ -248,9 +241,9 @@ int main() {
   if (hwm_reset) util::reset_peak_rss();
   auto capr = cap;
   capr.resume = true;
-  const auto t_cap_resume = Clock::now();
+  const auto t_cap_resume = bench::Clock::now();
   const auto restored = core::run_sharded_fleet(big, fc, capr);
-  const double cap_resume_secs = seconds_since(t_cap_resume);
+  const double cap_resume_secs = bench::seconds_since(t_cap_resume);
   const auto mem = util::read_memory_usage();
   const bool cap_ok = core::fleet_digest(restored.fleet) == cap_digest &&
                       restored.stats.resumed_shards == restored.stats.shards;

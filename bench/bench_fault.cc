@@ -17,7 +17,6 @@
 // Scale knobs: DIURNAL_BENCH_BLOCKS, DIURNAL_BENCH_SEED, and
 // DIURNAL_BENCH_JSON (output path, default BENCH_fault.json).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -31,12 +30,6 @@
 using namespace diurnal;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::int64_t low_evidence_changes(const core::FleetResult& r) {
   std::int64_t n = 0;
@@ -78,9 +71,9 @@ int main() {
     fc.faults = fault::scenario(name, fc.dataset.window());
 
     fc.threads = 1;
-    const auto t0 = Clock::now();
+    const auto t0 = bench::Clock::now();
     const auto fleet = core::run_fleet(world, fc);
-    const double secs = seconds_since(t0);
+    const double secs = bench::seconds_since(t0);
     fc.threads = static_cast<int>(hw);
     const auto fleet_mt = core::run_fleet(world, fc);
 

@@ -2,6 +2,7 @@
 // 4-address block over ten rounds, showing the incremental estimate
 // converging on the truth as addresses are rescanned.
 #include <cstdio>
+#include <span>
 
 #include "common.h"
 #include "recon/reconstruct.h"
@@ -29,19 +30,23 @@ int main() {
       {1, 0, 0, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1},
   };
 
-  probe::ObservationVec obs;
+  // The scans feed the engine's reconstruction state machine in order.
+  recon::ReconOptions opt;
+  opt.sample_step = 60;
+  recon::BlockReconState state;
+  state.begin(4, probe::ProbeWindow{0, 11 * 60}, opt);
   int offset = 0;
   int prev_round = 0;
   for (const auto& s : scans) {
     offset = (s.round == prev_round) ? offset + 1 : 0;
     prev_round = s.round;
-    obs.push_back(probe::Observation{
+    state.push(probe::Observation{
         static_cast<std::uint32_t>(s.round * 60 + offset),
         static_cast<std::uint8_t>(s.addr), s.up});
   }
-  recon::ReconOptions opt;
-  opt.sample_step = 60;
-  const auto r = recon::reconstruct(obs, 4, probe::ProbeWindow{0, 11 * 60}, opt);
+  recon::ReconStats r;
+  state.finalize_stats(r);
+  const std::span<const double> estimate = state.series_view();
 
   std::printf("round:      ");
   for (int round = 1; round <= 10; ++round) std::printf("%3d", round);
@@ -53,7 +58,7 @@ int main() {
   }
   std::printf("estimate:   ");
   for (int round = 1; round <= 10; ++round) {
-    const double v = r.counts[static_cast<std::size_t>(round)];
+    const double v = estimate[static_cast<std::size_t>(round)];
     std::printf("%3.0f", v);
   }
   std::printf("\ntruth:      ");

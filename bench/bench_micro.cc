@@ -94,14 +94,30 @@ void BM_AddressOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressOracle);
 
+// One observer's whole window: the prober begun, then resumed once to
+// the window end.
+void probe_window(const sim::BlockProfile& block, probe::ProbeWindow window,
+                  probe::ProbeScratch& scratch, probe::ObservationVec& out) {
+  const probe::LossModel loss;
+  const probe::ProberConfig config;
+  const auto obs = probe::site('w');
+  probe::RoundProberState st;
+  out.clear();
+  probe::round_prober_begin(block, obs, window, config, st);
+  probe::round_prober_resume(block, obs, loss, window, config, scratch, st,
+                             window.end, out);
+}
+
 void BM_ProbeBlockWeek(benchmark::State& state) {
   const auto& world = micro_world();
   const auto* block = world.find(world.usc_office_block());
-  probe::LossModel loss;
-  const auto obs = probe::site('w');
   const probe::ProbeWindow window{0, 7 * util::kSecondsPerDay};
+  probe::ProbeScratch scratch;
+  probe::ObservationVec out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(probe::probe_block(*block, obs, loss, window));
+    probe_window(*block, window, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ProbeBlockWeek);
@@ -109,12 +125,18 @@ BENCHMARK(BM_ProbeBlockWeek);
 void BM_ReconstructQuarter(benchmark::State& state) {
   const auto& world = micro_world();
   const auto* block = world.find(world.usc_office_block());
-  probe::LossModel loss;
   const probe::ProbeWindow window{0, 84 * util::kSecondsPerDay};
-  auto stream = probe::probe_block(*block, probe::site('w'), loss, window);
+  probe::ProbeScratch scratch;
+  probe::ObservationVec stream;
+  probe_window(*block, window, scratch, stream);
+  recon::BlockReconState recon;
+  recon::ReconStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        recon::reconstruct(stream, block->eb_count, window));
+    recon.begin(block->eb_count, window);
+    for (const auto& obs : stream) recon.push(obs);
+    recon.finalize_stats(stats);
+    benchmark::DoNotOptimize(recon.series_view().data());
+    benchmark::DoNotOptimize(stats);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(stream.size()));

@@ -10,12 +10,11 @@
 // as the batch run_fleet pass, or the bench exits nonzero.
 //
 // Scale knobs: DIURNAL_BENCH_BLOCKS, DIURNAL_BENCH_SEED,
-// DIURNAL_BENCH_EPOCH_SECONDS (default 86400), DIURNAL_BENCH_READERS
-// (default 4, at most 64), DIURNAL_BENCH_SERVE_P99_BUDGET_US (default
-// 250000), and
+// DIURNAL_BENCH_EPOCH_SECONDS (default 86400, at least 1),
+// DIURNAL_BENCH_READERS (default 4, 0 to 64: each reader is a thread),
+// DIURNAL_BENCH_SERVE_P99_BUDGET_US (default 250000), and
 // DIURNAL_BENCH_JSON (output path, default BENCH_serve.json).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -32,12 +31,6 @@
 
 using namespace diurnal;
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
-
 int main() {
   bench::header("BENCH serve",
                 "concurrent query plane: readers vs the epoch writer",
@@ -50,11 +43,10 @@ int main() {
   fc.threads = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
 
-  const std::int64_t epoch_seconds = std::max(
-      1, bench::env_int("DIURNAL_BENCH_EPOCH_SECONDS",
-                        static_cast<int>(util::kSecondsPerDay)));
-  const int n_readers = std::max(
-      4, bench::env_int("DIURNAL_BENCH_READERS", 4, core::kMaxThreads));
+  const std::int64_t epoch_seconds = bench::env_int(
+      "DIURNAL_BENCH_EPOCH_SECONDS", static_cast<int>(util::kSecondsPerDay), 1);
+  const int n_readers =
+      bench::env_int("DIURNAL_BENCH_READERS", 4, 0, core::kMaxThreads);
   const double p99_budget_us = static_cast<double>(
       bench::env_int("DIURNAL_BENCH_SERVE_P99_BUDGET_US", 250000));
 
@@ -68,12 +60,11 @@ int main() {
 
   tools::QueryReaders readers(server, world.blocks(), n_readers);
 
-  const auto t0 = Clock::now();
+  const auto t0 = bench::Clock::now();
   server.start();
   server.feed_all();
   const auto streamed = server.drain();
-  const double serve_secs =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+  const double serve_secs = bench::seconds_since(t0);
   const std::vector<double> all = readers.stop();
 
   const std::uint64_t serve_digest = core::fleet_digest(streamed);

@@ -21,7 +21,6 @@
 // DIURNAL_BENCH_SHARD_BLOCKS, DIURNAL_BENCH_SHARD_SIZE,
 // DIURNAL_BENCH_SHARD_RESIDENT, DIURNAL_BENCH_RSS_BUDGET_KB,
 // DIURNAL_BENCH_SEED, DIURNAL_BENCH_JSON.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -39,12 +38,6 @@
 using namespace diurnal;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// One equivalence case: sharded digest vs the reference.
 bool check_case(const char* label, const sim::WorldConfig& wc,
@@ -158,9 +151,9 @@ int main() {
   const bool hwm_reset = util::reset_peak_rss();
   const auto before = util::read_memory_usage();
   const std::size_t allocs_before = bench::heap_allocations();
-  const auto t0 = Clock::now();
+  const auto t0 = bench::Clock::now();
   const auto cap = core::run_sharded_fleet(big, fc, sc);
-  const double secs = seconds_since(t0);
+  const double secs = bench::seconds_since(t0);
   const std::size_t allocs = bench::heap_allocations() - allocs_before;
   const auto after = util::read_memory_usage();
 

@@ -10,10 +10,10 @@
 // batch run_fleet pass, or the bench exits nonzero.
 //
 // Scale knobs: DIURNAL_BENCH_BLOCKS, DIURNAL_BENCH_SEED,
-// DIURNAL_BENCH_EPOCH_SECONDS (default 86400), and DIURNAL_BENCH_JSON
+// DIURNAL_BENCH_EPOCH_SECONDS (default 86400, at least 1), and
+// DIURNAL_BENCH_JSON
 // (output path, default BENCH_stream.json).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -29,12 +29,6 @@
 using namespace diurnal;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 double quantile_ms(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
@@ -58,14 +52,13 @@ int main() {
   fc.threads = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
 
-  const std::int64_t epoch_seconds = std::max(
-      1, bench::env_int("DIURNAL_BENCH_EPOCH_SECONDS",
-                        static_cast<int>(util::kSecondsPerDay)));
+  const std::int64_t epoch_seconds = bench::env_int(
+      "DIURNAL_BENCH_EPOCH_SECONDS", static_cast<int>(util::kSecondsPerDay), 1);
 
   // Batch reference: one run_fleet pass, the digest the stream must hit.
-  auto t0 = Clock::now();
+  auto t0 = bench::Clock::now();
   const auto batch = core::run_fleet(world, fc);
-  const double batch_secs = seconds_since(t0);
+  const double batch_secs = bench::seconds_since(t0);
   const std::uint64_t batch_digest = core::fleet_digest(batch);
 
   // Incremental drive: one advance per epoch, then finalize.
@@ -73,21 +66,21 @@ int main() {
   std::vector<double> epoch_secs_each;
   std::size_t observations = 0;
   std::size_t provisional_alarms = 0;
-  const auto stream_t0 = Clock::now();
+  const auto stream_t0 = bench::Clock::now();
   for (util::SimTime t = fleet.window_start() + epoch_seconds;;
        t += epoch_seconds) {
     const auto bounded = std::min(t, fleet.window_end());
-    const auto et0 = Clock::now();
+    const auto et0 = bench::Clock::now();
     const auto report = fleet.advance_to(bounded);
-    epoch_secs_each.push_back(seconds_since(et0));
+    epoch_secs_each.push_back(bench::seconds_since(et0));
     observations += report.observations;
     provisional_alarms += report.provisional.size();
     if (bounded == fleet.window_end()) break;
   }
-  const double ingest_secs = seconds_since(stream_t0);
-  t0 = Clock::now();
+  const double ingest_secs = bench::seconds_since(stream_t0);
+  t0 = bench::Clock::now();
   const auto streamed = fleet.finalize();
-  const double finalize_secs = seconds_since(t0);
+  const double finalize_secs = bench::seconds_since(t0);
   const std::uint64_t stream_digest = core::fleet_digest(streamed);
 
   const std::size_t epochs = epoch_secs_each.size();

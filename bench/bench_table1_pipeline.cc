@@ -21,10 +21,12 @@ int main() {
   recon::HealthCheckConfig hc;
   hc.window = probe::ProbeWindow{util::time_of(2020, 1, 1),
                                  util::time_of(2020, 1, 8)};
-  const auto healthy = recon::healthy_observers(
-      world, probe::trinocular_sites(), hc);
+  const auto health =
+      recon::check_observers(world, probe::trinocular_sites(), hc);
   std::string healthy_codes;
-  for (const auto& o : healthy) healthy_codes += o.code;
+  for (const auto& h : health) {
+    if (h.healthy) healthy_codes += h.code;
+  }
 
   core::FleetConfig fc;
   fc.dataset = core::dataset("2020q1-" + healthy_codes);
@@ -64,7 +66,7 @@ int main() {
   t.print();
 
   std::printf("\nobserver health (2020): ");
-  for (const auto& h : recon::check_observers(world, probe::trinocular_sites(), hc)) {
+  for (const auto& h : health) {
     std::printf("%c:%s(dev %.3f) ", h.code, h.healthy ? "ok" : "FAULTY",
                 h.deviation);
   }

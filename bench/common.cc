@@ -11,10 +11,10 @@
 
 namespace diurnal::bench {
 
-int env_int(const char* name, int fallback, int hi) {
+int env_int(const char* name, int fallback, int lo, int hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return tools::flag_int(name, v, 0, hi);
+  return tools::flag_int(name, v, lo, hi);
 }
 
 void header(const std::string& artifact, const std::string& title,

@@ -10,6 +10,7 @@
 //   DIURNAL_BENCH_SEED    override the world seed
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -24,11 +25,19 @@
 
 namespace diurnal::bench {
 
-/// Reads an integer environment override in [0, hi]; a malformed or
+/// Reads an integer environment override in [lo, hi]; a malformed or
 /// out-of-range value (`12x`, `-1`, `abc`) prints one stderr line and
 /// exits with status 2.
-int env_int(const char* name, int fallback,
+int env_int(const char* name, int fallback, int lo = 0,
             int hi = std::numeric_limits<int>::max());
+
+/// The benches' wall clock.
+using Clock = std::chrono::steady_clock;
+
+/// Seconds elapsed since `t0`.
+inline double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 /// Prints the bench banner: artifact id, title, and scale note.  Every
 /// bench calls it first, so it also checks DIURNAL_SIMD: an unknown

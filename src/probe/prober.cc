@@ -97,11 +97,6 @@ inline void store_observation(Observation* p, std::uint32_t rel_time,
 
 }  // namespace
 
-ProbeScratch& ProbeScratch::local() {
-  thread_local ProbeScratch scratch;
-  return scratch;
-}
-
 void round_prober_begin(const sim::BlockProfile& block,
                         const ObserverSpec& observer, ProbeWindow window,
                         const ProberConfig& config, RoundProberState& state) {
@@ -514,72 +509,6 @@ void round_prober_resume(const sim::BlockProfile& block,
   }
   state.cursor = cursor;
   if (until >= window.end) state.done = true;
-}
-
-void probe_block_into(const sim::BlockProfile& block,
-                      const ObserverSpec& observer, const LossModel& loss,
-                      ProbeWindow window, const ProberConfig& config,
-                      ProbeScratch& scratch, ObservationVec& out) {
-  out.clear();
-  RoundProberState state;
-  round_prober_begin(block, observer, window, config, state);
-  round_prober_resume(block, observer, loss, window, config, scratch, state,
-                      window.end, out);
-}
-
-ObservationVec probe_block(const sim::BlockProfile& block,
-                           const ObserverSpec& observer, const LossModel& loss,
-                           ProbeWindow window, const ProberConfig& config) {
-  ObservationVec out;
-  probe_block_into(block, observer, loss, window, config,
-                   ProbeScratch::local(), out);
-  return out;
-}
-
-void merge_observations_into(const std::vector<ObservationVec>& streams,
-                             ObservationVec& out) {
-  out.clear();
-  // K-way merge with a linear min-scan: stream counts are tiny (one per
-  // observer), so scanning the heads beats both a heap and the previous
-  // pairwise-merge reduction, and it needs no intermediate vectors.
-  struct Head {
-    const Observation* it;
-    const Observation* end;
-  };
-  Head stack_heads[16];
-  std::vector<Head> heap_heads;
-  Head* heads = stack_heads;
-  if (streams.size() > std::size(stack_heads)) {
-    heap_heads.resize(streams.size());
-    heads = heap_heads.data();
-  }
-
-  std::size_t k = 0;
-  std::size_t total = 0;
-  for (const auto& s : streams) {
-    if (s.empty()) continue;
-    // Heads stay in stream order so a tie picks the lowest stream index.
-    heads[k++] = Head{s.data(), s.data() + s.size()};
-    total += s.size();
-  }
-  out.reserve(total);
-
-  while (k > 1) {
-    std::size_t best = 0;
-    std::uint32_t best_time = heads[0].it->rel_time;
-    for (std::size_t i = 1; i < k; ++i) {
-      if (heads[i].it->rel_time < best_time) {
-        best = i;
-        best_time = heads[i].it->rel_time;
-      }
-    }
-    out.push_back(*heads[best].it);
-    if (++heads[best].it == heads[best].end) {
-      for (std::size_t i = best; i + 1 < k; ++i) heads[i] = heads[i + 1];
-      --k;
-    }
-  }
-  if (k == 1) out.insert(out.end(), heads[0].it, heads[0].end);
 }
 
 }  // namespace diurnal::probe

@@ -64,12 +64,12 @@ struct ProberConfig {
   double fault_flip_prob = 0.35;
 };
 
-/// Reusable per-thread buffers for the probe -> merge hot path.  A
-/// fleet run probes hundreds of thousands of (block, observer) pairs;
-/// reusing one scratch per worker removes every per-pair allocation.
-/// Not thread-safe: use one instance per thread.
+/// Reusable per-thread buffers for the prober's hot path.  A fleet run
+/// probes hundreds of thousands of (block, observer) pairs; reusing one
+/// scratch per worker removes every per-pair allocation.  Not
+/// thread-safe: use one instance per thread.
 struct ProbeScratch {
-  /// Per-quarter probe-order permutation buffer (probe_block_into).
+  /// Per-quarter probe-order permutation buffer.
   /// The permutation is shared by every observer (same seed, as in the
   /// real system), so it is keyed and reused across the fleet's
   /// back-to-back observer passes over one block instead of re-shuffled
@@ -92,11 +92,6 @@ struct ProbeScratch {
   /// First loss-hash stage per address (depends only on block and addr,
   /// so it is hoisted out of the probe loop).
   std::vector<std::uint64_t> loss_h1;
-  /// Merge output buffer (merge_observations_into).
-  ObservationVec merged;
-
-  /// Per-thread fallback instance used by the convenience wrappers.
-  static ProbeScratch& local();
 };
 
 /// Cross-round prober state: everything one observer carries from round
@@ -132,27 +127,6 @@ void round_prober_resume(const sim::BlockProfile& block,
                          ProbeWindow window, const ProberConfig& config,
                          ProbeScratch& scratch, RoundProberState& state,
                          util::SimTime until, ObservationVec& out);
-
-/// Probes one block from one observer over a window, appending nothing
-/// and replacing `out` with the time-ordered observations (empty for
-/// blocks with no targets).  `scratch` supplies reused buffers.
-/// Implemented as round_prober_begin + one full-window resume.
-void probe_block_into(const sim::BlockProfile& block,
-                      const ObserverSpec& observer, const LossModel& loss,
-                      ProbeWindow window, const ProberConfig& config,
-                      ProbeScratch& scratch, ObservationVec& out);
-
-/// Convenience wrapper over probe_block_into using thread-local scratch.
-ObservationVec probe_block(const sim::BlockProfile& block,
-                           const ObserverSpec& observer, const LossModel& loss,
-                           ProbeWindow window, const ProberConfig& config = {});
-
-/// K-way-merges per-observer streams into `out` (replaced, not appended).
-/// Total order: (rel_time, source-stream index) — ties keep the probe
-/// from the lowest-index stream first, so the merged stream is a stable,
-/// reproducible function of its inputs regardless of stream count.
-void merge_observations_into(const std::vector<ObservationVec>& streams,
-                             ObservationVec& out);
 
 /// Number of probes per round the additional-observations prober sends
 /// for a given target-list size (section 3.2.3: |E(b)|/(6*60/11), capped

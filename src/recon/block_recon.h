@@ -32,15 +32,10 @@ struct BlockObservationConfig {
   ReconOptions recon{};
 };
 
-/// Probes + repairs + merges + reconstructs one block.
+/// Probes + repairs + merges + reconstructs one block over the whole
+/// window: one recon::BlockStream pass, begun and finalized.
 ReconResult observe_and_reconstruct(const sim::BlockProfile& block,
                                     const BlockObservationConfig& config);
-
-/// Same, reusing caller-owned scratch buffers (one per worker thread);
-/// fleet loops call this overload to avoid per-block allocations.
-ReconResult observe_and_reconstruct(const sim::BlockProfile& block,
-                                    const BlockObservationConfig& config,
-                                    probe::ProbeScratch& scratch);
 
 /// Degraded-mode statistics: a reconstruction's statistics (its series
 /// externalized, e.g. to core::SeriesStore rows) plus what each observer
@@ -51,18 +46,5 @@ struct DegradedReconStats {
   ReconStats recon;
   std::vector<fault::ObserverStreamInfo> observers;
 };
-
-/// Same, but also returns each observer's own single-site reconstruction
-/// (used by the loss study of section 3.3 and the health check).
-struct PerObserverRecon {
-  char code = '?';
-  ReconResult result;
-};
-struct MultiReconResult {
-  ReconResult combined;
-  std::vector<PerObserverRecon> per_observer;
-};
-MultiReconResult observe_and_reconstruct_detailed(
-    const sim::BlockProfile& block, const BlockObservationConfig& config);
 
 }  // namespace diurnal::recon

@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "analysis/stats.h"
-#include "probe/prober.h"
-#include "recon/repair.h"
+#include "recon/block_recon.h"
 #include "util/rng.h"
 
 namespace diurnal::recon {
@@ -30,16 +29,15 @@ std::vector<ObserverHealth> check_observers(
   // health is judged by per-block disagreement with the other sites.
   std::vector<std::vector<double>> rates(
       observers.size(), std::vector<double>(sample.size(), 0.0));
+  BlockObservationConfig single;
+  single.loss = config.loss;
+  single.window = config.window;
+  single.one_loss_repair = false;
   for (std::size_t o = 0; o < observers.size(); ++o) {
+    single.observers = {observers[o]};
     for (std::size_t bi = 0; bi < sample.size(); ++bi) {
-      const auto stream = probe::probe_block(*sample[bi], observers[o],
-                                             config.loss, config.window,
-                                             probe::ProberConfig{});
-      if (stream.empty()) continue;
-      std::size_t pos = 0;
-      for (const auto& obs : stream) pos += obs.up ? 1 : 0;
       rates[o][bi] =
-          static_cast<double>(pos) / static_cast<double>(stream.size());
+          observe_and_reconstruct(*sample[bi], single).mean_reply_rate;
     }
   }
 
@@ -63,17 +61,6 @@ std::vector<ObserverHealth> check_observers(
     out[o].mean_reply_rate = total_rate / n;
     out[o].deviation = total_dev / n;
     out[o].healthy = out[o].deviation <= config.max_deviation;
-  }
-  return out;
-}
-
-std::vector<probe::ObserverSpec> healthy_observers(
-    const sim::World& world, const std::vector<probe::ObserverSpec>& observers,
-    const HealthCheckConfig& config) {
-  const auto health = check_observers(world, observers, config);
-  std::vector<probe::ObserverSpec> out;
-  for (std::size_t i = 0; i < observers.size(); ++i) {
-    if (health[i].healthy) out.push_back(observers[i]);
   }
   return out;
 }

@@ -34,13 +34,10 @@ struct HealthCheckConfig {
 };
 
 /// Cross-compares observers over a random sample of responsive blocks
-/// and flags outliers.
+/// and flags outliers.  An observer's reply rate on a block is the
+/// mean_reply_rate of observe_and_reconstruct() with that observer
+/// alone and no 1-loss repair: its raw stream's positives over probes.
 std::vector<ObserverHealth> check_observers(
-    const sim::World& world, const std::vector<probe::ObserverSpec>& observers,
-    const HealthCheckConfig& config);
-
-/// Convenience: the healthy subset of `observers`.
-std::vector<probe::ObserverSpec> healthy_observers(
     const sim::World& world, const std::vector<probe::ObserverSpec>& observers,
     const HealthCheckConfig& config);
 

@@ -97,12 +97,6 @@ void BlockReconState::finalize_stats(ReconStats& out) {
   emitted_stats(out, duration_);
 }
 
-void BlockReconState::finalize(ReconResult& out) {
-  ReconStats stats;
-  finalize_stats(stats);
-  out = ReconResult(stats, series_view());
-}
-
 void BlockReconState::snapshot_stats(ReconStats& out) const {
   out.gaps.assign(gaps_.begin(), gaps_.end());
   out.fbs_spans_seconds.assign(fbs_spans_.begin(), fbs_spans_.end());
@@ -175,16 +169,6 @@ void BlockReconState::restore(util::StateReader& r) {
   if (active_ != active || observed_ != observed) {
     util::bad_value("address counters disagree with the address states");
   }
-}
-
-ReconResult reconstruct(const probe::ObservationVec& merged, int eb_count,
-                        probe::ProbeWindow window, const ReconOptions& opt) {
-  BlockReconState state;
-  state.begin(eb_count, window, opt);
-  for (const auto& obs : merged) state.push(obs);
-  ReconResult res;
-  state.finalize(res);
-  return res;
 }
 
 }  // namespace diurnal::recon

@@ -89,14 +89,12 @@ struct ReconResult : ReconStats {
 /// needs for it.
 std::size_t sample_count(probe::ProbeWindow window, const ReconOptions& opt);
 
-/// Resumable reconstruction state machine: the whole-window
-/// reconstruct() loop carved into begin / push / finalize so the
-/// streaming pipeline can feed merged observations as they clear the
-/// repair lookahead and still finalize to the byte-identical
-/// ReconResult.  Sample emission is an idempotent prefix — a sample is
-/// written the moment the stream passes it, never revised — so the
-/// emitted prefix of series_view() is stable regardless of how the pushes
-/// were chunked.  Copyable by design (value members only).
+/// Resumable reconstruction state machine: begin, then push each merged
+/// observation as it clears the repair lookahead, then finalize_stats.
+/// Sample emission is an idempotent prefix — a sample is written the
+/// moment the stream passes it, never revised — so the emitted prefix
+/// of series_view() and the finalized statistics are the same however
+/// the pushes were chunked.  Copyable by design (value members only).
 class BlockReconState {
  public:
   /// Re-initializes for one block.  The owned sample buffer is sized
@@ -125,8 +123,8 @@ class BlockReconState {
   }
 
   /// Feeds the next merged observation (rel_time non-decreasing).
-  /// Observations pacing past the window end are tolerated, exactly as
-  /// in the batch pass.
+  /// Observations pacing past the window end (a round started inside
+  /// the window emits all its probes) are tolerated.
   void push(const probe::Observation& obs) {
     if (degenerate_) return;
     const auto rel = static_cast<std::int64_t>(obs.rel_time);
@@ -160,9 +158,6 @@ class BlockReconState {
   /// store row.  The state is spent afterwards; call begin() to reuse
   /// it.
   void finalize_stats(ReconStats& out);
-
-  /// finalize_stats() plus a copy of the series.
-  void finalize(ReconResult& out);
 
   /// Statistics of the emitted-sample prefix, as if the window ended
   /// there: the evidence denominator is the prefix and the trailing
@@ -272,10 +267,5 @@ class BlockReconState {
   std::vector<double> fbs_spans_;
   std::size_t observations_ = 0;
 };
-
-/// Reconstructs a block's activity from a merged, time-ordered
-/// observation stream.  One full pass of the BlockReconState machine.
-ReconResult reconstruct(const probe::ObservationVec& merged, int eb_count,
-                        probe::ProbeWindow window, const ReconOptions& opt = {});
 
 }  // namespace diurnal::recon

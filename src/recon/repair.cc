@@ -1,33 +1,8 @@
 #include "recon/repair.h"
 
-#include <array>
 #include <cstdint>
 
 namespace diurnal::recon {
-
-RepairStats one_loss_repair(probe::ObservationVec& stream) {
-  RepairStats stats;
-  stats.observations = stream.size();
-
-  // Per-address indices of the last and second-to-last observations.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::array<std::size_t, 256> last{};
-  std::array<std::size_t, 256> prev{};
-  last.fill(kNone);
-  prev.fill(kNone);
-
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const std::uint8_t a = stream[i].addr;
-    if (stream[i].up && last[a] != kNone && prev[a] != kNone &&
-        !stream[last[a]].up && stream[prev[a]].up) {
-      stream[last[a]].up = true;  // 101 -> 111
-      ++stats.repaired;
-    }
-    prev[a] = last[a];
-    last[a] = i;
-  }
-  return stats;
-}
 
 void StreamRepair::reset() {
   addr_.fill(AddrState{});
@@ -41,10 +16,9 @@ std::size_t StreamRepair::ingest(probe::ObservationVec& stream,
   for (std::size_t i = processed_; i < end; ++i) {
     const probe::Observation& obs = stream[i - base];
     AddrState& st = addr_[obs.addr];
-    // Same state machine as one_loss_repair, with the two trailing
-    // observations' values cached so released (possibly compacted)
-    // entries are never reloaded: flip 101 -> 111 when the rescan
-    // arrives positive.
+    // The address's two trailing observations' values are cached so
+    // released (possibly compacted) entries are never reloaded: flip
+    // 101 -> 111 when the rescan arrives positive.
     if (obs.up && st.last != kNone && st.has_prev && !st.last_up &&
         st.prev_up) {
       stream[st.last - base].up = true;

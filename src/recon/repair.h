@@ -24,18 +24,14 @@ struct RepairStats {
   std::size_t repaired = 0;  ///< non-replies flipped to positive
 };
 
-/// Applies 1-loss repair in place to a single observer's time-ordered
-/// observation stream.  Returns how many observations were rewritten.
-RepairStats one_loss_repair(probe::ObservationVec& stream);
-
-/// Incremental 1-loss repair over a growing stream (the streaming
-/// pipeline's hold-until-rescanned stage).  Repair is not causal: a
-/// non-reply with a positive predecessor stays mutable until the next
-/// observation of the same address arrives, so such observations are
-/// held back and everything behind the earliest held one is released.
-/// Feeding a full stream through ingest() in any chunking and then
-/// finish() leaves the stream byte-identical to one one_loss_repair
-/// pass.
+/// 1-loss repair in place over one observer's growing, time-ordered
+/// stream (the streaming pipeline's hold-until-rescanned stage).
+/// Repair is not causal: a non-reply with a positive predecessor stays
+/// mutable until the next observation of the same address arrives, so
+/// such observations are held back and everything behind the earliest
+/// held one is released.  Feeding a full stream through ingest() in any
+/// chunking and then finish() leaves the stream byte-identical to one
+/// whole-stream pass of the rule (tests/oracle's one_loss_repair).
 ///
 /// Indices are absolute stream positions (monotone over the stream's
 /// lifetime); the caller passes `base`, the absolute index of
@@ -55,7 +51,7 @@ class StreamRepair {
   std::size_t ingest(probe::ObservationVec& stream, std::size_t base);
 
   /// End-of-stream: observations still held (their rescan never came)
-  /// keep their probed value, exactly as the batch pass leaves them.
+  /// keep their probed value, as the whole-stream rule leaves them.
   /// Returns the frontier, now equal to the stream length.
   std::size_t finish() noexcept { return processed_; }
 

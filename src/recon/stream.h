@@ -5,8 +5,9 @@
 //
 // Equivalence invariant (the engine's contract): feeding the full
 // window through any sequence of advance_to() calls and finalizing is
-// byte-identical to the batch per-stage pass, because every stage is an
-// explicit state machine over the same sequential semantics —
+// byte-identical to running each stage whole-window in turn (the
+// reference in tests/oracle), because every stage is an explicit state
+// machine over the same sequential semantics —
 //   * probing is causal (RoundProberState), so round slices concatenate
 //     exactly;
 //   * fault injection is a stateless hash of time plus an explicit

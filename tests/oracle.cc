@@ -1,6 +1,8 @@
 #include "oracle.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 namespace diurnal::oracle {
 
@@ -49,6 +51,100 @@ analysis::SwingResult classify_swing(const std::vector<util::DayStats>& days,
   }
   r.wide = r.best_window_wide >= opt.min_wide_days;
   return r;
+}
+
+probe::ObservationVec probe_block(const sim::BlockProfile& block,
+                                  const probe::ObserverSpec& observer,
+                                  const probe::LossModel& loss,
+                                  probe::ProbeWindow window,
+                                  const probe::ProberConfig& config) {
+  probe::ProbeScratch scratch;
+  probe::RoundProberState state;
+  probe::ObservationVec out;
+  probe::round_prober_begin(block, observer, window, config, state);
+  probe::round_prober_resume(block, observer, loss, window, config, scratch,
+                             state, window.end, out);
+  return out;
+}
+
+recon::RepairStats one_loss_repair(probe::ObservationVec& stream) {
+  recon::RepairStats stats;
+  stats.observations = stream.size();
+
+  // Per-address indices of the last and second-to-last observations.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::array<std::size_t, 256> last{};
+  std::array<std::size_t, 256> prev{};
+  last.fill(kNone);
+  prev.fill(kNone);
+
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::uint8_t a = stream[i].addr;
+    if (stream[i].up && last[a] != kNone && prev[a] != kNone &&
+        !stream[last[a]].up && stream[prev[a]].up) {
+      stream[last[a]].up = true;  // 101 -> 111
+      ++stats.repaired;
+    }
+    prev[a] = last[a];
+    last[a] = i;
+  }
+  return stats;
+}
+
+void merge_observations_into(const std::vector<probe::ObservationVec>& streams,
+                             probe::ObservationVec& out) {
+  out.clear();
+  // K-way merge with a linear min-scan over the stream heads (one per
+  // observer), needing no intermediate vectors.
+  struct Head {
+    const probe::Observation* it;
+    const probe::Observation* end;
+  };
+  Head stack_heads[16];
+  std::vector<Head> heap_heads;
+  Head* heads = stack_heads;
+  if (streams.size() > std::size(stack_heads)) {
+    heap_heads.resize(streams.size());
+    heads = heap_heads.data();
+  }
+
+  std::size_t k = 0;
+  std::size_t total = 0;
+  for (const auto& s : streams) {
+    if (s.empty()) continue;
+    // Heads stay in stream order so a tie picks the lowest stream index.
+    heads[k++] = Head{s.data(), s.data() + s.size()};
+    total += s.size();
+  }
+  out.reserve(total);
+
+  while (k > 1) {
+    std::size_t best = 0;
+    std::uint32_t best_time = heads[0].it->rel_time;
+    for (std::size_t i = 1; i < k; ++i) {
+      if (heads[i].it->rel_time < best_time) {
+        best = i;
+        best_time = heads[i].it->rel_time;
+      }
+    }
+    out.push_back(*heads[best].it);
+    if (++heads[best].it == heads[best].end) {
+      for (std::size_t i = best; i + 1 < k; ++i) heads[i] = heads[i + 1];
+      --k;
+    }
+  }
+  if (k == 1) out.insert(out.end(), heads[0].it, heads[0].end);
+}
+
+recon::ReconResult reconstruct(const probe::ObservationVec& merged,
+                               int eb_count, probe::ProbeWindow window,
+                               const recon::ReconOptions& opt) {
+  recon::BlockReconState state;
+  state.begin(eb_count, window, opt);
+  for (const auto& obs : merged) state.push(obs);
+  recon::ReconStats stats;
+  state.finalize_stats(stats);
+  return recon::ReconResult(stats, state.series_view());
 }
 
 }  // namespace diurnal::oracle

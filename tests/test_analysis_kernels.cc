@@ -439,8 +439,8 @@ TEST(SeriesStore, ResetRecyclesAndZeroesLengths) {
 }
 
 TEST(SeriesStore, BoundReconWritesRowIdenticalToOwnedBuffer) {
-  // The recon state writes the same bytes whether it owns the buffer or
-  // is bound to a store row, and finalize_stats mirrors finalize.
+  // The recon state writes the same bytes and statistics whether it
+  // owns the buffer or is bound to a store row.
   core::SeriesStore store;
   store.reset(1, 48, 0, kHour);
   probe::ProbeWindow w{0, 48 * kHour};
@@ -457,8 +457,9 @@ TEST(SeriesStore, BoundReconWritesRowIdenticalToOwnedBuffer) {
     owned.push(obs);
     bound.push(obs);
   }
-  recon::ReconResult full;
-  owned.finalize(full);
+  recon::ReconStats owned_stats;
+  owned.finalize_stats(owned_stats);
+  const recon::ReconResult full(owned_stats, owned.series_view());
   recon::ReconStats stats;
   bound.finalize_stats(stats);
   store.set_len(0, stats.len);

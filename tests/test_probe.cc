@@ -7,12 +7,15 @@
 #include "geo/countries.h"
 #include "probe/loss_model.h"
 #include "probe/observer.h"
+#include "oracle.h"
 #include "probe/prober.h"
 #include "sim/world.h"
 
 namespace diurnal::probe {
 namespace {
 
+using oracle::merge_observations_into;
+using oracle::probe_block;
 using util::SimTime;
 using util::time_of;
 

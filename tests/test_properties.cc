@@ -8,6 +8,7 @@
 #include "analysis/diurnal_test.h"
 #include "analysis/loess.h"
 #include "analysis/stats.h"
+#include "oracle.h"
 #include "probe/prober.h"
 #include "recon/block_recon.h"
 #include "recon/repair.h"
@@ -62,19 +63,19 @@ TEST_P(BlockSweep, MoreObserversNeverObserveLess) {
 TEST_P(BlockSweep, RepairIdempotentAndMonotone) {
   const auto& block = nth_responsive_block(static_cast<std::size_t>(GetParam()));
   probe::LossModel loss;  // default congestion may apply: good
-  auto stream = probe::probe_block(block, probe::site('w'), loss,
-                                   ProbeWindow{0, 7 * util::kSecondsPerDay});
+  auto stream = oracle::probe_block(block, probe::site('w'), loss,
+                                    ProbeWindow{0, 7 * util::kSecondsPerDay});
   auto count_up = [](const ObservationVec& v) {
     std::size_t n = 0;
     for (const auto& o : v) n += o.up;
     return n;
   };
   const std::size_t before = count_up(stream);
-  recon::one_loss_repair(stream);
+  oracle::one_loss_repair(stream);
   const std::size_t after_once = count_up(stream);
   EXPECT_GE(after_once, before);
   auto again = stream;
-  const auto stats = recon::one_loss_repair(again);
+  const auto stats = oracle::one_loss_repair(again);
   EXPECT_EQ(stats.repaired, 0u);  // idempotent
   EXPECT_EQ(count_up(again), after_once);
 }
@@ -104,12 +105,12 @@ TEST_P(BlockSweep, MergePreservesAndOrders) {
   std::vector<ObservationVec> streams;
   std::size_t total = 0;
   for (const char c : {'e', 'j', 'w'}) {
-    streams.push_back(probe::probe_block(block, probe::site(c), loss,
-                                         ProbeWindow{0, 3 * util::kSecondsPerDay}));
+    streams.push_back(oracle::probe_block(
+        block, probe::site(c), loss, ProbeWindow{0, 3 * util::kSecondsPerDay}));
     total += streams.back().size();
   }
   ObservationVec merged;
-  probe::merge_observations_into(streams, merged);
+  oracle::merge_observations_into(streams, merged);
   EXPECT_EQ(merged.size(), total);
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].rel_time, merged[i].rel_time);

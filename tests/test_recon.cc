@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracle.h"
 #include "probe/prober.h"
 #include "recon/block_recon.h"
 #include "recon/health.h"
@@ -14,6 +15,7 @@
 namespace diurnal::recon {
 namespace {
 
+using oracle::reconstruct;
 using probe::Observation;
 using probe::ObservationVec;
 using probe::ProbeWindow;
@@ -101,10 +103,19 @@ TEST(Reconstruct, FbsSpansShrinkWithFasterScanning) {
   EXPECT_NEAR(fast.fbs_median_seconds(), 16 * 900, 900 * 2);
 }
 
+// The 1-loss rule as the engine runs it: one StreamRepair over the
+// whole stream, ingested from absolute position 0, then finished.
+RepairStats repair(ObservationVec& stream) {
+  StreamRepair r;
+  r.ingest(stream, 0);
+  r.finish();
+  return r.stats();
+}
+
 TEST(Repair, FixesLoneLoss) {
   // 1 0 1 per address becomes 1 1 1.
   ObservationVec s{{0, 5, true}, {10, 5, false}, {20, 5, true}};
-  const auto stats = one_loss_repair(s);
+  const auto stats = repair(s);
   EXPECT_EQ(stats.repaired, 1u);
   EXPECT_TRUE(s[1].up);
 }
@@ -117,7 +128,7 @@ TEST(Repair, LeavesRealTransitionsAlone) {
       {0, 3, true},  {1, 3, false}, {2, 3, false},  // 100
   };
   const auto before = s;
-  const auto stats = one_loss_repair(s);
+  const auto stats = repair(s);
   EXPECT_EQ(stats.repaired, 0u);
   for (std::size_t i = 0; i < s.size(); ++i) EXPECT_EQ(s[i].up, before[i].up);
 }
@@ -129,7 +140,7 @@ TEST(Repair, PerAddressIndependence) {
       {0, 1, true},  {1, 2, false}, {2, 1, false},
       {3, 2, true},  {4, 1, true},  {5, 2, false},
   };
-  const auto stats = one_loss_repair(s);
+  const auto stats = repair(s);
   // Address 1: 1 0 1 -> repaired. Address 2: 0 1 0 -> not repaired.
   EXPECT_EQ(stats.repaired, 1u);
   EXPECT_TRUE(s[2].up);
@@ -140,7 +151,7 @@ TEST(Repair, PerAddressIndependence) {
 TEST(Repair, DoubleLossNotRepaired) {
   // 1 0 0 1: back-to-back losses are rare (p^2) and not repaired.
   ObservationVec s{{0, 9, true}, {1, 9, false}, {2, 9, false}, {3, 9, true}};
-  const auto stats = one_loss_repair(s);
+  const auto stats = repair(s);
   EXPECT_EQ(stats.repaired, 0u);
 }
 
@@ -148,7 +159,7 @@ TEST(Repair, ChainOfRepairs) {
   // 1 0 1 0 1: both lone zeros repaired.
   ObservationVec s{
       {0, 4, true}, {1, 4, false}, {2, 4, true}, {3, 4, false}, {4, 4, true}};
-  const auto stats = one_loss_repair(s);
+  const auto stats = repair(s);
   EXPECT_EQ(stats.repaired, 2u);
   for (const auto& o : s) EXPECT_TRUE(o.up);
 }
@@ -260,23 +271,27 @@ TEST(BlockRecon, OneLossRepairRestoresCongestedObserver) {
   BlockObservationConfig without = with;
   without.one_loss_repair = false;
 
-  const auto detailed_with = observe_and_reconstruct_detailed(*target, with);
-  const auto detailed_without =
-      observe_and_reconstruct_detailed(*target, without);
-
+  // Each observer alone is the same pipeline over a one-observer config.
   double w_with = 0, w_without = 0, e_without = 0;
-  for (const auto& p : detailed_with.per_observer) {
-    if (p.code == 'w') w_with = p.result.mean_reply_rate;
-  }
-  for (const auto& p : detailed_without.per_observer) {
-    if (p.code == 'w') w_without = p.result.mean_reply_rate;
-    if (p.code == 'e') e_without = p.result.mean_reply_rate;
+  for (const auto& spec : with.observers) {
+    BlockObservationConfig single = with;
+    single.observers = {spec};
+    const double rate_with =
+        observe_and_reconstruct(*target, single).mean_reply_rate;
+    single.one_loss_repair = false;
+    const double rate_without =
+        observe_and_reconstruct(*target, single).mean_reply_rate;
+    if (spec.code == 'w') {
+      w_with = rate_with;
+      w_without = rate_without;
+    }
+    if (spec.code == 'e') e_without = rate_without;
   }
   EXPECT_LT(w_without, e_without - 0.02);  // congestion visible
   EXPECT_GT(w_with, w_without + 0.01);     // repair helps
   // Combined reconstruction with repair beats without.
-  EXPECT_GE(detailed_with.combined.mean_reply_rate,
-            detailed_without.combined.mean_reply_rate);
+  EXPECT_GE(observe_and_reconstruct(*target, with).mean_reply_rate,
+            observe_and_reconstruct(*target, without).mean_reply_rate);
 }
 
 TEST(Health, FlagsFaultyObservers) {
@@ -290,16 +305,35 @@ TEST(Health, FlagsFaultyObservers) {
   const auto health =
       check_observers(world, probe::trinocular_sites(), cfg);
   ASSERT_EQ(health.size(), 6u);
+  std::string codes;
   for (const auto& h : health) {
     const bool should_be_faulty = h.code == 'c' || h.code == 'g';
     EXPECT_EQ(!h.healthy, should_be_faulty) << h.code << " dev " << h.deviation;
+    if (h.healthy) codes += h.code;
   }
-  const auto healthy =
-      healthy_observers(world, probe::trinocular_sites(), cfg);
-  ASSERT_EQ(healthy.size(), 4u);
-  std::string codes;
-  for (const auto& o : healthy) codes += o.code;
   EXPECT_EQ(codes, "ejnw");
+
+  // Bit-exact pins of every site's figures: a per-block reply rate is
+  // positives over probes of the site's raw stream, so any change to how
+  // the check observes a block moves them.
+  struct Pin {
+    char code;
+    double deviation, mean_reply_rate;
+  };
+  const Pin pins[] = {
+      {'c', 0x1.8e26d4c32dc52p-3, 0x1.f995f4ca8d40ep-2},
+      {'e', 0x1.81a67b80a7d0ap-8, 0x1.db91881c2ae43p-2},
+      {'g', 0x1.8adc077f6e7a9p-3, 0x1.f8b424cd4aa4ap-2},
+      {'j', 0x1.cb68840dd9bfdp-8, 0x1.dd2c7d4bff03bp-2},
+      {'n', 0x1.abd2088c0a7a5p-8, 0x1.db86bdc791c15p-2},
+      {'w', 0x1.094e69059ca3ep-7, 0x1.d874b5a5a3a13p-2},
+  };
+  for (std::size_t i = 0; i < health.size(); ++i) {
+    EXPECT_EQ(health[i].code, pins[i].code);
+    EXPECT_EQ(health[i].deviation, pins[i].deviation) << pins[i].code;
+    EXPECT_EQ(health[i].mean_reply_rate, pins[i].mean_reply_rate)
+        << pins[i].code;
+  }
 }
 
 TEST(BlockRecon, ZeroObserversYieldsUnresponsiveNotCrash) {
@@ -352,9 +386,12 @@ TEST(Health, AllHealthyIn2019) {
   HealthCheckConfig cfg;
   cfg.window = ProbeWindow{time_of(2019, 11, 1), time_of(2019, 11, 8)};
   cfg.sample_blocks = 40;
-  const auto healthy =
-      healthy_observers(world, probe::trinocular_sites(), cfg);
-  EXPECT_EQ(healthy.size(), 6u);
+  const auto health =
+      check_observers(world, probe::trinocular_sites(), cfg);
+  ASSERT_EQ(health.size(), 6u);
+  for (const auto& h : health) {
+    EXPECT_TRUE(h.healthy) << h.code << " dev " << h.deviation;
+  }
 }
 
 }  // namespace

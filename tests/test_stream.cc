@@ -1,7 +1,8 @@
 // Streaming-engine equivalence and edge cases: every resumable stage
 // (prober, fault injection, repair, CUSUM), the per-block BlockStream,
 // and the fleet-level epoch drive must finalize byte-identical to the
-// per-stage batch pipeline, which is kept alive here as the oracle.
+// per-stage batch pipeline, composed here from tests/oracle's
+// whole-window references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "core/streaming.h"
 #include "fault/fault_plan.h"
 #include "fault/inject.h"
+#include "oracle.h"
 #include "probe/prober.h"
 #include "recon/block_recon.h"
 #include "recon/repair.h"
@@ -47,9 +49,9 @@ struct OracleResult {
   std::vector<fault::ObserverStreamInfo> observers;
 };
 
-// The pre-refactor per-stage pipeline (probe -> faults -> repair ->
-// merge -> reconstruct), whole-window per stage: the ground truth the
-// streaming pipeline must reproduce bit-for-bit.
+// The per-stage pipeline (probe -> faults -> repair -> merge ->
+// reconstruct), whole-window per stage: the ground truth the streaming
+// pipeline must reproduce bit-for-bit.
 OracleResult batch_oracle(
     const sim::BlockProfile& block, const recon::BlockObservationConfig& oc) {
   const std::size_t n =
@@ -57,7 +59,6 @@ OracleResult batch_oracle(
   std::vector<ObservationVec> streams(n);
   OracleResult out;
   out.observers.assign(n, {});
-  probe::ProbeScratch scratch;
   const bool inject = oc.faults != nullptr && !oc.faults->empty();
   for (std::size_t i = 0; i < n; ++i) {
     const bool extra = i >= oc.observers.size();
@@ -65,8 +66,7 @@ OracleResult batch_oracle(
     if (extra) pc.kind = probe::ProberKind::kAdditional;
     const probe::ObserverSpec spec =
         extra ? probe::additional_observer() : oc.observers[i];
-    probe::probe_block_into(block, spec, oc.loss, oc.window, pc, scratch,
-                            streams[i]);
+    streams[i] = oracle::probe_block(block, spec, oc.loss, oc.window, pc);
     fault::StreamFaultStats stats;
     if (inject) {
       fault::FaultCarry carry;
@@ -81,12 +81,12 @@ OracleResult batch_oracle(
       si.first_rel = streams[i].front().rel_time;
       si.last_rel = streams[i].back().rel_time;
     }
-    if (oc.one_loss_repair) recon::one_loss_repair(streams[i]);
+    if (oc.one_loss_repair) oracle::one_loss_repair(streams[i]);
   }
   ObservationVec merged;
-  probe::merge_observations_into(streams, merged);
+  oracle::merge_observations_into(streams, merged);
   out.recon =
-      recon::reconstruct(merged, block.eb_count, oc.window, oc.recon);
+      oracle::reconstruct(merged, block.eb_count, oc.window, oc.recon);
   return out;
 }
 
@@ -162,9 +162,8 @@ TEST(StreamProber, ChunkedResumeMatchesBatch) {
                                         86400 + 17, 1 << 30};
   for (const auto& spec : oc.observers) {
     probe::ProbeScratch scratch;
-    ObservationVec batch;
-    probe::probe_block_into(block, spec, oc.loss, oc.window, oc.prober,
-                            scratch, batch);
+    const ObservationVec batch =
+        oracle::probe_block(block, spec, oc.loss, oc.window, oc.prober);
     for (const std::int64_t step : steps) {
       ObservationVec streamed;
       probe::RoundProberState st;
@@ -197,9 +196,8 @@ TEST(StreamFaults, ChunkedApplyMatchesBatch) {
     const auto& block = responsive_block();
     for (const auto& spec : oc.observers) {
       probe::ProbeScratch scratch;
-      ObservationVec batch;
-      probe::probe_block_into(block, spec, oc.loss, w, oc.prober, scratch,
-                              batch);
+      ObservationVec batch =
+          oracle::probe_block(block, spec, oc.loss, w, oc.prober);
       fault::FaultCarry batch_carry;
       const auto batch_stats =
           fault::apply_faults_chunk(plan, spec.code, w, batch, 0, batch_carry);
@@ -248,7 +246,7 @@ TEST(StreamRepairTest, IncrementalMatchesBatch) {
                         (rng() % 3) != 0});
     }
     ObservationVec batch = stream;
-    recon::one_loss_repair(batch);
+    oracle::one_loss_repair(batch);
 
     ObservationVec inc = stream;
     recon::StreamRepair repair;
@@ -289,7 +287,7 @@ TEST(StreamRepairTest, FinalSampleHeldAtEndOfStream) {
   // as the batch pass leaves it.
   ObservationVec stream{{0, 0, true}, {600, 0, false}};
   ObservationVec batch = stream;
-  recon::one_loss_repair(batch);
+  oracle::one_loss_repair(batch);
 
   recon::StreamRepair repair;
   repair.reset();

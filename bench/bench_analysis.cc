@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Read before the fleet pass, so a bad value costs nothing.
+  const int reps = bench::env_int("DIURNAL_BENCH_REPS", 3, 1);
 
   bench::header("BENCH analysis",
                 "span-kernel stage throughput + allocations/block",
@@ -102,8 +104,7 @@ int main(int argc, char** argv) {
   const double samples_per_day =
       static_cast<double>(util::kSecondsPerDay) / static_cast<double>(step);
   analysis::StlOptions stl_opt;
-  stl_opt.period = static_cast<int>(
-      core::DetectorOptions{}.period_seconds / step);
+  stl_opt.period = static_cast<int>(core::kDetectionPeriodSeconds / step);
 
   // Sample rows long enough for the full chain (>= 2 STL periods).
   std::vector<std::size_t> rows;
@@ -121,7 +122,6 @@ int main(int argc, char** argv) {
   std::printf("sampled %zu blocks, %zu samples each pass\n", rows.size(),
               total_samples / rows.size());
 
-  const int reps = std::max(1, bench::env_int("DIURNAL_BENCH_REPS", 3));
   analysis::BlockAnalyzer az;
 
   // Pre-z-scored trends for the CUSUM stage (setup, untimed).
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
     for (const auto& g : groups) {
       gather(g);
       analysis::test_diurnal_batch(y_soa.data(), g.width, g.n, samples_per_day,
-                                   {}, bws, dres.data());
+                                   bws, dres.data());
       analysis::stl_decompose_batch(y_soa.data(), g.width, g.n, stl_opt, bws,
                                     trend_soa.data(), seasonal_soa.data(),
                                     residual_soa.data());
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
       for (const auto& g : groups) {
         gather(g);
         analysis::test_diurnal_batch(y_soa.data(), g.width, g.n,
-                                     samples_per_day, {}, bws, dres.data());
+                                     samples_per_day, bws, dres.data());
         g_sink = g_sink + dres[0].power_ratio;
       }
       const double fft_s = bench::seconds_since(t);
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
     for (const auto& g : groups) {
       gather(g);
       analysis::test_diurnal_batch(y_soa.data(), g.width, g.n, samples_per_day,
-                                   {}, bws, dres.data());
+                                   bws, dres.data());
       analysis::stl_decompose_batch(y_soa.data(), g.width, g.n, stl_opt, bws,
                                     trend_soa.data(), seasonal_soa.data(),
                                     residual_soa.data());

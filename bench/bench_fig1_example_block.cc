@@ -47,12 +47,10 @@ int main() {
               cls.change_sensitive ? "YES" : "no");
 
   // The detector's own STL configuration for this series.
-  const core::DetectorOptions opt;
   const auto& counts = recon.counts;
   const auto dec = analysis::stl_decompose(
-      counts.span(),
-      core::detector_stl_options(
-          opt, core::detection_period(counts.size(), counts.step(), opt)));
+      counts.span(), core::detector_stl_options(core::detection_period(
+                         counts.size(), counts.step())));
   std::printf("\n(b) STL decomposition (weekly period; every 4th day shown):\n");
   std::printf("  %-12s %8s %16s %9s\n", "date", "trend", "seasonal[min,max]",
               "residual");

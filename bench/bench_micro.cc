@@ -103,7 +103,7 @@ void probe_window(const sim::BlockProfile& block, probe::ProbeWindow window,
   const auto obs = probe::site('w');
   probe::RoundProberState st;
   out.clear();
-  probe::round_prober_begin(block, obs, window, config, st);
+  probe::round_prober_begin(block, obs, window, st);
   probe::round_prober_resume(block, obs, loss, window, config, scratch, st,
                              window.end, out);
 }

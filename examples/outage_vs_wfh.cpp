@@ -5,7 +5,7 @@
 // Both produce downward CUSUM changes; the outage also produces a
 // paired upward change.  The section-2.6 cross-check discards the pair
 // because a raw-count blackout no longer than the detector's
-// max_outage_duration (48 h) begins in the down excursion and ends in
+// kMaxOutageDuration (48 h) begins in the down excursion and ends in
 // the up one; a longer blackout would count as a change in activity.
 #include <cstddef>
 #include <cstdio>

@@ -175,25 +175,7 @@ void stl_decompose_batch(const double* y_soa, std::size_t lanes,
   const std::size_t un = n;
   const std::size_t up = static_cast<std::size_t>(p);
 
-  // Same span/jump derivation as the scalar stl_decompose.
-  const auto next_odd = [](int v) noexcept {
-    return (v % 2 == 0) ? v + 1 : v;
-  };
-  const int n_s = next_odd(std::max(opt.seasonal_span, 7));
-  const int n_t = opt.trend_span > 0 ? next_odd(opt.trend_span)
-                                     : default_trend_span(p, n_s);
-  const int n_l =
-      opt.lowpass_span > 0 ? next_odd(opt.lowpass_span) : next_odd(p);
-  const auto default_jump = [](int explicit_jump, int span) {
-    if (explicit_jump > 0) return explicit_jump;
-    return std::max(1, span / 10);
-  };
-  const LoessOptions seasonal_loess{n_s, opt.seasonal_degree,
-                                    default_jump(opt.seasonal_jump, n_s)};
-  const LoessOptions trend_loess{n_t, opt.trend_degree,
-                                 default_jump(opt.trend_jump, n_t)};
-  const LoessOptions lowpass_loess{n_l, opt.lowpass_degree,
-                                   default_jump(opt.lowpass_jump, n_l)};
+  const StlPlan plan = stl_plan(p, opt.trend_span);
 
   std::fill_n(trend_soa, un * W, 0.0);
   std::fill_n(seasonal_soa, un * W, 0.0);
@@ -216,7 +198,7 @@ void stl_decompose_batch(const double* y_soa, std::size_t lanes,
   const int outer_passes = std::max(opt.outer_iterations, 0) + 1;
   for (int outer = 0; outer < outer_passes; ++outer) {
     const double* rho_ptr = have_rho ? rho.data() : nullptr;
-    for (int inner = 0; inner < std::max(opt.inner_iterations, 1); ++inner) {
+    for (int inner = 0; inner < kInnerIterations; ++inner) {
       // Steps 1+2: detrend fused into the cycle-subseries gather.  The
       // detrended series is only ever read phase-striped here, so the
       // subtraction happens in the gather rows (same expression, same
@@ -241,7 +223,7 @@ void stl_decompose_batch(const double* y_soa, std::size_t lanes,
           ++len;
         }
         if (len == 0) continue;
-        kern.loess_smooth_extended(sub.data(), W, len, seasonal_loess,
+        kern.loess_smooth_extended(sub.data(), W, len, plan.seasonal,
                                    have_rho ? sub_rho.data() : nullptr,
                                    sub_smooth.data());
         for (std::size_t k = 0; k < len + 2; ++k) {
@@ -257,7 +239,7 @@ void stl_decompose_batch(const double* y_soa, std::size_t lanes,
       kern.moving_average(extended.data(), W, un + 2 * up, p, ma1.data());
       kern.moving_average(ma1.data(), W, un + up + 1, p, ma2.data());
       kern.moving_average(ma2.data(), W, un + 2, 3, ma3.data());
-      kern.loess_smooth(ma3.data(), W, un, lowpass_loess, nullptr,
+      kern.loess_smooth(ma3.data(), W, un, plan.lowpass, nullptr,
                         lowpass.data());
       // Steps 4+5: seasonal = extended(middle) - lowpass, fused with
       // deseason = y - seasonal (the fresh seasonal row is still in
@@ -274,7 +256,7 @@ void stl_decompose_batch(const double* y_soa, std::size_t lanes,
         }
       }
       // Step 6: trend smoothing.
-      kern.loess_smooth(deseason.data(), W, un, trend_loess, rho_ptr,
+      kern.loess_smooth(deseason.data(), W, un, plan.trend, rho_ptr,
                         trend_soa);
     }
     for (std::size_t e = 0; e < un * W; ++e) {
@@ -351,8 +333,7 @@ namespace {
 // different answer).
 void band_ratio_batch(const Kernels& kern, const double* values,
                       std::size_t W, std::size_t n, double samples_per_day,
-                      const DiurnalOptions& opt, Workspace& ws,
-                      double* total_out, double* band_out,
+                      Workspace& ws, double* total_out, double* band_out,
                       double* ratio_out) {
   double m[kMaxBatchLanes];
   for (std::size_t j = 0; j < W; ++j) m[j] = 0.0;
@@ -394,12 +375,12 @@ void band_ratio_batch(const Kernels& kern, const double* values,
   double band[kMaxBatchLanes];
   double bin[kMaxBatchLanes];
   for (std::size_t j = 0; j < W; ++j) band[j] = 0.0;
-  for (int h = 1; h <= std::max(opt.harmonics, 1); ++h) {
+  for (int h = 1; h <= kDiurnalHarmonics; ++h) {
     const double c = daily_cycles * h;
     if (c >= static_cast<double>(n) / 2.0) break;  // beyond Nyquist
     kern.goertzel(x, W, n, c, bin);
     for (std::size_t j = 0; j < W; ++j) band[j] += bin[j];
-    if (opt.include_sidebands && c > 1.5) {
+    if (c > 1.5) {
       kern.goertzel(x, W, n, c - 1.0, bin);
       for (std::size_t j = 0; j < W; ++j) band[j] += bin[j];
       kern.goertzel(x, W, n, c + 1.0, bin);
@@ -419,8 +400,8 @@ void band_ratio_batch(const Kernels& kern, const double* values,
 }  // namespace
 
 void test_diurnal_batch(const double* x_soa, std::size_t lanes, std::size_t n,
-                        double samples_per_day, const DiurnalOptions& opt,
-                        Workspace& ws, DiurnalResult* out) {
+                        double samples_per_day, Workspace& ws,
+                        DiurnalResult* out) {
   check_lanes(lanes);
   if (lanes == 0) return;
   const Kernels& kern = dispatch();
@@ -433,14 +414,14 @@ void test_diurnal_batch(const double* x_soa, std::size_t lanes, std::size_t n,
   double total[kMaxBatchLanes];
   double band[kMaxBatchLanes];
   double ratio[kMaxBatchLanes];
-  band_ratio_batch(kern, x_soa, W, n, samples_per_day, opt, ws, total, band,
+  band_ratio_batch(kern, x_soa, W, n, samples_per_day, ws, total, band,
                    ratio);
   bool any_diurnal = false;
   for (std::size_t j = 0; j < W; ++j) {
     out[j].power_ratio = ratio[j];
     out[j].total_power = total[j];
     out[j].diurnal_power = band[j];
-    out[j].diurnal = ratio[j] >= opt.min_power_ratio;
+    out[j].diurnal = ratio[j] >= kMinPowerRatio;
     any_diurnal = any_diurnal || out[j].diurnal;
   }
 
@@ -448,15 +429,15 @@ void test_diurnal_batch(const double* x_soa, std::size_t lanes, std::size_t n,
   // passed the first gate, applied only to lanes that did (the scalar
   // returns before segmenting for the rest, leaving segments == 0).
   const std::size_t seg_len = static_cast<std::size_t>(
-      std::max(2.0, opt.segment_days * samples_per_day));
+      std::max(2.0, kSegmentDays * samples_per_day));
   const std::size_t segments = n / seg_len;
   if (!any_diurnal || segments < 2) return;
   int seg_pass[kMaxBatchLanes];
   for (std::size_t j = 0; j < W; ++j) seg_pass[j] = 0;
-  const double seg_threshold = opt.min_power_ratio * opt.segment_ratio_factor;
+  constexpr double seg_threshold = kMinPowerRatio * kSegmentRatioFactor;
   for (std::size_t s = 0; s < segments; ++s) {
     band_ratio_batch(kern, x_soa + s * seg_len * W, W, seg_len,
-                     samples_per_day, opt, ws, total, band, ratio);
+                     samples_per_day, ws, total, band, ratio);
     for (std::size_t j = 0; j < W; ++j) {
       seg_pass[j] += ratio[j] >= seg_threshold;
     }
@@ -466,7 +447,7 @@ void test_diurnal_batch(const double* x_soa, std::size_t lanes, std::size_t n,
     out[j].segments = static_cast<int>(segments);
     out[j].segments_diurnal = seg_pass[j];
     if (static_cast<double>(seg_pass[j]) <
-        opt.min_segment_fraction * static_cast<double>(segments)) {
+        kMinSegmentFraction * static_cast<double>(segments)) {
       out[j].diurnal = false;
     }
   }

@@ -90,7 +90,7 @@ void stl_decompose_batch(const double* y_soa, std::size_t lanes,
 /// Batched test_diurnal(): out holds `lanes` results, each bit-identical
 /// to the scalar test on that lane.
 void test_diurnal_batch(const double* x_soa, std::size_t lanes, std::size_t n,
-                        double samples_per_day, const DiurnalOptions& opt,
-                        Workspace& ws, DiurnalResult* out);
+                        double samples_per_day, Workspace& ws,
+                        DiurnalResult* out);
 
 }  // namespace diurnal::analysis

@@ -61,7 +61,7 @@ std::span<const ChangePoint> BatchAnalyzer::changes(
 }
 
 void BatchAnalyzer::diurnal(std::span<const std::span<const double>> series,
-                            double samples_per_day, const DiurnalOptions& opt,
+                            double samples_per_day,
                             std::span<DiurnalResult> out) {
   const std::size_t lanes = series.size();
   if (lanes > kMaxLanes || out.size() < lanes) {
@@ -77,7 +77,7 @@ void BatchAnalyzer::diurnal(std::span<const std::span<const double>> series,
   }
   y_soa_.resize(n * lanes);
   soa_gather(series, n, y_soa_.data());
-  test_diurnal_batch(y_soa_.data(), lanes, n, samples_per_day, opt, ws_,
+  test_diurnal_batch(y_soa_.data(), lanes, n, samples_per_day, ws_,
                      out.data());
 }
 

@@ -54,8 +54,7 @@ class BatchAnalyzer {
   /// (out.size() >= series.size()).  Independent of the detection
   /// chain's buffers.
   void diurnal(std::span<const std::span<const double>> series,
-               double samples_per_day, const DiurnalOptions& opt,
-               std::span<DiurnalResult> out);
+               double samples_per_day, std::span<DiurnalResult> out);
 
  private:
   Workspace ws_;

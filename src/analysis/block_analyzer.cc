@@ -8,9 +8,8 @@
 namespace diurnal::analysis {
 
 DiurnalResult BlockAnalyzer::diurnal(std::span<const double> counts,
-                                     double samples_per_day,
-                                     const DiurnalOptions& opt) {
-  return test_diurnal(counts, samples_per_day, opt, ws_);
+                                     double samples_per_day) {
+  return test_diurnal(counts, samples_per_day, ws_);
 }
 
 SwingResult BlockAnalyzer::swing(std::span<const double> counts,

@@ -43,8 +43,7 @@ class BlockAnalyzer {
   Workspace& workspace() noexcept { return ws_; }
 
   /// Goertzel diurnality test (scratch from the workspace).
-  DiurnalResult diurnal(std::span<const double> counts, double samples_per_day,
-                        const DiurnalOptions& opt = {});
+  DiurnalResult diurnal(std::span<const double> counts, double samples_per_day);
 
   /// Daily-swing classification; value[i] covers time start + i*step.
   SwingResult swing(std::span<const double> counts, util::SimTime start,

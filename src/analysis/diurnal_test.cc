@@ -13,8 +13,7 @@ namespace {
 
 // Diurnal-band power ratio of a mean-removed window.
 double band_ratio(std::span<const double> values, double samples_per_day,
-                  const DiurnalOptions& opt, double* total_out,
-                  double* band_out, Workspace& ws) {
+                  double* total_out, double* band_out, Workspace& ws) {
   const std::size_t n = values.size();
   const double m = mean(values);
   auto lease = ws.acquire(n);
@@ -30,11 +29,11 @@ double band_ratio(std::span<const double> values, double samples_per_day,
 
   const double daily_cycles = static_cast<double>(n) / samples_per_day;
   double band = 0.0;
-  for (int h = 1; h <= std::max(opt.harmonics, 1); ++h) {
+  for (int h = 1; h <= kDiurnalHarmonics; ++h) {
     const double c = daily_cycles * h;
     if (c >= static_cast<double>(n) / 2.0) break;  // beyond Nyquist
     band += goertzel_power(x, c);
-    if (opt.include_sidebands && c > 1.5) {
+    if (c > 1.5) {
       band += goertzel_power(x, c - 1.0);
       band += goertzel_power(x, c + 1.0);
     }
@@ -47,39 +46,38 @@ double band_ratio(std::span<const double> values, double samples_per_day,
 }  // namespace
 
 DiurnalResult test_diurnal(std::span<const double> values,
-                           double samples_per_day, const DiurnalOptions& opt) {
+                           double samples_per_day) {
   Workspace ws;
-  return test_diurnal(values, samples_per_day, opt, ws);
+  return test_diurnal(values, samples_per_day, ws);
 }
 
 DiurnalResult test_diurnal(std::span<const double> values,
-                           double samples_per_day, const DiurnalOptions& opt,
-                           Workspace& ws) {
+                           double samples_per_day, Workspace& ws) {
   DiurnalResult r;
   const std::size_t n = values.size();
   if (samples_per_day <= 0.0 || n < static_cast<std::size_t>(2 * samples_per_day)) {
     return r;  // need at least two full days
   }
-  r.power_ratio = band_ratio(values, samples_per_day, opt, &r.total_power,
+  r.power_ratio = band_ratio(values, samples_per_day, &r.total_power,
                              &r.diurnal_power, ws);
-  r.diurnal = r.power_ratio >= opt.min_power_ratio;
+  r.diurnal = r.power_ratio >= kMinPowerRatio;
   if (!r.diurnal) return r;
 
   // Duration strictness: over long windows, diurnality must also hold in
   // most segments individually (section 3.2.2's duration effect).
   const std::size_t seg_len = static_cast<std::size_t>(
-      std::max(2.0, opt.segment_days * samples_per_day));
+      std::max(2.0, kSegmentDays * samples_per_day));
   const std::size_t segments = n / seg_len;
   if (segments >= 2) {
     r.segments = static_cast<int>(segments);
-    const double seg_threshold = opt.min_power_ratio * opt.segment_ratio_factor;
+    constexpr double seg_threshold = kMinPowerRatio * kSegmentRatioFactor;
     for (std::size_t s = 0; s < segments; ++s) {
       const double ratio = band_ratio(values.subspan(s * seg_len, seg_len),
-                                      samples_per_day, opt, nullptr, nullptr, ws);
+                                      samples_per_day, nullptr, nullptr, ws);
       r.segments_diurnal += ratio >= seg_threshold;
     }
     if (static_cast<double>(r.segments_diurnal) <
-        opt.min_segment_fraction * static_cast<double>(segments)) {
+        kMinSegmentFraction * static_cast<double>(segments)) {
       r.diurnal = false;
     }
   }

@@ -13,24 +13,21 @@
 
 namespace diurnal::analysis {
 
-struct DiurnalOptions {
-  /// Fraction of total (mean-removed) power that must fall on the
-  /// 24-hour frequency and harmonics for the block to count as diurnal.
-  double min_power_ratio = 0.3;
-  /// Number of harmonics of the daily frequency to include (1 = 24h
-  /// only; 4 = 24h, 12h, 8h, 6h as in the deployment configuration).
-  int harmonics = 4;
-  /// Include +-1 bins around each harmonic (weekly sidebands).
-  bool include_sidebands = true;
+/// Fraction of total (mean-removed) power that must fall on the 24-hour
+/// frequency and its harmonics for the block to count as diurnal.
+inline constexpr double kMinPowerRatio = 0.3;
+/// Harmonics of the daily frequency in the band: 24h, 12h, 8h and 6h,
+/// as in the deployment configuration, each with its +-1-bin sidebands.
+inline constexpr int kDiurnalHarmonics = 4;
 
-  /// Duration strictness (paper section 3.2.2: applying "strict
-  /// requirements across a longer duration" sheds blocks whose diurnal
-  /// activity changed mid-window).  For windows of at least two
-  /// segments, diurnality must also hold in most segments individually.
-  int segment_days = 14;
-  double segment_ratio_factor = 0.7;   ///< per-segment threshold scale
-  double min_segment_fraction = 0.85;  ///< segments that must pass
-};
+/// Duration strictness (paper section 3.2.2: applying "strict
+/// requirements across a longer duration" sheds blocks whose diurnal
+/// activity changed mid-window).  A window of at least two
+/// kSegmentDays-day segments must also pass in kMinSegmentFraction of
+/// its segments, each against kMinPowerRatio * kSegmentRatioFactor.
+inline constexpr int kSegmentDays = 14;
+inline constexpr double kSegmentRatioFactor = 0.7;
+inline constexpr double kMinSegmentFraction = 0.85;
 
 struct DiurnalResult {
   bool diurnal = false;
@@ -45,12 +42,12 @@ struct DiurnalResult {
 /// samples per day, for diurnality.  The step must divide 24 hours; at
 /// least two full days of data are required (otherwise the result is
 /// non-diurnal).
-DiurnalResult test_diurnal(std::span<const double> values, double samples_per_day,
-                           const DiurnalOptions& opt = {});
+DiurnalResult test_diurnal(std::span<const double> values,
+                           double samples_per_day);
 
 /// Allocation-free variant: the mean-removed window copy is leased from
-/// `ws`.  Bit-identical to the overloads above.
-DiurnalResult test_diurnal(std::span<const double> values, double samples_per_day,
-                           const DiurnalOptions& opt, Workspace& ws);
+/// `ws`.  Bit-identical to the overload above.
+DiurnalResult test_diurnal(std::span<const double> values,
+                           double samples_per_day, Workspace& ws);
 
 }  // namespace diurnal::analysis

@@ -58,7 +58,6 @@ double loess_at(std::span<const double> y, double x0, const LoessOptions& opt,
     return s / static_cast<double>(window);
   }
   const double mean_y = swy / sw;
-  if (opt.degree <= 0) return mean_y;
   const double mean_x = swx / sw;
   const double var_x = swxx / sw - mean_x * mean_x;
   if (var_x <= 1e-12) return mean_y;

@@ -1,12 +1,13 @@
 // LOESS: locally weighted regression smoothing (Cleveland 1979), the
 // building block of STL (paper section 2.5).
 //
-// The smoother operates on equally spaced series (x = 0..n-1), supports
-// degree 0 (local mean) and degree 1 (local linear), tricube neighborhood
-// weights, optional robustness weights, evaluation at fractional and
-// out-of-range positions (needed for STL's cycle-subseries extension),
-// and a `jump` parameter that evaluates every jump-th point and linearly
-// interpolates in between (the standard STL speedup).
+// The smoother operates on equally spaced series (x = 0..n-1) and fits
+// a local line (degree 1, the degree of every STL pass here) with
+// tricube neighborhood weights, optional robustness weights, evaluation
+// at fractional and out-of-range positions (needed for STL's
+// cycle-subseries extension), and a `jump` parameter that evaluates
+// every jump-th point and linearly interpolates in between (the
+// standard STL speedup).
 #pragma once
 
 #include <cmath>
@@ -16,9 +17,8 @@
 namespace diurnal::analysis {
 
 struct LoessOptions {
-  int span = 7;    ///< q: number of neighborhood points (>= 2)
-  int degree = 1;  ///< 0 = local constant, 1 = local linear
-  int jump = 1;    ///< evaluate every jump-th point, interpolate between
+  int span = 7;  ///< q: number of neighborhood points (>= 2)
+  int jump = 1;  ///< evaluate every jump-th point, interpolate between
 };
 
 /// The neighborhood loess_at() regresses over at x0: the contiguous

@@ -9,8 +9,7 @@ namespace {
 double sigmoid(double z) noexcept { return 1.0 / (1.0 + std::exp(-z)); }
 }  // namespace
 
-void LogisticModel::fit(FeatureMatrix features, std::span<const int> labels,
-                        const LogisticOptions& opt) {
+void LogisticModel::fit(FeatureMatrix features, std::span<const int> labels) {
   if (features.dim == 0 || features.data.size() % features.dim != 0) {
     throw std::invalid_argument("LogisticModel::fit: bad feature matrix");
   }
@@ -44,7 +43,7 @@ void LogisticModel::fit(FeatureMatrix features, std::span<const int> labels,
   weights_.assign(d, 0.0);
   bias_ = 0.0;
   std::vector<double> grad(d);
-  for (int epoch = 0; epoch < opt.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kLogisticEpochs; ++epoch) {
     std::fill(grad.begin(), grad.end(), 0.0);
     double grad_b = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -61,15 +60,15 @@ void LogisticModel::fit(FeatureMatrix features, std::span<const int> labels,
     }
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t j = 0; j < d; ++j) {
-      weights_[j] -= opt.learning_rate * (grad[j] * inv_n + opt.l2 * weights_[j]);
+      weights_[j] -=
+          kLogisticLearningRate * (grad[j] * inv_n + kLogisticL2 * weights_[j]);
     }
-    bias_ -= opt.learning_rate * grad_b * inv_n;
+    bias_ -= kLogisticLearningRate * grad_b * inv_n;
   }
 }
 
 void LogisticModel::fit(const std::vector<std::vector<double>>& features,
-                        const std::vector<int>& labels,
-                        const LogisticOptions& opt) {
+                        const std::vector<int>& labels) {
   if (features.empty() || features.size() != labels.size()) {
     throw std::invalid_argument("LogisticModel::fit: bad training data");
   }
@@ -82,7 +81,7 @@ void LogisticModel::fit(const std::vector<std::vector<double>>& features,
   std::vector<double> flat;
   flat.reserve(features.size() * d);
   for (const auto& f : features) flat.insert(flat.end(), f.begin(), f.end());
-  fit(FeatureMatrix{flat, d}, labels, opt);
+  fit(FeatureMatrix{flat, d}, labels);
 }
 
 double LogisticModel::predict_proba(std::span<const double> x) const {

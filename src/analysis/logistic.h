@@ -10,11 +10,11 @@
 
 namespace diurnal::analysis {
 
-struct LogisticOptions {
-  int epochs = 400;
-  double learning_rate = 0.5;
-  double l2 = 1e-4;
-};
+/// Gradient-descent schedule of every fit: full-batch epochs, step
+/// size on the standardized features, and the L2 weight penalty.
+inline constexpr int kLogisticEpochs = 400;
+inline constexpr double kLogisticLearningRate = 0.5;
+inline constexpr double kLogisticL2 = 1e-4;
 
 /// A dense row-major feature-matrix view: sample i is
 /// data.subspan(i * dim, dim).  data.size() must be a multiple of dim.
@@ -45,13 +45,12 @@ class LogisticModel {
   /// Aliasing: `features` and `labels` are read-only and may alias each
   /// other or any caller storage, but must NOT view this model's own
   /// internal buffers (weights()/bias state) — fit() reallocates them.
-  void fit(FeatureMatrix features, std::span<const int> labels,
-           const LogisticOptions& opt = {});
+  void fit(FeatureMatrix features, std::span<const int> labels);
 
   /// Nested-vector convenience wrapper; flattens and delegates.
   /// Throws on ragged rows.  Bit-identical to the span overload.
   void fit(const std::vector<std::vector<double>>& features,
-           const std::vector<int>& labels, const LogisticOptions& opt = {});
+           const std::vector<int>& labels);
 
   /// Probability of label 1.
   double predict_proba(std::span<const double> x) const;

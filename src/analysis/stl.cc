@@ -28,10 +28,19 @@ void moving_average(std::span<const double> in, int m, std::span<double> out) {
 
 }  // namespace
 
-int default_trend_span(int period, int seasonal_span) noexcept {
-  const double denom = 1.0 - 1.5 / static_cast<double>(std::max(seasonal_span, 3));
+int default_trend_span(int period) noexcept {
+  const double denom = 1.0 - 1.5 / static_cast<double>(kSeasonalSpan);
   const int v = static_cast<int>(std::ceil(1.5 * period / denom));
   return next_odd(std::max(v, 3));
+}
+
+StlPlan stl_plan(int period, int trend_span) noexcept {
+  const int n_t =
+      trend_span > 0 ? next_odd(trend_span) : default_trend_span(period);
+  const int n_l = next_odd(period);
+  return StlPlan{{kSeasonalSpan, 1},
+                 {n_t, std::max(1, n_t / 10)},
+                 {n_l, std::max(1, n_l / 10)}};
 }
 
 void stl_decompose(std::span<const double> y, const StlOptions& opt,
@@ -47,21 +56,7 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
   const std::size_t un = static_cast<std::size_t>(n);
   const std::size_t up = static_cast<std::size_t>(p);
 
-  const int n_s = next_odd(std::max(opt.seasonal_span, 7));
-  const int n_t = opt.trend_span > 0 ? next_odd(opt.trend_span)
-                                     : default_trend_span(p, n_s);
-  const int n_l = opt.lowpass_span > 0 ? next_odd(opt.lowpass_span) : next_odd(p);
-
-  auto default_jump = [](int explicit_jump, int span) {
-    if (explicit_jump > 0) return explicit_jump;
-    return std::max(1, span / 10);
-  };
-  const LoessOptions seasonal_loess{n_s, opt.seasonal_degree,
-                                    default_jump(opt.seasonal_jump, n_s)};
-  const LoessOptions trend_loess{n_t, opt.trend_degree,
-                                 default_jump(opt.trend_jump, n_t)};
-  const LoessOptions lowpass_loess{n_l, opt.lowpass_degree,
-                                   default_jump(opt.lowpass_jump, n_l)};
+  const StlPlan plan = stl_plan(p, opt.trend_span);
 
   std::fill(trend.begin(), trend.end(), 0.0);
   std::fill(seasonal.begin(), seasonal.end(), 0.0);
@@ -90,7 +85,7 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
     const std::span<const double> rho_span =
         have_rho ? std::span<const double>(rho.data(), un)
                  : std::span<const double>{};
-    for (int inner = 0; inner < std::max(opt.inner_iterations, 1); ++inner) {
+    for (int inner = 0; inner < kInnerIterations; ++inner) {
       // Step 1: detrend.
       for (std::size_t i = 0; i < un; ++i) detrended[i] = y[i] - trend[i];
       // Step 2: cycle-subseries smoothing, extended one period each way.
@@ -107,7 +102,7 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
             have_rho ? std::span<const double>(sub_rho.data(), len)
                      : std::span<const double>{};
         loess_smooth_extended(std::span<const double>(sub.data(), len),
-                              seasonal_loess, srho,
+                              plan.seasonal, srho,
                               std::span<double>(sub_smooth.data(), len + 2));
         // sub_smooth[k] corresponds to subseries position k-1, i.e. full
         // series index phase + (k-1)*p; with the +p shift of `extended`
@@ -125,7 +120,7 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
                      std::span<double>(ma2.data(), un + 2));
       moving_average(std::span<const double>(ma2.data(), un + 2), 3,
                      std::span<double>(ma3.data(), un));
-      loess_smooth(std::span<const double>(ma3.data(), un), lowpass_loess, {},
+      loess_smooth(std::span<const double>(ma3.data(), un), plan.lowpass, {},
                    std::span<double>(lowpass.data(), un));
       // Step 4: seasonal = extended(middle) - lowpass.
       for (std::size_t i = 0; i < un; ++i) {
@@ -134,7 +129,7 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
       // Step 5: deseasonalize.
       for (std::size_t i = 0; i < un; ++i) deseason[i] = y[i] - seasonal[i];
       // Step 6: trend smoothing (loess writes every position of `trend`).
-      loess_smooth(std::span<const double>(deseason.data(), un), trend_loess,
+      loess_smooth(std::span<const double>(deseason.data(), un), plan.trend,
                    rho_span, trend);
     }
     // Residuals and (for all but the last pass) robustness weights.

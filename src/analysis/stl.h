@@ -7,25 +7,35 @@
 #include <span>
 #include <vector>
 
+#include "analysis/loess.h"
 #include "analysis/workspace.h"
 
 namespace diurnal::analysis {
 
+/// STL's fixed parameters (Cleveland et al. 1990's recommendations):
+/// the cycle-subseries span n_s, evaluated at every point, and two inner
+/// passes per outer pass.  Every LOESS pass is local-linear; the
+/// low-pass span is the smallest odd integer >= the period, and the
+/// trend and low-pass passes evaluate every max(1, span / 10)-th point.
+inline constexpr int kSeasonalSpan = 7;
+inline constexpr int kInnerIterations = 2;
+
 struct StlOptions {
   int period = 24;        ///< n_p: samples per season (e.g. 24 hourly, 168 weekly)
-  int seasonal_span = 7;  ///< n_s: cycle-subseries LOESS span (odd, >= 7)
   int trend_span = 0;     ///< n_t: 0 = Cleveland default from n_p and n_s
-  int lowpass_span = 0;   ///< n_l: 0 = smallest odd >= n_p
-  int seasonal_degree = 1;
-  int trend_degree = 1;
-  int lowpass_degree = 1;
-  int inner_iterations = 2;  ///< n_i
   int outer_iterations = 1;  ///< n_o: robustness passes (0 = non-robust)
-  /// Evaluate-and-interpolate strides; 0 = span/10 heuristic.
-  int seasonal_jump = 1;
-  int trend_jump = 0;
-  int lowpass_jump = 0;
 };
+
+/// The three LOESS passes of one decomposition.
+struct StlPlan {
+  LoessOptions seasonal;  ///< cycle-subseries smoothing
+  LoessOptions trend;
+  LoessOptions lowpass;
+};
+
+/// The passes for a period and a trend span (0 = default_trend_span):
+/// the one derivation both the scalar and the batched decomposition run.
+StlPlan stl_plan(int period, int trend_span) noexcept;
 
 struct StlDecomposition {
   std::vector<double> trend;
@@ -52,7 +62,7 @@ void stl_decompose(std::span<const double> y, const StlOptions& opt,
                    std::span<double> robustness_out = {});
 
 /// The Cleveland default trend span: smallest odd integer >=
-/// 1.5 * period / (1 - 1.5/seasonal_span).
-int default_trend_span(int period, int seasonal_span) noexcept;
+/// 1.5 * period / (1 - 1.5 / kSeasonalSpan).
+int default_trend_span(int period) noexcept;
 
 }  // namespace diurnal::analysis

@@ -113,9 +113,11 @@ std::vector<ChangeAggregator::CellSnapshot> ChangeAggregator::map_snapshot(
     s.down_fraction = series.down_fraction(d);
     out.push_back(s);
   }
-  std::sort(out.begin(), out.end(), [](const CellSnapshot& a, const CellSnapshot& b) {
-    return a.blocks > b.blocks;
-  });
+  std::sort(out.begin(), out.end(),
+            [](const CellSnapshot& a, const CellSnapshot& b) {
+              if (a.blocks != b.blocks) return a.blocks > b.blocks;
+              return a.cell < b.cell;
+            });
   return out;
 }
 

@@ -76,7 +76,8 @@ class ChangeAggregator {
   void restore(util::StateReader& r);
 
   /// Gridcells with at least `min_blocks` change-sensitive blocks,
-  /// ordered by descending block count (for the Figure 7/9/10 maps).
+  /// ordered by descending block count, ties by cell (for the Figure
+  /// 7/9/10 maps).
   struct CellSnapshot {
     geo::GridCell cell;
     std::int32_t blocks = 0;

@@ -191,26 +191,28 @@ std::uint64_t checkpoint_fingerprint(const sim::WorldConfig& world,
   });
   // Pipeline toggles and key analysis knobs.  Thread count, batch width
   // and residency caps are deliberately absent: the determinism contract
-  // makes them invisible in the output.
+  // makes them invisible in the output.  The rules that are now
+  // constants keep their bytes where their fields were, as does the
+  // retired trend-model byte (STL, the only model, wrote 0), so
+  // fingerprints and checkpoints written before either change still
+  // match.
   w.boolean(config.one_loss_repair);
   w.boolean(config.additional_observations);
   w.boolean(config.run_detection);
-  w.f64(config.classifier.min_evidence_fraction);
-  w.i64(config.detector.period_seconds);
-  // The retired trend-model byte: STL, the only model, wrote 0, so
-  // fingerprints and checkpoints written before its removal still match.
+  w.f64(kMinEvidenceFraction);
+  w.i64(kDetectionPeriodSeconds);
   w.u8(0);
   w.f64(config.detector.cusum.threshold);
   w.f64(config.detector.cusum.drift);
-  w.i64(config.detector.outage_pair_window);
-  w.f64(config.detector.outage_amplitude_ratio);
-  w.i64(config.detector.max_outage_duration);
-  w.f64(config.detector.outage_level_fraction);
-  w.f64(config.detector.min_change_addresses);
+  w.i64(kOutagePairWindow);
+  w.f64(kOutageAmplitudeRatio);
+  w.i64(kMaxOutageDuration);
+  w.f64(kOutageLevelFraction);
+  w.f64(kMinChangeAddresses);
   w.boolean(config.detector.phase_shift_filter);
-  w.f64(config.detector.phase_corroboration_ratio);
+  w.f64(kPhaseCorroborationRatio);
   w.i64(config.recon.sample_step);
-  w.i64(config.recon.stale_horizon);
+  w.i64(recon::kStaleHorizon);
   w.u64(shard_size);
   w.end_section();
 

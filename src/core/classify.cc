@@ -10,12 +10,11 @@ namespace {
 
 // A block's place in the funnel before any analysis: a non-responsive
 // block stops here.  The evidence floor annotates, never decides.
-BlockClassification funnel_entry(bool responsive, double evidence_fraction,
-                                 const ClassifierOptions& opt) {
+BlockClassification funnel_entry(bool responsive, double evidence_fraction) {
   BlockClassification c;
   c.responsive = responsive;
   c.evidence_fraction = evidence_fraction;
-  c.low_confidence = evidence_fraction < opt.min_evidence_fraction;
+  c.low_confidence = evidence_fraction < kMinEvidenceFraction;
   return c;
 }
 
@@ -38,9 +37,9 @@ BlockClassification classify_block(std::span<const double> counts,
                                    bool responsive, double evidence_fraction,
                                    const ClassifierOptions& opt,
                                    analysis::BlockAnalyzer& az) {
-  BlockClassification c = funnel_entry(responsive, evidence_fraction, opt);
+  BlockClassification c = funnel_entry(responsive, evidence_fraction);
   if (!c.responsive) return c;
-  c.diurnal_detail = az.diurnal(counts, samples_per_day(step), opt.diurnal);
+  c.diurnal_detail = az.diurnal(counts, samples_per_day(step));
   c.swing_detail = az.swing(counts, start, step, opt.swing);
   set_verdict(c);
   return c;
@@ -56,7 +55,7 @@ void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
   // The funnel entry is per-job; only responsive jobs reach the
   // analysis chain.
   for (auto& job : jobs) {
-    *job.out = funnel_entry(job.responsive, job.evidence_fraction, opt);
+    *job.out = funnel_entry(job.responsive, job.evidence_fraction);
   }
 
   // Batched diurnality for equal-shape responsive jobs.
@@ -66,7 +65,6 @@ void classify_blocks_batch(std::span<BatchClassifyJob> jobs,
       [&](std::span<const std::span<const double>> lanes,
           std::span<const std::size_t> job_of_lane) {
         baz.diurnal(lanes, samples_per_day(jobs[job_of_lane[0]].step),
-                    opt.diurnal,
                     std::span<analysis::DiurnalResult>(results.data(),
                                                        lanes.size()));
         for (std::size_t j = 0; j < lanes.size(); ++j) {

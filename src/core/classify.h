@@ -15,14 +15,18 @@
 
 namespace diurnal::core {
 
+/// Confidence floor (degraded mode): a block whose reconstruction has
+/// fewer fresh samples than this fraction is annotated low-confidence
+/// instead of being silently misclassified, and its changes are
+/// low-evidence.  A healthy merged fleet probes every round, so the
+/// floor only bites when observers fail.
+inline constexpr double kMinEvidenceFraction = 0.5;
+
 struct ClassifierOptions {
-  analysis::DiurnalOptions diurnal{};
   analysis::SwingOptions swing{};
-  /// Confidence floor (degraded mode): a block whose reconstruction has
-  /// fewer fresh samples than this fraction is annotated low-confidence
-  /// instead of being silently misclassified.  A healthy merged fleet
-  /// probes every round, so the floor only bites when observers fail.
-  double min_evidence_fraction = 0.5;
+  /// The floor, readable through a configuration (the repository
+  /// benchmark reads it here); it cannot be set.
+  static constexpr double min_evidence_fraction = kMinEvidenceFraction;
 };
 
 /// One block's position in the Table 2 funnel.

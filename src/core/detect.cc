@@ -13,17 +13,16 @@ namespace {
 // Marks closely paired opposite-direction changes as outage/renumbering
 // artifacts (section 2.6): an outage is a down change followed shortly
 // by a comparable up change; renumbering produces the same signature.
-void filter_outage_pairs(std::vector<DetectedChange>& changes,
-                         const DetectorOptions& opt) {
+void filter_outage_pairs(std::vector<DetectedChange>& changes) {
   for (std::size_t i = 0; i + 1 < changes.size(); ++i) {
     auto& a = changes[i];
     auto& b = changes[i + 1];
     if (a.direction == b.direction) continue;
-    if (b.alarm - a.alarm > opt.outage_pair_window) continue;
+    if (b.alarm - a.alarm > kOutagePairWindow) continue;
     const double amp_a = std::abs(a.amplitude);
     const double amp_b = std::abs(b.amplitude);
     if (std::min(amp_a, amp_b) >=
-        opt.outage_amplitude_ratio * std::max(amp_a, amp_b)) {
+        kOutageAmplitudeRatio * std::max(amp_a, amp_b)) {
       a.filtered_as_outage = true;
       b.filtered_as_outage = true;
     }
@@ -39,8 +38,7 @@ struct RawInterval {
 };
 
 void detect_raw_outages(std::span<const double> counts, util::SimTime start,
-                        std::int64_t step, const DetectorOptions& opt,
-                        analysis::Workspace& ws,
+                        std::int64_t step, analysis::Workspace& ws,
                         std::vector<RawInterval>& out) {
   out.clear();
   if (counts.size() < 8 || step <= 0 || step > util::kSecondsPerHour * 6) {
@@ -103,7 +101,7 @@ void detect_raw_outages(std::span<const double> counts, util::SimTime start,
   auto classify = [&](std::size_t i) {
     const double med = profile[hour_of_week(i)];
     if (med < 2.0) return Sample::kUninformative;
-    return counts[i] < std::max(1.0, opt.outage_level_fraction * med * 0.5)
+    return counts[i] < std::max(1.0, kOutageLevelFraction * med * 0.5)
                ? Sample::kLow
                : Sample::kNormal;
   };
@@ -126,7 +124,7 @@ void detect_raw_outages(std::span<const double> counts, util::SimTime start,
           in_run = false;
           const util::SimTime t0 = time_at(run_start);
           const util::SimTime t1 = time_at(i);
-          if (bounded_left && t1 - t0 <= opt.max_outage_duration) {
+          if (bounded_left && t1 - t0 <= kMaxOutageDuration) {
             out.push_back(RawInterval{t0, t1});
           }
         }
@@ -147,7 +145,7 @@ void detect_raw_outages(std::span<const double> counts, util::SimTime start,
 // (conservative: never discard for lack of evidence).
 void filter_uncorroborated_changes(std::span<const double> counts,
                                    util::SimTime start, std::int64_t step,
-                                   int period, const DetectorOptions& opt,
+                                   int period,
                                    std::vector<DetectedChange>& changes) {
   const auto n = static_cast<std::int64_t>(counts.size());
   const std::int64_t window = period;
@@ -180,8 +178,8 @@ void filter_uncorroborated_changes(std::span<const double> counts,
     double after = 0.0;
     for (std::int64_t i = a_lo; i < a_hi; ++i) after += counts[i];
     after /= static_cast<double>(a_hi - a_lo);
-    if (std::abs(after - before) < opt.phase_corroboration_ratio *
-                                       std::abs(c.amplitude_addresses)) {
+    if (std::abs(after - before) <
+        kPhaseCorroborationRatio * std::abs(c.amplitude_addresses)) {
       c.filtered_phase_only = true;
     }
   }
@@ -208,19 +206,19 @@ void extract_changes(std::span<const double> counts, util::SimTime start,
     c.amplitude = cp.amplitude;
     c.amplitude_addresses = trend[cp.end] - trend[cp.start];
     c.filtered_small =
-        std::abs(c.amplitude_addresses) < opt.min_change_addresses;
+        std::abs(c.amplitude_addresses) < kMinChangeAddresses;
     changes.push_back(c);
   }
-  filter_outage_pairs(changes, opt);
+  filter_outage_pairs(changes);
 
   // Cross-check against raw-counts outages (section 2.6): an adjacent
   // down/up pair is an outage artifact when a short, bounded blackout of
   // the raw counts *begins during the down excursion and ends during the
   // up excursion* — i.e. the blackout explains the pair.  Anchoring both
-  // ends keeps week-long holidays (low runs > max_outage_duration) and
+  // ends keeps week-long holidays (low runs > kMaxOutageDuration) and
   // changes that merely sit near an unrelated one-hour outage alive.
   std::vector<RawInterval> outages;
-  detect_raw_outages(counts, start, step, opt, ws, outages);
+  detect_raw_outages(counts, start, step, ws, outages);
   if (!outages.empty()) {
     const std::int64_t margin = util::kSecondsPerDay;
     for (std::size_t i = 0; i + 1 < changes.size(); ++i) {
@@ -242,29 +240,25 @@ void extract_changes(std::span<const double> counts, util::SimTime start,
   }
 
   if (opt.phase_shift_filter) {
-    filter_uncorroborated_changes(counts, start, step, period, opt, changes);
+    filter_uncorroborated_changes(counts, start, step, period, changes);
   }
 }
 
-int detection_period(std::size_t samples, std::int64_t step,
-                     const DetectorOptions& opt) {
+int detection_period(std::size_t samples, std::int64_t step) {
   if (step <= 0) return 0;
-  const int period = static_cast<int>(opt.period_seconds / step);
+  const int period = static_cast<int>(kDetectionPeriodSeconds / step);
   if (period < 2 || samples < static_cast<std::size_t>(2 * period)) return 0;
   return period;
 }
 
-analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
-                                          int period) {
-  analysis::StlOptions stl = opt.stl;
+analysis::StlOptions detector_stl_options(int period) {
+  analysis::StlOptions stl;
   stl.period = period;
-  if (stl.trend_span == 0) {
-    // The Cleveland default (~2 periods) over-smooths step changes,
-    // diluting their measured amplitude and delaying the alarm; a
-    // span of ~1.25 periods keeps the trend responsive while still
-    // suppressing population-churn wiggles.
-    stl.trend_span = period + period / 4 + 1;
-  }
+  // The Cleveland default (~2 periods) over-smooths step changes,
+  // diluting their measured amplitude and delaying the alarm; a span of
+  // ~1.25 periods keeps the trend responsive while still suppressing
+  // population-churn wiggles.
+  stl.trend_span = period + period / 4 + 1;
   return stl;
 }
 
@@ -281,7 +275,7 @@ void BatchDetector::enqueue(std::span<const double> counts,
   out->clear();
   // Blocks the detector rejects produce no changes and never reach the
   // analysis chain, so they are not queued.
-  if (detection_period(counts.size(), step, opt_) == 0) return;
+  if (detection_period(counts.size(), step) == 0) return;
   jobs_[pending_++] = Job{counts, start, step, out};
   if (pending_ == max_lanes_) flush();
 }
@@ -292,9 +286,8 @@ void BatchDetector::flush() {
       [&](std::span<const std::span<const double>> lanes,
           std::span<const std::size_t> job_of_lane) {
         const Job& lead = jobs_[job_of_lane[0]];
-        const int period =
-            detection_period(lead.counts.size(), lead.step, opt_);
-        az_.run_detection_chain(lanes, detector_stl_options(opt_, period),
+        const int period = detection_period(lead.counts.size(), lead.step);
+        az_.run_detection_chain(lanes, detector_stl_options(period),
                                 opt_.cusum);
         for (std::size_t j = 0; j < lanes.size(); ++j) {
           Job& job = jobs_[job_of_lane[j]];

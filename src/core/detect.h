@@ -16,44 +16,53 @@
 
 namespace diurnal::core {
 
+/// Seasonal period (one week: the STL seasonal component then models
+/// daily and weekly structure, as in Figure 1b).
+inline constexpr std::int64_t kDetectionPeriodSeconds =
+    7 * util::kSecondsPerDay;
+
+/// Paired down/up rule (section 2.6): a change whose alarm is followed
+/// by an opposite-direction alarm within kOutagePairWindow, the smaller
+/// amplitude at least kOutageAmplitudeRatio of the larger, is an
+/// outage/renumbering pair.  Outages are minutes to a few hours, so
+/// their recovery alarms land within days, while week-long holidays
+/// recover much later and survive the filter.
+inline constexpr std::int64_t kOutagePairWindow = 3 * util::kSecondsPerDay;
+inline constexpr double kOutageAmplitudeRatio = 0.5;
+
+/// Raw-counts outage cross-check (section 2.6: "we can filter out such
+/// events by comparing them with outage detections"): a bounded dip of
+/// the raw counts below kOutageLevelFraction of the block's typical
+/// level, lasting at most kMaxOutageDuration, is an outage; a down/up
+/// pair it explains is discarded.  Longer low periods (week-long
+/// holidays, WFH) are not outages.
+inline constexpr std::int64_t kMaxOutageDuration = 48 * util::kSecondsPerHour;
+inline constexpr double kOutageLevelFraction = 0.25;
+
+/// Minimum |trend change| in addresses for a counted change: the
+/// z-score normalization gives every block unit variance, so without a
+/// physical floor the CUSUM chatters on blocks whose trend wiggles by a
+/// device or two.
+inline constexpr double kMinChangeAddresses = 1.5;
+
+/// Raw-volume corroboration (DetectorOptions::phase_shift_filter): a
+/// change whose one-period-windowed raw means before and after differ
+/// by less than this fraction of its trend amplitude is a phase
+/// artifact.
+inline constexpr double kPhaseCorroborationRatio = 0.5;
+
 struct DetectorOptions {
-  /// Seasonal period in seconds (default one week: the STL seasonal
-  /// component then models daily and weekly structure, as in Figure 1b).
-  std::int64_t period_seconds = 7 * util::kSecondsPerDay;
-  analysis::StlOptions stl{};              ///< period is derived per series
-  analysis::CusumOptions cusum{1.0, 0.001};
-  /// A down change whose alarm is followed by an opposite-direction
-  /// alarm within this window (with comparable amplitude) is an
-  /// outage/renumbering pair (section 2.6: outages are minutes to a few
-  /// hours, so their recovery alarms land within days, while week-long
-  /// holidays recover much later and survive the filter).
-  std::int64_t outage_pair_window = 3 * util::kSecondsPerDay;
-  double outage_amplitude_ratio = 0.5;
-  /// Raw-counts outage cross-check (section 2.6: "we can filter out
-  /// such events by comparing them with outage detections"): a bounded
-  /// dip of the raw counts below `outage_level_fraction` of the block's
-  /// typical level, lasting at most `max_outage_duration`, is an outage;
-  /// changes overlapping it are discarded.  Longer low periods (week-
-  /// long holidays, WFH) are not outages.
-  std::int64_t max_outage_duration = 48 * util::kSecondsPerHour;
-  double outage_level_fraction = 0.25;
-  /// Minimum |trend change| in addresses for a counted change: the
-  /// z-score normalization gives every block unit variance, so without a
-  /// physical floor the CUSUM chatters on blocks whose trend wiggles by
-  /// a device or two.
-  double min_change_addresses = 1.5;
+  analysis::CusumOptions cusum{};  ///< the paper's threshold 1, drift 0.001
   /// Raw-volume corroboration (the timezone/DST cross-check): a genuine
   /// activity change moves the block's mean activity volume by an
   /// amount comparable to its trend step, while a clock shift (a DST
   /// transition moving the whole schedule by an hour) changes phase but
   /// not volume — yet still perturbs the globally fitted STL trend
-  /// enough for the CUSUM to alarm.  When enabled, a change whose
-  /// one-period-windowed raw means before and after differ by less than
-  /// `phase_corroboration_ratio` of the claimed trend amplitude is
-  /// marked as a phase artifact.  Off by default: the golden-digest
-  /// contract freezes the default pipeline's decisions.
+  /// enough for the CUSUM to alarm.  When enabled, a change failing
+  /// kPhaseCorroborationRatio is marked as a phase artifact.  Off by
+  /// default: the golden-digest contract freezes the default pipeline's
+  /// decisions.
   bool phase_shift_filter = false;
-  double phase_corroboration_ratio = 0.5;
 };
 
 /// One detected change, annotated with times and the outage filter.
@@ -84,19 +93,16 @@ struct DetectedChange {
   }
 };
 
-/// Samples per seasonal period (opt.period_seconds) for a series of
-/// `samples` samples taken every `step` seconds, or 0 when the detector
-/// cannot run on it: STL needs a positive step, a period of at least
-/// two samples and at least two full periods of samples.  Every
+/// Samples per seasonal period (kDetectionPeriodSeconds) for a series
+/// of `samples` samples taken every `step` seconds, or 0 when the
+/// detector cannot run on it: STL needs a positive step, a period of at
+/// least two samples and at least two full periods of samples.  Every
 /// detection path, batched or provisional, admits series by this rule.
-int detection_period(std::size_t samples, std::int64_t step,
-                     const DetectorOptions& opt);
+int detection_period(std::size_t samples, std::int64_t step);
 
 /// The detector's STL configuration for a series with `period` samples
-/// per season: opt.stl with the period set and, unless given, a trend
-/// span of ~1.25 periods.
-analysis::StlOptions detector_stl_options(const DetectorOptions& opt,
-                                          int period);
+/// per season: one robustness pass and a trend span of ~1.25 periods.
+analysis::StlOptions detector_stl_options(int period);
 
 /// Everything after the trend -> z-score -> CUSUM chain of one series:
 /// turns the chain's change points `cps` into annotated changes

@@ -25,23 +25,21 @@ std::string DiscoveredEvent::to_string() const {
   return out;
 }
 
-std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg,
-                                             const DiscoveryOptions& opt) {
+std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg) {
   analysis::Workspace ws;
-  return discover_events(agg, opt, ws);
+  return discover_events(agg, ws);
 }
 
 std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg,
-                                             const DiscoveryOptions& opt,
                                              analysis::Workspace& ws) {
   std::vector<DiscoveredEvent> out;
   for (const auto& [cell, series] : agg.by_cell()) {
-    if (series.change_sensitive_blocks < opt.min_blocks) continue;
+    if (series.change_sensitive_blocks < kDiscoveryMinBlocks) continue;
 
     // Sliding-window sums: one regional event's detections spread over
     // several days.
     const std::size_t days = series.down.size();
-    const std::size_t w = static_cast<std::size_t>(std::max(opt.window_days, 1));
+    constexpr std::size_t w = kDiscoveryWindowDays;
     if (days < w) continue;
     auto lease = ws.acquire_zero(days - w + 1);
     const std::span<double> windowed = lease.span();
@@ -62,9 +60,9 @@ std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg,
     std::size_t d = 0;
     while (d < windowed.size()) {
       const auto spike = [&](std::size_t i) {
-        return windowed[i] >= opt.min_count &&
-               windowed[i] / blocks >= opt.min_fraction &&
-               windowed[i] >= opt.spike_factor * baseline;
+        return windowed[i] >= kDiscoveryMinCount &&
+               windowed[i] / blocks >= kDiscoveryMinFraction &&
+               windowed[i] >= kDiscoverySpikeFactor * baseline;
       };
       if (!spike(d)) {
         ++d;
@@ -90,9 +88,15 @@ std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg,
       d = last + 1;
     }
   }
+  // A total order: by_cell() iterates in insertion-history order, which
+  // differs between drives that merge shard aggregators differently.
   std::sort(out.begin(), out.end(),
             [](const DiscoveredEvent& a, const DiscoveredEvent& b) {
-              return a.peak_fraction > b.peak_fraction;
+              if (a.peak_fraction != b.peak_fraction) {
+                return a.peak_fraction > b.peak_fraction;
+              }
+              if (a.cell != b.cell) return a.cell < b.cell;
+              return a.start < b.start;
             });
   return out;
 }

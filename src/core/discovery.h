@@ -14,24 +14,22 @@
 
 namespace diurnal::core {
 
-struct DiscoveryOptions {
-  /// Minimum change-sensitive blocks for a cell to be considered
-  /// (the paper's representation threshold).
-  int min_blocks = 5;
-  /// Detections of one regional event spread over several days (blocks
-  /// adopt orders at different dates, and trend smoothing jitters the
-  /// alarm), so spikes are evaluated on a sliding window of this many
-  /// days.
-  int window_days = 5;
-  /// A spike window must involve at least this fraction of the cell's
-  /// change-sensitive blocks...
-  double min_fraction = 0.05;
-  /// ...and at least this many blocks.
-  int min_count = 2;
-  /// ...and exceed `spike_factor` times the cell's 75th-percentile
-  /// windowed down-count.
-  double spike_factor = 3.0;
-};
+/// Minimum change-sensitive blocks for a cell to be considered (the
+/// paper's representation threshold).
+inline constexpr int kDiscoveryMinBlocks = 5;
+/// Detections of one regional event spread over several days (blocks
+/// adopt orders at different dates, and trend smoothing jitters the
+/// alarm), so spikes are evaluated on a sliding window of this many
+/// days.
+inline constexpr int kDiscoveryWindowDays = 5;
+/// A spike window must involve at least this fraction of the cell's
+/// change-sensitive blocks...
+inline constexpr double kDiscoveryMinFraction = 0.05;
+/// ...and at least this many blocks...
+inline constexpr int kDiscoveryMinCount = 2;
+/// ...and exceed this many times the cell's 75th-percentile windowed
+/// down-count.
+inline constexpr double kDiscoverySpikeFactor = 3.0;
 
 /// One discovered regional event.
 struct DiscoveredEvent {
@@ -46,15 +44,14 @@ struct DiscoveredEvent {
 };
 
 /// Scans the aggregation for regional events, ordered by descending
-/// peak fraction.
-std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg,
-                                             const DiscoveryOptions& opt = {});
+/// peak fraction, then by cell (latitude, then longitude index), then
+/// by start: one order whatever order the cells were aggregated in.
+std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg);
 
 /// Same scan with the per-cell sliding-window scratch leased from `ws`
 /// (bit-identical results; repeated scans allocate only for the events
 /// themselves).
 std::vector<DiscoveredEvent> discover_events(const ChangeAggregator& agg,
-                                             const DiscoveryOptions& opt,
                                              analysis::Workspace& ws);
 
 }  // namespace diurnal::core

@@ -39,7 +39,7 @@ SampledBlock score_block(const sim::BlockProfile& block,
     const util::SimTime t = util::time_of(*country.wfh_2020);
     const bool windowed = cfg.window.end > cfg.window.start;
     if (!windowed || (t >= cfg.window.start &&
-                      t + cfg.match_window < cfg.window.end)) {
+                      t + kMatchWindow < cfg.window.end)) {
       news_date = t;
     }
   }
@@ -63,12 +63,12 @@ SampledBlock score_block(const sim::BlockProfile& block,
     // A suppression is only observable truth if people were still using
     // the block when it started.
     if (!sim::occupied_at(block, sup.start)) continue;
-    if (std::abs(sup.start - *news_date) <= cfg.match_window) {
+    if (std::abs(sup.start - *news_date) <= kMatchWindow) {
       truth_times.push_back(sup.start);
     }
   }
   if (block.vacate_at >= 0 &&
-      std::abs(block.vacate_at - *news_date) <= cfg.match_window) {
+      std::abs(block.vacate_at - *news_date) <= kMatchWindow) {
     truth_times.push_back(block.vacate_at);
   }
 
@@ -79,19 +79,19 @@ SampledBlock score_block(const sim::BlockProfile& block,
   bool matched = false;
   bool near_news = false;
   bool any_change = false;
-  std::int64_t best_offset = cfg.match_window + 1;
+  std::int64_t best_offset = kMatchWindow + 1;
   for (const auto& ch : outcome.changes) {
     if (!ch.counted()) continue;
-    if (ch.low_evidence && !cfg.trust_low_evidence) {
+    if (ch.low_evidence && !kTrustLowEvidence) {
       ++s.low_evidence_changes;
       continue;
     }
     any_change = true;
     if (ch.direction != analysis::ChangeDirection::kDown) continue;
-    if (std::abs(ch.alarm - *news_date) <= cfg.match_window) near_news = true;
+    if (std::abs(ch.alarm - *news_date) <= kMatchWindow) near_news = true;
     for (const util::SimTime t : truth_times) {
       const std::int64_t offset = ch.alarm - t;
-      if (std::abs(offset) <= cfg.match_window) {
+      if (std::abs(offset) <= kMatchWindow) {
         matched = true;
         if (std::abs(offset) < std::abs(best_offset)) best_offset = offset;
       }

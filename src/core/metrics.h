@@ -24,6 +24,18 @@ inline std::optional<double> safe_ratio(std::int64_t num,
   return static_cast<double>(num) / static_cast<double>(denom);
 }
 
+/// The paper's +-4-day match (section 3.6), inclusive: a detection
+/// exactly four days from its truth still matches.  This scorer and the
+/// validate harness's matcher both read it.
+inline constexpr std::int64_t kMatchWindow = 4 * util::kSecondsPerDay;
+
+/// Whether detections annotated low_evidence (degraded mode) may score.
+/// They never do: a down/up excursion overlapping an observer coverage
+/// gap is more likely the fleet failing than people moving, so counting
+/// it as a match would let faults buy precision.  Both scorers tally
+/// them apart instead.
+inline constexpr bool kTrustLowEvidence = false;
+
 /// Verdict for one sampled block (mirrors the rows of Table 5).
 enum class BlockVerdict {
   kNoWfhInWindow,        ///< no documented WFH date in the quarter
@@ -37,17 +49,11 @@ enum class BlockVerdict {
 std::string_view to_string(BlockVerdict v) noexcept;
 
 struct ValidationConfig {
-  std::int64_t match_window = 4 * util::kSecondsPerDay;  ///< +-4 days
   int sample_size = 50;
   std::uint64_t seed = 17;
   /// Analysis window used to decide whether a country's WFH date falls
   /// inside the studied quarter; both 0 disables the check.
   probe::ProbeWindow window{};
-  /// Score detections annotated low_evidence (degraded mode).  Off by
-  /// default: a down/up excursion overlapping an observer coverage gap
-  /// is more likely the fleet failing than people moving, so counting
-  /// it as a WFH match would inflate precision under faults.
-  bool trust_low_evidence = false;
 };
 
 struct SampledBlock {

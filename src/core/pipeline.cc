@@ -43,7 +43,7 @@ BlockOutcome analyze_block(const recon::ReconResult& recon,
     det.enqueue(counts.span(), counts.start(), counts.step(), &out.changes);
   }
   annotate_low_evidence(out.changes, recon.evidence_fraction, recon.gaps,
-                        classifier.min_evidence_fraction);
+                        kMinEvidenceFraction);
   return out;
 }
 

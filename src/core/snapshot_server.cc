@@ -287,8 +287,7 @@ std::shared_ptr<EpochSnapshot> SnapshotServer::build_snapshot(
 void SnapshotServer::fill_trend(EpochSnapshot& snap, std::size_t i,
                                 std::span<const double> s) const {
   const std::int64_t step = config_.recon.sample_step;
-  const std::size_t len =
-      serve_.trend_tail == 0 ? s.size() : std::min(serve_.trend_tail, s.size());
+  const std::size_t len = std::min(ServeConfig::trend_tail, s.size());
   EpochSnapshot::TrendRef& t = snap.trend_refs_[i];
   t.offset = snap.trend_data_.size();
   t.len = len;
@@ -306,7 +305,6 @@ void SnapshotServer::fill_rollups(EpochSnapshot& snap) {
   ServeScorecard& sc = snap.scorecard_;
   std::unordered_map<geo::GridCell, CellQueryStats> cells;
   cells.reserve(64);
-  const double floor = config_.classifier.min_evidence_fraction;
   double evidence_sum = 0.0;
   std::size_t evidence_n = 0;
   for (std::size_t i = 0; i < snap.rows_.size(); ++i) {
@@ -328,7 +326,9 @@ void SnapshotServer::fill_rollups(EpochSnapshot& snap) {
     if (row.emitted > 0) {
       evidence_sum += row.evidence_fraction;
       ++evidence_n;
-      if (row.evidence_fraction < floor) ++sc.low_evidence_blocks;
+      if (row.evidence_fraction < kMinEvidenceFraction) {
+        ++sc.low_evidence_blocks;
+      }
     }
   }
   sc.mean_evidence_fraction =

@@ -49,8 +49,9 @@ struct ServeConfig {
   /// behind.
   std::size_t feed_capacity = 4;
   /// Trailing samples of each block's reconstructed series copied into
-  /// a snapshot (the trend query).  0 copies the whole emitted prefix.
-  std::size_t trend_tail = 7 * 24;
+  /// a snapshot (the trend query): one week of hourly samples.  Read
+  /// here, never set.
+  static constexpr std::size_t trend_tail = 7 * 24;
   /// Carry the engine's state_io image in every snapshot.  The image is
   /// what makes a snapshot a restorable checkpoint; disable only for
   /// stress tests that never restore.

@@ -165,7 +165,7 @@ struct StreamingFleet::Worker {
       result.degradation.blocks[s.index] = fault::summarize_block(
           s.sr.observers, static_cast<int>(s.sr.observers.size()),
           fleet.classify_oc_.window, rs.evidence_fraction, rs.max_gap_seconds,
-          fleet.evidence_floor_);
+          kMinEvidenceFraction);
     }
     classify_blocks_batch(std::span<BatchClassifyJob>(jobs.data(), n_jobs),
                           fleet.config_.classifier, baz);
@@ -181,7 +181,7 @@ struct StreamingFleet::Worker {
       const Slot& s = slots[k];
       annotate_low_evidence(result.outcomes[s.index].changes,
                             s.sr.recon.evidence_fraction, s.sr.recon.gaps,
-                            fleet.evidence_floor_);
+                            kMinEvidenceFraction);
     }
     n = 0;
   }
@@ -195,15 +195,14 @@ struct StreamingFleet::Worker {
   /// feeds each cell's frozen-trend running z and online CUSUM.  The
   /// detection chain's trend is the scalar STL's, bit for bit.
   void fit_watch() {
-    const DetectorOptions& opt = fleet.config_.detector;
     analysis::for_each_shape_batch(
         std::span<WatchFit>(fits.data(), n_fits),
         [](const WatchFit&) { return true; },
         [&](std::span<const std::span<const double>> lanes,
             std::span<const std::size_t> fit_of_lane) {
           const int period = fits[fit_of_lane[0]].period;
-          baz.run_detection_chain(lanes, detector_stl_options(opt, period),
-                                  opt.cusum);
+          baz.run_detection_chain(lanes, detector_stl_options(period),
+                                  fleet.config_.detector.cusum);
           for (std::size_t j = 0; j < lanes.size(); ++j) {
             feed_watch(fits[fit_of_lane[j]], baz.trend(j));
           }
@@ -284,7 +283,6 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
             classify_ds.survey != config.dataset.survey);
   classify_oc_ = config.observation(classify_ds);
   detect_oc_ = config.observation(config.dataset);
-  evidence_floor_ = config.classifier.min_evidence_fraction;
   threads_ = resolve_threads(config.threads);
 
   result_.outcomes.resize(blocks_.size());
@@ -333,13 +331,12 @@ void StreamingFleet::screen_cell(std::size_t i, Worker& w) {
   // Nothing the watch could feed: detection is off, or the detector
   // rejects the sampling step at any series length.
   if (!config_.run_detection ||
-      detection_period(std::numeric_limits<std::size_t>::max(), step,
-                       config_.detector) == 0) {
+      detection_period(std::numeric_limits<std::size_t>::max(), step) == 0) {
     c.screened = true;
     return;
   }
   const auto& rs = c.stream.recon_state();
-  if (detection_period(rs.emitted(), step, config_.detector) == 0) return;
+  if (detection_period(rs.emitted(), step) == 0) return;
   // Provisional screen: classify a truncated snapshot of the stream so
   // far.  The verdict is only a watch decision — the authoritative
   // classification happens at finalize over the full window.
@@ -357,7 +354,7 @@ void StreamingFleet::update_provisional(std::size_t i, Worker& w) {
   Cell& c = cells_[i];
   const std::int64_t step = detect_oc_.recon.sample_step;
   const std::size_t emitted = c.stream.recon_state().emitted();
-  const int period = detection_period(emitted, step, config_.detector);
+  const int period = detection_period(emitted, step);
   if (period == 0 || emitted <= c.trend_fed) return;
 
   // Trailing-window STL re-fit: bounded per-epoch cost.  If the last fit

@@ -200,7 +200,6 @@ class StreamingFleet {
   probe::ProbeWindow classify_window_{};  ///< classification window
   recon::BlockObservationConfig classify_oc_{};
   recon::BlockObservationConfig detect_oc_{};
-  double evidence_floor_ = 0.0;
   unsigned threads_ = 1;
 
   FleetResult result_;

@@ -38,7 +38,7 @@ struct BlockDegradation {
   std::size_t dropped_observations = 0;
   std::size_t corrupted_observations = 0;
   /// Fraction of the reconstruction's samples with an observation inside
-  /// the staleness horizon (recon::ReconOptions::stale_horizon).
+  /// the staleness horizon (recon::kStaleHorizon).
   double evidence_fraction = 1.0;
   double max_gap_hours = 0.0;  ///< longest span with no observation at all
   bool low_confidence = false;  ///< evidence_fraction below the floor

@@ -43,10 +43,10 @@ namespace {
 // The shuffle seed doubles as the scratch cache key: every observer of a
 // fleet asks for the same (block, quarter) permutation back-to-back, so
 // all but the first request skip the Fisher-Yates pass.
-void build_order(const sim::BlockProfile& block, std::uint64_t order_seed,
-                 int quarter, ProbeScratch& scratch) {
+void build_order(const sim::BlockProfile& block, int quarter,
+                 ProbeScratch& scratch) {
   const std::uint64_t key = util::derive_seed(
-      order_seed, block.id.id(), static_cast<std::uint64_t>(quarter));
+      kOrderSeed, block.id.id(), static_cast<std::uint64_t>(quarter));
   std::vector<std::uint8_t>& order = scratch.order;
   const int n = block.eb_count;
   // The size check guards against two blocks sharing an id (and hence a
@@ -99,7 +99,7 @@ inline void store_observation(Observation* p, std::uint32_t rel_time,
 
 void round_prober_begin(const sim::BlockProfile& block,
                         const ObserverSpec& observer, ProbeWindow window,
-                        const ProberConfig& config, RoundProberState& state) {
+                        RoundProberState& state) {
   state = RoundProberState{};
   const int eb = block.eb_count;
   if (eb <= 0 || window.end <= window.start) {
@@ -114,7 +114,7 @@ void round_prober_begin(const sim::BlockProfile& block,
   // Each observer starts independently: its cursor begins at a
   // deterministic offset in the shared order.
   state.cursor =
-      util::derive_seed(config.order_seed, block.id.id(),
+      util::derive_seed(kOrderSeed, block.id.id(),
                         static_cast<std::uint64_t>(observer.code)) %
       static_cast<std::size_t>(eb);
 }
@@ -134,7 +134,7 @@ void round_prober_resume(const sim::BlockProfile& block,
 
   std::vector<std::uint8_t>& order = scratch.order;
   int quarter = quarter_index(state.next_round);
-  build_order(block, config.order_seed, quarter, scratch);
+  build_order(block, quarter, scratch);
   SimTime quarter_end = next_quarter_start(state.next_round);
 
   std::size_t cursor = state.cursor;
@@ -145,7 +145,7 @@ void round_prober_resume(const sim::BlockProfile& block,
   // per-probe lookup), and the activity cursor bound to this block.
   const std::uint32_t block_id = block.id.id();
   const std::uint32_t obs_salt = static_cast<std::uint32_t>(observer.code);
-  const std::uint64_t fault_seed = config.loss_seed ^ 0xFA17ULL;
+  const std::uint64_t fault_seed = kLossSeed ^ 0xFA17ULL;
   // Fault-window bounds as locals (healthy observers collapse to an
   // always-false first compare): the observation stores below are
   // may-alias writes, so reading them through `observer` would reload
@@ -167,7 +167,7 @@ void round_prober_resume(const sim::BlockProfile& block,
   const std::uint64_t a_base = static_cast<std::uint64_t>(block_id) << 9;
   for (int a = 0; a < eb; ++a) {
     loss_h1[static_cast<std::size_t>(a)] = util::mix64(
-        config.loss_seed ^ (a_base | static_cast<std::uint64_t>(a)));
+        kLossSeed ^ (a_base | static_cast<std::uint64_t>(a)));
   }
   // On an un-congested path the loss rate is the flat base rate, so the
   // acceptance test reduces to one integer compare:
@@ -237,7 +237,7 @@ void round_prober_resume(const sim::BlockProfile& block,
     if (probe_time >= fault_lo && probe_time < fault_hi &&
         probe_uniform(fault_seed, block_id,
                       static_cast<std::uint64_t>(probe_time), addr,
-                      obs_salt) < config.fault_flip_prob) [[unlikely]] {
+                      obs_salt) < kFaultFlipProb) [[unlikely]] {
       up = !up;  // hardware fault corrupts the result
     }
     return up;
@@ -245,7 +245,7 @@ void round_prober_resume(const sim::BlockProfile& block,
   auto quarter_tick = [&](SimTime t) {
     if (t >= quarter_end) {
       quarter = quarter_index(t);
-      build_order(block, config.order_seed, quarter, scratch);
+      build_order(block, quarter, scratch);
       quarter_end = next_quarter_start(t);
     }
   };
@@ -259,7 +259,7 @@ void round_prober_resume(const sim::BlockProfile& block,
     // 16-probe budget to decide whether the block went down.  This is
     // what makes full scans of large blocks take hours (the 256-round
     // worst case of section 3.1).
-    const int confirm_budget = std::min(eb, config.max_probes_per_round);
+    const int confirm_budget = std::min(eb, kMaxProbesPerRound);
     int rounds_since_positive = state.rounds_since_positive;
     // The output size is adaptive, but bounded by confirm_budget probes
     // per round, so sizing the buffer to the exact worst case up front
@@ -353,7 +353,7 @@ void round_prober_resume(const sim::BlockProfile& block,
                 if (probe_time >= fault_lo && probe_time < fault_hi &&
                     probe_uniform(fault_seed, block_id,
                                   static_cast<std::uint64_t>(probe_time), addr,
-                                  obs_salt) < config.fault_flip_prob) {
+                                  obs_salt) < kFaultFlipProb) {
                   up = !up;  // hardware fault corrupts the result
                 }
               }

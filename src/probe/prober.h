@@ -51,17 +51,19 @@ struct ProbeWindow {
   util::SimTime end = 0;
 };
 
+/// Trinocular's per-round probe budget (confirmation probes included).
+inline constexpr int kMaxProbesPerRound = 16;
+/// Seed of the per-quarter pseudorandom probe order (shared by all
+/// observers, as in the real system).
+inline constexpr std::uint64_t kOrderSeed = 0x08DE8ULL;
+/// Seed for per-probe loss draws (distinct per observer code).
+inline constexpr std::uint64_t kLossSeed = 77;
+/// Probability that a probe result is corrupted inside an observer's
+/// hardware-fault window.
+inline constexpr double kFaultFlipProb = 0.35;
+
 struct ProberConfig {
   ProberKind kind = ProberKind::kTrinocular;
-  int max_probes_per_round = 16;
-  /// Seed of the per-quarter pseudorandom probe order (shared by all
-  /// observers, as in the real system).
-  std::uint64_t order_seed = 0x08DE8ULL;
-  /// Seed for per-probe loss draws (distinct per observer code).
-  std::uint64_t loss_seed = 77;
-  /// Probability that a probe result is corrupted inside an observer's
-  /// hardware-fault window.
-  double fault_flip_prob = 0.35;
 };
 
 /// Reusable per-thread buffers for the prober's hot path.  A fleet run
@@ -114,7 +116,7 @@ struct RoundProberState {
 /// no targets or no round starts inside the window.
 void round_prober_begin(const sim::BlockProfile& block,
                         const ObserverSpec& observer, ProbeWindow window,
-                        const ProberConfig& config, RoundProberState& state);
+                        RoundProberState& state);
 
 /// Probes every round starting before min(until, window.end), appending
 /// the observations to `out` in time order and advancing `state`.  A

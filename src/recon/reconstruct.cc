@@ -44,7 +44,7 @@ void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
   next_sample_ = 0;
   // Effective-coverage tracking: a sample is fresh when some observation
   // (reply or not — coverage is about measurement, not activity) landed
-  // within the trailing stale_horizon; observation-free spans longer
+  // within the trailing kStaleHorizon; observation-free spans longer
   // than the horizon are recorded as gaps.
   last_obs_rel_ = std::numeric_limits<std::int64_t>::min() / 2;
   fresh_samples_ = 0;

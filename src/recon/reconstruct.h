@@ -20,15 +20,16 @@
 
 namespace diurnal::recon {
 
+/// Effective-coverage horizon (paper section 2.8: the additional
+/// observer guarantees a 6-hour full-block refresh).  A sample with no
+/// observation in the trailing horizon is stale; spans with no
+/// observations longer than this are recorded as coverage gaps.
+inline constexpr std::int64_t kStaleHorizon = 6 * util::kSecondsPerHour;
+
 struct ReconOptions {
   /// Output sampling interval for the count series (the fleet uses
   /// hourly; single-block case studies use per-round).
   std::int64_t sample_step = 3600;
-  /// Effective-coverage horizon (paper section 2.8: the additional
-  /// observer guarantees a 6-hour full-block refresh).  A sample with no
-  /// observation in the trailing horizon is stale; spans with no
-  /// observations longer than this are recorded as coverage gaps.
-  std::int64_t stale_horizon = 6 * util::kSecondsPerHour;
 };
 
 /// A span of the window with no observations at all (absolute times):
@@ -217,8 +218,7 @@ class BlockReconState {
       dst[next_sample_] = static_cast<double>(active_);
       max_active_ = std::max(max_active_, dst[next_sample_]);
       if (static_cast<std::int64_t>(next_sample_) * opt_.sample_step -
-              last_obs_rel_ <=
-          opt_.stale_horizon) {
+              last_obs_rel_ <= kStaleHorizon) {
         ++fresh_samples_;
       }
       ++next_sample_;
@@ -230,7 +230,7 @@ class BlockReconState {
   void note_gap(std::int64_t up_to, std::vector<CoverageGap>& gaps,
                 double& max_gap) const {
     const std::int64_t from = std::max<std::int64_t>(last_obs_rel_, 0);
-    if (up_to - from > opt_.stale_horizon) {
+    if (up_to - from > kStaleHorizon) {
       gaps.push_back(CoverageGap{window_.start + from, window_.start + up_to});
     }
     max_gap = std::max(max_gap, static_cast<double>(up_to - from));

@@ -33,7 +33,7 @@ void BlockStream::begin(const sim::BlockProfile& block,
     s.code = s.spec.code;
     s.prober = config.prober;
     if (extra) s.prober.kind = probe::ProberKind::kAdditional;
-    probe::round_prober_begin(block, s.spec, config.window, s.prober, s.state);
+    probe::round_prober_begin(block, s.spec, config.window, s.state);
     s.carry = fault::FaultCarry{};
     s.stats = fault::StreamFaultStats{};
     s.skew = inject_ ? fault::resolve_skew(*config.faults, s.code)

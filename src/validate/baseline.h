@@ -35,7 +35,7 @@ struct ScenarioRecord {
 ScenarioRecord make_record(const Scorecard& score, std::uint64_t digest);
 
 struct Baseline {
-  std::int64_t match_window_days = 4;
+  std::int64_t match_window_days = core::kMatchWindow / util::kSecondsPerDay;
   /// Insertion-ordered, matching catalog order.
   std::vector<std::pair<std::string, ScenarioRecord>> scenarios;
 

@@ -53,7 +53,7 @@ ScenarioRun run_scenario(const Scenario& s, const sim::World& world,
   ScenarioRun run;
   run.digest = core::fleet_digest(fleet);
   run.funnel = fleet.funnel;
-  run.score = score_fleet(world, fleet, fc.dataset.window(), s.match, explain);
+  run.score = score_fleet(world, fleet, fc.dataset.window(), explain);
   return run;
 }
 

@@ -20,12 +20,11 @@ std::string_view to_string(TruthClass c) noexcept {
 }
 
 std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
-                                         probe::ProbeWindow window,
-                                         const MatchOptions& opt) {
+                                         probe::ProbeWindow window) {
   std::vector<TruthInstance> out;
   const auto eligible = [&](SimTime t) {
-    return t >= window.start + opt.min_truth_lead &&
-           t <= window.end - opt.match_window;
+    return t >= window.start + kMinTruthLead &&
+           t <= window.end - core::kMatchWindow;
   };
 
   for (const auto& sup : block.suppressions) {
@@ -52,9 +51,8 @@ std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
     if (eligible(sup.start) && sim::occupied_at(block, sup.start)) {
       out.push_back({sup.start, onset_dir, cls});
     }
-    if (opt.match_recovery &&
-        sup.end - sup.start >= opt.recovery_min_duration &&
-        eligible(sup.end) && sim::occupied_at(block, sup.end)) {
+    if (sup.end - sup.start >= kRecoveryMinDuration && eligible(sup.end) &&
+        sim::occupied_at(block, sup.end)) {
       const ChangeDirection recovery_dir = home_wfh ? ChangeDirection::kDown
                                                     : ChangeDirection::kUp;
       out.push_back({sup.end, recovery_dir, cls});
@@ -93,7 +91,7 @@ std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
 
 MatchResult match_block(std::span<const TruthInstance> truth,
                         std::span<const core::DetectedChange> changes,
-                        const MatchOptions& opt, SimTime warmup_until) {
+                        SimTime warmup_until) {
   MatchResult r;
 
   // Confirmed, trusted detections are match candidates; everything else
@@ -106,7 +104,7 @@ MatchResult match_block(std::span<const TruthInstance> truth,
       continue;
     }
     if (!ch.counted()) continue;
-    if (ch.low_evidence && !opt.trust_low_evidence) {
+    if (ch.low_evidence && !core::kTrustLowEvidence) {
       ++r.low_evidence_excluded;
       continue;
     }
@@ -121,13 +119,13 @@ MatchResult match_block(std::span<const TruthInstance> truth,
   for (std::size_t ti = 0; ti < truth.size(); ++ti) {
     const auto& t = truth[ti];
     std::size_t best = candidates.size();
-    std::int64_t best_abs = opt.match_window + 1;
+    std::int64_t best_abs = core::kMatchWindow + 1;
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
       if (taken[ci]) continue;
       const auto& ch = changes[candidates[ci]];
       if (ch.direction != t.direction) continue;
       const std::int64_t abs_off = std::llabs(ch.alarm - t.at);
-      if (abs_off > opt.match_window) continue;
+      if (abs_off > core::kMatchWindow) continue;
       // Nearest wins; ties break to the earlier alarm (candidates are
       // scanned in detection order, so strict < keeps the first).
       if (abs_off < best_abs) {

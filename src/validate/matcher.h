@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/detect.h"
+#include "core/metrics.h"
 #include "probe/prober.h"
 #include "sim/block_profile.h"
 #include "util/date.h"
@@ -36,27 +37,16 @@ inline constexpr std::size_t kNumTruthClasses = 5;
 
 std::string_view to_string(TruthClass c) noexcept;
 
-struct MatchOptions {
-  /// The paper's +-4-day rule.  Inclusive: an offset of exactly four
-  /// days still matches.
-  std::int64_t match_window = 4 * util::kSecondsPerDay;
-  /// Truth earlier than this lead from the window start is not scored:
-  /// STL/CUSUM need a seasonal baseline before an onset can register,
-  /// so a day-two event would count as a miss without measuring the
-  /// detector.
-  std::int64_t min_truth_lead = 7 * util::kSecondsPerDay;
-  /// Score detections annotated low_evidence (mirrors
-  /// core::ValidationConfig::trust_low_evidence; off so faults cannot
-  /// buy precision from coverage gaps).
-  bool trust_low_evidence = false;
-  /// Enumerate the recovery (opposite-direction) instant at the end of
-  /// bounded dips that outlive the outage-pair filter, so the up-change
-  /// a holiday's end produces is truth, not a false positive.
-  bool match_recovery = true;
-  /// Dips shorter than this recover inside the outage-pair filter's
-  /// reach; their recovery is not scored as separate truth.
-  std::int64_t recovery_min_duration = 3 * util::kSecondsPerDay;
-};
+/// Truth earlier than this lead from the window start is not scored:
+/// STL/CUSUM need a seasonal baseline before an onset can register, so a
+/// day-two event would count as a miss without measuring the detector.
+inline constexpr std::int64_t kMinTruthLead = 7 * util::kSecondsPerDay;
+
+/// Bounded dips at least this long also plant their recovery (the
+/// opposite-direction instant at the dip's end), so the up-change a
+/// holiday's end produces is truth, not a false positive.  Shorter dips
+/// recover inside the outage-pair filter's reach.
+inline constexpr std::int64_t kRecoveryMinDuration = 3 * util::kSecondsPerDay;
 
 /// One planted change instant a detector should find.
 struct TruthInstance {
@@ -68,13 +58,12 @@ struct TruthInstance {
 /// Enumerates the planted truth of one block inside the probing window,
 /// sorted by time: suppression onsets (down, or up for home blocks under
 /// WFH), recoveries of long dips, vacate instants, and occupancy-window
-/// boundaries.  Instants outside [start + min_truth_lead,
-/// end - match_window] are omitted, as are suppressions starting while
-/// the block was unoccupied.  Whole-block outages and renumbering are
-/// NOT truth — the pipeline must discard those as paired excursions.
+/// boundaries.  Instants outside [start + kMinTruthLead,
+/// end - core::kMatchWindow] are omitted, as are suppressions starting
+/// while the block was unoccupied.  Whole-block outages and renumbering
+/// are NOT truth — the pipeline must discard those as paired excursions.
 std::vector<TruthInstance> planted_truth(const sim::BlockProfile& block,
-                                         probe::ProbeWindow window,
-                                         const MatchOptions& opt = {});
+                                         probe::ProbeWindow window);
 
 /// Greedy one-to-one matching of detections to truth.
 struct MatchResult {
@@ -95,20 +84,19 @@ struct MatchResult {
 
 /// Matches confirmed (counted, trusted) detections against planted
 /// truth.  Truth instances are visited in time order; each takes the
-/// nearest unmatched same-direction detection within +-match_window
+/// nearest unmatched same-direction detection within +-core::kMatchWindow
 /// (ties: earlier alarm).  A detection matches at most one truth and
 /// vice versa, so a single alarm can never satisfy two planted events.
 ///
 /// `warmup_until` (0 = disabled) is the cold-start cutoff: truth is only
-/// eligible from window.start + min_truth_lead, so an alarm before
-/// (that - match_window) can never match any truth and measures the
+/// eligible from window.start + kMinTruthLead, so an alarm before
+/// (that - core::kMatchWindow) can never match any truth and measures the
 /// detector's cold start (no seasonal baseline yet) rather than its
 /// steady-state precision.  Such alarms are tallied as warmup_excluded
 /// instead of false positives — and pinned in the golden baseline, so a
 /// regression in cold-start behaviour still fails the gate.
 MatchResult match_block(std::span<const TruthInstance> truth,
                         std::span<const core::DetectedChange> changes,
-                        const MatchOptions& opt = {},
                         util::SimTime warmup_until = 0);
 
 }  // namespace diurnal::validate

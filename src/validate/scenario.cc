@@ -279,8 +279,8 @@ std::vector<Scenario> build_catalog() {
     s.world.country_layers.push_back(std::move(cg));
     // Probe the full quarter over the default nine-month horizon.  A
     // mid-window CGNAT absorption strips the block's diurnality, so the
-    // section 3.2.2 per-segment strictness gate (DiurnalOptions::
-    // segment_days) sheds it from the change-sensitive set before the
+    // section 3.2.2 per-segment strictness gate (analysis::
+    // kSegmentDays) sheds it from the change-sensitive set before the
     // detector ever sees it: the conversions are real but structurally
     // invisible.  The scenario therefore asserts the masking itself —
     // a healthy crop of planted conversions routed to

@@ -27,7 +27,6 @@ struct Scenario {
   sim::WorldConfig world;               ///< includes the planted calendar
   std::string dataset = "2020m1-ejnw";  ///< analysis-window abbreviation
   std::string fault_scenario = "none";  ///< fault::scenario() name
-  MatchOptions match{};
 
   /// Probe with the section 2.8 additional-observations site (6-hour
   /// full-block refresh).  Without it, adaptive probing alone produces

@@ -49,13 +49,13 @@ namespace {
 /// True when t sits within the match window of a planted outage
 /// interval's edge or a renumbering instant — the excursions the pair
 /// filter exists to discard.
-bool near_planted_artifact(const sim::BlockProfile& block, SimTime t,
-                           std::int64_t window) {
-  if (block.renumber_at >= 0 && std::llabs(t - block.renumber_at) <= window) {
+bool near_planted_artifact(const sim::BlockProfile& block, SimTime t) {
+  constexpr std::int64_t w = core::kMatchWindow;
+  if (block.renumber_at >= 0 && std::llabs(t - block.renumber_at) <= w) {
     return true;
   }
   for (const auto& o : block.outages) {
-    if (t >= o.start - window && t <= o.end + window) return true;
+    if (t >= o.start - w && t <= o.end + w) return true;
   }
   return false;
 }
@@ -75,27 +75,26 @@ std::string_view to_string(ExplainEntry::What w) noexcept {
 
 void score_block(const sim::BlockProfile& block,
                  const core::BlockOutcome& outcome, probe::ProbeWindow window,
-                 const MatchOptions& opt, Scorecard& card,
-                 std::vector<ExplainEntry>* explain) {
+                 Scorecard& card, std::vector<ExplainEntry>* explain) {
   const bool diurnal_block = sim::is_diurnal_category(block.category) ||
                              block.category == sim::BlockCategory::kMixed;
   if (!outcome.cls.change_sensitive) {
     // Detection never ran here; planted truth is recall lost upstream.
     if (diurnal_block) {
       card.truth_outside_detection +=
-          static_cast<int>(planted_truth(block, window, opt).size());
+          static_cast<int>(planted_truth(block, window).size());
     }
     return;
   }
 
   ++card.blocks_scored;
-  const auto truth = planted_truth(block, window, opt);
+  const auto truth = planted_truth(block, window);
   // Alarms before this instant cannot match any eligible truth (truth
-  // starts at window.start + min_truth_lead); they measure the
+  // starts at window.start + kMinTruthLead); they measure the
   // detector's cold start, not its steady-state precision.
   const SimTime warmup_until =
-      window.start + opt.min_truth_lead - opt.match_window;
-  const auto m = match_block(truth, outcome.changes, opt, warmup_until);
+      window.start + kMinTruthLead - core::kMatchWindow;
+  const auto m = match_block(truth, outcome.changes, warmup_until);
 
   card.outage_discards += m.outage_discards;
   card.low_evidence_excluded += m.low_evidence_excluded;
@@ -119,8 +118,7 @@ void score_block(const sim::BlockProfile& block,
   for (const std::size_t ci : m.unmatched_changes) {
     ++card.false_positive;
     const auto& ch = outcome.changes[ci];
-    const bool near =
-        near_planted_artifact(block, ch.alarm, opt.match_window);
+    const bool near = near_planted_artifact(block, ch.alarm);
     if (near) ++card.fp_outage_artifact;
     if (explain != nullptr) {
       explain->push_back({block.id, block.category,
@@ -136,9 +134,9 @@ void score_block(const sim::BlockProfile& block,
                             ExplainEntry::What::kDiscarded, ch.alarm,
                             ch.direction, ch.amplitude_addresses,
                             TruthClass::kWfhOnset,
-                            near_planted_artifact(block, ch.alarm,
-                                                  opt.match_window)});
-      } else if (ch.counted() && ch.low_evidence && !opt.trust_low_evidence) {
+                            near_planted_artifact(block, ch.alarm)});
+      } else if (ch.counted() && ch.low_evidence &&
+                 !core::kTrustLowEvidence) {
         explain->push_back({block.id, block.category,
                             ExplainEntry::What::kLowEvidence, ch.alarm,
                             ch.direction, ch.amplitude_addresses,
@@ -163,13 +161,13 @@ void score_block(const sim::BlockProfile& block,
 }
 
 Scorecard score_fleet(const sim::World& world, const core::FleetResult& fleet,
-                      probe::ProbeWindow window, const MatchOptions& opt,
+                      probe::ProbeWindow window,
                       std::vector<ExplainEntry>* explain) {
   Scorecard card;
   const auto& blocks = world.blocks();
   for (std::size_t i = 0; i < fleet.outcomes.size() && i < blocks.size();
        ++i) {
-    score_block(blocks[i], fleet.outcomes[i], window, opt, card, explain);
+    score_block(blocks[i], fleet.outcomes[i], window, card, explain);
   }
   return card;
 }

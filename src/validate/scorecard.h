@@ -56,7 +56,7 @@ struct Scorecard {
   int outage_discards = 0;        ///< detections filtered as outage pairs
   int low_evidence_excluded = 0;  ///< confirmed changes skipped (degraded)
   /// Confirmed changes alarming before the earliest instant any eligible
-  /// truth could match (window.start + min_truth_lead - match_window):
+  /// truth could match (window.start + kMinTruthLead - kMatchWindow):
   /// cold-start artifacts, tallied instead of counted as false
   /// positives but still pinned by the golden baseline.
   int warmup_excluded = 0;
@@ -115,12 +115,11 @@ std::string_view to_string(ExplainEntry::What w) noexcept;
 /// entry per miss, false positive, discard, and exclusion.
 void score_block(const sim::BlockProfile& block,
                  const core::BlockOutcome& outcome, probe::ProbeWindow window,
-                 const MatchOptions& opt, Scorecard& card,
-                 std::vector<ExplainEntry>* explain = nullptr);
+                 Scorecard& card, std::vector<ExplainEntry>* explain = nullptr);
 
 /// Scores a whole fleet result against the world's planted truth.
 Scorecard score_fleet(const sim::World& world, const core::FleetResult& fleet,
-                      probe::ProbeWindow window, const MatchOptions& opt = {},
+                      probe::ProbeWindow window,
                       std::vector<ExplainEntry>* explain = nullptr);
 
 }  // namespace diurnal::validate

@@ -11,11 +11,10 @@ void detect_changes(std::span<const double> counts, util::SimTime start,
                     analysis::BlockAnalyzer& az,
                     std::vector<core::DetectedChange>& changes) {
   changes.clear();
-  const int period = core::detection_period(counts.size(), step, opt);
+  const int period = core::detection_period(counts.size(), step);
   if (period == 0) return;
 
-  const auto dec =
-      az.decompose_stl(counts, core::detector_stl_options(opt, period));
+  const auto dec = az.decompose_stl(counts, core::detector_stl_options(period));
   const auto z = az.zscore(dec.trend);
   const auto cus = az.cusum(z, opt.cusum);
   core::extract_changes(counts, start, step, period, opt, cus.changes,
@@ -61,7 +60,7 @@ probe::ObservationVec probe_block(const sim::BlockProfile& block,
   probe::ProbeScratch scratch;
   probe::RoundProberState state;
   probe::ObservationVec out;
-  probe::round_prober_begin(block, observer, window, config, state);
+  probe::round_prober_begin(block, observer, window, state);
   probe::round_prober_resume(block, observer, loss, window, config, scratch,
                              state, window.end, out);
   return out;

@@ -88,7 +88,7 @@ TEST(AnalysisKernels, DiurnalSpanMatchesWrapper) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const auto v = make_series(n, seed);
       const auto legacy = analysis::test_diurnal(v, 24.0);
-      const auto span = analysis::test_diurnal(v, 24.0, {}, ws);
+      const auto span = analysis::test_diurnal(v, 24.0, ws);
       EXPECT_EQ(legacy.diurnal, span.diurnal) << n << "/" << seed;
       EXPECT_EQ(bits_of(legacy.power_ratio), bits_of(span.power_ratio));
       EXPECT_EQ(bits_of(legacy.total_power), bits_of(span.total_power));
@@ -104,7 +104,7 @@ TEST(AnalysisKernels, DiurnalSpanMatchesWrapperOnNanGap) {
   analysis::Workspace ws;
   const auto v = with_nan_gap(make_series(24 * 14, 9), 100, 30);
   const auto legacy = analysis::test_diurnal(v, 24.0);
-  const auto span = analysis::test_diurnal(v, 24.0, {}, ws);
+  const auto span = analysis::test_diurnal(v, 24.0, ws);
   EXPECT_EQ(legacy.diurnal, span.diurnal);
   EXPECT_EQ(bits_of(legacy.power_ratio), bits_of(span.power_ratio));
   EXPECT_EQ(bits_of(legacy.total_power), bits_of(span.total_power));
@@ -344,7 +344,7 @@ TEST(Workspace, ReuseNeverLeaksStateAcrossKernels) {
 
   const auto d_cold = [&] {
     analysis::Workspace fresh;
-    return analysis::test_diurnal(y1, 24.0, {}, fresh);
+    return analysis::test_diurnal(y1, 24.0, fresh);
   }();
   analysis::StlOptions opt;
   opt.period = 24;
@@ -356,7 +356,7 @@ TEST(Workspace, ReuseNeverLeaksStateAcrossKernels) {
   }
 
   for (int round = 0; round < 3; ++round) {
-    const auto d = analysis::test_diurnal(y1, 24.0, {}, shared);
+    const auto d = analysis::test_diurnal(y1, 24.0, shared);
     EXPECT_EQ(bits_of(d.power_ratio), bits_of(d_cold.power_ratio)) << round;
     analysis::stl_decompose(y2, opt, shared, t2, s2, r2);
     expect_same_bits(t, t2, "trend across reuse");

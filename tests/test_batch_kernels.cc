@@ -305,17 +305,16 @@ void expect_same_diurnal(const analysis::DiurnalResult& got,
 TEST(BatchKernels, DiurnalBitwiseAcrossWidthsWithNanLane) {
   const std::size_t n = 336;
   const double spd = 24.0;
-  const analysis::DiurnalOptions opt;
   for (const std::size_t w : kWidths) {
     auto lanes = make_lanes(w, n, 700 + w);
     lanes[w - 1] = with_nan_gap(lanes[w - 1], 100, 30);
     const auto x_soa = gather(lanes, n);
     std::vector<analysis::DiurnalResult> got(w);
     analysis::Workspace bws;
-    analysis::test_diurnal_batch(x_soa.data(), w, n, spd, opt, bws, got.data());
+    analysis::test_diurnal_batch(x_soa.data(), w, n, spd, bws, got.data());
     analysis::Workspace sws;
     for (std::size_t j = 0; j < w; ++j) {
-      expect_same_diurnal(got[j], analysis::test_diurnal(lanes[j], spd, opt, sws),
+      expect_same_diurnal(got[j], analysis::test_diurnal(lanes[j], spd, sws),
                           j);
     }
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "core/detect.h"
 #include "core/discovery.h"
@@ -56,6 +57,54 @@ TEST(Discovery, IgnoresSmallCellsAndQuietSeries) {
   c.direction = analysis::ChangeDirection::kDown;
   agg.add_block(small, geo::Continent::kAfrica, {c});  // 1 block only
   EXPECT_TRUE(core::discover_events(agg).empty());
+}
+
+// Ties in peak fraction (and in block count) are ordered by cell, then
+// start, not by the order cells reached the aggregator: the sharded
+// drive merges shard aggregators in completion order.
+TEST(Discovery, TiedEventsHaveOneOrder) {
+  const std::vector<geo::GridCell> cells = {{15, 57}, {-10, 3}, {15, 56},
+                                            {20, 60}, {0, 0},   {15, 58}};
+  // Ten blocks per cell, five down on day 20 and five on day 40: two
+  // events per cell, every one peaking at 50%.
+  const auto fill = [](core::ChangeAggregator& agg, geo::GridCell cell) {
+    for (int i = 0; i < 10; ++i) {
+      core::DetectedChange c;
+      c.alarm = (i < 5 ? 20 : 40) * util::kSecondsPerDay;
+      c.direction = analysis::ChangeDirection::kDown;
+      agg.add_block(cell, geo::Continent::kAsia, {c});
+    }
+  };
+  core::ChangeAggregator forward(0, 60 * util::kSecondsPerDay);
+  core::ChangeAggregator backward(0, 60 * util::kSecondsPerDay);
+  for (const auto& cell : cells) fill(forward, cell);
+  for (auto it = cells.rbegin(); it != cells.rend(); ++it) fill(backward, *it);
+
+  const auto a = core::discover_events(forward);
+  const auto b = core::discover_events(backward);
+  ASSERT_EQ(a.size(), 2 * cells.size());
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].to_string(), b[k].to_string()) << k;
+    if (k > 0) {
+      EXPECT_TRUE(a[k - 1].cell < a[k].cell ||
+                  (a[k - 1].cell == a[k].cell && a[k - 1].start < a[k].start))
+          << k;
+    }
+  }
+
+  const auto sa = forward.map_snapshot(20 * util::kSecondsPerDay, 5);
+  const auto sb = backward.map_snapshot(20 * util::kSecondsPerDay, 5);
+  ASSERT_EQ(sa.size(), cells.size());
+  ASSERT_EQ(sb.size(), sa.size());
+  for (std::size_t k = 0; k < sa.size(); ++k) {
+    EXPECT_EQ(sa[k].cell, sb[k].cell) << k;
+    EXPECT_EQ(sa[k].blocks, sb[k].blocks) << k;
+    EXPECT_EQ(sa[k].down_on_day, sb[k].down_on_day) << k;
+    if (k > 0) {
+      EXPECT_LT(sa[k - 1].cell, sa[k].cell) << k;
+    }
+  }
 }
 
 TEST(Discovery, EndToEndFindsWfhRegion) {

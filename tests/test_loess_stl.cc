@@ -17,16 +17,14 @@ constexpr double kPi = std::numbers::pi;
 
 TEST(Loess, ReproducesConstant) {
   std::vector<double> y(50, 4.0);
-  for (const int degree : {0, 1}) {
-    const auto s = loess_smooth(y, LoessOptions{9, degree, 1});
-    for (const double v : s) EXPECT_NEAR(v, 4.0, 1e-9);
-  }
+  const auto s = loess_smooth(y, LoessOptions{9, 1});
+  for (const double v : s) EXPECT_NEAR(v, 4.0, 1e-9);
 }
 
 TEST(Loess, Degree1ReproducesLine) {
   std::vector<double> y(60);
   for (int i = 0; i < 60; ++i) y[static_cast<std::size_t>(i)] = 3.0 + 0.5 * i;
-  const auto s = loess_smooth(y, LoessOptions{11, 1, 1});
+  const auto s = loess_smooth(y, LoessOptions{11, 1});
   for (int i = 0; i < 60; ++i) {
     EXPECT_NEAR(s[static_cast<std::size_t>(i)], 3.0 + 0.5 * i, 1e-9) << i;
   }
@@ -38,7 +36,7 @@ TEST(Loess, SmoothsNoise) {
   for (int i = 0; i < 200; ++i) {
     y[static_cast<std::size_t>(i)] = 10.0 + rng.normal(0, 2.0);
   }
-  const auto s = loess_smooth(y, LoessOptions{41, 1, 1});
+  const auto s = loess_smooth(y, LoessOptions{41, 1});
   EXPECT_LT(stddev(s), stddev(y) * 0.6);
   EXPECT_NEAR(mean(s), 10.0, 0.5);
 }
@@ -48,8 +46,8 @@ TEST(Loess, RobustnessWeightsDampOutlier) {
   y[15] = 100.0;
   std::vector<double> rho(30, 1.0);
   rho[15] = 0.0;  // fully distrust the outlier
-  const auto plain = loess_smooth(y, LoessOptions{9, 1, 1});
-  const auto robust = loess_smooth(y, LoessOptions{9, 1, 1}, rho);
+  const auto plain = loess_smooth(y, LoessOptions{9, 1});
+  const auto robust = loess_smooth(y, LoessOptions{9, 1}, rho);
   EXPECT_GT(std::abs(plain[14] - 5.0), 1.0);
   EXPECT_NEAR(robust[14], 5.0, 1e-6);
 }
@@ -58,7 +56,7 @@ TEST(Loess, ExtendedEndpointsExtrapolate) {
   std::vector<double> y(20);
   for (int i = 0; i < 20; ++i) y[static_cast<std::size_t>(i)] = 2.0 * i;
   std::vector<double> ext(22);
-  loess_smooth_extended(y, LoessOptions{7, 1, 1}, {}, ext);
+  loess_smooth_extended(y, LoessOptions{7, 1}, {}, ext);
   EXPECT_NEAR(ext[0], -2.0, 1e-9);    // position -1
   EXPECT_NEAR(ext[21], 40.0, 1e-9);   // position 20
   EXPECT_NEAR(ext[1], 0.0, 1e-9);     // position 0
@@ -71,8 +69,8 @@ TEST(Loess, JumpInterpolationCloseToExact) {
     y[static_cast<std::size_t>(i)] =
         std::sin(i * 0.05) * 10 + rng.normal(0, 0.2);
   }
-  const auto exact = loess_smooth(y, LoessOptions{31, 1, 1});
-  const auto jumped = loess_smooth(y, LoessOptions{31, 1, 5});
+  const auto exact = loess_smooth(y, LoessOptions{31, 1});
+  const auto jumped = loess_smooth(y, LoessOptions{31, 5});
   double max_diff = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) {
     max_diff = std::max(max_diff, std::abs(exact[i] - jumped[i]));
@@ -167,9 +165,25 @@ TEST(Stl, RobustToOutliers) {
 
 TEST(Stl, DefaultTrendSpanFormula) {
   // Smallest odd >= 1.5 p / (1 - 1.5/n_s).
-  EXPECT_EQ(default_trend_span(24, 7), 47);
-  EXPECT_EQ(default_trend_span(168, 7), 321);
-  EXPECT_GE(default_trend_span(2, 7) % 2, 1);
+  EXPECT_EQ(default_trend_span(24), 47);
+  EXPECT_EQ(default_trend_span(168), 321);
+  EXPECT_GE(default_trend_span(2) % 2, 1);
+}
+
+TEST(Stl, PlanDerivesTheThreePasses) {
+  // The detector's weekly plan: n_s 7 at every point, the trend span
+  // made odd, the low-pass span the next odd >= p, both at span / 10.
+  const StlPlan p = stl_plan(168, 210);
+  EXPECT_EQ(p.seasonal.span, kSeasonalSpan);
+  EXPECT_EQ(p.seasonal.jump, 1);
+  EXPECT_EQ(p.trend.span, 211);
+  EXPECT_EQ(p.trend.jump, 21);
+  EXPECT_EQ(p.lowpass.span, 169);
+  EXPECT_EQ(p.lowpass.jump, 16);
+  // Trend span 0 is the Cleveland default; short spans still jump by 1.
+  EXPECT_EQ(stl_plan(24, 0).trend.span, default_trend_span(24));
+  EXPECT_EQ(stl_plan(4, 0).lowpass.span, 5);
+  EXPECT_EQ(stl_plan(4, 0).lowpass.jump, 1);
 }
 
 // Property: STL seasonal component is (approximately) zero-mean over

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "analysis/diurnal_test.h"
-#include "analysis/loess.h"
 #include "analysis/stats.h"
 #include "oracle.h"
 #include "probe/prober.h"
@@ -141,20 +140,6 @@ TEST_P(SeedSweep, DiurnalRatioIsAProbability) {
   EXPECT_LE(r.power_ratio, 1.0);
   EXPECT_GE(r.total_power, 0.0);
   EXPECT_GE(r.diurnal_power, 0.0);
-}
-
-TEST_P(SeedSweep, Degree0LoessStaysWithinDataRange) {
-  util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) + 200);
-  std::vector<double> v(120);
-  for (auto& x : v) x = rng.uniform(-10, 10);
-  const double lo = *std::min_element(v.begin(), v.end());
-  const double hi = *std::max_element(v.begin(), v.end());
-  // A local weighted *mean* is a convex combination of the data.
-  const auto s = analysis::loess_smooth(v, analysis::LoessOptions{15, 0, 1});
-  for (const double x : s) {
-    EXPECT_GE(x, lo - 1e-9);
-    EXPECT_LE(x, hi + 1e-9);
-  }
 }
 
 TEST_P(SeedSweep, QuantilesMonotone) {

@@ -167,7 +167,7 @@ TEST(StreamProber, ChunkedResumeMatchesBatch) {
     for (const std::int64_t step : steps) {
       ObservationVec streamed;
       probe::RoundProberState st;
-      probe::round_prober_begin(block, spec, oc.window, oc.prober, st);
+      probe::round_prober_begin(block, spec, oc.window, st);
       for (util::SimTime t = oc.window.start; !st.done; t += step) {
         probe::round_prober_resume(block, spec, oc.loss, oc.window, oc.prober,
                                    scratch, st, t, streamed);
@@ -208,7 +208,7 @@ TEST(StreamFaults, ChunkedApplyMatchesBatch) {
       probe::RoundProberState st;
       fault::FaultCarry carry;
       fault::StreamFaultStats stats;
-      probe::round_prober_begin(block, spec, w, oc.prober, st);
+      probe::round_prober_begin(block, spec, w, st);
       for (util::SimTime t = w.start; !st.done; t += 6 * 3600 + 13) {
         const std::size_t from = chunked.size();
         probe::round_prober_resume(block, spec, oc.loss, w, oc.prober, scratch,

@@ -28,7 +28,6 @@ namespace diurnal {
 namespace {
 
 using analysis::ChangeDirection;
-using validate::MatchOptions;
 using validate::TruthClass;
 using validate::TruthInstance;
 
@@ -52,29 +51,28 @@ core::DetectedChange change(util::SimTime alarm, ChangeDirection dir,
 TEST(Matcher, WindowEdgeIsInclusive) {
   const std::vector<TruthInstance> truth = {
       {100 * kDay, ChangeDirection::kDown, TruthClass::kWfhOnset}};
-  const MatchOptions opt;
 
   // Exactly +4 days matches...
   std::vector<core::DetectedChange> at_edge = {
-      change(100 * kDay + opt.match_window, ChangeDirection::kDown)};
-  auto r = validate::match_block(truth, at_edge, opt);
+      change(100 * kDay + core::kMatchWindow, ChangeDirection::kDown)};
+  auto r = validate::match_block(truth, at_edge);
   ASSERT_EQ(r.matched.size(), 1u);
-  EXPECT_EQ(r.matched[0].offset, opt.match_window);
+  EXPECT_EQ(r.matched[0].offset, core::kMatchWindow);
 
   // ...one second past does not.
   std::vector<core::DetectedChange> past_edge = {
-      change(100 * kDay + opt.match_window + 1, ChangeDirection::kDown)};
-  r = validate::match_block(truth, past_edge, opt);
+      change(100 * kDay + core::kMatchWindow + 1, ChangeDirection::kDown)};
+  r = validate::match_block(truth, past_edge);
   EXPECT_TRUE(r.matched.empty());
   EXPECT_EQ(r.unmatched_truth.size(), 1u);
   EXPECT_EQ(r.unmatched_changes.size(), 1u);
 
   // And exactly -4 days matches too.
   std::vector<core::DetectedChange> early = {
-      change(100 * kDay - opt.match_window, ChangeDirection::kDown)};
-  r = validate::match_block(truth, early, opt);
+      change(100 * kDay - core::kMatchWindow, ChangeDirection::kDown)};
+  r = validate::match_block(truth, early);
   ASSERT_EQ(r.matched.size(), 1u);
-  EXPECT_EQ(r.matched[0].offset, -opt.match_window);
+  EXPECT_EQ(r.matched[0].offset, -core::kMatchWindow);
 }
 
 TEST(Matcher, OneDetectionCannotSatisfyTwoTruths) {
@@ -85,7 +83,7 @@ TEST(Matcher, OneDetectionCannotSatisfyTwoTruths) {
       {102 * kDay, ChangeDirection::kDown, TruthClass::kWfhOnset}};
   const std::vector<core::DetectedChange> one = {
       change(100 * kDay + 12 * 3600, ChangeDirection::kDown)};
-  const auto r = validate::match_block(truth, one, {});
+  const auto r = validate::match_block(truth, one);
   ASSERT_EQ(r.matched.size(), 1u);
   EXPECT_EQ(r.matched[0].truth, 0u);  // the nearer instant
   EXPECT_EQ(r.unmatched_truth.size(), 1u);
@@ -100,7 +98,7 @@ TEST(Matcher, NearestWinsOverFirst) {
   const std::vector<core::DetectedChange> two = {
       change(97 * kDay, ChangeDirection::kDown),
       change(101 * kDay, ChangeDirection::kDown)};
-  const auto r = validate::match_block(truth, two, {});
+  const auto r = validate::match_block(truth, two);
   ASSERT_EQ(r.matched.size(), 1u);
   EXPECT_EQ(r.matched[0].change, 1u);
   EXPECT_EQ(r.unmatched_changes.size(), 1u);
@@ -111,7 +109,7 @@ TEST(Matcher, DirectionMustAgree) {
       {100 * kDay, ChangeDirection::kDown, TruthClass::kWfhOnset}};
   const std::vector<core::DetectedChange> up = {
       change(100 * kDay, ChangeDirection::kUp)};
-  const auto r = validate::match_block(truth, up, {});
+  const auto r = validate::match_block(truth, up);
   EXPECT_TRUE(r.matched.empty());
   EXPECT_EQ(r.unmatched_truth.size(), 1u);
   EXPECT_EQ(r.unmatched_changes.size(), 1u);
@@ -125,7 +123,7 @@ TEST(Matcher, FilteredAndLowEvidenceChangesAreTalliedNotMatched) {
   auto weak = change(100 * kDay, ChangeDirection::kDown);
   weak.low_evidence = true;
   const std::vector<core::DetectedChange> changes = {discarded, weak};
-  const auto r = validate::match_block(truth, changes, {});
+  const auto r = validate::match_block(truth, changes);
   EXPECT_TRUE(r.matched.empty());
   EXPECT_EQ(r.outage_discards, 1);
   EXPECT_EQ(r.low_evidence_excluded, 1);
@@ -141,7 +139,7 @@ TEST(Matcher, WarmupCutoffExcludesEarlyAlarms) {
   const std::vector<core::DetectedChange> changes = {
       change(cutoff - 1, ChangeDirection::kDown),
       change(cutoff, ChangeDirection::kDown)};
-  const auto r = validate::match_block(truth, changes, {}, cutoff);
+  const auto r = validate::match_block(truth, changes, cutoff);
   EXPECT_EQ(r.warmup_excluded, 1);
   EXPECT_EQ(r.unmatched_changes.size(), 1u);
   EXPECT_EQ(r.unmatched_changes[0], 1u);
@@ -377,8 +375,8 @@ TEST(Catalog, PlantedTruthIsDeterministic) {
   const auto window = core::dataset(s->dataset).window();
   std::size_t planted = 0;
   for (std::size_t i = 0; i < a.blocks().size(); ++i) {
-    const auto ta = validate::planted_truth(a.blocks()[i], window, s->match);
-    const auto tb = validate::planted_truth(b.blocks()[i], window, s->match);
+    const auto ta = validate::planted_truth(a.blocks()[i], window);
+    const auto tb = validate::planted_truth(b.blocks()[i], window);
     ASSERT_EQ(ta.size(), tb.size()) << "block " << i;
     for (std::size_t k = 0; k < ta.size(); ++k) {
       EXPECT_EQ(ta[k].at, tb[k].at);
@@ -436,9 +434,60 @@ TEST(TruthRule, WfhAfterCgnatAbsorptionIsNoTruth) {
   EXPECT_EQ(v.false_negative, 0);
 
   const probe::ProbeWindow horizon{config.horizon_start, config.horizon_end};
-  for (const auto& t : validate::planted_truth(block, horizon, {})) {
+  for (const auto& t : validate::planted_truth(block, horizon)) {
     EXPECT_NE(t.cls, TruthClass::kWfhOnset);
   }
+}
+
+// The Table 5 scorer's +-4-day edge, like the matcher's: a counted down
+// change exactly core::kMatchWindow from the block's truth onset scores
+// a true positive, one second farther a false negative.  The change sits
+// on the side away from the news date, so only the truth can match it.
+TEST(SampleValidation, WindowEdgeIsInclusive) {
+  const auto* s = validate::find_scenario("quiet_calendar");
+  ASSERT_NE(s, nullptr);
+  sim::WorldConfig config = s->world;
+  const util::SimTime news = util::time_of(2020, 3, 15);  // the US date
+  sim::Event wfh;
+  wfh.kind = sim::EventKind::kWorkFromHome;
+  wfh.scope.country_code = "US";
+  wfh.start = news + kDay;
+  wfh.end = config.horizon_end;
+  wfh.adoption = 1.0;
+  config.calendar.push_back(wfh);
+  const sim::World world(config);
+
+  // A block whose scored onset falls after the news date.
+  const auto& blocks = world.blocks();
+  std::size_t pick = blocks.size();
+  util::SimTime onset = 0;
+  for (std::size_t i = 0; i < blocks.size() && pick == blocks.size(); ++i) {
+    if (blocks[i].category == sim::BlockCategory::kHomeDynamic) continue;
+    for (const auto& sup : blocks[i].suppressions) {
+      if (sup.kind == sim::EventKind::kWorkFromHome && sup.start > news &&
+          sup.start - news <= core::kMatchWindow &&
+          sim::occupied_at(blocks[i], sup.start)) {
+        pick = i;
+        onset = sup.start;
+      }
+    }
+  }
+  ASSERT_LT(pick, blocks.size()) << "no block adopted after the news date";
+
+  core::FleetResult fleet;
+  fleet.outcomes.resize(blocks.size());
+  fleet.outcomes[pick].cls.change_sensitive = true;  // the whole sample
+  const auto verdict = [&](util::SimTime alarm) {
+    fleet.outcomes[pick].changes = {change(alarm, ChangeDirection::kDown)};
+    const auto v = core::validate_sample(world, fleet, {});
+    EXPECT_EQ(v.blocks.size(), 1u);
+    return v.blocks.empty() ? core::BlockVerdict::kNoCusum
+                            : v.blocks[0].verdict;
+  };
+  EXPECT_EQ(verdict(onset + core::kMatchWindow),
+            core::BlockVerdict::kTruePositive);
+  EXPECT_EQ(verdict(onset + core::kMatchWindow + 1),
+            core::BlockVerdict::kFalseNegative);
 }
 
 // ---------------------------------------------------------------------------

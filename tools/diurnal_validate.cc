@@ -17,7 +17,9 @@
 // --update-baseline rewrites the baseline from the current run (gates
 // other than the baseline comparison still apply: a run that violates
 // its own invariants must not be recorded as golden).  --json prints
-// the current results document to stdout for machine consumers.
+// the current results document to stdout for machine consumers: stdout
+// then carries the document alone, and every other line (--explain
+// rows, the status line) goes to stderr.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -142,6 +144,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> violations;
   std::vector<std::pair<std::string, validate::ScenarioRun>> runs;
 
+  // Lines that are not the results: stdout, unless --json owns it.
+  FILE* const notes = a.json ? stderr : stdout;
   util::TextTable table({"scenario", "blocks", "truth", "TP", "FN", "FP",
                          "discards", "warmup", "precision", "recall", "F1",
                          "latency", "digest"});
@@ -161,9 +165,10 @@ int main(int argc, char** argv) {
         } else if (e.near_artifact) {
           note = " [near planted outage]";
         }
-        std::printf(
-            "%-16s %-14s %-14s %s %-4s %7.1f addr  %s%s\n", s.name.c_str(),
-            e.id.to_string().c_str(), sim::to_string(e.category).data(),
+        std::fprintf(
+            notes, "%-16s %-14s %-14s %s %-4s %7.1f addr  %s%s\n",
+            s.name.c_str(), e.id.to_string().c_str(),
+            sim::to_string(e.category).data(),
             util::to_string(util::date_of(e.at)).c_str(),
             e.direction == analysis::ChangeDirection::kUp ? "up" : "down",
             e.amplitude_addresses, validate::to_string(e.what).data(),
@@ -242,7 +247,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     out << validate::to_json(current);
-    std::printf("baseline written to %s\n", a.baseline_path.c_str());
+    std::fprintf(notes, "baseline written to %s\n", a.baseline_path.c_str());
     return 0;
   }
 
@@ -256,8 +261,8 @@ int main(int argc, char** argv) {
   }
 
   if (failures == 0) {
-    std::printf("all %zu scenario(s) match %s\n", current.scenarios.size(),
-                a.baseline_path.c_str());
+    std::fprintf(notes, "all %zu scenario(s) match %s\n",
+                 current.scenarios.size(), a.baseline_path.c_str());
     return 0;
   }
   std::fprintf(stderr, "%d failure(s)\n", failures);
